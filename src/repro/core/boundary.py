@@ -50,7 +50,11 @@ class BounceBackWalls(BoundaryCondition):
 
     Populations that streamed *into* a solid node are reversed there and
     will stream back out on the next step, producing a no-slip wall
-    located halfway between solid and fluid nodes.
+    located halfway between solid and fluid nodes.  Under the planned
+    kernel, :class:`~repro.core.simulation.Simulation` folds a leading
+    run of these walls into the gather table instead of calling
+    :meth:`apply` (:meth:`~repro.core.plan.KernelPlan.fold_bounce_back`,
+    byte-identical).
 
     Parameters
     ----------

@@ -206,16 +206,22 @@ class ClaimRecord:
 def write_claim(path: str | Path, record: ClaimRecord) -> bool:
     """Atomically create the claim file; ``False`` if already claimed.
 
-    Uses ``O_CREAT | O_EXCL``, so of any number of concurrent callers
-    exactly one succeeds — including across NFS-style shared mounts.
+    The record is written to a private temp file and hard-linked into
+    place; ``link`` fails when the claim exists, so of any number of
+    concurrent callers exactly one succeeds — including across NFS-style
+    shared mounts — and no reader ever sees a claim file before its
+    record is complete (an empty one reads as corrupt, and
+    :func:`claim_lock` would break it while its owner still holds it).
     """
     path = Path(path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex[:8]}.tmp")
+    tmp.write_text(record.to_json())
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
+        os.link(tmp, path)
     except FileExistsError:
         return False
-    with os.fdopen(fd, "w") as handle:
-        handle.write(record.to_json())
+    finally:
+        tmp.unlink()
     return True
 
 

@@ -10,8 +10,10 @@ kernels with identical semantics and very different machine behaviour:
   grids; serves as the executable specification the fast kernels are
   validated against.
 * :class:`RollKernel` — velocity-major vectorization: one
-  ``numpy.roll`` per velocity, then a fused vectorized collide.  This is
-  the production kernel (used by :class:`~repro.core.simulation.Simulation`).
+  ``numpy.roll`` per velocity, then a fused vectorized collide.  It
+  runs the same stream and collide code as
+  :class:`~repro.core.simulation.Simulation`'s legacy default pair
+  (``kernel=None``), so the two produce identical bytes.
 * :class:`FusedGatherKernel` — stream and collide in one pass over a
   precomputed flat gather-index table (the Python analogue of the
   paper's loop-fusion/index-precomputation optimizations: indices
@@ -19,7 +21,8 @@ kernels with identical semantics and very different machine behaviour:
 * :class:`~repro.core.plan.PlannedKernel` (in :mod:`repro.core.plan`) —
   the ladder's endpoint: precomputed gather table *and* a preallocated
   scratch arena, so a step makes zero heap allocations; also the kernel
-  that carries the float32/float64 dtype policy.
+  that carries the float32/float64 dtype policy, static walls and Guo
+  forcing, and the one registered cases run by default.
 
 Kernel selection (by name, or ``"auto"`` measured selection) lives in
 :func:`repro.core.plan.make_kernel`.  ``benchmarks/bench_kernels_real.py``

@@ -7,15 +7,20 @@ loop touches only preallocated memory.  :class:`KernelPlan` is the
 Python analogue — at construction it builds
 
 * the flat gather table for pull-streaming (one ``np.take`` per step,
-  indices computed once per shape),
+  indices computed once per shape), into which static bounce-back walls
+  can be folded (:meth:`KernelPlan.fold_bounce_back`),
 * dtype-cast velocity/weight tables (cached per lattice, see
-  :meth:`~repro.lattice.VelocitySet.velocities_as`),
-* a scratch arena (``adv``, ``rho``, ``u``, ``cu``, ``term``, ``work``,
-  ``cell``) sized for the grid,
+  :meth:`~repro.lattice.VelocitySet.velocities_as`), plus the Guo
+  forcing constants when a body force is fused in
+  (:meth:`KernelPlan.set_forcing`),
+* a scratch arena (``adv``, ``rho``, ``u``, ``term``, ``work``,
+  ``cell``, and ``cu`` at third order) sized for the grid,
 
 so :meth:`PlannedKernel.step` performs the full stream + moments +
-equilibrium + relax update exclusively through ``out=`` ufunc calls:
-zero per-step heap allocations (tracemalloc-asserted in the tests).
+equilibrium + relax (+ forcing) update exclusively through ``out=``
+ufunc calls: zero per-step heap allocations (tracemalloc-asserted in
+the tests).  :class:`~repro.core.simulation.Simulation` installs its
+walls and forcing into the plan, so forced, walled cases run here too.
 
 The plan also carries the **dtype policy**: built for float32, the
 whole update runs in single precision, halving the paper's
@@ -85,17 +90,15 @@ def build_gather_table(lattice: VelocitySet, shape: Sequence[int]) -> np.ndarray
     the paper's "minimize index calculation" transformation taken to its
     limit: a single gather with no per-step index arithmetic at all.
     The index math itself is :func:`~repro.core.streaming.pull_gather_rows`
-    (shared with :class:`~repro.core.kernels.FusedGatherKernel`); this
-    adds the per-velocity row offsets and flattens.
+    (shared with :class:`~repro.core.kernels.FusedGatherKernel`), which
+    fills the ``(Q, N)`` table in place with the row offsets included.
     """
     shape = tuple(int(s) for s in shape)
-    rows = pull_gather_rows(lattice, shape)  # (Q, N)
-    n = rows.shape[1]
-    offsets = (np.arange(lattice.q) * n)[:, None]
+    n = int(np.prod(shape))
     # Deliberately left writable: np.take(mode="clip") copies read-only
     # index arrays into a fresh buffer on every call, which would turn
     # each step into a hidden field-sized allocation.
-    return np.ascontiguousarray((rows + offsets).reshape(-1))
+    return pull_gather_rows(lattice, shape, row_step=n).reshape(-1)
 
 
 def build_aos_gather_table(lattice: VelocitySet, shape: Sequence[int]) -> np.ndarray:
@@ -110,9 +113,7 @@ def build_aos_gather_table(lattice: VelocitySet, shape: Sequence[int]) -> np.nda
     layouts share one kernel body (paper §IV's layout study).
     """
     shape = tuple(int(s) for s in shape)
-    rows = pull_gather_rows(lattice, shape)  # (Q, N) spatial source index
-    table = rows * lattice.q + np.arange(lattice.q, dtype=rows.dtype)[:, None]
-    return np.ascontiguousarray(table.reshape(-1))
+    return pull_gather_rows(lattice, shape, scale=lattice.q, row_step=1).reshape(-1)
 
 
 def build_slab_gather_table(
@@ -240,7 +241,18 @@ class KernelPlan:
         self._adv_flat: np.ndarray | None = None
         self.rho = np.empty(n, dtype=self.dtype)  # density
         self.u = np.empty((lattice.dim, n), dtype=self.dtype)  # velocity
-        self.cu = np.empty((q, n), dtype=self.dtype)  # c_i . u
+        # c_i . u is needed on its own only by the third-order term; at
+        # order <= 2 one dot with the pre-divided c / cs2 table writes
+        # cu / cs2 straight into `work`, saving a (Q, N) buffer.
+        if self.order >= 3:
+            self.cu: np.ndarray | None = np.empty((q, n), dtype=self.dtype)
+            self._c_over_cs2 = None
+        else:
+            self.cu = None
+            self._c_over_cs2 = np.ascontiguousarray(
+                lattice.velocities_as(np.float64) / lattice.cs2_float,
+                dtype=self.dtype,
+            )
         self.term = np.empty((q, n), dtype=self.dtype)  # Hermite series / feq
         self.work = np.empty((q, n), dtype=self.dtype)  # (Q, N) scratch
         self.cell = np.empty(n, dtype=self.dtype)  # per-cell scratch (u^2)
@@ -253,6 +265,14 @@ class KernelPlan:
         self._term_rows = tuple(self.term[i] for i in range(q))
         self._work_rows = tuple(self.work[i] for i in range(q))
         self._w_scalars = tuple(float(w) for w in self.w)
+        #: How many static bounce-back masks are folded into ``gather``.
+        self.folded_walls = 0
+        # Guo forcing (set_forcing): the relaxation it was fixed for, the
+        # (u row, F_a / 2) momentum shifts, and the source S = M u + b.
+        self._force_omega: float | None = None
+        self._half_force: tuple = ()
+        self._force_matrix: np.ndarray | None = None
+        self._force_bias: tuple = ()
 
     @classmethod
     def for_window(
@@ -292,12 +312,13 @@ class KernelPlan:
             self.gather,
             self.rho,
             self.u,
-            self.cu,
             self.term,
             self.work,
             self.cell,
         )
         extra = 0 if self._adv is None else self._adv.nbytes
+        if self.cu is not None:
+            extra += self.cu.nbytes
         if self._aos_out is not None:
             extra += self._aos_out.nbytes + self._soa_index.nbytes
         return int(sum(a.nbytes for a in arrays)) + extra
@@ -310,6 +331,75 @@ class KernelPlan:
             )
             self._adv_flat = self._adv.reshape(-1)
         return self._adv, self._adv_flat
+
+    # -- walls and forcing carried by the plan ---------------------------
+
+    def fold_bounce_back(self, solid_mask: np.ndarray) -> None:
+        """Fold full-way bounce-back at ``solid_mask`` into the gather table.
+
+        At every solid cell ``x`` the entry for velocity ``i`` takes the
+        entry of ``opp(i)``, so the gather that streams also reverses the
+        populations sitting on solid nodes: byte-identical to streaming
+        followed by :meth:`BounceBackWalls.apply
+        <repro.core.boundary.BounceBackWalls.apply>`, at no per-step
+        cost.  The fold is a pure index permutation done as pairwise row
+        swaps over the solid cells, so it needs no table-sized copy.
+        Masks fold in call order, matching the order the boundary
+        operators would have run in.
+        """
+        mask = np.asarray(solid_mask, dtype=bool)
+        if mask.shape != self.shape:
+            raise LatticeError(
+                f"solid mask shape {mask.shape} != plan grid {self.shape}"
+            )
+        cells = np.flatnonzero(mask)
+        table = self.gather.reshape(self.lattice.q, self.num_cells)
+        for i, j in enumerate(self.lattice.opposite):
+            if i < j:
+                held = table[i, cells]
+                table[i, cells] = table[j, cells]
+                table[j, cells] = held
+        self.folded_walls += 1
+
+    @property
+    def forced(self) -> bool:
+        """Whether :meth:`set_forcing` fused a body force into the arena."""
+        return self._force_omega is not None
+
+    def set_forcing(self, force: Sequence[float], omega: float) -> None:
+        """Fuse Guo et al. (2002) forcing into :meth:`collide_into`.
+
+        The collision then shifts the momentum by ``F/2`` before the
+        equilibrium and adds the source term after relaxation — the
+        scheme of :class:`~repro.core.forcing.GuoForcing`, rewritten as
+        ``S_i = A_i cu_i + B_i - C_i (u . F)`` with the per-velocity
+        constants ``C_i = (1 - omega/2) w_i / cs2``,
+        ``B_i = C_i (c_i . F)`` and ``A_i = B_i / cs2``.  Being linear
+        in ``u``, the source is one ``(Q, D) x (D, N)`` product into the
+        arena plus the constant ``B``, so a forced step stays
+        allocation-free.  ``omega`` is fixed here, with the constants.
+        """
+        lat = self.lattice
+        force = np.asarray(force, dtype=np.float64)
+        if force.shape != (lat.dim,):
+            raise LatticeError(
+                f"force must have {lat.dim} components, got {force.shape}"
+            )
+        c = lat.velocities_as(np.float64)
+        cs2 = lat.cs2_float
+        scale = (1.0 - 0.5 * omega) * lat.weights / cs2  # C_i
+        c_dot_f = c @ force
+        # S_i = sum_a M_ia u_a + b_i with M_ia = C_i ((c_i.F) c_ia / cs2 - F_a)
+        matrix = scale[:, None] * (c_dot_f[:, None] * c / cs2 - force[None, :])
+        bias = scale * c_dot_f
+        self._force_matrix = np.ascontiguousarray(matrix, dtype=self.dtype)
+        self._force_bias = tuple(
+            (row, float(b)) for row, b in zip(self._work_rows, bias) if b
+        )
+        self._half_force = tuple(
+            (row, 0.5 * float(fa)) for row, fa in zip(self._u_rows, force) if fa
+        )
+        self._force_omega = float(omega)
 
     # -- the planned update --------------------------------------------
 
@@ -366,25 +456,42 @@ class KernelPlan:
         ``(Q, N)`` view of a caller-owned buffer (the split path the
         simulation driver uses so boundary conditions can run between
         streaming and collision).  ``src`` is read-only here; the result
-        is ``(1 - omega) src + omega feq(src)``.
+        is ``(1 - omega) src + omega feq(src)``, plus the Guo source
+        when :meth:`set_forcing` installed a body force.
         """
         rho, u, cu = self.rho, self.u, self.cu
         term, work, cell = self.term, self.work, self.cell
         cs2 = self.lattice.cs2_float
         inv_cs2 = 1.0 / cs2
+        if self._force_omega is not None and omega != self._force_omega:
+            raise LatticeError(
+                f"plan forcing was fixed for omega={self._force_omega}, "
+                f"collide called with omega={omega}"
+            )
 
-        # moments: rho = sum_i f_i ; u = c^T f / rho
+        # moments: rho = sum_i f_i ; u = (c^T f + F/2) / rho
         src.sum(axis=0, out=rho)
         np.dot(self.c_t, src, out=u)
+        for u_row, half_force in self._half_force:
+            u_row += half_force
         for u_row in self._u_rows:  # u /= rho without broadcast buffering
             u_row /= rho
-        # cu_i = c_i . u, then u is free: square it in place for u^2
-        np.dot(self.c, u, out=cu)
-        np.multiply(u, u, out=u)
-        u.sum(axis=0, out=cell)  # cell = u^2
+        # work = cu/cs2 with cu_i = c_i . u (kept apart only at order 3)
+        if cu is None:
+            np.dot(self._c_over_cs2, u, out=work)
+        else:
+            np.dot(self.c, u, out=cu)
+            np.multiply(cu, inv_cs2, out=work)
+        # cell = u^2, squared row by row through a term row (free until
+        # the series below) so u itself survives for the forcing source
+        u_rows = self._u_rows
+        squares = self._term_rows[0]
+        np.multiply(u_rows[0], u_rows[0], out=cell)
+        for u_row in u_rows[1:]:
+            np.multiply(u_row, u_row, out=squares)
+            cell += squares
 
         # Hermite series at the plan's order (paper Eqs. 2/3)
-        np.multiply(cu, inv_cs2, out=work)  # work = cu/cs2
         if self.order >= 2:
             np.multiply(work, work, out=term)  # (cu/cs2)^2
             term *= 0.5
@@ -412,6 +519,11 @@ class KernelPlan:
         np.multiply(src, 1.0 - omega, out=out_flat)
         term *= omega
         out_flat += term
+        if self._force_matrix is not None:  # Guo source S = M u + b
+            np.dot(self._force_matrix, u, out=work)
+            for work_row, bias in self._force_bias:
+                work_row += bias
+            out_flat += work
 
     def step_into(self, f: np.ndarray, omega: float) -> np.ndarray:
         """One fused stream+collide step, result written back into ``f``."""

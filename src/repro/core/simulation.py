@@ -26,12 +26,13 @@ import numpy as np
 from ..errors import LatticeError, StabilityError
 from ..lattice import VelocitySet, get_lattice
 from ..telemetry.recorder import NullTelemetry, Telemetry, get_telemetry
-from .boundary import BoundaryCondition
+from .boundary import BounceBackWalls, BoundaryCondition
 from .collision import BGKCollision
 from .fields import LAYOUT_SOA, DistributionField, resolve_dtype, resolve_layout
 from .forcing import GuoForcing
 from .kernels import LBMKernel
 from .moments import density, macroscopic, momentum
+from .plan import PlannedKernel, make_kernel
 from .streaming import stream_periodic
 
 __all__ = ["Simulation", "StepTimings"]
@@ -85,8 +86,14 @@ class Simulation:
         instance, or ``None`` for the legacy default pair
         (``stream_periodic`` + the collision operator).  Kernels own a
         BGK collision, so ``kernel`` and a custom ``collision`` are
-        mutually exclusive; with ``forcing``, the kernel streams and
-        the Guo-forced collision path collides.
+        mutually exclusive.  A planned kernel carries the whole case:
+        the leading run of plain :class:`BounceBackWalls` is folded
+        into its gather table and ``forcing`` is fused into its arena
+        collide (see :attr:`effective_path`); later boundaries still
+        run after streaming, in their declared order.  With any other
+        kernel, boundaries run after streaming and a forced step takes
+        the generic Guo-forced collide.  A planned kernel *instance*
+        that carries walls or forcing belongs to one simulation.
     dtype:
         Population dtype policy, ``"float64"`` (default) or
         ``"float32"`` (halves B(Q) bytes per cell; see README).
@@ -132,8 +139,6 @@ class Simulation:
                     "kernel and collision are mutually exclusive: a kernel "
                     "owns its own BGK collision operator"
                 )
-            from .plan import make_kernel  # late import: plan builds on kernels
-
             self.kernel = make_kernel(
                 kernel,
                 self.lattice,
@@ -155,6 +160,12 @@ class Simulation:
         self.forcing = forcing
         if forcing is not None and not isinstance(self.collision, BGKCollision):
             raise NotImplementedError("forcing is only coupled to BGK collisions")
+        #: Boundaries applied between streaming and collision (those a
+        #: planned kernel did not fold into its gather table).
+        self._post_stream = self.boundaries
+        self._planned = isinstance(self.kernel, PlannedKernel)
+        if self._planned:
+            self._install_into_plan()
         # The persistent field carries the layout; the advection scratch
         # stays SoA under either layout (the kernel streams AoS -> SoA
         # and scatters back after collision), so boundary conditions see
@@ -168,6 +179,26 @@ class Simulation:
         self.telemetry = get_telemetry() if telemetry is None else telemetry
 
     # -- setup ------------------------------------------------------------
+
+    def _install_into_plan(self) -> None:
+        """Fold the leading static walls into the planned kernel's gather
+        table and fuse the forcing into its arena collide."""
+        plan = self.kernel.plan_for(self.shape)
+        if plan.folded_walls or plan.forced:
+            raise LatticeError(
+                "this planned kernel instance already carries another "
+                "simulation's walls or forcing; pass kernel='planned' so "
+                "each simulation builds its own plan"
+            )
+        folded = 0
+        for bc in self.boundaries:
+            if type(bc) is not BounceBackWalls:  # a moving wall adds momentum
+                break
+            plan.fold_bounce_back(bc.solid_mask)
+            folded += 1
+        self._post_stream = self.boundaries[folded:]
+        if self.forcing is not None:
+            plan.set_forcing(self.forcing.force, self.collision.omega)
 
     def set_telemetry(self, telemetry: "Telemetry | NullTelemetry") -> None:
         """Install a structured-event recorder on this simulation."""
@@ -219,10 +250,35 @@ class Simulation:
         """Measured throughput so far (paper Eq. 4)."""
         return self.timings.mflups(self.num_cells)
 
+    @property
+    def effective_path(self) -> dict[str, str]:
+        """The code path each phase of :meth:`step` actually takes.
+
+        ``stream``: ``"gather"`` (the planned table) or ``"generic"``;
+        ``walls`` (plain static bounce-back): ``"folded"`` into the
+        gather, ``"post-stream"`` when any runs as an operator after
+        streaming, or ``"none"``; ``collide``: ``"arena"`` or
+        ``"generic"``; ``forcing``: ``"arena"``, ``"generic"`` or
+        ``"none"``.  Moving and diffuse walls always run post-stream.
+        """
+        fast = "arena" if self._planned else "generic"
+        if any(type(bc) is BounceBackWalls for bc in self._post_stream):
+            walls = "post-stream"
+        elif any(type(bc) is BounceBackWalls for bc in self.boundaries):
+            walls = "folded"
+        else:
+            walls = "none"
+        return {
+            "stream": "gather" if self._planned else "generic",
+            "walls": walls,
+            "collide": fast,
+            "forcing": "none" if self.forcing is None else fast,
+        }
+
     # -- stepping -------------------------------------------------------------
 
     def _collide(self, f: np.ndarray, out: np.ndarray) -> None:
-        if self.forcing is None:
+        if self.forcing is None or self._planned:  # the plan carries forcing
             if self.kernel is not None:
                 self.kernel.collide(f, out=out)
             else:
@@ -249,7 +305,7 @@ class Simulation:
         else:
             stream_periodic(self.lattice, f_old, out=f_new)
         t1 = time.perf_counter()
-        for bc in self.boundaries:
+        for bc in self._post_stream:
             bc.apply(f_new, f_old)
         t2 = time.perf_counter()
         self._collide(f_new, out=f_old)

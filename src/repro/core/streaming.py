@@ -28,7 +28,12 @@ from ..lattice import VelocitySet
 __all__ = ["pull_gather_rows", "stream_periodic", "stream_padded"]
 
 
-def pull_gather_rows(lattice: VelocitySet, shape: tuple[int, ...]) -> np.ndarray:
+def pull_gather_rows(
+    lattice: VelocitySet,
+    shape: tuple[int, ...],
+    scale: int = 1,
+    row_step: int = 0,
+) -> np.ndarray:
     """Per-velocity flat pull indices: ``rows[i, flat(x)] = flat(x - c_i)``.
 
     The periodic pull formulation of streaming as precomputed index
@@ -37,15 +42,27 @@ def pull_gather_rows(lattice: VelocitySet, shape: tuple[int, ...]) -> np.ndarray
     Shared by :class:`~repro.core.kernels.FusedGatherKernel` and
     :class:`~repro.core.plan.KernelPlan`, so there is exactly one copy
     of the index math.  Shape ``(Q, N)``, ``N = prod(shape)``.
+
+    ``scale`` and ``row_step`` map the spatial index into a flat
+    population buffer, ``rows[i, flat(x)] = flat(x - c_i) * scale +
+    i * row_step`` (``row_step=N`` addresses struct-of-arrays storage,
+    ``scale=Q, row_step=1`` array-of-structs).  The table is filled in
+    place, one velocity row at a time, from per-axis 1-D source
+    offsets, so building it never holds more than the table itself.
     """
     shape = tuple(int(s) for s in shape)
-    coords = np.indices(shape)  # (D, *shape)
-    flat = np.arange(int(np.prod(shape))).reshape(shape)
-    rows = []
-    for c in lattice.velocities:
-        src = [(coords[a] - int(c[a])) % shape[a] for a in range(len(shape))]
-        rows.append(flat[tuple(src)].ravel())
-    return np.stack(rows)
+    ndim = len(shape)
+    rows = np.empty((lattice.q, int(np.prod(shape))), dtype=np.intp)
+    for i, c in enumerate(lattice.velocities):
+        row = rows[i].reshape(shape)
+        row[...] = i * row_step
+        stride = scale
+        for axis in reversed(range(ndim)):
+            n = shape[axis]
+            offsets = (np.arange(n) - int(c[axis])) % n * stride
+            row += offsets.reshape((n,) + (1,) * (ndim - 1 - axis))
+            stride *= n
+    return rows
 
 
 def _roll_into(src: np.ndarray, dst: np.ndarray, shift: tuple[int, ...]) -> None:

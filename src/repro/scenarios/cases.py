@@ -384,6 +384,7 @@ MICROCHANNEL = register_case(
         lattice="D3Q39",
         shape=(4, 17, 4),
         tau=0.8,  # unused: the collision factory derives tau from Kn
+        kernel=None,  # the regularized collision has no planned arena
         collision=_knudsen_collision,
         boundaries=_diffuse_walls,
         steps=1200,
@@ -716,6 +717,7 @@ DEEP_HALO = register_case(
         lattice="D3Q39",
         shape=(36, 5, 5),
         tau=0.8,
+        kernel=None,  # bit-exact slab check: legacy slab == legacy pair
         initial=_shear_initial,
         steps=8,
         monitor_every=4,
@@ -902,6 +904,7 @@ SCALING = register_case(
         lattice="D3Q19",
         shape=(32, 32, 4),
         tau=0.7,
+        kernel=None,  # bit-exact slab check: legacy slab == legacy pair
         initial=_tg_initial,
         steps=60,
         monitor_every=20,
@@ -981,7 +984,6 @@ BIFURCATION = register_case(
         lattice="D3Q19",
         shape=(32, 20, 12),
         tau=0.8,
-        kernel="planned",
         geometry=_bifurcation_geometry,
         forcing=(1e-5, 0.0, 0.0),
         steps=400,

@@ -508,7 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     case.add_argument(
         "--kernel",
         default=None,
-        help="stream/collide kernel: naive, roll, fused-gather, planned, "
+        help="stream/collide kernel: naive, roll, fused-gather, planned "
+        "(the case default unless a case pins the legacy pair), "
         "or auto (measured selection, verdict cached per host/shape/"
         "lattice/dtype)",
     )

@@ -27,6 +27,12 @@ from .spec import CaseSpec
 
 __all__ = ["CaseResult", "CaseRunner", "run_case"]
 
+#: The legacy stream/collide pair (stamped kernel ``None``) and the
+#: ``roll`` kernel run the same stream and collide code, so a checkpoint
+#: written by either resumes bit-exactly under the other — the migration
+#: path for checkpoints that predate ``planned`` as the case default.
+_SAME_BYTES_KERNELS = {None, "roll"}
+
 
 @dataclasses.dataclass
 class CaseResult:
@@ -307,14 +313,23 @@ class CaseRunner:
                 f"{sim.f.dtype}; a cross-precision restore would not be "
                 "bit-exact (override the case dtype to match)"
             )
-        if data.kernel != self.spec.kernel:
+        if data.kernel != self.spec.kernel and not (
+            {data.kernel, self.spec.kernel} <= _SAME_BYTES_KERNELS
+        ):
             # Kernels agree only to rounding, so continuing under a
             # different one is not bit-exact — same latch as dtype.
+            if data.kernel is None:
+                hint = (
+                    "it was stepped by the legacy stream/collide pair, "
+                    "which --kernel roll reproduces byte for byte; "
+                    "resume with --kernel roll"
+                )
+            else:
+                hint = "override the case kernel to match"
             raise ScenarioError(
                 f"checkpoint was written with kernel {data.kernel!r}, "
                 f"case resumes with {self.spec.kernel!r}; a cross-kernel "
-                "restore would not be bit-exact (override the case "
-                "kernel to match)"
+                f"restore would not be bit-exact ({hint})"
             )
         if data.time_step > self.spec.steps:
             raise ScenarioError(

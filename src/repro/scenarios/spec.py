@@ -172,11 +172,15 @@ class CaseSpec:
     order:
         Hermite equilibrium order (``None`` = lattice native).
     kernel:
-        Stream/collide kernel name (``"roll"``, ``"fused-gather"``,
-        ``"planned"``, ``"naive"``); ``None`` = the driver's legacy
-        default pair.  Mutually exclusive with a ``collision`` factory.
-        ``"auto"`` is rejected here — a spec must be deterministic for
-        the sweep cache; use ``Simulation(kernel="auto")`` directly.
+        Stream/collide kernel name (``"planned"``, the default,
+        ``"roll"``, ``"fused-gather"``, ``"naive"``); ``None`` = the
+        driver's legacy stream/collide pair.  The planned kernel runs
+        forced, walled cases end to end (static walls folded into its
+        gather table, Guo forcing fused into its arena).  Mutually
+        exclusive with a ``collision`` factory, so a case with a custom
+        collision operator declares ``kernel=None``.  ``"auto"`` is
+        rejected here — a spec must be deterministic for the sweep
+        cache; use ``Simulation(kernel="auto")`` directly.
     dtype:
         Population dtype policy, ``"float64"`` (default) or
         ``"float32"``.  Fingerprint-sensitive, like ``kernel``: sweep
@@ -227,7 +231,7 @@ class CaseSpec:
     shape: tuple[int, ...] = (16, 16, 16)
     tau: float = 0.8
     order: int | None = None
-    kernel: str | None = None
+    kernel: str | None = "planned"
     dtype: str = "float64"
     layout: str = "soa"
     collision: CollisionFactory | None = None
@@ -333,7 +337,8 @@ class CaseSpec:
             if self.collision is not None:
                 raise ScenarioError(
                     f"case {self.name!r}: kernel and collision factory are "
-                    "mutually exclusive (kernels own a BGK collision)"
+                    "mutually exclusive (kernels own a BGK collision); "
+                    "declare kernel=None for a custom collision"
                 )
         if self.dtype not in ("float32", "float64"):
             raise ScenarioError(

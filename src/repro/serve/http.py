@@ -224,6 +224,10 @@ def _check_kernel(kernel: str | None) -> str | None:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1"
+    # Headers and body go out in two sends; with Nagle's algorithm on,
+    # the body waits for the client's delayed ACK of the headers (~40 ms
+    # per response on a kept-alive connection).
+    disable_nagle_algorithm = True
     server: ReproServer  # narrowed from BaseServer for attribute access
 
     def setup(self) -> None:

@@ -205,9 +205,11 @@ class TestRunnerDtypeGuard:
         )
         path = tmp_path / "tg.npz"
         planned.run(checkpoint=path)
-        legacy = CaseRunner("taylor-green", steps=8, monitor_every=2)
+        roll = CaseRunner(
+            "taylor-green", steps=8, monitor_every=2, kernel="roll"
+        )
         with pytest.raises(ScenarioError, match="kernel"):
-            legacy.run(resume=path)
+            roll.run(resume=path)
         # same-kernel resume continues fine
         again = CaseRunner(
             "taylor-green", steps=8, monitor_every=2, kernel="planned"

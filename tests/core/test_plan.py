@@ -20,7 +20,11 @@ from repro.core import (
     make_kernel,
     stream_periodic,
 )
-from repro.core.plan import AUTO_CANDIDATES, build_gather_table
+from repro.core.plan import (
+    AUTO_CANDIDATES,
+    build_aos_gather_table,
+    build_gather_table,
+)
 from repro.errors import LatticeError
 from repro.lattice import get_lattice
 
@@ -59,6 +63,32 @@ class TestGatherTable:
     def test_table_is_a_permutation(self, q39):
         table = build_gather_table(q39, (4, 3, 5))
         assert np.array_equal(np.sort(table), np.arange(table.size))
+
+    @pytest.mark.parametrize("lname", ["D3Q15", "D3Q19", "D3Q27", "D3Q39"])
+    @pytest.mark.parametrize("shape", [(5, 4, 3), (1, 2, 7), (9, 1, 4)])
+    def test_in_place_tables_equal_the_index_grid_construction(
+        self, lname, shape
+    ):
+        """The row-by-row table fill reproduces the construction it
+        replaced: a full coordinate grid per velocity, stacked, plus
+        per-layout row offsets."""
+        lat = get_lattice(lname)
+        coords = np.indices(shape)
+        flat = np.arange(int(np.prod(shape))).reshape(shape)
+        rows = np.stack([
+            flat[tuple((coords[a] - int(c[a])) % shape[a] for a in range(3))].ravel()
+            for c in lat.velocities
+        ])
+        n = rows.shape[1]
+        soa = (rows + (np.arange(lat.q) * n)[:, None]).reshape(-1)
+        aos = (rows * lat.q + np.arange(lat.q)[:, None]).reshape(-1)
+        for got, expected in (
+            (build_gather_table(lat, shape), soa),
+            (build_aos_gather_table(lat, shape), aos),
+        ):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+            assert got.flags.c_contiguous and got.flags.writeable
 
 
 class TestPlannedEquivalence:

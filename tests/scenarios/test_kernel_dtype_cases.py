@@ -48,15 +48,15 @@ class TestSpecValidation:
         base = get_case("taylor-green")
         prints = {
             base.fingerprint(),
-            base.with_overrides(kernel="planned").fingerprint(),
+            base.with_overrides(kernel="roll").fingerprint(),
             base.with_overrides(dtype="float32").fingerprint(),
-            base.with_overrides(kernel="planned", dtype="float32").fingerprint(),
+            base.with_overrides(kernel="roll", dtype="float32").fingerprint(),
         }
         assert len(prints) == 4
 
     def test_defaults_are_backward_compatible(self):
         spec = CaseSpec(name="x", title="x")
-        assert spec.kernel is None
+        assert spec.kernel == "planned"
         assert spec.dtype == "float64"
 
 

@@ -32,7 +32,9 @@ class TestLayoutSpecField:
             spec.validate()
 
     def test_aos_without_planned_kernel_rejected(self):
-        spec = get_case("taylor-green").with_overrides(layout="aos")
+        spec = get_case("taylor-green").with_overrides(
+            kernel=None, layout="aos"
+        )
         with pytest.raises(ScenarioError, match="planned"):
             spec.validate()
         spec = get_case("taylor-green").with_overrides(
@@ -48,7 +50,9 @@ class TestLayoutSpecField:
 
 
 class TestLayoutEquivalence:
-    @pytest.mark.parametrize("case", ["taylor-green", "poiseuille-channel"])
+    @pytest.mark.parametrize(
+        "case", ["taylor-green", "poiseuille-channel", "artery-flow"]
+    )
     def test_soa_and_aos_are_byte_identical(self, case):
         runs = {}
         for layout in ("soa", "aos"):

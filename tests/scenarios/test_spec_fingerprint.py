@@ -93,7 +93,7 @@ ALTERNATES = {
     "shape": (4, 4, 8),
     "tau": 0.9,
     "order": 2,
-    "kernel": "planned",
+    "kernel": "roll",
     "dtype": "float32",
     "layout": "aos",
     "collision": _collision,

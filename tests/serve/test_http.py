@@ -7,7 +7,9 @@ sweep-worker machinery and polls queued -> running -> done; malformed
 requests come back as structured 400 envelopes, never tracebacks.
 """
 
+import http.client
 import json
+import statistics
 import threading
 import time
 import urllib.error
@@ -218,6 +220,26 @@ class TestReadOnlyEndpoints:
         status, _, envelope = request(server, "/v1/cases")
         names = [c["name"] for c in envelope["data"]["cases"]]
         assert CASE in names
+
+    def test_kept_alive_connection_answers_without_a_nagle_stall(self, server):
+        """Headers and body leave in two sends; with Nagle's algorithm on,
+        every response on a reused connection stalled ~40 ms waiting for
+        the client's delayed ACK."""
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            latencies = []
+            for _ in range(11):
+                start = time.perf_counter()
+                conn.request("GET", "/v1/health")
+                resp = conn.getresponse()
+                body = resp.read()
+                latencies.append(time.perf_counter() - start)
+                assert resp.status == 200
+                assert json.loads(body)["data"]["ok"] is True
+        finally:
+            conn.close()
+        assert statistics.median(latencies) < 0.02, latencies
 
     def test_fleet_byte_identical_to_status_cli(
         self, server, tmp_path, capsys
