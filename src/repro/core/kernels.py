@@ -24,10 +24,10 @@ kernels with identical semantics and very different machine behaviour:
   that carries the float32/float64 dtype policy, static walls and Guo
   forcing, and the one registered cases run by default.
 
-Kernel selection (by name, or ``"auto"`` measured selection) lives in
-:func:`repro.core.plan.make_kernel`.  ``benchmarks/bench_kernels_real.py``
-measures the real MFlup/s of each, giving a measured (not simulated)
-optimization-ladder analogue.
+Kernel selection (by name, or ``"auto"``, a fixed alias for the planned
+kernel) lives in :func:`repro.core.plan.make_kernel`.
+``benchmarks/bench_kernels_real.py`` measures the real MFlup/s of each,
+giving a measured (not simulated) optimization-ladder analogue.
 """
 
 from __future__ import annotations

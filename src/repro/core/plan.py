@@ -29,38 +29,21 @@ says roughly doubles bandwidth-bound throughput.
 
 :func:`make_kernel` is the registry every layer above selects kernels
 through (``Simulation(kernel=...)``, ``CaseSpec.kernel``, the CLI
-``--kernel`` flag), and :func:`auto_select_kernel` implements
-``kernel="auto"`` with a three-rung resolution ladder:
-
-1. **model** — a fitted :class:`~repro.perf.model.FittedPerfModel`
-   calibration for this host (see ``repro perf-model fit``) predicts
-   every candidate's MFLUP/s from the roofline's B(Q) arithmetic; when
-   it covers all candidates the winner is chosen without running a
-   single timed step (``$REPRO_NO_PERF_MODEL`` opts out);
-2. **cached** — a previously measured verdict for this exact (host,
-   shape, lattice, order, dtype, candidates) identity replays;
-3. **measured** — the cold-start timing race: a few steps of each
-   candidate on the actual shape/lattice/dtype, keep the fastest.
-   These races are what feed the model's fit (their verdict events
-   carry ``provenance="measured"``), so measurement never disappears —
-   it just stops being on the hot path once a calibration exists.
+``--kernel`` flag).  ``kernel="auto"`` is a fixed alias for the
+production rung, :data:`AUTO_RUNG` (``planned``; ``sparse-planned`` on
+a sparse domain): it consults no per-host state and runs no timed
+step, so an ``auto`` request is the same workload, with the same
+fingerprint, on every host.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import platform
-import time
-from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import LatticeError
 from ..lattice import VelocitySet
-from ..telemetry.recorder import get_telemetry
 from .equilibrium import equilibrium_order_for
 from .fields import LAYOUT_AOS, LAYOUT_SOA, resolve_dtype, resolve_layout
 from .kernels import FusedGatherKernel, LBMKernel, NaiveKernel, RollKernel
@@ -68,17 +51,15 @@ from .streaming import pull_gather_rows
 
 __all__ = [
     "AUTO_KERNEL",
+    "AUTO_RUNG",
     "DEFAULT_KERNEL",
     "KernelPlan",
     "PlannedKernel",
-    "auto_select_kernel",
     "available_kernels",
     "build_aos_gather_table",
     "build_gather_table",
     "build_slab_gather_table",
-    "kernel_cache_dir",
     "make_kernel",
-    "model_select_kernel",
 ]
 
 
@@ -651,16 +632,18 @@ KERNELS: dict[str, type[LBMKernel]] = {
     "planned": PlannedKernel,
 }
 
-#: The sentinel name that triggers measured auto-selection.
+#: The selector name that aliases :data:`AUTO_RUNG`.
 AUTO_KERNEL = "auto"
+
+#: The rung ``kernel="auto"`` names.  ``planned`` wins every committed
+#: bench row (every lattice x dtype cell, and ``sparse-planned`` every
+#: fill), so the alias is fixed: resolving it reads no per-host state,
+#: and an ``auto`` spec fingerprints like a ``planned`` one everywhere.
+AUTO_RUNG = "planned"
 
 #: What ``Simulation`` uses when no kernel is requested (the legacy
 #: roll-stream + fused-collide production pair).
 DEFAULT_KERNEL = "roll"
-
-#: Candidates ``kernel="auto"`` times.  NaiveKernel is excluded — it is
-#: the executable specification, O(minutes) beyond toy grids.
-AUTO_CANDIDATES = ("roll", "fused-gather", "planned")
 
 
 def available_kernels() -> tuple[str, ...]:
@@ -681,14 +664,13 @@ def make_kernel(
     """Resolve a kernel selection to a ready instance.
 
     ``kernel`` may be an :class:`LBMKernel` instance (returned as-is), a
-    registry name, or ``"auto"`` (requires ``shape``; times the
-    candidates on the actual problem).  ``dtype`` matters only to the
-    planned kernel — the other kernels adapt to whatever dtype the
-    populations carry.
+    registry name, or ``"auto"`` (the :data:`AUTO_RUNG` alias).
+    ``dtype`` and ``shape`` matter only to the planned kernel — the
+    other kernels adapt to whatever dtype the populations carry.
 
     ``layout`` selects the persistent field's physical order; only the
     planned kernel supports ``"aos"`` (its plan remaps the gather
-    table), so ``"auto"`` under AoS resolves straight to it.
+    table).
 
     ``domain`` (a :class:`~repro.core.sparse.SparseDomain`) switches to
     the sparse rung of the ladder: ``legacy``/``planned``/``auto`` (and
@@ -718,23 +700,8 @@ def make_kernel(
             f"kernel {kernel!r} streams a SparseDomain; pass domain= "
             "(or select it through SparseSimulation(kernel=...))"
         )
-    if layout == LAYOUT_AOS:
-        if key == AUTO_KERNEL:
-            key = "planned"
-        if KERNELS.get(key) is not PlannedKernel:
-            raise LatticeError(
-                f"layout='aos' requires the planned kernel (got {kernel!r}); "
-                "only its plan can remap the gather table per layout"
-            )
-        return PlannedKernel(
-            lattice, tau, order=order, dtype=dtype, shape=shape, layout=layout
-        )
     if key == AUTO_KERNEL:
-        if shape is None:
-            raise LatticeError(
-                "kernel='auto' needs the grid shape to time candidates on"
-            )
-        return auto_select_kernel(lattice, shape, tau, order=order, dtype=dtype)
+        key = AUTO_RUNG
     if key not in KERNELS:
         raise LatticeError(
             f"unknown kernel {kernel!r}; available: "
@@ -742,285 +709,12 @@ def make_kernel(
         )
     cls = KERNELS[key]
     if cls is PlannedKernel:
-        return PlannedKernel(lattice, tau, order=order, dtype=dtype, shape=shape)
+        return PlannedKernel(
+            lattice, tau, order=order, dtype=dtype, shape=shape, layout=layout
+        )
+    if layout == LAYOUT_AOS:
+        raise LatticeError(
+            f"layout='aos' requires the planned kernel (got {kernel!r}); "
+            "only its plan can remap the gather table per layout"
+        )
     return cls(lattice, tau, order=order)
-
-
-#: Environment variable overriding where auto-selection verdicts live.
-KERNEL_CACHE_ENV = "REPRO_KERNEL_CACHE_DIR"
-
-#: Environment variable disabling the verdict cache entirely (any
-#: non-empty value); the programmatic escape hatch behind the CLI's
-#: ``--no-kernel-cache``.
-KERNEL_CACHE_DISABLE_ENV = "REPRO_NO_KERNEL_CACHE"
-
-#: Environment variable disabling model-based ``kernel="auto"``
-#: resolution (any non-empty value): selection falls back to the
-#: measured verdict cache / timing race even when a calibration exists.
-PERF_MODEL_DISABLE_ENV = "REPRO_NO_PERF_MODEL"
-
-
-def kernel_cache_dir() -> Path:
-    """Directory holding cached ``kernel="auto"`` verdicts.
-
-    ``$REPRO_KERNEL_CACHE_DIR`` when set, else the conventional
-    per-user cache location (``$XDG_CACHE_HOME``/``~/.cache``) under
-    ``repro/kernel-auto``.
-    """
-    override = os.environ.get(KERNEL_CACHE_ENV)
-    if override:
-        return Path(override)
-    base = os.environ.get("XDG_CACHE_HOME") or (Path.home() / ".cache")
-    return Path(base) / "repro" / "kernel-auto"
-
-
-def _auto_cache_key(
-    lattice: VelocitySet,
-    shape: tuple[int, ...],
-    order: int | None,
-    dtype: np.dtype,
-    candidates: Sequence[str],
-) -> dict:
-    """The identity a cached verdict is valid for.
-
-    Keyed per *host* because the verdict is a timing race: another
-    machine (or core count) may legitimately crown a different kernel.
-    ``tau`` is deliberately absent — it scales the arithmetic, not the
-    memory behaviour the race measures.
-    """
-    return {
-        "host": platform.node(),
-        "lattice": lattice.name,
-        "shape": list(shape),
-        "order": equilibrium_order_for(lattice, order),
-        "dtype": dtype.name,
-        "candidates": list(candidates),
-    }
-
-
-def _auto_cache_path(cache_dir: Path, key: dict) -> Path:
-    digest = hashlib.sha256(
-        json.dumps(key, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-    return cache_dir / f"{digest[:24]}.json"
-
-
-def _read_auto_cache(path: Path, key: dict) -> dict | None:
-    """The cached verdict record, or ``None`` if absent/corrupt/stale."""
-    try:
-        record = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if record.get("key") != key or record.get("kernel") not in KERNELS:
-        return None
-    return record
-
-
-def _write_auto_cache(path: Path, key: dict, best: str, timings: dict) -> None:
-    """Best-effort verdict write (an unwritable cache is not an error)."""
-    record = {"key": key, "kernel": best, "timings": timings}
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + f".{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(record, sort_keys=True, indent=1))
-        os.replace(tmp, path)
-    except OSError:
-        pass
-
-
-def _emit_auto_verdict(
-    winner: str,
-    provenance: str,
-    lattice: VelocitySet,
-    shape: tuple[int, ...],
-    dtype: np.dtype,
-    timings: dict,
-    mode: str | None = None,
-    fill: float | None = None,
-) -> None:
-    """Record a ``kernel.auto`` verdict event on the ambient recorder.
-
-    Each candidate's timing (mean seconds per step) is also expressed
-    as measured MFLUP/s via the paper's Eq. 4 — the number the roofline
-    discussion compares kernels by.  Sparse verdicts stamp their
-    ``mode="sparse"`` and fluid ``fill`` fraction so the perf-model
-    fitter can attribute them to the fill-aware B(Q).
-    """
-    telemetry = get_telemetry()
-    if not telemetry.enabled:
-        return
-    from ..perf.metrics import mflups  # late: perf builds on core
-
-    cells = int(np.prod(shape))
-    rates = {
-        str(name): mflups(1, cells, float(seconds))
-        for name, seconds in timings.items()
-        if float(seconds) > 0
-    }
-    attrs: dict = {}
-    if mode is not None:
-        attrs["mode"] = str(mode)
-    if fill is not None:
-        attrs["fill"] = float(fill)
-    telemetry.event(
-        "kernel.auto",
-        winner=winner,
-        provenance=provenance,
-        lattice=lattice.name,
-        shape=list(shape),
-        dtype=dtype.name,
-        step_seconds={str(k): float(v) for k, v in timings.items()},
-        mflups=rates,
-        **attrs,
-    )
-
-
-def model_select_kernel(
-    lattice: VelocitySet,
-    shape: Sequence[int],
-    tau: float,
-    order: int | None = None,
-    dtype: "np.dtype | str | None" = None,
-    candidates: Sequence[str] = AUTO_CANDIDATES,
-) -> LBMKernel | None:
-    """Resolve ``kernel="auto"`` from this host's fitted calibration.
-
-    Returns the predicted-fastest candidate as a ready instance, or
-    ``None`` when no calibration exists or it does not cover *every*
-    candidate (a partial model could only crown a winner by ignoring
-    the kernels it has never seen — that question belongs to the
-    measured race).  The winner carries the prediction as
-    ``auto_timings`` (predicted seconds per step, comparable to the
-    race's measured figures) and ``auto_provenance = "model"``.
-    """
-    from ..perf.model import load_calibration  # late: perf builds on core
-
-    calibration = load_calibration()
-    if calibration is None:
-        return None
-    dtype = resolve_dtype(dtype)
-    shape = tuple(int(s) for s in shape)
-    rates = calibration.rank_kernels(
-        candidates, lattice.name, dtype.name, shape=shape
-    )
-    if set(rates) != set(candidates):
-        return None
-    cells = int(np.prod(shape))
-    # Predicted mean seconds per step, the same unit the race measures.
-    timings = {name: cells / (rate * 1e6) for name, rate in rates.items()}
-    best = min(timings, key=lambda name: (timings[name], name))
-    winner = make_kernel(best, lattice, tau, order=order, dtype=dtype, shape=shape)
-    winner.auto_timings = dict(timings)
-    winner.auto_cached = False
-    winner.auto_provenance = "model"
-    _emit_auto_verdict(best, "model", lattice, shape, dtype, timings)
-    return winner
-
-
-def auto_select_kernel(
-    lattice: VelocitySet,
-    shape: Sequence[int],
-    tau: float,
-    order: int | None = None,
-    dtype: "np.dtype | str | None" = None,
-    candidates: Sequence[str] = AUTO_CANDIDATES,
-    warmup: int = 1,
-    trials: int = 2,
-    clock: Callable[[], float] = time.perf_counter,
-    cache: bool | None = None,
-    cache_dir: "str | Path | None" = None,
-    model: bool | None = None,
-) -> LBMKernel:
-    """Resolve ``kernel="auto"``: model, then cached verdict, then race.
-
-    With a fitted calibration on this host (``repro perf-model fit``)
-    that covers every candidate, the winner comes straight from
-    :func:`model_select_kernel` — no timed steps at all.  Otherwise a
-    previously cached measured verdict for this exact identity replays;
-    otherwise the cold-start timing race runs: the same
-    sweep-and-pick-min idiom as :mod:`repro.perf.tuner`'s ghost depth
-    tuning, but measured — ``warmup`` steps build each kernel's
-    tables/buffers, then ``trials`` steps are timed on an equilibrium
-    rest state.  The winning *instance* is returned (already warm),
-    with per-candidate mean step seconds (measured or predicted)
-    attached as ``kernel.auto_timings`` and the resolution rung as
-    ``kernel.auto_provenance`` (``"model"``/``"cached"``/``"measured"``).
-
-    Measured verdicts are cached per (host, shape, lattice, order,
-    dtype, candidates) under :func:`kernel_cache_dir`; a hit returns a
-    fresh warm instance of the recorded winner with
-    ``kernel.auto_cached = True``.  ``cache=False`` (or a set
-    ``$REPRO_NO_KERNEL_CACHE``) disables both the lookup and the
-    write-back; ``model=False`` (or a set ``$REPRO_NO_PERF_MODEL``)
-    skips the calibration rung; ``None`` means "on unless the
-    environment disables it".
-    """
-    if not candidates:
-        raise LatticeError("auto kernel selection needs at least one candidate")
-    dtype = resolve_dtype(dtype)
-    shape = tuple(int(s) for s in shape)
-    if model is None:
-        model = not os.environ.get(PERF_MODEL_DISABLE_ENV)
-    if model:
-        winner = model_select_kernel(
-            lattice, shape, tau, order=order, dtype=dtype, candidates=candidates
-        )
-        if winner is not None:
-            return winner
-    if cache is None:
-        cache = not os.environ.get(KERNEL_CACHE_DISABLE_ENV)
-    cache_path = None
-    if cache:
-        key = _auto_cache_key(lattice, shape, order, dtype, candidates)
-        cache_path = _auto_cache_path(
-            Path(cache_dir) if cache_dir is not None else kernel_cache_dir(), key
-        )
-        record = _read_auto_cache(cache_path, key)
-        if record is not None:
-            winner = make_kernel(
-                record["kernel"], lattice, tau, order=order, dtype=dtype, shape=shape
-            )
-            winner.auto_timings = {
-                str(k): float(v) for k, v in record.get("timings", {}).items()
-            }
-            winner.auto_cached = True
-            winner.auto_provenance = "cached"
-            _emit_auto_verdict(
-                record["kernel"], "cached", lattice, shape, dtype,
-                winner.auto_timings,
-            )
-            return winner
-    # Equilibrium at rest (rho=1, u=0): f_i = w_i, numerically inert, so
-    # timing steps cannot go unstable no matter the tau.
-    f0 = np.empty((lattice.q, *shape), dtype=dtype)
-    f0[...] = lattice.weights_as(dtype).reshape((lattice.q,) + (1,) * len(shape))
-    kernels: dict[str, LBMKernel] = {}
-    timings: dict[str, float] = {}
-    with get_telemetry().span(
-        "kernel.auto.race",
-        lattice=lattice.name,
-        shape=list(shape),
-        dtype=dtype.name,
-        candidates=list(candidates),
-    ):
-        for name in candidates:
-            kernel = make_kernel(
-                name, lattice, tau, order=order, dtype=dtype, shape=shape
-            )
-            f = f0.copy()
-            for _ in range(max(1, warmup)):
-                f = kernel.step(f)
-            start = clock()
-            for _ in range(max(1, trials)):
-                f = kernel.step(f)
-            timings[name] = (clock() - start) / max(1, trials)
-            kernels[name] = kernel
-    best = min(timings, key=lambda name: (timings[name], name))
-    if cache_path is not None:
-        _write_auto_cache(cache_path, key, best, timings)
-    winner = kernels[best]
-    winner.auto_timings = dict(timings)
-    winner.auto_cached = False
-    winner.auto_provenance = "measured"
-    _emit_auto_verdict(best, "measured", lattice, shape, dtype, timings)
-    return winner

@@ -81,19 +81,19 @@ class Simulation:
     kernel:
         Which stream/collide implementation advances the populations: a
         registry name (``"roll"``, ``"fused-gather"``, ``"planned"``,
-        ``"naive"``), ``"auto"`` (measured selection on this very
-        shape/lattice/dtype), an :class:`~repro.core.kernels.LBMKernel`
-        instance, or ``None`` for the legacy default pair
-        (``stream_periodic`` + the collision operator).  Kernels own a
-        BGK collision, so ``kernel`` and a custom ``collision`` are
-        mutually exclusive.  A planned kernel carries the whole case:
-        the leading run of plain :class:`BounceBackWalls` is folded
-        into its gather table and ``forcing`` is fused into its arena
-        collide (see :attr:`effective_path`); later boundaries still
-        run after streaming, in their declared order.  With any other
-        kernel, boundaries run after streaming and a forced step takes
-        the generic Guo-forced collide.  A planned kernel *instance*
-        that carries walls or forcing belongs to one simulation.
+        ``"naive"``), ``"auto"`` (an alias for ``"planned"``), an
+        :class:`~repro.core.kernels.LBMKernel` instance, or ``None`` for
+        the legacy default pair (``stream_periodic`` + the collision
+        operator).  Kernels own a BGK collision, so ``kernel`` and a
+        custom ``collision`` are mutually exclusive.  A planned kernel
+        carries the whole case: the leading run of plain
+        :class:`BounceBackWalls` is folded into its gather table and
+        ``forcing`` is fused into its arena collide (see
+        :attr:`effective_path`); later boundaries still run after
+        streaming, in their declared order.  With any other kernel,
+        boundaries run after streaming and a forced step takes the
+        generic Guo-forced collide.  A planned kernel *instance* that
+        carries walls or forcing belongs to one simulation.
     dtype:
         Population dtype policy, ``"float64"`` (default) or
         ``"float32"`` (halves B(Q) bytes per cell; see README).

@@ -22,8 +22,8 @@ bounding box — and the repo's population dtype policy applies
 (``dtype="float32"`` halves the per-node bytes again).
 
 Two kernels implement the update (the sparse rung of the kernel
-ladder, selectable through ``SparseSimulation(kernel=...)``, the case
-registry and ``kernel="auto"``):
+ladder, selectable through ``SparseSimulation(kernel=...)`` and the case
+registry; ``kernel="auto"`` names the planned one):
 
 * :class:`LegacySparseKernel` (``"sparse-legacy"``) — the original
   fancy-index gather + :meth:`BGKCollision.apply`, allocating a fresh
@@ -38,9 +38,7 @@ registry and ``kernel="auto"``):
 
 from __future__ import annotations
 
-import os
 import time
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,27 +49,14 @@ from .collision import BGKCollision
 from .equilibrium import equilibrium
 from .fields import resolve_dtype
 from .moments import density, momentum
-from .plan import (
-    AUTO_KERNEL,
-    KERNEL_CACHE_DISABLE_ENV,
-    KERNELS,
-    PERF_MODEL_DISABLE_ENV,
-    KernelPlan,
-    _auto_cache_path,
-    _emit_auto_verdict,
-    _read_auto_cache,
-    _write_auto_cache,
-    kernel_cache_dir,
-)
+from .plan import AUTO_KERNEL, AUTO_RUNG, KERNELS, KernelPlan
 from .simulation import StepTimings
 
 __all__ = [
-    "SPARSE_AUTO_CANDIDATES",
     "LegacySparseKernel",
     "PlannedSparseKernel",
     "SparseDomain",
     "SparseSimulation",
-    "auto_select_sparse_kernel",
     "build_sparse_gather_table",
     "make_sparse_kernel",
 ]
@@ -263,15 +248,19 @@ class PlannedSparseKernel(_SparseKernel):
         return self.plan.step_into(f, self.collision.omega)
 
 
-#: Candidates ``kernel="auto"`` races on a sparse domain.
-SPARSE_AUTO_CANDIDATES = ("sparse-legacy", "sparse-planned")
-
 #: Short selector names accepted by ``SparseSimulation(kernel=...)`` —
 #: the registry names without their ``sparse-`` prefix, mirroring how
-#: the distributed path spells its ladder.
+#: the distributed path spells its ladder — plus ``"auto"``, which names
+#: the same rung here as on a dense grid.
 _SPARSE_ALIASES = {
     "legacy": "sparse-legacy",
     "planned": "sparse-planned",
+}
+_SPARSE_ALIASES[AUTO_KERNEL] = _SPARSE_ALIASES[AUTO_RUNG]
+
+_SPARSE_KERNELS = {
+    "sparse-legacy": LegacySparseKernel,
+    "sparse-planned": PlannedSparseKernel,
 }
 
 
@@ -281,13 +270,11 @@ def make_sparse_kernel(
     tau: float,
     order: int | None = None,
     dtype: "np.dtype | str | None" = None,
-    **auto_kwargs,
 ) -> _SparseKernel:
     """Resolve a sparse kernel selection to a ready instance.
 
     ``kernel`` may be ``None``/``"legacy"`` (the allocating baseline),
-    ``"planned"``, ``"auto"`` (model -> cached verdict -> timing race,
-    like the dense ladder), a full registry name
+    ``"planned"`` or its alias ``"auto"``, a full registry name
     (``"sparse-legacy"``/``"sparse-planned"``), or an already built
     sparse kernel instance (returned as-is).
     """
@@ -295,196 +282,12 @@ def make_sparse_kernel(
         return kernel
     key = "legacy" if kernel is None else str(kernel).lower()
     key = _SPARSE_ALIASES.get(key, key)
-    if key == AUTO_KERNEL:
-        return auto_select_sparse_kernel(
-            domain, tau, order=order, dtype=dtype, **auto_kwargs
-        )
-    if key not in SPARSE_AUTO_CANDIDATES:
+    if key not in _SPARSE_KERNELS:
         raise LatticeError(
             f"unknown sparse kernel {kernel!r}; available: legacy, planned, "
             "sparse-legacy, sparse-planned (or 'auto')"
         )
-    cls = LegacySparseKernel if key == "sparse-legacy" else PlannedSparseKernel
-    return cls(domain, tau, order=order, dtype=dtype)
-
-
-def _sparse_auto_key(
-    domain: SparseDomain,
-    order: int | None,
-    dtype: np.dtype,
-    candidates: Sequence[str],
-) -> dict:
-    """The identity a cached sparse verdict is valid for.
-
-    Same host-keyed contract as the dense ``_auto_cache_key``, plus the
-    sparse identity: fluid-site count, bounding box and fill fraction
-    (two masks with the same N_fluid but different geometry time alike —
-    the gather is one flat table either way — but the fill stamp keeps
-    the verdict honest across very different geometries).
-    """
-    import platform
-
-    from .equilibrium import equilibrium_order_for
-
-    return {
-        "host": platform.node(),
-        "mode": "sparse",
-        "lattice": domain.lattice.name,
-        "shape": [int(domain.num_fluid)],
-        "box": [int(s) for s in domain.shape],
-        "fill": round(domain.fill_fraction, 6),
-        "order": equilibrium_order_for(domain.lattice, order),
-        "dtype": dtype.name,
-        "candidates": list(candidates),
-    }
-
-
-def model_select_sparse_kernel(
-    domain: SparseDomain,
-    tau: float,
-    order: int | None = None,
-    dtype: "np.dtype | str | None" = None,
-    candidates: Sequence[str] = SPARSE_AUTO_CANDIDATES,
-) -> "_SparseKernel | None":
-    """Resolve sparse ``kernel="auto"`` from this host's calibration.
-
-    The fitted model predicts each candidate through the fill-aware
-    B(Q) (see :func:`repro.machine.roofline.sparse_bytes_per_cell`);
-    as on the dense path, a calibration that does not cover *every*
-    candidate abstains and the measured race decides.
-    """
-    from ..perf.model import load_calibration  # late: perf builds on core
-
-    calibration = load_calibration()
-    if calibration is None:
-        return None
-    dtype = resolve_dtype(dtype)
-    fill = domain.fill_fraction
-    rates = calibration.rank_kernels(
-        candidates,
-        domain.lattice.name,
-        dtype.name,
-        shape=(domain.num_fluid,),
-        fill=fill,
-    )
-    if set(rates) != set(candidates):
-        return None
-    cells = domain.num_fluid
-    timings = {name: cells / (rate * 1e6) for name, rate in rates.items()}
-    best = min(timings, key=lambda name: (timings[name], name))
-    winner = make_sparse_kernel(best, domain, tau, order=order, dtype=dtype)
-    winner.auto_timings = dict(timings)
-    winner.auto_cached = False
-    winner.auto_provenance = "model"
-    _emit_auto_verdict(
-        best,
-        "model",
-        domain.lattice,
-        (domain.num_fluid,),
-        dtype,
-        timings,
-        mode="sparse",
-        fill=fill,
-    )
-    return winner
-
-
-def auto_select_sparse_kernel(
-    domain: SparseDomain,
-    tau: float,
-    order: int | None = None,
-    dtype: "np.dtype | str | None" = None,
-    candidates: Sequence[str] = SPARSE_AUTO_CANDIDATES,
-    warmup: int = 1,
-    trials: int = 2,
-    clock: Callable[[], float] = time.perf_counter,
-    cache: bool | None = None,
-    cache_dir: "str | Path | None" = None,
-    model: bool | None = None,
-) -> _SparseKernel:
-    """Sparse ``kernel="auto"``: model, then cached verdict, then race.
-
-    The same three-rung ladder as :func:`repro.core.plan.auto_select_kernel`,
-    sharing its verdict-cache files and ``kernel.auto`` telemetry, with
-    the sparse identity (fluid count, box, fill) in the cache key and
-    ``mode="sparse"``/``fill`` stamped on the verdict events so the perf
-    model can fit them separately from the dense cells.
-    """
-    if not candidates:
-        raise LatticeError("auto kernel selection needs at least one candidate")
-    dtype = resolve_dtype(dtype)
-    if model is None:
-        model = not os.environ.get(PERF_MODEL_DISABLE_ENV)
-    if model:
-        winner = model_select_sparse_kernel(
-            domain, tau, order=order, dtype=dtype, candidates=candidates
-        )
-        if winner is not None:
-            return winner
-    if cache is None:
-        cache = not os.environ.get(KERNEL_CACHE_DISABLE_ENV)
-    cache_path = None
-    if cache:
-        key = _sparse_auto_key(domain, order, dtype, candidates)
-        cache_path = _auto_cache_path(
-            Path(cache_dir) if cache_dir is not None else kernel_cache_dir(), key
-        )
-        record = _read_auto_cache(cache_path, key)
-        if record is not None:
-            winner = make_sparse_kernel(
-                record["kernel"], domain, tau, order=order, dtype=dtype
-            )
-            winner.auto_timings = {
-                str(k): float(v) for k, v in record.get("timings", {}).items()
-            }
-            winner.auto_cached = True
-            winner.auto_provenance = "cached"
-            _emit_auto_verdict(
-                record["kernel"],
-                "cached",
-                domain.lattice,
-                (domain.num_fluid,),
-                dtype,
-                winner.auto_timings,
-                mode="sparse",
-                fill=domain.fill_fraction,
-            )
-            return winner
-    # Equilibrium at rest (f_i = w_i) on the fluid sites: numerically
-    # inert under collision *and* bounce-back, so timing cannot diverge.
-    q = domain.lattice.q
-    f0 = np.empty((q, domain.num_fluid), dtype=dtype)
-    f0[...] = domain.lattice.weights_as(dtype).reshape(q, 1)
-    kernels: dict[str, _SparseKernel] = {}
-    timings: dict[str, float] = {}
-    for name in candidates:
-        kernel = make_sparse_kernel(name, domain, tau, order=order, dtype=dtype)
-        f = f0.copy()
-        for _ in range(max(1, warmup)):
-            f = kernel.step(f)
-        start = clock()
-        for _ in range(max(1, trials)):
-            f = kernel.step(f)
-        timings[name] = (clock() - start) / max(1, trials)
-        kernels[name] = kernel
-    best = min(timings, key=lambda name: (timings[name], name))
-    if cache_path is not None:
-        _write_auto_cache(cache_path, key, best, timings)
-    winner = kernels[best]
-    winner.auto_timings = dict(timings)
-    winner.auto_cached = False
-    winner.auto_provenance = "measured"
-    _emit_auto_verdict(
-        best,
-        "measured",
-        domain.lattice,
-        (domain.num_fluid,),
-        dtype,
-        timings,
-        mode="sparse",
-        fill=domain.fill_fraction,
-    )
-    return winner
+    return _SPARSE_KERNELS[key](domain, tau, order=order, dtype=dtype)
 
 
 class SparseSimulation:
@@ -493,9 +296,9 @@ class SparseSimulation:
     The update is *pull*-form: for every fluid node and velocity, the
     post-streaming population is gathered through the neighbor table,
     then collided.  ``kernel`` selects the sparse rung —
-    ``"legacy"`` (default, allocating), ``"planned"``
-    (zero-allocation planned gather) or ``"auto"`` (model -> cached
-    verdict -> timing race, like the dense path).
+    ``"legacy"`` (default, allocating) or ``"planned"``
+    (zero-allocation planned gather; ``"auto"`` is its alias, as on the
+    dense path).
     """
 
     def __init__(
@@ -655,9 +458,8 @@ class SparseSimulation:
         return self.f.nbytes
 
 
-# Register the sparse rungs in the shared kernel registry so cached
-# verdicts validate and `available_kernels()` lists the full ladder.
-# Dense construction paths never reach these (make_kernel routes
-# sparse names through make_sparse_kernel, which needs a domain).
-KERNELS.setdefault("sparse-legacy", LegacySparseKernel)
-KERNELS.setdefault("sparse-planned", PlannedSparseKernel)
+# Register the sparse rungs in the shared kernel registry so
+# `available_kernels()` lists the full ladder.  Dense construction paths
+# never reach these (make_kernel routes sparse names through
+# make_sparse_kernel, which needs a domain).
+KERNELS.update(_SPARSE_KERNELS)

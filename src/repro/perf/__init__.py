@@ -18,9 +18,9 @@ from .model import (
     Prediction,
     calibration_path,
     fit_samples,
+    kernel_cache_dir,
     load_calibration,
     samples_from_bench,
-    samples_from_events,
     save_calibration,
 )
 from .noise import JitterModel
@@ -59,12 +59,12 @@ __all__ = [
     "calibration_path",
     "fit_samples",
     "FittedPerfModel",
+    "kernel_cache_dir",
     "load_calibration",
     "MeasuredSample",
     "ModelEntry",
     "Prediction",
     "samples_from_bench",
-    "samples_from_events",
     "save_calibration",
     "HybridSweepPoint",
     "JitterModel",

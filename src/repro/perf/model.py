@@ -4,9 +4,9 @@ The paper's central claim is that LB throughput is *predictable*: the
 roofline (§III-B, Eq. 5) bounds attainable MFLUP/s by ``Bm / B(Q)``
 with nothing but machine bandwidth and the lattice's bytes-per-cell
 figure.  This module turns that arithmetic into an operational model
-for *this* host: every measured throughput sample — committed
-``BENCH_*.json`` history rows, telemetry ``kernel.auto`` verdict
-events — is reduced to the **effective bandwidth** it achieved,
+for *this* host: every measured throughput sample — a row of a
+committed ``BENCH_*.json`` record — is reduced to the **effective
+bandwidth** it achieved,
 
     beta = P * B(Q, dtype) * 1e6        [bytes/s]
 
@@ -24,14 +24,14 @@ roofline's B(Q) scaling from the nearest pooled group:
 
 Calibrations are host-keyed (a timing fit from one machine says nothing
 about another) and persist as one JSON file per host under
-``$REPRO_KERNEL_CACHE_DIR``'s ``perf-model/`` subdirectory, next to the
-measured ``kernel="auto"`` verdict cache they replace: with a
-calibration present, :func:`repro.core.plan.auto_select_kernel`
-resolves from the model without running a timing race, the sweep
-scheduler packs variants onto workers by predicted cost
-(:meth:`FittedPerfModel.predict_case_seconds`), and
+:func:`kernel_cache_dir`'s ``perf-model/`` subdirectory.  Their
+consumers: the sweep scheduler packs variants onto workers by
+predicted cost (:meth:`FittedPerfModel.predict_case_seconds`),
 ``benchmarks/compare_bench.py --model`` flags "measured << predicted"
-rows as regressions even when no baseline row exists for that cell.
+rows as regressions even when no baseline row exists for that cell,
+and ``repro perf-model predict`` answers one query.  Kernel selection
+is not among them: ``kernel="auto"`` is a fixed alias (see
+:mod:`repro.core.plan`), the same on every host.
 
 The fit itself is deliberately tiny — closed-form least squares on a
 one-parameter-per-group linear model — so it is exactly reproducible
@@ -63,9 +63,9 @@ __all__ = [
     "calibration_path",
     "fit",
     "fit_samples",
+    "kernel_cache_dir",
     "load_calibration",
     "samples_from_bench",
-    "samples_from_events",
     "save_calibration",
 ]
 
@@ -256,50 +256,6 @@ def samples_from_bench(
     return samples, skipped
 
 
-def samples_from_events(
-    events: Iterable[Mapping[str, Any]], source: str = ""
-) -> list[MeasuredSample]:
-    """Fit samples from telemetry ``kernel.auto`` verdict events.
-
-    Only *measured* verdicts feed the fit: ``cached`` replays and
-    ``model`` resolutions are downstream of earlier measurements (or of
-    this very model), and folding them back in would let the model
-    confirm itself.  Every candidate's measured rate is a sample, not
-    just the winner's — a race over three kernels is three observations.
-    """
-    samples: list[MeasuredSample] = []
-    for event in events:
-        if event.get("type") != "event" or event.get("name") != "kernel.auto":
-            continue
-        attrs = event.get("attrs") or {}
-        if attrs.get("provenance") != "measured":
-            continue
-        lattice, dtype = attrs.get("lattice"), attrs.get("dtype")
-        if not lattice or not dtype:
-            continue
-        mode = str(attrs.get("mode") or SINGLE)
-        raw_fill = attrs.get("fill")
-        for kernel, rate in sorted((attrs.get("mflups") or {}).items()):
-            try:
-                mflups = float(rate)
-            except (TypeError, ValueError):
-                continue
-            if mflups <= 0:
-                continue
-            samples.append(
-                MeasuredSample(
-                    kernel=str(kernel),
-                    lattice=str(lattice).upper(),
-                    dtype=str(dtype),
-                    mflups=mflups,
-                    mode=mode,
-                    source=source,
-                    fill=float(raw_fill) if raw_fill is not None else None,
-                )
-            )
-    return samples
-
-
 # -- fitting -----------------------------------------------------------------
 
 
@@ -391,10 +347,9 @@ def fit_samples(
 
 def fit(
     bench_paths: Sequence[str | Path] = (),
-    telemetry_roots: Sequence[str | Path] = (),
     host: str | None = None,
 ) -> "FittedPerfModel":
-    """Fit from bench record files plus telemetry event directories."""
+    """Fit from bench record files."""
     samples: list[MeasuredSample] = []
     sources: list[str] = []
     skipped = 0
@@ -408,17 +363,9 @@ def fit(
         samples.extend(found)
         skipped += bad
         sources.append(path.name)
-    for root in telemetry_roots:
-        from ..telemetry.aggregate import load_run  # perf sits below telemetry's
-        # read side only here; recorder stays import-free of perf.
-
-        aggregate = load_run(root)
-        samples.extend(samples_from_events(aggregate.events, source=str(root)))
-        sources.append(str(root))
     if not samples:
         raise PerfModelError(
-            "no usable throughput samples in "
-            f"{[str(p) for p in bench_paths] + [str(r) for r in telemetry_roots]}"
+            f"no usable throughput samples in {[str(p) for p in bench_paths]}"
         )
     return fit_samples(samples, host=host, sources=sources, skipped=skipped)
 
@@ -460,15 +407,6 @@ class FittedPerfModel:
         if pooled:
             return _pooled_beta(pooled), "kernel"
         return None
-
-    def covers(
-        self,
-        kernels: Iterable[str],
-        mode: str = SINGLE,
-    ) -> bool:
-        """Whether every kernel has at least one fitted entry in ``mode``."""
-        fitted = {(e.kernel, e.mode) for e in self.entries}
-        return all((kernel, mode) in fitted for kernel in kernels)
 
     def predict(
         self,
@@ -547,25 +485,6 @@ class FittedPerfModel:
             cells *= int(extent)
         return steps * cells / (prediction.mflups * 1e6)
 
-    def rank_kernels(
-        self,
-        candidates: Sequence[str],
-        lattice: str,
-        dtype: str = "float64",
-        shape: Sequence[int] | None = None,
-        ranks: int = 1,
-        fill: float | None = None,
-    ) -> dict[str, float]:
-        """Predicted MFLUP/s per candidate (covered candidates only)."""
-        rates: dict[str, float] = {}
-        for kernel in candidates:
-            prediction = self.predict(
-                kernel, lattice, dtype, shape=shape, ranks=ranks, fill=fill
-            )
-            if prediction is not None:
-                rates[kernel] = prediction.mflups
-        return rates
-
     # -- persistence -------------------------------------------------------
 
     def to_json(self) -> dict[str, Any]:
@@ -619,11 +538,27 @@ def _host_slug(host: str) -> str:
     return "".join(c if c.isalnum() or c in "._-" else "-" for c in host) or "unknown"
 
 
-def calibration_path(host: str | None = None) -> Path:
-    """Where ``host``'s calibration lives: one JSON per host under the
-    kernel cache directory (``$REPRO_KERNEL_CACHE_DIR`` honoured)."""
-    from ..core.plan import kernel_cache_dir  # late: core.plan loads us lazily
+#: Environment variable overriding the calibration root.
+KERNEL_CACHE_ENV = "REPRO_KERNEL_CACHE_DIR"
 
+
+def kernel_cache_dir() -> Path:
+    """The calibration root.
+
+    ``$REPRO_KERNEL_CACHE_DIR`` when set, else the conventional
+    per-user cache location (``$XDG_CACHE_HOME``/``~/.cache``) under
+    ``repro/kernel-auto``, the directory's historical name.
+    """
+    override = os.environ.get(KERNEL_CACHE_ENV)
+    if override:
+        return Path(override)
+    base = os.environ.get("XDG_CACHE_HOME") or (Path.home() / ".cache")
+    return Path(base) / "repro" / "kernel-auto"
+
+
+def calibration_path(host: str | None = None) -> Path:
+    """Where ``host``'s calibration lives: one JSON per host under
+    :func:`kernel_cache_dir`."""
     return (
         kernel_cache_dir()
         / "perf-model"
@@ -648,12 +583,12 @@ def load_calibration(
 ) -> FittedPerfModel | None:
     """The persisted calibration, or ``None`` when absent/corrupt.
 
-    Corrupt or schema-mismatched files read as "no calibration" — every
-    consumer has a measured fallback (the verdict cache, the timing
-    race), so a broken file must degrade, not crash.  An explicit
-    ``path`` with an explicit problem still surfaces via ``repro
-    perf-model show``, which calls :meth:`FittedPerfModel.from_json`
-    directly.
+    Corrupt or schema-mismatched files read as "no calibration", so a
+    broken file degrades its consumers (sweep packing falls back to
+    grid order, ``predict`` reports no calibration) rather than
+    crashing them.  An explicit ``path`` with an explicit problem still
+    surfaces via ``repro perf-model show``, which calls
+    :meth:`FittedPerfModel.from_json` directly.
     """
     path = Path(path) if path is not None else calibration_path(host)
     try:

@@ -85,7 +85,6 @@ def run_case_cli(
     kernel: str | None = None,
     dtype: str | None = None,
     layout: str | None = None,
-    kernel_cache: bool = True,
     cache_dir: str | None = None,
     as_json: bool = False,
 ) -> int:
@@ -106,13 +105,9 @@ def run_case_cli(
         kernel=kernel,
         dtype=dtype,
         layout=layout,
-        kernel_cache=kernel_cache,
         cache_dir=cache_dir,
     )
     info = sys.stderr if as_json else sys.stdout
-    auto = outcome.auto_kernel
-    if auto is not None:
-        print(f"kernel auto -> {auto.name} ({auto.label})", file=info)
     if outcome.cached:
         print(f"cache hit: {outcome.fingerprint} (0 steps executed)", file=info)
     if as_json:
@@ -394,7 +389,6 @@ def run_perf_model_cli(
     action: str,
     *,
     bench: Sequence[str] = (),
-    telemetry: Sequence[str] = (),
     host: str | None = None,
     path: str | None = None,
     kernel: str | None = None,
@@ -407,20 +401,16 @@ def run_perf_model_cli(
     """The ``repro perf-model fit|show|predict`` workflow.
 
     ``fit`` least-squares the calibration from committed bench records
-    (plus optional telemetry runs) and persists it to the per-host
-    calibration file; ``show`` prints what is persisted; ``predict``
-    answers one (kernel, lattice, dtype, shape, ranks) query from it
-    via :func:`repro.api.predict_cost`.
+    and persists it to the per-host calibration file; ``show`` prints
+    what is persisted; ``predict`` answers one (kernel, lattice, dtype,
+    shape, ranks) query from it via :func:`repro.api.predict_cost`.
     """
     from ..perf import model as perf_model
 
     if action == "fit":
-        if not bench and not telemetry:
-            raise ScenarioError(
-                "perf-model fit needs at least one BENCH_*.json record "
-                "or --telemetry directory"
-            )
-        fitted = perf_model.fit(bench, telemetry_roots=telemetry, host=host)
+        if not bench:
+            raise ScenarioError("perf-model fit needs at least one BENCH_*.json record")
+        fitted = perf_model.fit(bench, host=host)
         for line in fitted.summary_lines():
             print(line)
         written = perf_model.save_calibration(fitted, path)
@@ -510,14 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="stream/collide kernel: naive, roll, fused-gather, planned "
         "(the case default unless a case pins the legacy pair), "
-        "or auto (measured selection, verdict cached per host/shape/"
-        "lattice/dtype)",
-    )
-    case.add_argument(
-        "--no-kernel-cache",
-        action="store_true",
-        help="with --kernel auto: always re-time the candidates instead "
-        "of reading/writing the per-host verdict cache",
+        "or auto (an alias for planned, sparse-planned on sparse cases)",
     )
     case.add_argument(
         "--dtype",
@@ -879,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf_model = sub.add_parser(
         "perf-model",
         help="fit, inspect, or query the per-host performance calibration "
-        "that resolves kernel=auto and packs sweeps by predicted cost",
+        "that packs sweeps by predicted cost and gates bench records",
     )
     perf_model.add_argument(
         "action",
@@ -894,14 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exported bench records to fit from (fit)",
     )
     perf_model.add_argument(
-        "--telemetry",
-        action="append",
-        default=[],
-        metavar="DIR",
-        help="telemetry event directory whose measured kernel.auto "
-        "verdicts also feed the fit (repeatable)",
-    )
-    perf_model.add_argument(
         "--host",
         default=None,
         help="calibrate/query for this host (default: this machine)",
@@ -910,8 +885,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--path",
         default=None,
         metavar="FILE",
-        help="calibration file (default: the per-host file under the "
-        "kernel cache directory)",
+        help="calibration file (default: the per-host file under "
+        "$REPRO_KERNEL_CACHE_DIR)",
     )
     perf_model.add_argument(
         "--kernel", default=None, help="kernel to predict for (predict)"
@@ -967,7 +942,6 @@ def main(argv: Sequence[str]) -> int:
                 kernel=args.kernel,
                 dtype=args.dtype,
                 layout=args.layout,
-                kernel_cache=not args.no_kernel_cache,
                 cache_dir=args.cache_dir,
                 as_json=args.as_json,
             )
@@ -985,7 +959,6 @@ def main(argv: Sequence[str]) -> int:
             return run_perf_model_cli(
                 args.action,
                 bench=args.bench,
-                telemetry=args.telemetry,
                 host=args.host,
                 path=args.path,
                 kernel=args.kernel,
@@ -1041,7 +1014,7 @@ def main(argv: Sequence[str]) -> int:
             as_json=args.as_json,
         )
     except (ReproError, OSError) as exc:
-        # ReproError covers ScenarioError plus the LatticeError family an
-        # auto-kernel resolution can raise.
+        # ReproError covers ScenarioError plus the LatticeError family a
+        # kernel or dtype selection can raise while building the case.
         print(f"error: {exc}", file=sys.stderr)
         return 2

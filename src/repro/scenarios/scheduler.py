@@ -678,15 +678,12 @@ def predict_spec_costs(specs) -> "list[float | None] | None":
     """Predicted wall-clock seconds per spec, from this host's
     calibration (:func:`repro.perf.model.load_calibration`).
 
-    Returns ``None`` when no calibration exists (or the model is
-    disabled via ``$REPRO_NO_PERF_MODEL``); individual specs the
+    Returns ``None`` when no calibration exists; individual specs the
     model has no coverage for come back as ``None`` entries.  Inverse
-    of the paper's Eq. 4: ``steps * cells / (P * 1e6)``.
+    of the paper's Eq. 4: ``steps * cells / (P * 1e6)``.  The costs
+    only order which variants workers claim first (longest first),
+    never what a variant computes.
     """
-    import os as _os
-
-    if _os.environ.get("REPRO_NO_PERF_MODEL"):
-        return None
     from ..core.plan import DEFAULT_KERNEL
     from ..perf.model import load_calibration
 

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 import numpy as np
 
 from ..core.boundary import BoundaryCondition
+from ..core.plan import AUTO_KERNEL, AUTO_RUNG, available_kernels
 from ..core.simulation import Simulation
 from ..errors import ScenarioError
 from ..lattice import VelocitySet, available_lattices
@@ -179,8 +180,8 @@ class CaseSpec:
         gather table, Guo forcing fused into its arena).  Mutually
         exclusive with a ``collision`` factory, so a case with a custom
         collision operator declares ``kernel=None``.  ``"auto"`` is
-        rejected here — a spec must be deterministic for the sweep
-        cache; use ``Simulation(kernel="auto")`` directly.
+        stored as the rung it aliases (``"planned"``), so an ``auto``
+        spec shares the planned spec's fingerprint.
     dtype:
         Population dtype policy, ``"float64"`` (default) or
         ``"float32"``.  Fingerprint-sensitive, like ``kernel``: sweep
@@ -268,6 +269,8 @@ class CaseSpec:
                     f"case {self.name!r}: forcing must be a sequence of "
                     f"floats, got {self.forcing!r}"
                 ) from exc
+        if self.kernel == AUTO_KERNEL:
+            object.__setattr__(self, "kernel", AUTO_RUNG)
         object.__setattr__(self, "params", dict(self.params))
         object.__setattr__(self, "observables", dict(self.observables))
         object.__setattr__(self, "tags", tuple(self.tags))
@@ -297,23 +300,6 @@ class CaseSpec:
             )
         sparse = bool(self.params.get("sparse"))
         if self.kernel is not None:
-            from ..core.plan import AUTO_KERNEL, available_kernels
-
-            if self.kernel == AUTO_KERNEL:
-                # A spec is a *deterministic* declaration: 'auto' picks
-                # whichever kernel wins a timing race on the executing
-                # host, so one fingerprint could cache different
-                # kernels' (tolerance- but not bit-identical) results —
-                # breaking the sweep cache's byte-identity guarantee.
-                # Measured selection stays available on the driver:
-                # Simulation(kernel="auto").
-                raise ScenarioError(
-                    f"case {self.name!r}: kernel 'auto' is per-host "
-                    "timing-dependent and not allowed in a (cacheable, "
-                    "fingerprinted) spec; pick one of "
-                    f"{', '.join(available_kernels())}, or use "
-                    "Simulation(kernel='auto') directly"
-                )
             if sparse:
                 # Sparse cases resolve through make_sparse_kernel, which
                 # accepts short rung names alongside the registry ones.

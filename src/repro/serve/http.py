@@ -211,16 +211,6 @@ def _check_fields(body: dict[str, Any], allowed: frozenset) -> None:
         )
 
 
-def _check_kernel(kernel: str | None) -> str | None:
-    if kernel == "auto":
-        raise ValueError(
-            "kernel='auto' is timing-dependent and would make identical "
-            "requests fingerprint differently; resolve it client-side "
-            "(`repro case ... --kernel auto`) and submit the winner"
-        )
-    return kernel
-
-
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1"
@@ -399,7 +389,7 @@ class _Handler(BaseHTTPRequestHandler):
             case=case,
             overrides=overrides,
             steps=_require_steps(body),
-            kernel=_check_kernel(_require_str(body, "kernel")),
+            kernel=_require_str(body, "kernel"),
             dtype=_require_str(body, "dtype"),
         )
         if payload is not None:
@@ -424,7 +414,7 @@ class _Handler(BaseHTTPRequestHandler):
             case=case,
             grid=grid,
             steps=_require_steps(body),
-            kernel=_check_kernel(_require_str(body, "kernel")),
+            kernel=_require_str(body, "kernel"),
             dtype=_require_str(body, "dtype"),
         )
         if result is not None:

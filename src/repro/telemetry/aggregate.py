@@ -264,28 +264,6 @@ class RunAggregate:
             and (name is None or e.get("name") == name)
         ]
 
-    def kernel_auto_verdicts(
-        self, provenance: str | None = None
-    ) -> list[dict[str, Any]]:
-        """``kernel.auto`` verdict events, optionally by provenance.
-
-        ``provenance="measured"`` selects the verdicts that came from an
-        actual timing race — the only ones the perf-model fitter
-        (:func:`repro.perf.model.samples_from_events`) accepts, since
-        ``cached``/``model`` resolutions restate earlier measurements or
-        the model's own predictions.
-        """
-        return [
-            e
-            for e in self.events
-            if e.get("type") == "event"
-            and e.get("name") == "kernel.auto"
-            and (
-                provenance is None
-                or (e.get("attrs") or {}).get("provenance") == provenance
-            )
-        ]
-
     # -- phase attribution (Fig. 9) ---------------------------------------
 
     def num_ranks(self) -> int:

@@ -5,7 +5,7 @@ counters assigning per-rank time to stream/collide/communication
 (Fig. 9), MFLUP/s throughput (Eq. 4), comm-byte ledgers.  This module
 is the repo's equivalent substrate: a :class:`Telemetry` recorder that
 every layer (simulation step loops, halo exchange, result cache, sweep
-workers, kernel auto-selection) emits structured events through, and
+workers, the serve front end) emits structured events through, and
 which persists them as append-only JSONL — one file per process, so
 concurrent writers never interleave — under a per-run ``telemetry/``
 directory.
@@ -20,8 +20,8 @@ Three event kinds, one line each:
     A monotonic counter increment (``value``); the recorder also keeps
     in-process running totals in :attr:`Telemetry.counters`.
 ``event``
-    A point-in-time fact (kernel-auto verdict, worker heartbeat,
-    corrupt cache entry) carrying only ``attrs``.
+    A point-in-time fact (worker heartbeat, corrupt cache entry)
+    carrying only ``attrs``.
 
 The default recorder everywhere is :data:`NULL_TELEMETRY`, a no-op
 whose ``enabled`` attribute is ``False`` — instrumented hot loops guard

@@ -9,15 +9,15 @@ from repro.lattice import get_lattice
 
 
 @pytest.fixture(autouse=True, scope="session")
-def _isolated_kernel_cache(tmp_path_factory):
-    """Point the kernel-auto verdict cache at a throwaway directory.
+def _isolated_calibration(tmp_path_factory):
+    """Point the perf-model calibration root at a throwaway directory.
 
-    Tests must neither read a developer's ~/.cache verdicts (they would
-    change which kernel "auto" picks) nor write into it.
+    Tests must neither read a developer's ~/.cache calibration (it would
+    change how sweeps pack variants onto workers) nor write into it.
     """
     import os
 
-    path = tmp_path_factory.mktemp("kernel-auto-cache")
+    path = tmp_path_factory.mktemp("calibration-root")
     old = os.environ.get("REPRO_KERNEL_CACHE_DIR")
     os.environ["REPRO_KERNEL_CACHE_DIR"] = str(path)
     yield

@@ -1,5 +1,6 @@
 """Planned kernel: zero-allocation property, equivalence, selection."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -14,17 +15,12 @@ from repro.core import (
     PlannedKernel,
     RollKernel,
     Simulation,
-    auto_select_kernel,
     available_kernels,
     equilibrium,
     make_kernel,
     stream_periodic,
 )
-from repro.core.plan import (
-    AUTO_CANDIDATES,
-    build_aos_gather_table,
-    build_gather_table,
-)
+from repro.core.plan import build_aos_gather_table, build_gather_table
 from repro.errors import LatticeError
 from repro.lattice import get_lattice
 
@@ -227,30 +223,80 @@ class TestSelection:
         with pytest.raises(LatticeError, match="unknown kernel"):
             make_kernel("simd", q19, tau=0.8)
 
-    def test_auto_requires_shape(self, q19):
-        with pytest.raises(LatticeError, match="shape"):
-            make_kernel(AUTO_KERNEL, q19, tau=0.8)
+    def test_auto_needs_no_shape(self, q19):
+        """'auto' is a fixed alias: nothing to time, so no shape needed."""
+        assert isinstance(make_kernel(AUTO_KERNEL, q19, tau=0.8), PlannedKernel)
 
-    def test_auto_select_picks_fastest(self, q19):
-        """With an injected clock, selection is a pure argmin."""
-        fake_times = iter(range(100))
 
-        def clock():
-            return float(next(fake_times))
+class TestAutoAlias:
+    """'auto' is the planned rung on every grid, and it keeps no
+    per-host state: nothing under the calibration root is read or
+    written while it resolves."""
 
-        # Each candidate's (start, stop) reads advance the fake clock by
-        # the same amount, so the tie-break picks the first name in
-        # sorted order among equals -> deterministic.  cache=False keeps
-        # this a pure argmin (no verdict read or written).
-        kernel = auto_select_kernel(
-            q19, (4, 4, 4), tau=0.8, clock=clock, warmup=1, trials=1, cache=False
-        )
-        assert kernel.name in AUTO_CANDIDATES
-        assert set(kernel.auto_timings) == set(AUTO_CANDIDATES)
+    def test_every_lattice(self, lattice):
+        kernel = make_kernel(AUTO_KERNEL, lattice, tau=0.8, shape=(6, 5, 4))
+        assert isinstance(kernel, PlannedKernel)
+        assert kernel.lattice is lattice
 
-    def test_auto_select_real_timing_smoke(self, q19):
-        kernel = auto_select_kernel(q19, (8, 8, 8), tau=0.8)
-        assert all(t > 0 for t in kernel.auto_timings.values())
+    def test_tau_reaches_the_kernel(self, q19):
+        assert make_kernel(AUTO_KERNEL, q19, tau=0.9).collision.tau == 0.9
+
+    @pytest.mark.parametrize("layout", ["soa", "aos"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_steps_bit_identical_to_planned(self, layout, dtype):
+        shape = (6, 5, 4)
+        rng = np.random.default_rng(5)
+        u = 0.01 * rng.standard_normal((3, *shape))
+        runs = {}
+        for kernel in (AUTO_KERNEL, "planned"):
+            sim = Simulation(
+                "D3Q19", shape, tau=0.8, kernel=kernel, dtype=dtype,
+                layout=layout,
+            )
+            assert isinstance(sim.kernel, PlannedKernel)
+            assert sim.layout == layout
+            sim.initialize(1.0, u)
+            sim.run(3)
+            runs[kernel] = sim.f.copy()
+        assert runs[AUTO_KERNEL].dtype == np.dtype(dtype)
+        assert np.array_equal(runs[AUTO_KERNEL], runs["planned"])
+
+    def test_stale_verdict_records_are_never_read(self, tmp_path, monkeypatch):
+        """Verdict files an older release left in the calibration root
+        (one crowning roll, one corrupt) change nothing and stay as
+        they were."""
+        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
+        records = {
+            "roll.json": json.dumps(
+                {
+                    "key": {"lattice": "D3Q19", "shape": [6, 6, 6]},
+                    "kernel": "roll",
+                    "timings": {"roll": 1e-4, "planned": 1e-3},
+                }
+            ),
+            "corrupt.json": "{not json",
+        }
+        for name, text in records.items():
+            (tmp_path / name).write_text(text)
+        sim = Simulation("D3Q19", (6, 6, 6), tau=0.8, kernel=AUTO_KERNEL)
+        assert isinstance(sim.kernel, PlannedKernel)
+        assert {
+            path.name: path.read_text() for path in tmp_path.iterdir()
+        } == records
+
+    def test_writes_nothing_under_the_calibration_root(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "calibration"
+        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(root))
+        for shape in ((6, 6, 6), (7, 6, 6)):
+            for dtype in ("float64", "float32"):
+                sim = Simulation(
+                    "D3Q19", shape, tau=0.8, kernel=AUTO_KERNEL, dtype=dtype
+                )
+                sim.initialize(1.0, np.zeros((3, *shape)))
+                sim.run(1)
+        assert not root.exists()
 
 
 class TestSimulationPlumbing:
@@ -366,8 +412,7 @@ class TestSimulationPlumbing:
 
     def test_auto_kernel_runs(self):
         sim = Simulation("D3Q19", (6, 6, 6), tau=0.8, kernel="auto")
-        assert sim.kernel is not None
-        assert sim.kernel.name in AUTO_CANDIDATES
+        assert isinstance(sim.kernel, PlannedKernel)
         self._init(sim)
         sim.run(3)
         assert np.isfinite(sim.f).all()
@@ -401,66 +446,3 @@ class TestKernelPlanObject:
         with pytest.raises(LatticeError):
             KernelPlan(q19, (4, 4, 4), order=3)
 
-
-class TestAutoVerdictCache:
-    """kernel='auto' caches its verdict per (host, shape, lattice,
-    order, dtype, candidates) so repeated builds skip re-timing."""
-
-    def test_verdict_cached_and_reused(self, q19, tmp_path):
-        first = auto_select_kernel(q19, (6, 6, 6), tau=0.8, cache_dir=tmp_path)
-        assert first.auto_cached is False
-        files = list(tmp_path.glob("*.json"))
-        assert len(files) == 1
-        second = auto_select_kernel(q19, (6, 6, 6), tau=0.8, cache_dir=tmp_path)
-        assert second.auto_cached is True
-        assert second.name == first.name
-        assert second.auto_timings == first.auto_timings
-
-    def test_key_distinguishes_shape_and_dtype(self, q19, tmp_path):
-        auto_select_kernel(q19, (6, 6, 6), tau=0.8, cache_dir=tmp_path)
-        auto_select_kernel(q19, (7, 6, 6), tau=0.8, cache_dir=tmp_path)
-        auto_select_kernel(
-            q19, (6, 6, 6), tau=0.8, dtype="float32", cache_dir=tmp_path
-        )
-        assert len(list(tmp_path.glob("*.json"))) == 3
-
-    def test_tau_does_not_change_the_key(self, q19, tmp_path):
-        """tau scales the arithmetic, not the memory behaviour being
-        raced, so verdicts are shared across tau values."""
-        auto_select_kernel(q19, (6, 6, 6), tau=0.8, cache_dir=tmp_path)
-        hit = auto_select_kernel(q19, (6, 6, 6), tau=0.9, cache_dir=tmp_path)
-        assert hit.auto_cached is True
-        assert hit.collision.tau == 0.9
-
-    def test_corrupt_record_retimes(self, q19, tmp_path):
-        auto_select_kernel(q19, (6, 6, 6), tau=0.8, cache_dir=tmp_path)
-        (record,) = tmp_path.glob("*.json")
-        record.write_text("{not json")
-        kernel = auto_select_kernel(q19, (6, 6, 6), tau=0.8, cache_dir=tmp_path)
-        assert kernel.auto_cached is False
-
-    def test_cache_false_neither_reads_nor_writes(self, q19, tmp_path):
-        kernel = auto_select_kernel(
-            q19, (6, 6, 6), tau=0.8, cache=False, cache_dir=tmp_path
-        )
-        assert kernel.auto_cached is False
-        assert list(tmp_path.glob("*.json")) == []
-
-    def test_env_disable(self, q19, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_KERNEL_CACHE", "1")
-        auto_select_kernel(q19, (6, 6, 6), tau=0.8, cache_dir=tmp_path)
-        assert list(tmp_path.glob("*.json")) == []
-
-    def test_cache_dir_env_override(self, q19, tmp_path, monkeypatch):
-        from repro.core import kernel_cache_dir
-
-        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path / "kc"))
-        assert kernel_cache_dir() == tmp_path / "kc"
-        auto_select_kernel(q19, (6, 6, 6), tau=0.8)
-        assert len(list((tmp_path / "kc").glob("*.json"))) == 1
-
-    def test_simulation_auto_uses_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
-        Simulation("D3Q19", (6, 6, 6), tau=0.8, kernel="auto")
-        sim = Simulation("D3Q19", (6, 6, 6), tau=0.8, kernel="auto")
-        assert sim.kernel.auto_cached is True

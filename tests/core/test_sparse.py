@@ -7,12 +7,10 @@ import pytest
 
 from repro.core import Simulation, shear_wave, sphere_mask
 from repro.core.sparse import (
-    SPARSE_AUTO_CANDIDATES,
     LegacySparseKernel,
     PlannedSparseKernel,
     SparseDomain,
     SparseSimulation,
-    auto_select_sparse_kernel,
     build_sparse_gather_table,
     make_sparse_kernel,
 )
@@ -284,6 +282,7 @@ class TestSparseKernelSelection:
             ("planned", PlannedSparseKernel),
             ("sparse-legacy", LegacySparseKernel),
             ("sparse-planned", PlannedSparseKernel),
+            ("auto", PlannedSparseKernel),
         ],
     )
     def test_names_and_aliases(self, q19, name, cls):
@@ -327,105 +326,26 @@ class TestSparseKernelSelection:
 
 
 class TestSparseAutoSelection:
-    def _domain(self, q19):
-        return SparseDomain(q19, _walled_sphere_mask((8, 7, 6)))
-
-    def test_race_then_cached_replay(self, q19, tmp_path):
-        dom = self._domain(q19)
-        calls = []
-
-        def clock():
-            import time as _time
-
-            calls.append(None)
-            return _time.perf_counter()
-
-        first = auto_select_sparse_kernel(
-            dom, 0.8, clock=clock, cache_dir=tmp_path, model=False
-        )
-        assert first.auto_provenance == "measured"
-        assert calls  # the race timed something
-        assert set(first.auto_timings) == set(SPARSE_AUTO_CANDIDATES)
-
-        calls.clear()
-        second = auto_select_sparse_kernel(
-            dom, 0.8, clock=clock, cache_dir=tmp_path, model=False
-        )
-        assert second.auto_provenance == "cached"
-        assert second.auto_cached and not calls
-        assert second.name == first.name
-
-    def test_cache_key_separates_fills(self, q19, tmp_path):
-        """A verdict for one fill must not answer for another."""
-        dense_dom = SparseDomain(q19, np.zeros((8, 7, 6), dtype=bool))
-        auto_select_sparse_kernel(
-            dense_dom, 0.8, cache_dir=tmp_path, model=False
-        )
-        sparse_dom = self._domain(q19)
-        again = auto_select_sparse_kernel(
-            sparse_dom, 0.8, cache_dir=tmp_path, model=False
-        )
-        assert again.auto_provenance == "measured"
-
-    def test_calibrated_model_skips_the_race(self, q19, tmp_path, monkeypatch):
-        import platform
-
-        from repro.machine.roofline import sparse_bytes_per_cell
-        from repro.perf.model import (
-            SPARSE,
-            MeasuredSample,
-            fit_samples,
-            save_calibration,
-        )
-
-        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
-        samples = []
-        for kernel, scale in (("sparse-planned", 1.0), ("sparse-legacy", 0.5)):
-            for fill in (0.3, 0.9):
-                b = sparse_bytes_per_cell(q19, "float64", fill=fill)
-                samples.append(
-                    MeasuredSample(
-                        kernel=kernel,
-                        lattice="D3Q19",
-                        dtype="float64",
-                        mflups=scale * 8e9 / (b * 1e6),
-                        mode=SPARSE,
-                        fill=fill,
-                    )
-                )
-        save_calibration(fit_samples(samples, host=platform.node()))
-
-        def boom():
-            raise AssertionError("timing race ran despite a calibration")
-
-        winner = auto_select_sparse_kernel(self._domain(q19), 0.8, clock=boom)
-        assert winner.auto_provenance == "model"
-        assert winner.name == "sparse-planned"
-
-    def test_model_abstains_without_full_coverage(self, q19, tmp_path, monkeypatch):
-        import platform
-
-        from repro.perf.model import MeasuredSample, SPARSE, fit_samples, save_calibration
-
-        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
-        only_one = [
-            MeasuredSample(
-                kernel="sparse-planned",
-                lattice="D3Q19",
-                dtype="float64",
-                mflups=50.0,
-                mode=SPARSE,
-                fill=0.5,
-            )
-        ]
-        save_calibration(fit_samples(only_one, host=platform.node()))
-        winner = auto_select_sparse_kernel(self._domain(q19), 0.8)
-        assert winner.auto_provenance == "measured"
-
     def test_simulation_auto_kernel(self, q19, tmp_path):
         mask = _walled_sphere_mask((8, 7, 6))
         sim = SparseSimulation("D3Q19", mask, tau=0.8, kernel="auto")
-        assert sim.kernel.name in SPARSE_AUTO_CANDIDATES
+        assert isinstance(sim.kernel, PlannedSparseKernel)
         sim.initialize(1.0)
         sim.run(3)
         assert np.isfinite(sim.f).all()
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_auto_steps_bit_identical_to_planned(self, dtype):
+        mask = _walled_sphere_mask((8, 7, 6))
+        runs = {}
+        for kernel in ("auto", "planned"):
+            sim = SparseSimulation(
+                "D3Q19", mask, tau=0.8, force=(1e-5, 0, 0),
+                dtype=dtype, kernel=kernel,
+            )
+            assert sim.kernel.name == "sparse-planned"
+            sim.initialize(1.0)
+            sim.run(5)
+            runs[kernel] = sim.f.copy()
+        assert runs["auto"].dtype == np.dtype(dtype)
+        assert np.array_equal(runs["auto"], runs["planned"])

@@ -21,9 +21,9 @@ from repro.perf.model import (
     calibration_path,
     fit,
     fit_samples,
+    kernel_cache_dir,
     load_calibration,
     samples_from_bench,
-    samples_from_events,
     save_calibration,
 )
 
@@ -100,44 +100,6 @@ class TestSampleExtraction:
         }
         samples, _ = samples_from_bench(record)
         assert samples[0].host == "bench-host"
-
-    def test_events_only_measured_verdicts_feed_the_fit(self):
-        events = [
-            {
-                "type": "event",
-                "name": "kernel.auto",
-                "attrs": {
-                    "provenance": "measured",
-                    "lattice": "D3Q19",
-                    "dtype": "float64",
-                    "mflups": {"roll": 2.5, "planned": 6.0},
-                },
-            },
-            {
-                "type": "event",
-                "name": "kernel.auto",
-                "attrs": {
-                    "provenance": "cached",
-                    "lattice": "D3Q19",
-                    "dtype": "float64",
-                    "mflups": {"roll": 2.5},
-                },
-            },
-            {
-                "type": "event",
-                "name": "kernel.auto",
-                "attrs": {
-                    "provenance": "model",
-                    "lattice": "D3Q19",
-                    "dtype": "float64",
-                    "mflups": {"planned": 6.0},
-                },
-            },
-            {"type": "span", "name": "kernel.auto.race", "seconds": 0.1},
-        ]
-        samples = samples_from_events(events)
-        assert len(samples) == 2  # one per raced candidate, measured only
-        assert {s.kernel for s in samples} == {"roll", "planned"}
 
 
 class TestFit:
@@ -216,14 +178,6 @@ class TestFit:
             )
         )
 
-    def test_rank_kernels_orders_the_ladder(self, history_model):
-        rates = history_model.rank_kernels(
-            ("roll", "fused-gather", "planned"), "D3Q19", "float64"
-        )
-        # The committed history's single-node ladder: planned on top.
-        assert max(rates, key=rates.get) == "planned"
-        assert rates["planned"] > rates["roll"]
-
 
 class TestPersistence:
     def test_save_load_round_trip(self, history_model, tmp_path):
@@ -239,6 +193,34 @@ class TestPersistence:
         monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
         path = calibration_path("node-7")
         assert path == tmp_path / "perf-model" / "node-7.json"
+
+    def test_cache_dir_env_override(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path / "kc"))
+        assert kernel_cache_dir() == tmp_path / "kc"
+
+    def test_cache_dir_follows_xdg_cache_home(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNEL_CACHE_DIR", raising=False)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        assert kernel_cache_dir() == tmp_path / "xdg" / "repro" / "kernel-auto"
+
+    def test_cache_dir_falls_back_to_home_cache(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNEL_CACHE_DIR", raising=False)
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        assert kernel_cache_dir() == tmp_path / ".cache" / "repro" / "kernel-auto"
+
+    def test_calibration_at_the_default_path_loads(
+        self, history_model, tmp_path, monkeypatch
+    ):
+        """A calibration saved under the historical root keeps loading
+        once ``auto`` no longer writes verdicts beside it."""
+        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
+        path = save_calibration(history_model)
+        assert path == tmp_path / "perf-model" / "fit-host.json"
+        loaded = load_calibration(host="fit-host")
+        assert loaded is not None
+        assert loaded.entries == history_model.entries
+        assert list(tmp_path.iterdir()) == [tmp_path / "perf-model"]
 
     def test_missing_and_corrupt_read_as_absent(self, tmp_path):
         assert load_calibration(tmp_path / "nope.json") is None
@@ -257,121 +239,3 @@ class TestPersistence:
     def test_from_json_rejects_wrong_schema_loudly(self):
         with pytest.raises(PerfModelError, match="schema"):
             FittedPerfModel.from_json({"schema": 99})
-
-    def test_fit_from_telemetry_run(self, tmp_path):
-        """A telemetry directory's measured verdicts are fit input."""
-        events = [
-            {"type": "meta", "name": "process.start"},
-            {
-                "type": "event",
-                "name": "kernel.auto",
-                "attrs": {
-                    "provenance": "measured",
-                    "lattice": "D3Q19",
-                    "dtype": "float64",
-                    "mflups": {"roll": 2.5, "planned": 6.0},
-                },
-            },
-        ]
-        run = tmp_path / "telemetry"
-        run.mkdir()
-        (run / "events-p1.jsonl").write_text(
-            "\n".join(json.dumps(e) for e in events) + "\n"
-        )
-        model = fit((), telemetry_roots=[run], host="h")
-        assert model.predict_mflups("planned", "D3Q19") == pytest.approx(6.0)
-
-
-class TestAutoResolution:
-    """kernel='auto' resolves from the calibration without timing."""
-
-    @pytest.fixture
-    def calibrated(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_NO_PERF_MODEL", raising=False)
-        model = fit_samples(bench_samples())  # host defaults to this node
-        save_calibration(model)
-        return model
-
-    @staticmethod
-    def _no_clock():
-        raise AssertionError("timing clock read: a measurement race ran")
-
-    def test_model_resolves_without_measurement(self, calibrated, q19):
-        from repro.core.plan import auto_select_kernel
-        from repro.telemetry.recorder import (
-            NULL_TELEMETRY,
-            Telemetry,
-            set_telemetry,
-        )
-
-        recorder = Telemetry.in_memory()
-        set_telemetry(recorder)
-        try:
-            winner = auto_select_kernel(
-                q19, (8, 8, 8), tau=0.8, clock=self._no_clock
-            )
-        finally:
-            set_telemetry(NULL_TELEMETRY)
-        assert winner.auto_provenance == "model"
-        events = recorder.events()
-        spans = [e for e in events if e.get("type") == "span"]
-        assert spans == []  # acceptance: no measurement spans at all
-        (verdict,) = [e for e in events if e.get("name") == "kernel.auto"]
-        assert verdict["attrs"]["provenance"] == "model"
-        assert winner.name in verdict["attrs"]["mflups"]
-
-    def test_model_agrees_with_measurement_on_d3q19_float64(
-        self, calibrated, q19
-    ):
-        """The ISSUE's winner-agreement cell: the model's pick matches
-        an actual timing race on (D3Q19, float64)."""
-        from repro.core.plan import auto_select_kernel, model_select_kernel
-
-        predicted = model_select_kernel(q19, (16, 16, 16), tau=0.8)
-        assert predicted is not None
-        measured = auto_select_kernel(
-            q19, (16, 16, 16), tau=0.8, model=False, cache=False, trials=4
-        )
-        assert predicted.name == measured.name
-
-    def test_partial_coverage_falls_through_to_race(self, calibrated, q19):
-        from repro.core.plan import model_select_kernel
-
-        # naive was never benchmarked: a candidate set including it is
-        # not fully covered, so the model refuses to crown a winner.
-        assert (
-            model_select_kernel(
-                q19, (8, 8, 8), tau=0.8, candidates=("naive", "planned")
-            )
-            is None
-        )
-
-    def test_env_disable_skips_the_model(self, calibrated, q19, monkeypatch):
-        from repro.core.plan import auto_select_kernel
-
-        monkeypatch.setenv("REPRO_NO_PERF_MODEL", "1")
-        winner = auto_select_kernel(q19, (6, 6, 6), tau=0.8, cache=False)
-        assert winner.auto_provenance == "measured"
-
-    def test_race_emits_span_and_measured_verdict(self, tmp_path, monkeypatch, q19):
-        from repro.core.plan import auto_select_kernel
-        from repro.telemetry.recorder import (
-            NULL_TELEMETRY,
-            Telemetry,
-            set_telemetry,
-        )
-
-        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))  # no model
-        recorder = Telemetry.in_memory()
-        set_telemetry(recorder)
-        try:
-            auto_select_kernel(q19, (6, 6, 6), tau=0.8, cache=False)
-        finally:
-            set_telemetry(NULL_TELEMETRY)
-        events = recorder.events()
-        assert [e["name"] for e in events if e.get("type") == "span"] == [
-            "kernel.auto.race"
-        ]
-        (verdict,) = [e for e in events if e.get("name") == "kernel.auto"]
-        assert verdict["attrs"]["provenance"] == "measured"

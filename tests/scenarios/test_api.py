@@ -17,7 +17,6 @@ class TestCaseRequest:
         request = api.case_request(CASE, steps=5, overrides=SMALL)
         assert request.fingerprint == request.spec.fingerprint()
         assert request.overrides["steps"] == 5
-        assert request.auto_kernel is None
 
     def test_decoded_json_overrides_fingerprint_identically(self):
         # JSON bodies carry lists; decode_overrides retuples them so the

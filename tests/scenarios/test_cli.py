@@ -232,46 +232,40 @@ class TestParsing:
             _parse_grid(["kn="])
 
 
-class TestAutoKernelResolution:
-    """`case --kernel auto` resolves to a concrete kernel before the
-    (deterministic, fingerprinted) spec, through the per-host verdict
-    cache."""
+class TestAutoKernelAlias:
+    """`--kernel auto` is a fixed alias for the planned rung: no
+    resolution step, no per-host state read or written."""
 
-    def _run(self, *extra):
-        return main(
-            ["case", "taylor-green", "--steps", "20", "--kernel", "auto", *extra]
-        )
-
-    def test_auto_resolves_and_reports(self, capsys, tmp_path, monkeypatch):
+    def test_auto_resolves_silently(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
-        assert self._run() == 0
-        out = capsys.readouterr().out
-        assert "kernel auto ->" in out
-        assert "(measured)" in out
-        assert len(list(tmp_path.glob("*.json"))) == 1
-
-    def test_second_run_hits_the_verdict_cache(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
-        assert self._run() == 0
-        capsys.readouterr()
-        assert self._run() == 0
-        assert "(cached verdict)" in capsys.readouterr().out
-
-    def test_no_kernel_cache_always_re_times(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
-        assert self._run("--no-kernel-cache") == 0
-        assert "(measured)" in capsys.readouterr().out
-        assert list(tmp_path.glob("*.json")) == []
-        assert self._run("--no-kernel-cache") == 0
-        assert "(measured)" in capsys.readouterr().out
-
-    def test_sweep_still_rejects_auto(self, capsys):
         code = main(
-            ["sweep", "taylor-green", "--param", "tau=0.7,0.8", "--steps", "5",
-             "--kernel", "auto"]
+            ["case", "taylor-green", "--steps", "20", "--kernel", "auto"]
         )
-        assert code == 2
-        assert "timing-dependent" in capsys.readouterr().err
+        assert code == 0
+        assert "kernel auto ->" not in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_case_json_auto_matches_planned(self, capsys):
+        outputs = {}
+        for kernel in ("auto", "planned"):
+            code = main(
+                ["case", "taylor-green", "--steps", "20", "--json",
+                 "--kernel", kernel]
+            )
+            assert code == 0
+            outputs[kernel] = capsys.readouterr().out
+        assert outputs["auto"] == outputs["planned"]
+
+    def test_sweep_auto_matches_planned(self, capsys):
+        tables = {}
+        for kernel in ("auto", "planned"):
+            code = main(
+                ["sweep", "taylor-green", "--param", "tau=0.7,0.8",
+                 "--steps", "5", "--kernel", kernel]
+            )
+            assert code == 0
+            tables[kernel] = capsys.readouterr().out
+        assert tables["auto"] == tables["planned"]
 
 
 class TestTelemetryFlags:

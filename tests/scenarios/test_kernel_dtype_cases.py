@@ -24,13 +24,15 @@ class TestSpecValidation:
         with pytest.raises(ScenarioError, match="unknown kernel"):
             spec.validate()
 
-    def test_auto_kernel_rejected_in_specs(self):
-        """'auto' is per-host timing-dependent; a fingerprinted spec
-        must declare a deterministic kernel (Simulation(kernel='auto')
-        remains available on the driver)."""
-        spec = get_case("taylor-green").with_overrides(kernel="auto")
-        with pytest.raises(ScenarioError, match="timing-dependent"):
-            spec.validate()
+    def test_auto_kernel_stored_as_planned_in_specs(self):
+        """'auto' is a fixed alias, so a spec stores the rung it names
+        and fingerprints exactly like the planned spec."""
+        base = get_case("taylor-green")
+        spec = base.with_overrides(kernel="auto")
+        spec.validate()
+        assert spec.kernel == "planned"
+        planned = base.with_overrides(kernel="planned")
+        assert spec.fingerprint() == planned.fingerprint()
 
     def test_bad_dtype_rejected(self):
         spec = get_case("taylor-green").with_overrides(dtype="float16")

@@ -332,7 +332,6 @@ class TestCostAwarePacking:
         from repro.perf.model import fit, save_calibration
 
         monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path / "calib"))
-        monkeypatch.delenv("REPRO_NO_PERF_MODEL", raising=False)
         repo = Path(__file__).resolve().parents[2]
         save_calibration(fit([repo / f"BENCH_PR{n}.json" for n in (3, 4, 5)]))
 

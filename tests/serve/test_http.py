@@ -87,6 +87,24 @@ class TestWarmCase:
         assert envelope["data"]["case"] == CASE
 
 
+    def test_warm_auto_post_matches_planned_body(self, server, tmp_path):
+        api.run_case(
+            CASE,
+            steps=5,
+            overrides=api.decode_overrides(BODY["overrides"]),
+            kernel="planned",
+            cache_dir=tmp_path,
+        )
+        bodies = {}
+        for kernel in ("planned", "auto"):
+            status, raw, _ = request(
+                server, "/v1/case", {**BODY, "kernel": kernel}
+            )
+            assert status == 200
+            bodies[kernel] = raw
+        assert bodies["auto"] == bodies["planned"]
+
+
 class TestColdLifecycle:
     def test_queued_to_done_through_a_worker(self, server, tmp_path):
         status, _, envelope = request(server, "/v1/case", BODY)
@@ -182,12 +200,15 @@ class TestValidation:
             request(server, "/v1/case", {"case": "nope"}), 400, "unknown case"
         )
 
-    def test_kernel_auto_is_rejected(self, server):
-        self.assert_error(
-            request(server, "/v1/case", {"case": CASE, "kernel": "auto"}),
-            400,
-            "timing-dependent",
-        )
+    def test_kernel_auto_is_the_planned_job(self, server):
+        ids = {}
+        for kernel in ("planned", "auto"):
+            status, _, envelope = request(
+                server, "/v1/case", {**BODY, "kernel": kernel}
+            )
+            assert status == 202
+            ids[kernel] = envelope["data"]["id"]
+        assert ids["auto"] == ids["planned"]
 
     def test_sweep_needs_a_grid_of_lists(self, server):
         self.assert_error(
