@@ -14,12 +14,10 @@ Usage::
     python -m repro sweep taylor-green --param tau=0.6,0.8 \
         --param lattice=D3Q19,D3Q27 --steps 50
     python -m repro sweep taylor-green --param tau=0.6,0.7,0.8 \
-        --jobs 4 --cache-dir sweep-cache          # parallel + cached
+        --jobs 4 --cache-dir sweep-cache          # 4 lease workers, cached
     python -m repro sweep taylor-green --param tau=0.6,0.7,0.8 \
         --jobs 4 --cache-dir sweep-cache --resume # finish what's missing
 
-    python -m repro sweep taylor-green --param tau=0.6,0.7,0.8 \
-        --workers 4 --cache-dir shared            # distributed: 4 workers
     python -m repro sweep taylor-green --param tau=0.6,0.7,0.8 \
         --cache-dir shared --publish              # publish work order only
     python -m repro sweep-worker --cache-dir shared   # run one worker
@@ -29,7 +27,7 @@ Usage::
     python -m repro sweep-status --cache-dir shared  # progress + leases
 
     python -m repro sweep taylor-green --param tau=0.6,0.7,0.8 \
-        --workers 2 --cache-dir shared --telemetry  # record JSONL events
+        --jobs 2 --cache-dir shared --telemetry   # record JSONL events
     python -m repro events --cache-dir shared --name variant --tail 20
 
     python -m repro case taylor-green --kernel planned --dtype float32

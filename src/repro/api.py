@@ -43,7 +43,6 @@ from .scenarios.runner import CaseResult, CaseRunner
 from .scenarios.sampling import AdaptiveSampler
 from .scenarios.scheduler import (
     DEFAULT_LEASE_TTL,
-    SweepScheduler,
     SweepStatus,
     WorkQueue,
     sweep_status as _sweep_status,
@@ -275,8 +274,6 @@ def build_sweep(
 def check_sweep_options(
     *,
     cache_dir: str | Path | None,
-    jobs: int,
-    workers: int | None,
     publish: bool,
     resume: bool,
     adaptive: str | None,
@@ -285,21 +282,15 @@ def check_sweep_options(
     """The one place sweep option combinations are validated (error
     wording matches the CLI flags because that is where humans see it;
     the serve layer never exposes these combinations)."""
-    if (workers is not None or publish) and cache_dir is None:
+    if publish and cache_dir is None:
         raise ScenarioError(
-            "--workers/--publish need --cache-dir: distributed workers "
+            "--publish needs --cache-dir: distributed workers "
             "coordinate through the shared cache directory"
         )
-    if workers is not None and jobs != 1:
-        raise ScenarioError(
-            "--workers and --jobs are alternatives: workers are "
-            "independent processes over a shared cache, jobs is one "
-            "process pool (pick one)"
-        )
-    if adaptive is not None and (workers is not None or publish or resume):
+    if adaptive is not None and (publish or resume):
         raise ScenarioError(
             "--adaptive picks variants from intermediate results, so it "
-            "cannot be combined with --workers/--publish/--resume"
+            "cannot be combined with --publish/--resume"
         )
     if telemetry and cache_dir is None:
         raise ScenarioError(
@@ -321,7 +312,6 @@ def run_sweep(
     jobs: int = 1,
     cache_dir: str | Path | None = None,
     resume: bool = False,
-    workers: int | None = None,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     adaptive: str | None = None,
     coarse_stride: int = 2,
@@ -334,27 +324,25 @@ def run_sweep(
 ) -> SweepResult:
     """Run a parameter sweep and return its merged result.
 
-    ``jobs`` shards variants across a process pool; ``cache_dir``
-    enables per-variant result caching (warm re-runs execute nothing);
-    ``resume`` continues an interrupted sweep from its manifest;
-    ``workers`` distributes across that many independent worker
-    processes coordinating through the shared ``cache_dir``;
-    ``adaptive`` samples the grid (coarse pass, then refinement where
-    the named observable changes fastest) instead of enumerating it;
-    ``max_attempts`` bounds fleet-wide failures per variant before it
-    is quarantined into an explicit ``FAILED`` row;
-    ``telemetry`` records structured JSONL events under
-    ``<cache-dir>/telemetry``.
+    ``jobs`` > 1 runs the variants on that many local lease workers
+    over ``cache_dir`` (a temporary directory when ``None``) under the
+    fleet's failure policy: ``lease_ttl`` is their lease lifetime, and
+    ``max_attempts`` bounds failures per variant before it is
+    quarantined into an explicit ``FAILED`` row (``jobs=1`` runs
+    inline and raises instead).  ``cache_dir`` keeps per-variant
+    results (warm re-runs execute nothing); ``resume`` continues an
+    interrupted sweep from its manifest; ``adaptive`` samples the grid
+    (coarse pass, then refinement where the named observable changes
+    fastest) instead of enumerating it; ``telemetry`` records
+    structured JSONL events under ``<cache-dir>/telemetry``.
 
-    Always executes through the executor machinery — even plain serial
-    sweeps — so data columns are deterministic (wall-clock metrics
-    never appear) and byte-identical across ``jobs``/``workers`` and
-    cache states.
+    Always executes through
+    :class:`~repro.scenarios.executor.SweepExecutor`, so data columns
+    are deterministic (wall-clock metrics never appear) and
+    byte-identical across ``jobs`` and cache states.
     """
     check_sweep_options(
         cache_dir=cache_dir,
-        jobs=jobs,
-        workers=workers,
         publish=False,
         resume=resume,
         adaptive=adaptive,
@@ -363,7 +351,6 @@ def run_sweep(
     sweep = build_sweep(
         name, grid, steps=steps, kernel=kernel, dtype=dtype, layout=layout
     )
-    events_dir = telemetry_dir(cache_dir) if telemetry else None
     if adaptive is not None:
         sampler = AdaptiveSampler(
             sweep,
@@ -374,23 +361,14 @@ def run_sweep(
             cache_dir=cache_dir,
         )
         return sampler.run()
-    if workers is not None:
-        scheduler = SweepScheduler(
-            sweep,
-            cache_dir,
-            workers=workers,
-            lease_ttl=lease_ttl,
-            resume=resume,
-            telemetry_dir=events_dir,
-            max_attempts=max_attempts,
-        )
-        return scheduler.run()
     executor = SweepExecutor(
         sweep,
         jobs=jobs,
         cache_dir=cache_dir,
         resume=resume,
-        telemetry_dir=events_dir,
+        telemetry_dir=telemetry_dir(cache_dir) if telemetry else None,
+        lease_ttl=lease_ttl,
+        max_attempts=max_attempts,
     )
     return executor.run()
 
@@ -404,20 +382,18 @@ def publish_sweep(
     kernel: str | None = None,
     dtype: str | None = None,
     layout: str | None = None,
-    lease_ttl: float = DEFAULT_LEASE_TTL,
     resume: bool = False,
 ) -> "tuple[SweepPlan, WorkQueue]":
     """Write a sweep's work order (queue + manifest) and return it.
 
     Runs nothing: ``sweep-worker`` processes — on any hosts sharing
-    ``cache_dir`` — claim and execute the variants.  When this host
-    holds a fitted perf-model calibration, items are stamped with
-    predicted costs so workers claim longest-first.
+    ``cache_dir`` — claim and execute the variants, each with its own
+    lease lifetime.  When this host holds a fitted perf-model
+    calibration, items are stamped with predicted costs so workers
+    claim longest-first.
     """
     check_sweep_options(
         cache_dir=cache_dir,
-        jobs=1,
-        workers=None,
         publish=True,
         resume=resume,
         adaptive=None,
@@ -426,10 +402,7 @@ def publish_sweep(
     sweep = build_sweep(
         name, grid, steps=steps, kernel=kernel, dtype=dtype, layout=layout
     )
-    scheduler = SweepScheduler(
-        sweep, cache_dir, workers=0, lease_ttl=lease_ttl, resume=resume
-    )
-    return scheduler.publish()
+    return SweepExecutor(sweep, cache_dir=cache_dir, resume=resume).publish()
 
 
 @dataclasses.dataclass(frozen=True)

@@ -4,14 +4,15 @@ Turn workloads into data: a :class:`CaseSpec` declares lattice, domain,
 geometry, boundary conditions, forcing, stopping criteria and
 observables; :func:`register_case` puts it in the catalog;
 :class:`CaseRunner` executes it with checkpoint/restart; :class:`Sweep`
-expands parameter grids into comparison tables; :class:`SweepExecutor`
-shards the variants across worker processes behind a content-addressed
+expands parameter grids into comparison tables; :class:`SweepExecutor`,
+the one sweep driver, runs the variants behind a content-addressed
 :class:`ResultCache`, so interrupted sweeps resume and identical sweeps
-replay for free.  :class:`SweepScheduler` distributes the same variants
-across independent worker processes — on any hosts sharing the cache
-directory — through atomic lease files, and :class:`AdaptiveSampler`
-replaces full Cartesian expansion of large grids with a coarse pass
-plus refinement where a chosen observable changes fastest.
+replay for free.  With ``jobs > 1`` it publishes a :class:`WorkQueue`
+and starts local lease workers (:func:`run_worker`) — the same loop
+that runs on any host sharing the cache directory — and
+:class:`AdaptiveSampler` replaces full Cartesian expansion of large
+grids with a coarse pass plus refinement where a chosen observable
+changes fastest.
 
 >>> from repro.scenarios import run_case
 >>> result = run_case("taylor-green", steps=100)
@@ -29,7 +30,6 @@ from .runner import CaseResult, CaseRunner, run_case
 from .sampling import AdaptiveSampler
 from .scheduler import (
     LeaseBoard,
-    SweepScheduler,
     SweepStatus,
     WorkQueue,
     sweep_status,
@@ -59,7 +59,6 @@ __all__ = [
     "SweepManifest",
     "SweepPlan",
     "SweepResult",
-    "SweepScheduler",
     "SweepStatus",
     "sweep_status",
     "WorkerReport",

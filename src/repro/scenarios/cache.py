@@ -21,6 +21,7 @@ import hashlib
 import json
 import logging
 import os
+import uuid
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -55,8 +56,10 @@ CORRUPT_DIRNAME = "corrupt"
 def _atomic_write(path: Path, text: str) -> None:
     """Write via a sibling temp file + rename so readers never see a
     half-written entry (a crashed sweep must not leave corrupt state
-    that a resume would trust)."""
-    tmp = path.with_name(path.name + ".tmp")
+    that a resume would trust).  The temp name is unique per write:
+    concurrent workers saving one manifest must not rename each
+    other's temp file away."""
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex[:8]}.tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
 

@@ -130,7 +130,6 @@ def run_sweep_cli(
     jobs: int = 1,
     cache_dir: str | None = None,
     resume: bool = False,
-    workers: int | None = None,
     publish: bool = False,
     lease_ttl: float = api.DEFAULT_LEASE_TTL,
     adaptive: str | None = None,
@@ -147,15 +146,12 @@ def run_sweep_cli(
 
     Pure dispatch over :func:`repro.api.run_sweep` /
     :func:`repro.api.publish_sweep` — see those for the semantics of
-    ``jobs``/``cache_dir``/``resume``/``workers``/``adaptive``/
-    ``telemetry``.  ``as_json`` prints the canonical sweep envelope
-    (identical bytes to a warm ``POST /v1/sweep`` body) instead of the
-    comparison table.
+    ``jobs``/``cache_dir``/``resume``/``adaptive``/``telemetry``.
+    ``as_json`` prints the canonical sweep envelope (identical bytes to
+    a warm ``POST /v1/sweep`` body) instead of the comparison table.
     """
     api.check_sweep_options(
         cache_dir=cache_dir,
-        jobs=jobs,
-        workers=workers,
         publish=publish,
         resume=resume,
         adaptive=adaptive,
@@ -170,7 +166,6 @@ def run_sweep_cli(
             kernel=kernel,
             dtype=dtype,
             layout=layout,
-            lease_ttl=lease_ttl,
             resume=resume,
         )
         if as_json:
@@ -200,7 +195,6 @@ def run_sweep_cli(
         jobs=jobs,
         cache_dir=cache_dir,
         resume=resume,
-        workers=workers,
         lease_ttl=lease_ttl,
         adaptive=adaptive,
         coarse_stride=coarse_stride,
@@ -578,7 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="run variants across N worker processes (default: serial)",
+        help="run variants on N local lease workers over --cache-dir (a "
+        "temporary directory without one), where a raising variant is "
+        "retried, then quarantined as a FAILED row; same table, bit for "
+        "bit (default: 1, inline, where a raising variant aborts)",
     )
     sweep.add_argument(
         "--cache-dir",
@@ -593,15 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(requires --cache-dir)",
     )
     sweep.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="distribute variants across N independent worker processes "
-        "coordinating through --cache-dir lease files (alternative to "
-        "--jobs; the same table, bit for bit)",
-    )
-    sweep.add_argument(
         "--publish",
         action="store_true",
         help="write the work order (queue + manifest) under --cache-dir "
@@ -613,8 +601,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=api.DEFAULT_LEASE_TTL,
         metavar="SECONDS",
-        help="worker lease lifetime; must exceed the longest variant "
-        f"(default: {api.DEFAULT_LEASE_TTL:g})",
+        help="lease lifetime of the workers --jobs N starts: how long a "
+        "dead worker's variant stays blocked (default: "
+        f"{api.DEFAULT_LEASE_TTL:g}); for a published sweep, pass "
+        "`sweep-worker --lease-ttl` instead",
     )
     sweep.add_argument(
         "--adaptive",
@@ -645,8 +635,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=api.DEFAULT_MAX_ATTEMPTS,
         metavar="N",
-        help="attempts per variant before it is quarantined and rendered "
-        "as a FAILED row instead of retried (default: "
+        help="attempts per variant before the workers --jobs N starts "
+        "quarantine it into a FAILED row instead of retrying (default: "
         f"{api.DEFAULT_MAX_ATTEMPTS})",
     )
     sweep.add_argument(
@@ -1000,7 +990,6 @@ def main(argv: Sequence[str]) -> int:
             jobs=args.jobs,
             cache_dir=args.cache_dir,
             resume=args.resume,
-            workers=args.workers,
             publish=args.publish,
             lease_ttl=args.lease_ttl,
             adaptive=args.adaptive,

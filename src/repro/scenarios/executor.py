@@ -1,13 +1,20 @@
-"""Parallel sweep execution with per-variant caching and resume.
+"""The one sweep driver: per-variant caching, resume and local workers.
 
-:class:`SweepExecutor` shards the expanded variants of one
-:class:`~repro.scenarios.sweep.Sweep` across a
-:class:`concurrent.futures.ProcessPoolExecutor` (``jobs=1`` keeps the
-serial in-process path, which runs the *same* worker function so the
-two paths are bit-identical), reuses any variant whose content hash
-already has a valid cache entry, and records progress in a
-:class:`~repro.scenarios.cache.SweepManifest` so an interrupted sweep
-resumes with only the missing variants.
+:class:`SweepExecutor` runs every sweep: ``repro sweep``,
+:func:`repro.api.run_sweep`, :meth:`Sweep.run
+<repro.scenarios.sweep.Sweep.run>` and each pass of the adaptive
+sampler.  It expands the sweep into a :class:`SweepPlan`, reuses any
+variant whose content hash already has a valid entry in the
+:class:`~repro.scenarios.cache.ResultCache` (kept in a temporary
+directory when the caller names none), renders variants the fleet
+quarantined as explicit ``FAILED`` rows, and runs the rest.  With
+``jobs > 1`` it publishes the plan's work order
+(:class:`~repro.scenarios.scheduler.WorkQueue`) and starts that many
+local lease workers (:func:`~repro.scenarios.workers.run_worker`, the
+loop ``repro sweep-worker`` runs on any host); with ``jobs=1``, or a
+plan that cannot be published, it runs them inline.  Progress is
+recorded in a :class:`~repro.scenarios.cache.SweepManifest` so an
+interrupted sweep resumes with only the missing variants.
 
 Results are reduced to their scalar outcomes (metrics, observable
 series, checks) before crossing process or disk boundaries; wall-clock
@@ -15,29 +22,22 @@ metrics such as ``mflups`` are stripped because they can never be
 deterministic, and everything else round-trips through canonical JSON
 so a sweep run under ``jobs=4`` emits tables byte-identical to
 ``jobs=1`` and to a warm-cache replay.
-
-The building blocks live at module level so other drivers can reuse
-them: :class:`SweepPlan` is the index-aligned expansion of one sweep
-(variants, overrides, specs, fingerprints), and
-:func:`execute_pending` runs any subset of its tasks through the same
-pool-or-serial machinery.  The distributed scheduler
-(:mod:`repro.scenarios.scheduler`) and the adaptive sampler
-(:mod:`repro.scenarios.sampling`) are both thin layers over these.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
-import pickle
-from concurrent.futures import ProcessPoolExecutor, as_completed
+import multiprocessing
+import tempfile
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 from ..core.io import serialize_result_data
 from ..errors import ScenarioError
-from ..resilience import FailureLedger
+from ..resilience import DEFAULT_MAX_ATTEMPTS, FailureLedger
 from ..telemetry.recorder import (
     NullTelemetry,
     Telemetry,
@@ -50,11 +50,14 @@ from .runner import CaseResult, CaseRunner
 from .spec import CaseSpec
 from .sweep import Sweep, SweepResult
 
+if TYPE_CHECKING:
+    from .scheduler import WorkQueue
+
 __all__ = [
+    "DEFAULT_LEASE_TTL",
     "SweepExecutor",
     "SweepPlan",
     "case_payload",
-    "execute_pending",
     "failed_payload",
     "open_cache",
     "result_from_payload",
@@ -68,27 +71,31 @@ __all__ = [
 #: throughput (PR 5), as host-dependent as the driver's own ``mflups``.
 NONDETERMINISTIC_METRICS = frozenset({"mflups", "distributed_mflups"})
 
+#: Default lease lifetime.  Live workers heartbeat their lease every
+#: TTL/4 while a variant runs, so this bounds how long a *killed*
+#: worker's variant stays unclaimable — not how slow a variant may be.
+DEFAULT_LEASE_TTL = 300.0
+
 
 @dataclasses.dataclass(frozen=True)
 class _VariantTask:
-    """One variant's work order, picklable for pool workers."""
+    """One variant's work order."""
 
     case: CaseSpec | str
     overrides: tuple[tuple[str, Any], ...]
     analyze: bool
     fingerprint: str
     #: Per-run telemetry directory; set, the executing process emits a
-    #: ``variant`` span + counters into its own event file there.  A
-    #: plain string so the task pickles across pool forks unchanged.
-    telemetry_dir: str | None = None
+    #: ``variant`` span + counters into its own event file there.
+    telemetry_dir: str | Path | None = None
 
 
 def _task_telemetry(task: _VariantTask) -> "Telemetry | NullTelemetry":
     """The recorder ``_execute_variant`` reports through.
 
     Resolved *in the executing process*: with ``task.telemetry_dir``
-    the per-process file recorder (pool children forked from an
-    instrumented parent get their own file, keyed by pid), else the
+    the per-process file recorder (workers forked from an instrumented
+    driver get their own file, keyed by pid), else the
     ambient recorder — the no-op default, or whatever the surrounding
     worker installed.
     """
@@ -100,12 +107,12 @@ def _task_telemetry(task: _VariantTask) -> "Telemetry | NullTelemetry":
 def _execute_variant(task: _VariantTask) -> dict[str, Any]:
     """Run one variant and reduce it to a canonical payload.
 
-    Module-level so process pools can pickle it; recomputing the
-    fingerprint in the worker doubles as a cross-process stability
-    check on :meth:`CaseSpec.fingerprint`.  With telemetry enabled the
-    run is wrapped in a ``variant`` span (fingerprint, case, steps,
-    cells) and counted — the raw material for per-worker MFLUP/s
-    rollups; the payload itself stays byte-identical either way.
+    Recomputing the fingerprint in the worker doubles as a
+    cross-process stability check on :meth:`CaseSpec.fingerprint`.
+    With telemetry enabled the run is wrapped in a ``variant`` span
+    (fingerprint, case, steps, cells) and counted — the raw material
+    for per-worker MFLUP/s rollups; the payload itself stays
+    byte-identical either way.
     """
     runner = CaseRunner(task.case, **dict(task.overrides))
     fingerprint = runner.spec.fingerprint()
@@ -162,8 +169,8 @@ def case_payload(result: CaseResult, *, analyze: bool) -> dict[str, Any]:
 
 def _portable_case_ref(base: CaseSpec) -> CaseSpec | str:
     """What workers rebuild the case from: the registry name when it
-    resolves back to this very spec (always picklable, and resolvable
-    on *other hosts*), else the spec object itself."""
+    resolves back to this very spec (resolvable on *other hosts*, and
+    what makes the plan publishable), else the spec object itself."""
     try:
         if get_case(base.name) is base:
             return base.name
@@ -215,7 +222,7 @@ def failed_payload(case: str, record: Any, *, analyze: bool) -> dict[str, Any]:
 
 
 def usable_entry(
-    cache: ResultCache | None,
+    cache: ResultCache,
     fingerprint: str,
     analyze: bool,
     count: bool = True,
@@ -229,8 +236,6 @@ def usable_entry(
     the cache's recorder; ``count=False`` probes silently
     (:meth:`ResultCache.get`) for read-only status checks and
     under-lease re-checks that would otherwise inflate the counters."""
-    if cache is None:
-        return None
     entry = cache.lookup(fingerprint).payload if count else cache.get(fingerprint)
     if entry is not None and entry.get("analyze") == analyze:
         return entry
@@ -244,8 +249,8 @@ class SweepPlan:
     ``variants`` are the raw grid points, ``overrides`` merge the
     sweep-level step count, ``specs`` are the validated variant specs
     and ``fingerprints`` their content hashes (the cache keys).  All
-    four lists share indices; every consumer — executor, distributed
-    scheduler, adaptive sampler — derives its work from one plan so
+    four lists share indices; every consumer — executor, published
+    work order, adaptive sampler — derives its work from one plan so
     their outputs are bit-identical over any subset.
     """
 
@@ -278,10 +283,20 @@ class SweepPlan:
     def __len__(self) -> int:
         return len(self.variants)
 
+    def subset(self, indices: Sequence[int]) -> "SweepPlan":
+        """The plan of just the variants at ``indices``, in that order."""
+        return dataclasses.replace(
+            self,
+            variants=[self.variants[i] for i in indices],
+            overrides=[self.overrides[i] for i in indices],
+            specs=[self.specs[i] for i in indices],
+            fingerprints=[self.fingerprints[i] for i in indices],
+        )
+
     def task(
-        self, index: int, analyze: bool, telemetry_dir: str | None = None
+        self, index: int, analyze: bool, telemetry_dir: str | Path | None = None
     ) -> _VariantTask:
-        """The picklable work order for one variant."""
+        """The work order for one variant."""
         return _VariantTask(
             case=self.case_ref,
             overrides=tuple(sorted(self.overrides[index].items())),
@@ -309,63 +324,13 @@ class SweepPlan:
         )
 
 
-def _pool_usable(jobs: int, tasks: Mapping[int, _VariantTask]) -> bool:
-    """Pool only when it helps *and* the work orders can cross a
-    process boundary — unregistered specs holding closures (e.g. a
-    ``steady_state`` stop condition) or closure-valued override values
-    silently fall back to the serial path, which produces identical
-    output."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return False
-    try:
-        pickle.dumps(list(tasks.values()))
-    except Exception:
-        return False
-    return True
-
-
-def execute_pending(
-    tasks: Mapping[int, _VariantTask],
-    jobs: int,
-    on_done: Callable[[int, dict[str, Any]], None] | None = None,
-) -> dict[int, dict[str, Any]]:
-    """Run every task, pooled or serial, committing each as it lands.
-
-    ``on_done(index, payload)`` fires immediately after each variant
-    finishes (the cache/manifest commit hook), so a crash mid-batch
-    loses only the in-flight runs.  Both paths run the same
-    :func:`_execute_variant`, so their payloads are bit-identical.
-    """
-    payloads: dict[int, dict[str, Any]] = {}
-    pending = list(tasks)
-    if _pool_usable(jobs, tasks):
-        workers = min(jobs, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_execute_variant, tasks[i]): i for i in pending
-            }
-            for future in as_completed(futures):
-                index = futures[future]
-                payload = future.result()
-                payloads[index] = payload
-                if on_done is not None:
-                    on_done(index, payload)
-    else:
-        for index in pending:
-            payload = _execute_variant(tasks[index])
-            payloads[index] = payload
-            if on_done is not None:
-                on_done(index, payload)
-    return payloads
-
-
 def open_cache(
-    cache_dir: str | Path | None,
+    cache_dir: str | Path,
     case: str,
     parameters: Iterable[str],
     fingerprints: list[str],
     resume: bool = False,
-) -> tuple[ResultCache | None, SweepManifest | None]:
+) -> tuple[ResultCache, SweepManifest]:
     """The (cache, manifest) pair for one sweep over one directory.
 
     ``resume=True`` requires a manifest from an earlier interrupted run
@@ -373,8 +338,6 @@ def open_cache(
     over the same directory is an error, not a silent cache mixup);
     otherwise a fresh manifest is created unless a matching one exists.
     """
-    if cache_dir is None:
-        return None, None
     cache = ResultCache(cache_dir)
     parameters = list(parameters)
     if resume:
@@ -388,9 +351,31 @@ def open_cache(
     return cache, manifest
 
 
+@contextlib.contextmanager
+def _sweep_root(cache_dir: str | Path | None) -> Iterator[Path]:
+    """``cache_dir``, or a temporary directory removed on exit: every
+    sweep keeps its entries, work order and leases somewhere."""
+    if cache_dir is not None:
+        yield Path(cache_dir)
+        return
+    with tempfile.TemporaryDirectory(prefix="repro-sweep-") as tmp:
+        yield Path(tmp)
+
+
+def _publish(root: Path, plan: SweepPlan, analyze: bool) -> "WorkQueue":
+    """Write ``plan``'s work order under ``root``, stamped with LPT
+    costs when this host holds a perf-model calibration."""
+    from .scheduler import WorkQueue, predict_spec_costs  # imports this module
+
+    return WorkQueue.publish(
+        root, plan, analyze, costs=predict_spec_costs(plan.specs)
+    )
+
+
 @dataclasses.dataclass
 class SweepExecutor:
-    """Run a sweep's variants in parallel, through a result cache.
+    """Run a sweep's variants through a result cache, inline or on
+    local lease workers.
 
     >>> sweep = Sweep("taylor-green", {"tau": [0.6, 0.8]}, steps=50)
     >>> result = SweepExecutor(sweep, jobs=4, cache_dir="cache").run()
@@ -401,20 +386,31 @@ class SweepExecutor:
     sweep:
         The sweep whose expanded variants to execute.
     jobs:
-        Process-pool width; ``1`` executes serially in-process.
+        ``1`` runs the missing variants inline, in this process, and a
+        raising variant aborts the sweep.  ``N > 1`` publishes the work
+        order under the cache directory and runs up to ``N`` local
+        lease workers over it, under the fleet's failure policy: a
+        raising variant is retried with backoff, then quarantined into
+        a ``FAILED`` row.
     cache_dir:
-        Directory of per-variant entries + the sweep manifest; ``None``
-        disables caching (every variant runs).
+        Directory of per-variant entries and the sweep manifest (plus
+        ``queue.json`` and ``leases/`` once workers run); ``None`` uses
+        a temporary directory removed when :meth:`run` returns.
     resume:
         Require a manifest from an earlier interrupted run of this
         same sweep (a safety latch: resuming a *different* sweep over
         the same directory is an error, not a silent cache mixup).
     telemetry_dir:
         Directory of append-only JSONL event files; setting it enables
-        structured telemetry for the run — a per-process recorder here,
-        per-variant spans in every pool worker, and cache hit/miss
+        structured telemetry for the run — a per-process recorder here
+        and in every worker, per-variant spans, and cache hit/miss
         counters.  ``None`` (default) leaves the ambient recorder in
         charge (usually the no-op).
+    lease_ttl:
+        Lease lifetime handed to the workers ``jobs > 1`` starts.
+    max_attempts:
+        Fleet-wide failed attempts (shared failure ledger) after which
+        those workers quarantine a variant.
     """
 
     sweep: Sweep
@@ -422,6 +418,8 @@ class SweepExecutor:
     cache_dir: str | Path | None = None
     resume: bool = False
     telemetry_dir: str | Path | None = None
+    lease_ttl: float = DEFAULT_LEASE_TTL
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -432,26 +430,33 @@ class SweepExecutor:
     # -- orchestration -----------------------------------------------------
 
     def run(self, *, analyze: bool = True) -> SweepResult:
-        """Execute missing variants, reuse cached ones, keep grid order."""
+        """Reuse cached variants, run the missing ones, keep grid order.
+
+        Provenance is ``cached`` (usable before this call), ``run``
+        (executed during it, inline or by a worker it started) or
+        ``failed`` (quarantined by the fleet's failure ledger).
+        """
         plan = SweepPlan.of(self.sweep)
-        telemetry_dir = (
-            str(self.telemetry_dir) if self.telemetry_dir is not None else None
-        )
         recorder = (
-            process_recorder(telemetry_dir) if telemetry_dir else get_telemetry()
+            process_recorder(self.telemetry_dir)
+            if self.telemetry_dir is not None
+            else get_telemetry()
         )
-        cache, manifest = open_cache(
-            self.cache_dir,
-            plan.case,
-            plan.parameters,
-            plan.fingerprints,
-            resume=self.resume,
-        )
-        if cache is not None:
+        payloads: dict[int, Mapping[str, Any]] = {}
+        provenance: dict[int, str] = {}
+        with _sweep_root(self.cache_dir) as root:
+            cache, manifest = open_cache(
+                root,
+                plan.case,
+                plan.parameters,
+                plan.fingerprints,
+                resume=self.resume,
+            )
             cache.telemetry = recorder
-        payloads: list[dict[str, Any] | None] = [None] * len(plan)
-        provenance = ["run"] * len(plan)
-        if cache is not None:
+            # Variants the fleet quarantined become explicit FAILED rows
+            # instead of being silently re-run here.
+            quarantined = FailureLedger(cache.root).quarantined()
+            pending = []
             for index, fingerprint in enumerate(plan.fingerprints):
                 entry = usable_entry(cache, fingerprint, analyze)
                 if entry is not None:
@@ -461,58 +466,130 @@ class SweepExecutor:
                     # cache itself counts): feeds the fleet hit rate.
                     if recorder.enabled:
                         recorder.count("variant.cached")
-            if manifest is not None:
-                for fingerprint, payload in zip(plan.fingerprints, payloads):
-                    if payload is not None and fingerprint not in manifest.completed:
+                    if fingerprint not in manifest.completed:
                         manifest.completed.append(fingerprint)
-                manifest.save()
-            # Variants the fleet quarantined become explicit FAILED rows
-            # instead of being silently re-run here at merge time.
-            quarantined = FailureLedger(cache.root).quarantined()
-            for index, fingerprint in enumerate(plan.fingerprints):
-                if payloads[index] is None and fingerprint in quarantined:
+                elif fingerprint in quarantined:
                     payloads[index] = failed_payload(
                         plan.case, quarantined[fingerprint], analyze=analyze
                     )
                     provenance[index] = "failed"
-
-        pending = [i for i, payload in enumerate(payloads) if payload is None]
-        tasks = {i: plan.task(i, analyze, telemetry_dir) for i in pending}
-
-        def commit(index: int, payload: dict[str, Any]) -> None:
-            self._commit(cache, manifest, plan.fingerprints[index], payload)
-
-        for index, payload in execute_pending(tasks, self.jobs, commit).items():
+                else:
+                    pending.append(index)
+            manifest.save()
+            done = self._run_pending(plan, pending, cache, analyze, manifest)
+        for index, (payload, source) in done.items():
             payloads[index] = payload
+            provenance[index] = source
+        return plan.result(range(len(plan)), payloads, provenance)
 
-        results = [
-            result_from_payload(spec, payload)
-            for spec, payload in zip(plan.specs, payloads)
-        ]
-        return SweepResult(
-            case=plan.case,
-            parameters=plan.parameters,
-            variants=plan.variants,
-            results=results,
-            provenance=provenance,
-            fingerprints=plan.fingerprints,
+    def publish(self, *, analyze: bool = True) -> "tuple[SweepPlan, WorkQueue]":
+        """Expand the sweep and write queue + manifest under the cache dir.
+
+        Runs nothing: ``sweep-worker`` processes on any host sharing the
+        directory claim the variants, longest predicted first when this
+        host holds a perf-model calibration
+        (:meth:`~repro.scenarios.scheduler.WorkQueue.claim_order`).
+        """
+        if self.cache_dir is None:
+            raise ScenarioError("publishing a sweep requires a cache directory")
+        plan = SweepPlan.of(self.sweep)
+        cache, _manifest = open_cache(
+            self.cache_dir,
+            plan.case,
+            plan.parameters,
+            plan.fingerprints,
+            resume=self.resume,
         )
+        return plan, _publish(cache.root, plan, analyze)
 
     # -- helpers -----------------------------------------------------------
 
-    def _use_pool(self, tasks: Mapping[int, _VariantTask]) -> bool:
-        return _pool_usable(self.jobs, tasks)
+    def _run_pending(
+        self,
+        plan: SweepPlan,
+        pending: Sequence[int],
+        cache: ResultCache,
+        analyze: bool,
+        manifest: SweepManifest | None = None,
+    ) -> dict[int, tuple[dict[str, Any], str]]:
+        """Run the variants at ``pending`` (indices into ``plan``) and
+        commit each; returns every index's payload and provenance.
 
-    @staticmethod
-    def _commit(
-        cache: ResultCache | None,
-        manifest: SweepManifest | None,
-        fingerprint: str,
-        payload: Mapping[str, Any],
-    ) -> None:
-        """Persist one finished variant immediately — a crash after this
-        point costs nothing on resume."""
-        if cache is not None:
+        Local lease workers take them first when they can help; whatever
+        is still missing afterwards (every worker died, say) runs inline,
+        where an exception propagates.
+        """
+        done: dict[int, tuple[dict[str, Any], str]] = {}
+        if (
+            self.jobs > 1
+            and len(pending) > 1
+            and self._run_workers(plan, cache.root, analyze, len(pending))
+        ):
+            # The workers committed to the cache, the failure ledger and
+            # the manifest: read all three back.  Silent probes — the
+            # workers counted their own cache outcomes.
+            quarantined = FailureLedger(cache.root).quarantined()
+            if manifest is not None:
+                latest = SweepManifest.load(cache.root)
+                if latest is not None and latest.key == manifest.key:
+                    manifest = latest
+            for index in pending:
+                fingerprint = plan.fingerprints[index]
+                entry = usable_entry(cache, fingerprint, analyze, count=False)
+                if entry is not None:
+                    done[index] = (entry, "run")
+                elif fingerprint in quarantined:
+                    record = quarantined[fingerprint]
+                    done[index] = (
+                        failed_payload(plan.case, record, analyze=analyze),
+                        "failed",
+                    )
+        for index in pending:
+            if index in done:
+                continue
+            fingerprint = plan.fingerprints[index]
+            payload = _execute_variant(
+                plan.task(index, analyze, self.telemetry_dir)
+            )
+            # Persist immediately: a crash after this point costs
+            # nothing on resume.
             cache.put(fingerprint, payload)
-        if manifest is not None:
-            manifest.mark_complete(fingerprint)
+            if manifest is not None:
+                manifest.mark_complete(fingerprint)
+            done[index] = (payload, "run")
+        return done
+
+    def _run_workers(
+        self, plan: SweepPlan, root: Path, analyze: bool, pending: int
+    ) -> bool:
+        """Publish ``plan`` under ``root`` and run ``min(jobs, pending)``
+        local lease workers until they exit.  ``False``, with nothing
+        started, when the plan cannot be published: an unregistered
+        case, or overrides JSON cannot carry."""
+        from .workers import run_worker  # imports this module
+
+        try:
+            _publish(root, plan, analyze)
+        except ScenarioError:
+            return False
+        # The platform's default start method (fork on Linux) lets
+        # workers see cases registered at run time in this process: they
+        # rebuild every variant from the registry by name.
+        processes = [
+            multiprocessing.Process(
+                target=run_worker,
+                args=(str(root),),
+                kwargs={
+                    "worker_id": f"w{rank + 1}",
+                    "lease_ttl": self.lease_ttl,
+                    "max_attempts": self.max_attempts,
+                    "telemetry_dir": self.telemetry_dir,
+                },
+            )
+            for rank in range(min(self.jobs, pending))
+        ]
+        for process in processes:
+            process.start()
+        for process in processes:
+            process.join()
+        return True

@@ -10,10 +10,11 @@ coarse points, and run a **refinement pass** only over the skipped
 points inside the fastest-changing segments.
 
 Every variant is still addressed by its spec fingerprint and executed
-by the same worker function as an exhaustive sweep, through the same
-cache — so a sampled row is byte-identical to the exhaustive sweep's
-row for that variant, and an adaptive pass over a warm exhaustive
-cache executes nothing.
+by the same driver as an exhaustive sweep
+(:class:`~repro.scenarios.executor.SweepExecutor`, inline or on local
+lease workers), through the same cache — so a sampled row is
+byte-identical to the exhaustive sweep's row for that variant, and an
+adaptive pass over a warm exhaustive cache executes nothing.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ from typing import Any, Mapping, Sequence
 
 from ..errors import ScenarioError
 from .cache import ResultCache
-# No manifest here (unlike executor.open_cache): adaptive sweeps run a
-# data-dependent subset, so a fixed-fingerprint manifest would lie.
-from .executor import SweepPlan, execute_pending, usable_entry
+from .executor import SweepExecutor, SweepPlan, _sweep_root, usable_entry
 from .sweep import Sweep, SweepResult
 
 __all__ = ["AdaptiveSampler", "coarse_axis_indices"]
@@ -95,8 +94,9 @@ class AdaptiveSampler:
         runs than exhaustive whenever more than one segment exists and
         the grid has interior points on some axis.
     jobs / cache_dir:
-        Forwarded to the same pool-or-serial execution machinery as
-        :class:`~repro.scenarios.executor.SweepExecutor`.
+        As for :class:`~repro.scenarios.executor.SweepExecutor`, which
+        runs each pass: ``jobs > 1`` starts local lease workers over
+        just that pass's variants.
     """
 
     sweep: Sweep
@@ -133,26 +133,28 @@ class AdaptiveSampler:
         coordinates = list(itertools.product(*(range(n) for n in sizes)))
         flat = {coordinate: i for i, coordinate in enumerate(coordinates)}
 
-        cache = ResultCache(self.cache_dir) if self.cache_dir is not None else None
-
         coarse_axes = [coarse_axis_indices(size, self.coarse_stride) for size in sizes]
         coarse = [flat[c] for c in itertools.product(*coarse_axes)]
         payloads: dict[int, dict[str, Any]] = {}
         provenance: dict[int, str] = {}
-        self._execute(plan, coarse, cache, analyze, payloads, provenance)
+        with _sweep_root(self.cache_dir) as root:
+            cache = ResultCache(root)
+            self._execute(plan, coarse, cache, analyze, payloads, provenance)
 
-        values = {index: self._observable_value(payloads[index]) for index in coarse}
-        segments = self._segments(coarse_axes)
-        chosen = self._fastest(segments, values, flat)
-        refined: list[int] = []
-        seen = set(coarse)
-        for segment in chosen:
-            for coordinate in segment.skipped():
-                index = flat[coordinate]
-                if index not in seen:
-                    seen.add(index)
-                    refined.append(index)
-        self._execute(plan, refined, cache, analyze, payloads, provenance)
+            values = {
+                index: self._observable_value(payloads[index]) for index in coarse
+            }
+            segments = self._segments(coarse_axes)
+            chosen = self._fastest(segments, values, flat)
+            refined: list[int] = []
+            seen = set(coarse)
+            for segment in chosen:
+                for coordinate in segment.skipped():
+                    index = flat[coordinate]
+                    if index not in seen:
+                        seen.add(index)
+                        refined.append(index)
+            self._execute(plan, refined, cache, analyze, payloads, provenance)
 
         stages = {index: "coarse" for index in coarse}
         stages.update({index: "refined" for index in refined})
@@ -172,12 +174,18 @@ class AdaptiveSampler:
         self,
         plan: SweepPlan,
         indices: Sequence[int],
-        cache: ResultCache | None,
+        cache: ResultCache,
         analyze: bool,
         payloads: dict[int, dict[str, Any]],
         provenance: dict[int, str],
     ) -> None:
-        """Run one pass's variants through the cache, recording both."""
+        """Run one pass's variants through the cache, recording both.
+
+        No manifest (unlike a plain sweep): adaptive sweeps run a
+        data-dependent subset, so a fixed-fingerprint manifest would
+        lie.  The missing variants run as a sub-plan of their own, so
+        workers the driver starts never see an unsampled variant.
+        """
         pending = []
         for index in indices:
             entry = usable_entry(cache, plan.fingerprints[index], analyze)
@@ -186,17 +194,16 @@ class AdaptiveSampler:
                 provenance[index] = "cached"
             else:
                 pending.append(index)
-        tasks = {index: plan.task(index, analyze) for index in pending}
-
-        def commit(index: int, payload: dict[str, Any]) -> None:
-            if cache is not None:
-                cache.put(plan.fingerprints[index], payload)
-
-        for index, payload in execute_pending(tasks, self.jobs, commit).items():
-            payloads[index] = payload
-            provenance[index] = "run"
+        executor = SweepExecutor(self.sweep, jobs=self.jobs)
+        done = executor._run_pending(
+            plan.subset(pending), range(len(pending)), cache, analyze
+        )
+        for position, index in enumerate(pending):
+            payloads[index], provenance[index] = done[position]
 
     def _observable_value(self, payload: Mapping[str, Any]) -> float:
+        if payload.get("failed"):
+            return math.nan  # quarantined by workers: refine around it
         name = self.observable
         metrics = payload.get("metrics", {})
         series = payload.get("series", {})

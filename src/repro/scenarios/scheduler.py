@@ -1,10 +1,13 @@
-"""Distributed sweep scheduling over a shared cache directory.
+"""Distributed sweep coordination over a shared cache directory.
 
 The paper's strong-scaling study ran the lattice Boltzmann model across
 hundreds of thousands of ranks; this module gives the sweep engine the
 same shape at the campaign level: N independent worker processes —
 launchable on different hosts — divide one sweep's variants between
-them with nothing but a shared directory for coordination.
+them with nothing but a shared directory for coordination.  The sweep
+driver (:class:`~repro.scenarios.executor.SweepExecutor`) publishes
+through it, both for ``repro sweep --publish`` and for the local
+workers ``--jobs N`` starts.
 
 The coordination substrate is the PR 2 cache layout, extended with two
 artifacts:
@@ -23,23 +26,22 @@ artifacts:
 Correctness never depends on the leases: cache commits are
 content-addressed and idempotent (two workers racing on one variant
 write byte-identical entries), so leases are purely a
-don't-duplicate-work optimisation.  That is what makes the scheduler
-deterministic: ``workers=1``, ``workers=N`` and a warm-cache replay all
-assemble the same payloads in grid order, so their tables are
-bit-identical.
+don't-duplicate-work optimisation.  That is what keeps distributed
+sweeps deterministic: ``--jobs 1``, ``--jobs N``, any fleet of
+``sweep-worker`` processes and a warm-cache replay all assemble the
+same payloads in grid order, so their tables are bit-identical.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import multiprocessing
 import os
 import socket
 import time
 import uuid
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from ..core.io import (
     ClaimRecord,
@@ -50,37 +52,22 @@ from ..core.io import (
     write_claim,
 )
 from ..errors import ScenarioError
-from ..resilience import DEFAULT_MAX_ATTEMPTS, FailureLedger, FailureRecord
+from ..resilience import FailureLedger, FailureRecord
 from ..telemetry.aggregate import FleetRollup
 from ..telemetry.recorder import TELEMETRY_DIRNAME
-from .cache import QUEUE_FILENAME, ResultCache, sweep_key
-from .executor import (
-    SweepPlan,
-    _execute_variant,
-    _VariantTask,
-    failed_payload,
-    open_cache,
-    usable_entry,
-)
-from .sweep import Sweep, SweepResult
+from .cache import QUEUE_FILENAME, sweep_key
+from .executor import DEFAULT_LEASE_TTL, SweepPlan, _VariantTask
 
 __all__ = [
     "DEFAULT_LEASE_TTL",
     "LeaseBoard",
-    "SweepScheduler",
     "SweepStatus",
     "WorkItem",
     "WorkQueue",
     "lease_holder",
     "predict_spec_costs",
-    "predict_variant_costs",
     "sweep_status",
 ]
-
-#: Default lease lifetime.  Live workers heartbeat their lease every
-#: TTL/4 while a variant runs, so this bounds how long a *killed*
-#: worker's variant stays unclaimable — not how slow a variant may be.
-DEFAULT_LEASE_TTL = 300.0
 
 _QUEUE_VERSION = 1
 LEASE_DIRNAME = "leases"
@@ -345,9 +332,10 @@ class WorkQueue:
         makespan at fleet-tail time, where grid order can strand the
         most expensive variant on the last worker).  Any uncosted item
         means the ranking would be arbitrary, so the order falls back
-        to grid order wholesale.  Only claiming is reordered — merge
-        (:meth:`SweepScheduler.collect`) always assembles grid order,
-        so result tables stay bit-identical either way.
+        to grid order wholesale.  Only claiming is reordered — the
+        merge (:meth:`~repro.scenarios.executor.SweepExecutor.run`)
+        always assembles grid order, so result tables stay
+        bit-identical either way.
         """
         if any(item.cost is None for item in self.items):
             return list(self.items)
@@ -701,200 +689,3 @@ def predict_spec_costs(specs) -> "list[float | None] | None":
         )
         costs.append(None if seconds != seconds else seconds)  # NaN -> None
     return costs
-
-
-def predict_variant_costs(plan: SweepPlan) -> "list[float | None] | None":
-    """:func:`predict_spec_costs` over a sweep plan's variants."""
-    return predict_spec_costs(plan.specs)
-
-
-@dataclasses.dataclass
-class SweepScheduler:
-    """Publish a sweep to a shared cache dir and drive N workers over it.
-
-    >>> sweep = Sweep("taylor-green", {"tau": [0.6, 0.7, 0.8]}, steps=50)
-    >>> result = SweepScheduler(sweep, "shared-cache", workers=4).run()
-
-    ``run()`` publishes the work order, launches ``workers`` local
-    worker processes (the same loop ``repro sweep-worker`` runs on a
-    remote host), waits for them, then merges: every variant's payload
-    is read back from the cache in grid order, and any variant no
-    worker completed — all of them crashed, say — is executed inline,
-    so ``run()`` always returns the full sweep.
-
-    Parameters
-    ----------
-    sweep:
-        The sweep to distribute (its case must be registered).
-    cache_dir:
-        The shared coordination directory (cache + manifest + queue +
-        leases).  Required — a distributed sweep without a shared
-        directory is a contradiction.
-    workers:
-        How many local worker processes ``run()`` launches.  ``0``
-        publishes and merges but launches none (useful when every
-        worker runs on another host).
-    analyze:
-        Run analysis/checks hooks in workers (the payload records the
-        mode; mismatched cache entries are re-run, not served).
-    lease_ttl:
-        Lease lifetime handed to launched workers.
-    resume:
-        Require the manifest of an earlier interrupted run of this
-        same sweep.
-    telemetry_dir:
-        Directory of structured-event JSONL files; set, every launched
-        worker records its spans/counters/heartbeats there (one file
-        per process) and inline merge runs do too.  ``None`` disables
-        fleet telemetry.
-    max_attempts:
-        Fleet-wide failed attempts (shared failure ledger) after which
-        a variant is quarantined and merged as a ``FAILED`` row.
-    """
-
-    sweep: Sweep
-    cache_dir: str | Path
-    workers: int = 1
-    analyze: bool = True
-    lease_ttl: float = DEFAULT_LEASE_TTL
-    resume: bool = False
-    telemetry_dir: str | Path | None = None
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
-
-    def __post_init__(self) -> None:
-        if self.workers < 0:
-            raise ScenarioError(f"workers must be >= 0, got {self.workers}")
-        if self.cache_dir is None:
-            raise ScenarioError("a distributed sweep requires a cache directory")
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def publish(self) -> tuple[SweepPlan, WorkQueue]:
-        """Expand the sweep and write queue + manifest under the cache dir.
-
-        When this host holds a fitted perf-model calibration, every
-        variant the model covers is stamped with its predicted cost so
-        workers pack longest-first (:meth:`WorkQueue.claim_order`)
-        instead of walking the grid naively.
-        """
-        plan = SweepPlan.of(self.sweep)
-        cache, manifest = open_cache(
-            self.cache_dir,
-            plan.case,
-            plan.parameters,
-            plan.fingerprints,
-            resume=self.resume,
-        )
-        assert cache is not None and manifest is not None
-        queue = WorkQueue.publish(
-            cache.root, plan, self.analyze, costs=predict_variant_costs(plan)
-        )
-        return plan, queue
-
-    def run(self) -> SweepResult:
-        """Publish, drive the worker fleet, and merge the full sweep."""
-        from .workers import worker_entry  # cycle: workers run queue items
-
-        plan, _queue = self.publish()
-        cache = ResultCache(self.cache_dir)
-        # Silent probes (count=False): this pre-scan classifies
-        # provenance, it is not a fleet cache outcome — the workers
-        # count their own hits.
-        cached_before = {
-            fingerprint
-            for fingerprint in plan.fingerprints
-            if usable_entry(cache, fingerprint, self.analyze, count=False) is not None
-        }
-        telemetry_dir = (
-            str(self.telemetry_dir) if self.telemetry_dir is not None else None
-        )
-        if self.workers and len(cached_before) < len(plan):
-            processes = [
-                multiprocessing.Process(
-                    target=worker_entry,
-                    args=(str(cache.root),),
-                    kwargs={
-                        "worker_id": f"w{rank + 1}",
-                        "lease_ttl": self.lease_ttl,
-                        "telemetry_dir": telemetry_dir,
-                        "max_attempts": self.max_attempts,
-                    },
-                    daemon=False,
-                )
-                for rank in range(self.workers)
-            ]
-            for process in processes:
-                process.start()
-            for process in processes:
-                process.join()
-        return self.collect(plan, cached_before=cached_before)
-
-    def collect(
-        self,
-        plan: SweepPlan | None = None,
-        cached_before: set[str] = frozenset(),
-    ) -> SweepResult:
-        """Merge the sweep from the shared cache, in grid order.
-
-        Variants the workers completed are attributed to them in the
-        provenance column (``worker:<id>``); variants nobody completed
-        are executed inline (``run``) — leases are ignored at this
-        point because merging happens after the launched fleet exited,
-        and an inline duplicate of some foreign straggler's variant is
-        idempotent anyway.  Variants the fleet quarantined — or that
-        keep raising inline until they hit ``max_attempts`` — merge as
-        explicit ``FAILED`` placeholder rows (``"failed"`` provenance)
-        so the sweep always terminates.
-        """
-        from .cache import SweepManifest
-
-        if plan is None:
-            plan = SweepPlan.of(self.sweep)
-        cache = ResultCache(self.cache_dir)
-        manifest = SweepManifest.load(cache.root)
-        ledger = FailureLedger(cache.root, max_attempts=self.max_attempts)
-        quarantined = ledger.quarantined()
-        telemetry_dir = (
-            str(self.telemetry_dir) if self.telemetry_dir is not None else None
-        )
-        payloads: dict[int, Mapping[str, Any]] = {}
-        provenance: dict[int, str] = {}
-        for index, fingerprint in enumerate(plan.fingerprints):
-            # Merge reads are silent probes too (count=False).
-            entry = usable_entry(cache, fingerprint, self.analyze, count=False)
-            if entry is None and fingerprint in quarantined:
-                payloads[index] = failed_payload(
-                    plan.case, quarantined[fingerprint], analyze=self.analyze
-                )
-                provenance[index] = "failed"
-                continue
-            if entry is None:
-                task = plan.task(index, self.analyze, telemetry_dir)
-                record = None
-                while entry is None:
-                    try:
-                        entry = _execute_variant(task)
-                    except Exception as exc:
-                        record = ledger.record_failure(fingerprint, exc)
-                        if record.quarantined:
-                            break
-                if entry is None:
-                    assert record is not None
-                    payloads[index] = failed_payload(
-                        plan.case, record, analyze=self.analyze
-                    )
-                    provenance[index] = "failed"
-                    continue
-                if record is not None:
-                    ledger.clear(fingerprint)
-                cache.put(fingerprint, entry)
-                if manifest is not None and manifest.fingerprints == plan.fingerprints:
-                    manifest.record_completion(fingerprint)
-                provenance[index] = "run"
-            elif fingerprint in cached_before:
-                provenance[index] = "cached"
-            else:
-                worker = (manifest.workers if manifest else {}).get(fingerprint)
-                provenance[index] = f"worker:{worker}" if worker else "run"
-            payloads[index] = entry
-        return plan.result(range(len(plan)), payloads, provenance)

@@ -4,8 +4,9 @@ A :class:`Sweep` takes one registered case and a mapping of parameter
 name -> candidate values, expands the Cartesian product into variant
 :class:`~repro.scenarios.spec.CaseSpec` instances (spec fields like
 ``tau``/``lattice``/``steps`` override directly; anything else lands in
-``params`` for the case factories), runs each one, and renders a
-comparison table through :mod:`repro.analysis.tables`.
+``params`` for the case factories), runs them through the one sweep
+driver (:class:`~repro.scenarios.executor.SweepExecutor`), and renders
+a comparison table through :mod:`repro.analysis.tables`.
 """
 
 from __future__ import annotations
@@ -30,13 +31,15 @@ _LEADING_METRICS = ("steps_run", "mflups")
 class SweepResult:
     """Outcome of one sweep: variant overrides paired with run results.
 
-    ``provenance`` (when the sweep ran through an executor) records per
-    variant whether it was freshly ``"run"``, served ``"cached"``, or
-    completed by a distributed worker (``"worker:<id>"``);
-    ``fingerprints`` carries the matching cache keys.  Adaptively
-    sampled sweeps additionally record the full grid size in
-    ``grid_total`` (the rows cover only the sampled subset) and each
-    row's sampling ``stages`` entry (``"coarse"``/``"refined"``).
+    ``provenance`` (when the sweep ran through the executor) records
+    per variant whether it was ``"cached"`` (usable before the run),
+    ``"run"`` (executed during it, inline or by a worker it started) or
+    ``"failed"`` (a quarantined placeholder); which worker ran what
+    stays in the manifest and ``sweep-status``.  ``fingerprints``
+    carries the matching cache keys.  Adaptively sampled sweeps
+    additionally record the full grid size in ``grid_total`` (the rows
+    cover only the sampled subset) and each row's sampling ``stages``
+    entry (``"coarse"``/``"refined"``).
     """
 
     case: str
@@ -70,9 +73,8 @@ class SweepResult:
     @property
     def runs_executed(self) -> int:
         """How many variants actually ran (vs served from cache) —
-        whether by this process (``"run"``) or a worker it launched.
-        Quarantined ``"failed"`` placeholders never ran, so they do not
-        count."""
+        inline or on a worker the run started.  Quarantined
+        ``"failed"`` placeholders never ran, so they do not count."""
         if self.provenance is None:
             return len(self.results)
         return sum(
@@ -224,32 +226,13 @@ class Sweep:
     ) -> SweepResult:
         """Run every variant and collect the comparison.
 
-        With ``jobs > 1``, a ``cache_dir`` or ``resume``, delegates to
-        :class:`~repro.scenarios.executor.SweepExecutor`: variants are
-        sharded across a process pool, per-variant results are cached
-        by spec fingerprint, and results come back *lean* (scalar
-        outcomes only, no simulation attached, timing metrics
-        stripped).  The default in-process path keeps the full
-        simulations and timing metrics on each :class:`CaseResult`
-        (so its tables include the nondeterministic ``mflups`` column;
-        the CLI always goes through the executor instead).
+        Delegates to :class:`~repro.scenarios.executor.SweepExecutor`,
+        so results are *lean* — scalar outcomes only, no simulation
+        attached, timing metrics such as ``mflups`` stripped — and the
+        table is the one ``repro sweep`` prints: byte-identical for any
+        ``jobs`` and for a warm ``cache_dir``.
         """
-        if jobs != 1 or cache_dir is not None or resume:
-            from .executor import SweepExecutor
+        from .executor import SweepExecutor  # imports this module
 
-            executor = SweepExecutor(
-                self, jobs=jobs, cache_dir=cache_dir, resume=resume
-            )
-            return executor.run(analyze=analyze)
-        base = self.spec
-        variants = self.expand()
-        results = [
-            CaseRunner(base, **self._with_steps(overrides)).run(analyze=analyze)
-            for overrides in variants
-        ]
-        return SweepResult(
-            case=base.name,
-            parameters=tuple(self.parameters),
-            variants=variants,
-            results=results,
-        )
+        executor = SweepExecutor(self, jobs=jobs, cache_dir=cache_dir, resume=resume)
+        return executor.run(analyze=analyze)

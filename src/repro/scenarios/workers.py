@@ -5,8 +5,9 @@ any hosts sharing the cache directory — at a published sweep
 (:class:`~repro.scenarios.scheduler.WorkQueue`) and they divide the
 variants between themselves through atomic lease files, with no
 coordinator in the loop.  ``python -m repro sweep-worker --cache-dir
-DIR`` runs exactly this; ``repro sweep --workers N`` launches N of
-them locally.
+DIR`` runs exactly this; ``repro sweep --jobs N`` starts N of them
+locally over its cache directory
+(:class:`~repro.scenarios.executor.SweepExecutor`).
 
 The loop per pass, in the queue's claim order — grid order, unless the
 publisher stamped every variant with a predicted cost from its fitted
@@ -62,7 +63,7 @@ from . import executor as _executor
 from .cache import ResultCache, SweepManifest
 from .scheduler import DEFAULT_LEASE_TTL, LeaseBoard, WorkQueue
 
-__all__ = ["WorkerReport", "lease_heartbeat", "run_worker", "worker_entry"]
+__all__ = ["WorkerReport", "lease_heartbeat", "run_worker"]
 
 
 @contextlib.contextmanager
@@ -487,27 +488,3 @@ def run_worker(
             idle_delay = min(idle_delay * 2.0, poll_cap)
     finally:
         _finalize_report(report, recorder, counters_base)
-
-
-def worker_entry(
-    cache_dir: str,
-    worker_id: str | None = None,
-    lease_ttl: float = DEFAULT_LEASE_TTL,
-    wait: bool = False,
-    telemetry_dir: str | None = None,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> None:
-    """Process entry point for scheduler-launched local workers."""
-    try:
-        report = run_worker(
-            cache_dir,
-            worker_id=worker_id,
-            lease_ttl=lease_ttl,
-            wait=wait,
-            telemetry_dir=telemetry_dir,
-            max_attempts=max_attempts,
-        )
-    except ScenarioError as exc:  # pragma: no cover - defensive
-        print(f"worker error: {exc}")
-        raise SystemExit(2)
-    print(report.summary())

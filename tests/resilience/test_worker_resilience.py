@@ -17,7 +17,6 @@ from repro.scenarios import (
     Sweep,
     SweepExecutor,
     SweepManifest,
-    SweepScheduler,
     run_worker,
 )
 from repro.scenarios.cache import CORRUPT_DIRNAME
@@ -32,14 +31,27 @@ def make_sweep(taus=TAUS):
     )
 
 
-def publish(root, sweep=None, **kw):
-    scheduler = SweepScheduler(sweep or make_sweep(), root, workers=0, **kw)
-    return scheduler, scheduler.publish()[0]
+def publish(root, sweep=None):
+    return SweepExecutor(sweep or make_sweep(), cache_dir=root).publish()[0]
+
+
+def merge(root):
+    """The serial driver's merge of what the fleet left under ``root``."""
+    return SweepExecutor(make_sweep(), cache_dir=root).run()
 
 
 def clean_reference(root):
     """A fault-free run of the same sweep into its own cache dir."""
     return SweepExecutor(make_sweep(), jobs=1, cache_dir=root).run()
+
+
+def assert_only_failed_row_differs(chaos, clean):
+    chaos_lines = chaos.to_table().splitlines()
+    clean_lines = clean.to_table().splitlines()
+    assert len(chaos_lines) == len(clean_lines)
+    diff = [(a, b) for a, b in zip(clean_lines, chaos_lines) if a != b]
+    assert len(diff) == 1  # exactly the poisoned row changed
+    assert "FAILED" in diff[0][1]
 
 
 def write_plan(path, *faults):
@@ -85,7 +97,7 @@ class TestPoisonQuarantine:
     def test_worker_survives_retries_and_quarantines(
         self, tmp_path, monkeypatch
     ):
-        scheduler, plan = publish(tmp_path, max_attempts=2)
+        plan = publish(tmp_path)
         monkeypatch.setenv(FAULT_PLAN_ENV, str(self.poison_plan(tmp_path)))
         report = run_worker(
             tmp_path, worker_id="w1", max_attempts=2, retry_backoff=0.0
@@ -114,7 +126,7 @@ class TestPoisonQuarantine:
     def test_merge_renders_failed_row_others_byte_identical(
         self, tmp_path, monkeypatch
     ):
-        scheduler, plan = publish(tmp_path / "chaos", max_attempts=2)
+        publish(tmp_path / "chaos")
         monkeypatch.setenv(
             FAULT_PLAN_ENV, str(self.poison_plan(tmp_path / "chaos"))
         )
@@ -125,23 +137,36 @@ class TestPoisonQuarantine:
             retry_backoff=0.0,
         )
         monkeypatch.delenv(FAULT_PLAN_ENV)
-        merged = scheduler.collect(plan)
+        merged = merge(tmp_path / "chaos")
         assert merged.failed_count == 1
         assert merged.provenance[0] == "failed"
         assert not merged.results[0].passed
 
-        reference = clean_reference(tmp_path / "clean")
-        chaos_lines = merged.to_table().splitlines()
-        clean_lines = reference.to_table().splitlines()
-        assert len(chaos_lines) == len(clean_lines)
-        diff = [
-            (a, b) for a, b in zip(clean_lines, chaos_lines) if a != b
-        ]
-        assert len(diff) == 1  # exactly the poisoned row changed
-        assert "FAILED" in diff[0][1]
+        assert_only_failed_row_differs(
+            merged, clean_reference(tmp_path / "clean")
+        )
+
+    def test_jobs_sweep_quarantines_into_one_failed_row(
+        self, tmp_path, monkeypatch
+    ):
+        """jobs=2 takes the fleet's failure policy: the poisoned variant
+        is retried, then quarantined into the one FAILED row, where a
+        process pool aborted the whole sweep."""
+        monkeypatch.setenv(FAULT_PLAN_ENV, str(self.poison_plan(tmp_path)))
+        chaos = tmp_path / "chaos"
+        merged = SweepExecutor(
+            make_sweep(), jobs=2, cache_dir=chaos, max_attempts=2
+        ).run()
+        monkeypatch.delenv(FAULT_PLAN_ENV)
+        assert merged.provenance == ["failed", "run", "run"]
+        record = FailureLedger(chaos).record(merged.fingerprints[0])
+        assert record.quarantined and record.attempt_count == 2
+        assert_only_failed_row_differs(
+            merged, clean_reference(tmp_path / "clean")
+        )
 
     def test_status_and_fleet_surface_quarantine(self, tmp_path, monkeypatch):
-        scheduler, plan = publish(tmp_path, max_attempts=1)
+        plan = publish(tmp_path)
         monkeypatch.setenv(FAULT_PLAN_ENV, str(self.poison_plan(tmp_path)))
         run_worker(
             tmp_path,
@@ -170,7 +195,7 @@ class TestTransientRetry:
     def test_one_transient_failure_retries_to_a_clean_table(
         self, tmp_path, monkeypatch
     ):
-        scheduler, plan = publish(tmp_path / "chaos")
+        plan = publish(tmp_path / "chaos")
         plan_path = write_plan(
             tmp_path / "plan.json",
             {"id": "flake", "action": "raise", "site": "run", "index": 1,
@@ -188,7 +213,7 @@ class TestTransientRetry:
         assert FailureLedger(tmp_path / "chaos").load() == {}
 
         monkeypatch.delenv(FAULT_PLAN_ENV)
-        merged = scheduler.collect(plan)
+        merged = merge(tmp_path / "chaos")
         reference = clean_reference(tmp_path / "clean")
         assert merged.to_table() == reference.to_table()
         assert merged.to_csv() == reference.to_csv()
@@ -200,7 +225,7 @@ class TestCrashRecovery:
         reclaims the stale lease and the final table matches a
         fault-free sweep byte for byte."""
         chaos = tmp_path / "chaos"
-        scheduler, plan = publish(chaos)
+        plan = publish(chaos)
         plan_path = write_plan(
             tmp_path / "plan.json",
             {"id": "die", "action": "crash", "site": "run", "index": 0,
@@ -214,7 +239,7 @@ class TestCrashRecovery:
         assert victim in rescuer.reclaimed
         assert sorted(rescuer.completed) == sorted(plan.fingerprints)
 
-        merged = scheduler.collect(plan)
+        merged = merge(chaos)
         reference = clean_reference(tmp_path / "clean")
         assert merged.to_table() == reference.to_table()
         assert merged.to_csv() == reference.to_csv()
@@ -225,7 +250,7 @@ class TestCrashRecovery:
         byte-identical bytes) and the manifest must record exactly one
         completion for the variant."""
         chaos = tmp_path / "chaos"
-        scheduler, plan = publish(chaos)
+        plan = publish(chaos)
         plan_path = write_plan(
             tmp_path / "plan.json",
             {"id": "die-commit", "action": "crash", "site": "commit",
@@ -246,7 +271,7 @@ class TestCrashRecovery:
         assert manifest.completed.count(victim) == 1
         assert manifest.workers[victim] == "rescuer"
 
-        merged = scheduler.collect(plan)
+        merged = merge(chaos)
         reference = clean_reference(tmp_path / "clean")
         assert merged.to_table() == reference.to_table()
         entry = ResultCache(tmp_path / "clean").entry_path(victim)
@@ -258,7 +283,7 @@ class TestCorruptWriteRecovery:
         self, tmp_path, monkeypatch
     ):
         chaos = tmp_path / "chaos"
-        scheduler, plan = publish(chaos)
+        plan = publish(chaos)
         plan_path = write_plan(
             tmp_path / "plan.json",
             {"id": "torn", "action": "corrupt-write", "site": "commit",
@@ -275,7 +300,7 @@ class TestCorruptWriteRecovery:
         assert len(sidecar) == 1  # the torn bytes were preserved, not lost
         assert sidecar[0].name == cache.entry_path(victim).name
 
-        merged = scheduler.collect(plan)
+        merged = merge(chaos)
         reference = clean_reference(tmp_path / "clean")
         assert merged.to_table() == reference.to_table()
         assert merged.to_csv() == reference.to_csv()
@@ -283,7 +308,7 @@ class TestCorruptWriteRecovery:
 
 class TestIdleTimeout:
     def test_follow_worker_exits_after_idle_timeout(self, tmp_path):
-        _, plan = publish(tmp_path)
+        plan = publish(tmp_path)
         run_worker(tmp_path, worker_id="w1")  # drain the sweep
         follower = run_worker(
             tmp_path,

@@ -98,16 +98,6 @@ class TestSweepRequest:
 
 
 class TestSweepOptionValidation:
-    def test_workers_need_cache_dir(self):
-        with pytest.raises(ScenarioError, match="--cache-dir"):
-            api.run_sweep(CASE, {"tau": [0.7]}, workers=2)
-
-    def test_workers_and_jobs_exclusive(self, tmp_path):
-        with pytest.raises(ScenarioError, match="alternatives"):
-            api.run_sweep(
-                CASE, {"tau": [0.7]}, workers=2, jobs=2, cache_dir=tmp_path
-            )
-
     def test_telemetry_needs_cache_dir(self):
         with pytest.raises(ScenarioError, match="--telemetry"):
             api.run_sweep(CASE, {"tau": [0.7]}, telemetry=True)

@@ -1,6 +1,7 @@
 """ResultCache/SweepManifest units + warm/corrupt/partial cache behavior."""
 
 import json
+import threading
 
 import pytest
 
@@ -175,6 +176,34 @@ class TestConcurrentManifest:
         merged = SweepManifest.load(tmp_path)
         assert sorted(merged.completed) == ["f1", "f2"]
         assert merged.workers == {"f1": "wa", "f2": "wb"}
+
+    def test_concurrent_saves_never_collide(self, tmp_path):
+        """Eight writers saving one manifest at once (more than this
+        host's cores): each save renames only its own temp file, so none
+        raises and no completion or temp file is left behind."""
+        self.make_manifest(tmp_path)
+        errors = []
+
+        def hammer(fingerprint):
+            mine = SweepManifest.load(tmp_path)
+            try:
+                for _ in range(20):
+                    mine.record_completion(fingerprint, worker=fingerprint)
+            except OSError as exc:
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=hammer, args=(f"f{i % 3 + 1}",))
+            for i in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sorted(SweepManifest.load(tmp_path).completed) == ["f1", "f2", "f3"]
+        assert [path.name for path in tmp_path.iterdir()] == ["manifest.json"]
 
     def test_record_completion_ignores_foreign_manifest(self, tmp_path):
         mine = self.make_manifest(tmp_path)

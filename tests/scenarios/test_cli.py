@@ -1,5 +1,8 @@
 """The ``python -m repro`` scenario subcommands."""
 
+import json
+import tempfile
+
 import pytest
 
 from repro.__main__ import main
@@ -84,6 +87,37 @@ class TestSweepExecutorFlags:
         parallel = capsys.readouterr().out
         assert parallel == serial
 
+    def test_jobs_json_is_one_document(self, tmp_path, capfd):
+        """Workers the driver starts print nothing, so --json stdout
+        (captured at the file-descriptor level, children included)
+        parses as exactly one JSON document."""
+        code = main([
+            "sweep", "taylor-green",
+            "--param", "tau=0.6,0.7",
+            "--steps", "5",
+            "--jobs", "2",
+            "--cache-dir", str(tmp_path),
+            "--json",
+        ])
+        assert code == 0
+        assert (tmp_path / "queue.json").is_file()  # workers ran
+        out = capfd.readouterr().out
+        payload = json.loads(out)
+        assert payload["kind"] == "sweep"
+        assert out.count("\n") == 1
+
+    def test_jobs_without_cache_dir_leaves_no_temp_files(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        assert tempfile.gettempdir() == str(tmp_path)
+        code = main(["sweep", "taylor-green", "--param", "tau=0.6,0.7",
+                     "--steps", "5", "--jobs", "2"])
+        assert code == 0
+        assert "2 variants: 2 run, 0 cached" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
     def test_resume_without_cache_dir_is_an_error(self, capsys):
         code = main([
             "sweep", "taylor-green",
@@ -125,29 +159,16 @@ class TestErrorPaths:
         assert code == 2
         assert "expected key=value" in capsys.readouterr().err
 
-    def test_workers_without_cache_dir(self, capsys):
-        code = main(["sweep", "taylor-green", "--param", "tau=0.6",
-                     "--steps", "10", "--workers", "2"])
-        assert code == 2
-        assert "--cache-dir" in capsys.readouterr().err
-
     def test_publish_without_cache_dir(self, capsys):
         code = main(["sweep", "taylor-green", "--param", "tau=0.6",
                      "--steps", "10", "--publish"])
         assert code == 2
         assert "--cache-dir" in capsys.readouterr().err
 
-    def test_workers_and_jobs_conflict(self, tmp_path, capsys):
-        code = main(["sweep", "taylor-green", "--param", "tau=0.6",
-                     "--steps", "10", "--workers", "2", "--jobs", "2",
-                     "--cache-dir", str(tmp_path)])
-        assert code == 2
-        assert "alternatives" in capsys.readouterr().err
-
     def test_adaptive_conflicts_with_workers(self, tmp_path, capsys):
         code = main(["sweep", "taylor-green", "--param", "tau=0.6,0.7,0.8",
                      "--steps", "10", "--adaptive", "steps_run",
-                     "--workers", "2", "--cache-dir", str(tmp_path)])
+                     "--publish", "--cache-dir", str(tmp_path)])
         assert code == 2
         assert "--adaptive" in capsys.readouterr().err
 
@@ -185,14 +206,14 @@ class TestDistributedCommands:
         out = capsys.readouterr().out
         assert "2 variants: 0 run, 2 cached" in out
 
-    def test_workers_flag_matches_serial_output(self, tmp_path, capsys):
+    def test_jobs_with_cache_dir_matches_serial_output(self, tmp_path, capsys):
         serial_csv = tmp_path / "serial.csv"
         dist_csv = tmp_path / "dist.csv"
         assert main(["sweep", "taylor-green", *self.ARGS,
                      "--csv", str(serial_csv)]) == 0
         capsys.readouterr()
         assert main(["sweep", "taylor-green", *self.ARGS,
-                     "--workers", "2", "--cache-dir", str(tmp_path / "c"),
+                     "--jobs", "2", "--cache-dir", str(tmp_path / "c"),
                      "--csv", str(dist_csv)]) == 0
         out = capsys.readouterr().out
         assert "2 variants: 2 run, 0 cached" in out

@@ -157,27 +157,24 @@ class TestCaseRefPortability:
         assert result.runs_executed == 2
         assert [r.metrics["steps_run"] for r in result.results] == [10, 10]
 
-    def test_unpicklable_spec_falls_back_to_serial(self):
-        """An unregistered spec holding a closure can't cross a process
-        boundary; jobs>1 silently degrades to the serial path."""
+    def test_unpicklable_spec_falls_back_to_serial(self, tmp_path):
+        """An unregistered spec holding a closure can't be published for
+        workers; jobs>1 silently degrades to the inline path."""
         spec = dataclasses.replace(
             get_case("taylor-green"),
             name="tg-unregistered",
             stop_when=steady_state(lambda sim: 0.0),
         )
         sweep = Sweep(spec, {"tau": [0.6, 0.8], "shape": [(8, 8, 4)]}, steps=10)
-        executor = SweepExecutor(sweep, jobs=2)
-        tasks = {
-            0: executor_module._VariantTask(spec, (("tau", 0.6),), False, "f0"),
-            1: executor_module._VariantTask(spec, (("tau", 0.8),), False, "f1"),
-        }
-        assert not executor._use_pool(tasks)
-        result = executor.run(analyze=False)
-        assert result.runs_executed == 2
+        result = SweepExecutor(sweep, jobs=2, cache_dir=tmp_path).run(
+            analyze=False
+        )
+        assert result.provenance == ["run", "run"]
+        assert not (tmp_path / "queue.json").exists()
 
-    def test_unpicklable_override_value_falls_back_to_serial(self):
-        """Closure-valued sweep *parameters* must not crash the pool
-        path; they degrade to serial just like closure-bearing specs."""
+    def test_unpicklable_override_value_falls_back_to_serial(self, tmp_path):
+        """Closure-valued sweep *parameters* must not crash the worker
+        path; they degrade to inline just like closure-bearing specs."""
         sweep = Sweep(
             "taylor-green",
             {
@@ -186,9 +183,72 @@ class TestCaseRefPortability:
             },
             steps=10,
         )
-        result = SweepExecutor(sweep, jobs=4).run(analyze=False)
-        assert result.runs_executed == 2
+        result = SweepExecutor(sweep, jobs=4, cache_dir=tmp_path).run(
+            analyze=False
+        )
+        assert result.provenance == ["run", "run"]
+        assert not (tmp_path / "queue.json").exists()
         assert [r.metrics["steps_run"] for r in result.results] == [10, 10]
+
+
+class TestLeaseWorkers:
+    def test_serial_sweep_starts_and_publishes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        """jobs=1, cold and warm — the path the sweep-session benchmark
+        times — starts no process, prices no variant and writes no work
+        order or lease."""
+        import multiprocessing
+
+        from repro.perf import model
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the serial path must not get here")
+
+        monkeypatch.setattr(multiprocessing.Process, "start", forbidden)
+        monkeypatch.setattr(model, "load_calibration", forbidden)
+        for runs in (len(TAUS), 0):
+            result = SweepExecutor(make_sweep(), jobs=1, cache_dir=tmp_path).run(
+                analyze=False
+            )
+            assert result.runs_executed == runs
+            assert not (tmp_path / "queue.json").exists()
+            assert not (tmp_path / "leases").exists()
+
+    def test_variants_dead_workers_left_run_inline(self, tmp_path, monkeypatch):
+        from repro.scenarios import workers
+
+        monkeypatch.setattr(workers, "run_worker", lambda *a, **kw: None)
+        result = SweepExecutor(make_sweep(), jobs=2, cache_dir=tmp_path).run(
+            analyze=False
+        )
+        assert (tmp_path / "queue.json").is_file()  # workers were started
+        assert result.provenance == ["run"] * len(TAUS)
+        serial = SweepExecutor(make_sweep(), jobs=1).run(analyze=False)
+        assert result.to_table() == serial.to_table()
+        manifest = SweepManifest.load(tmp_path)
+        assert sorted(manifest.completed) == sorted(result.fingerprints)
+
+    def test_inline_commits_keep_worker_completions(self, tmp_path, monkeypatch):
+        """One worker runs one variant and stops, leaving the rest
+        inline; the driver reloads the manifest before committing, so
+        its saves keep that worker's completion and attribution."""
+        from repro.scenarios import workers
+
+        real = workers.run_worker
+
+        def one_variant_from_w1(root, *, worker_id, **kw):
+            if worker_id == "w1":
+                real(root, worker_id=worker_id, max_variants=1, **kw)
+
+        monkeypatch.setattr(workers, "run_worker", one_variant_from_w1)
+        result = SweepExecutor(make_sweep(), jobs=2, cache_dir=tmp_path).run(
+            analyze=False
+        )
+        assert result.provenance == ["run"] * len(TAUS)
+        manifest = SweepManifest.load(tmp_path)
+        assert sorted(manifest.completed) == sorted(result.fingerprints)
+        assert list(manifest.workers.values()) == ["w1"]
 
 
 class TestAnalyzeFlagCaching:
@@ -223,7 +283,13 @@ class TestSweepRunDelegation:
         # Lean results: scalar outcomes only, no simulation attached.
         assert all(r.simulation is None for r in result.results)
 
-    def test_default_run_keeps_simulations(self):
+    def test_default_run_is_lean(self):
+        """Sweep.run() always goes through the executor: the same lean
+        rows as every CLI sweep, never a wall-clock column."""
         result = make_sweep(TAUS[:2]).run(analyze=False)
-        assert result.provenance is None
-        assert all(r.simulation is not None for r in result.results)
+        assert result.provenance == ["run", "run"]
+        assert all(r.simulation is None for r in result.results)
+        assert all("mflups" not in r.metrics for r in result.results)
+        assert result.to_table() == SweepExecutor(
+            make_sweep(TAUS[:2])
+        ).run(analyze=False).to_table()

@@ -1,9 +1,13 @@
 """Adaptive grid sampling: strict subsets, row fidelity, refinement."""
 
+import json
+
 import pytest
 
 from repro.errors import ScenarioError
-from repro.scenarios import AdaptiveSampler, Sweep, SweepExecutor
+from repro.resilience import FAULT_PLAN_ENV
+from repro.scenarios import AdaptiveSampler, ResultCache, Sweep, SweepExecutor
+from repro.scenarios.executor import SweepPlan
 from repro.scenarios.sampling import _Segment, coarse_axis_indices
 
 GRID = {"tau": [0.55, 0.6, 0.7, 0.8, 0.95], "steps": [10, 20, 30]}
@@ -84,6 +88,34 @@ class TestTwoParameterAcceptance:
         ).run(analyze=False)
         result = make_sampler(cache_dir=tmp_path).run(analyze=False)
         assert result.runs_executed == 0
+
+    def test_jobs2_matches_jobs1_and_runs_only_sampled_variants(self, tmp_path):
+        serial = make_sampler(cache_dir=tmp_path / "serial").run(analyze=False)
+        parallel = make_sampler(jobs=2, cache_dir=tmp_path / "parallel").run(
+            analyze=False
+        )
+        assert parallel.rows(provenance=True) == serial.rows(provenance=True)
+        assert (tmp_path / "parallel" / "queue.json").is_file()  # workers ran
+        # each pass published only its own variants: nothing unsampled ran
+        cache = ResultCache(tmp_path / "parallel")
+        assert sorted(cache.keys()) == sorted(parallel.fingerprints)
+
+    def test_quarantined_variant_samples_as_nan(self, tmp_path, monkeypatch):
+        """With jobs=2 a raising coarse variant is quarantined into a
+        FAILED row; its observable reads NaN (refined around first)
+        instead of failing the whole adaptive sweep."""
+        poisoned = SweepPlan.of(Sweep("taylor-green", GRID)).fingerprints[0]
+        plan = tmp_path / "plan.json"
+        fault = {"id": "poison", "action": "raise", "site": "run",
+                 "fingerprint": poisoned, "times": None}
+        plan.write_text(json.dumps({"version": 1, "faults": [fault]}))
+        monkeypatch.setenv(FAULT_PLAN_ENV, str(plan))
+        result = make_sampler(jobs=2, cache_dir=tmp_path / "cache").run(
+            analyze=False
+        )
+        assert result.failed_count == 1
+        assert result.fingerprints[0] == poisoned
+        assert result.provenance[0] == "failed"
 
     def test_refine_everything_still_strict_subset(self, tmp_path):
         # refine_fraction=1.0 fills every segment, but the coarse grid

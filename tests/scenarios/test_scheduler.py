@@ -1,4 +1,4 @@
-"""Distributed sweep scheduler: leases, determinism, crash recovery."""
+"""Distributed sweeps: leases, determinism, crash recovery."""
 
 import multiprocessing
 import time
@@ -12,7 +12,6 @@ from repro.scenarios import (
     Sweep,
     SweepExecutor,
     SweepManifest,
-    SweepScheduler,
     WorkQueue,
     get_case,
     run_worker,
@@ -171,7 +170,7 @@ class TestWorkQueue:
         assert [i.fingerprint for i in queue.items] == plan.fingerprints
         # tuple-valued overrides survive the JSON round-trip
         assert queue.items[0].overrides["shape"] == (8, 8, 4)
-        # and the worker-side task agrees with the scheduler's
+        # and the worker-side task agrees with the plan's
         assert queue.items[0].task("taylor-green", False) == plan.task(0, False)
 
     def test_load_without_publish_errors(self, tmp_path):
@@ -194,54 +193,43 @@ class TestWorkQueue:
 
 class TestDistributedDeterminism:
     def test_workers1_workers4_and_warm_bit_identical(self, tmp_path):
-        """The headline guarantee extended to distributed execution:
-        serial executor, 1 worker, 4 workers and a warm replay emit
-        the same tables and the same cache bytes."""
+        """The headline guarantee extended to lease workers: inline,
+        2 workers, 4 workers and a warm replay emit the same tables and
+        the same cache bytes."""
         serial = SweepExecutor(
             make_sweep(), jobs=1, cache_dir=tmp_path / "serial"
         ).run(analyze=True)
-        one = SweepScheduler(make_sweep(), tmp_path / "w1", workers=1).run()
-        four = SweepScheduler(make_sweep(), tmp_path / "w4", workers=4).run()
-        warm = SweepScheduler(make_sweep(), tmp_path / "w4", workers=4).run()
+        two = SweepExecutor(make_sweep(), jobs=2, cache_dir=tmp_path / "w2").run()
+        four = SweepExecutor(make_sweep(), jobs=4, cache_dir=tmp_path / "w4").run()
+        warm = SweepExecutor(make_sweep(), jobs=4, cache_dir=tmp_path / "w4").run()
 
-        assert serial.to_table() == one.to_table() == four.to_table()
-        assert serial.to_csv() == one.to_csv() == four.to_csv() == warm.to_csv()
+        assert serial.to_table() == two.to_table() == four.to_table()
+        assert serial.to_csv() == two.to_csv() == four.to_csv() == warm.to_csv()
         assert (
             cache_bytes(tmp_path / "serial")
-            == cache_bytes(tmp_path / "w1")
+            == cache_bytes(tmp_path / "w2")
             == cache_bytes(tmp_path / "w4")
         )
+        assert (tmp_path / "w4" / "queue.json").is_file()  # workers ran
         assert warm.runs_executed == 0
         assert all(p == "cached" for p in warm.provenance)
 
     def test_worker_provenance_attributes_completions(self, tmp_path):
-        result = SweepScheduler(make_sweep(), tmp_path, workers=2).run()
-        assert all(p.startswith("worker:w") for p in result.provenance)
+        result = SweepExecutor(make_sweep(), jobs=2, cache_dir=tmp_path).run()
+        assert result.provenance == ["run"] * len(TAUS)
         assert result.runs_executed == len(TAUS)
         manifest = SweepManifest.load(tmp_path)
         assert sorted(manifest.completed) == sorted(result.fingerprints)
         assert set(manifest.workers) == set(result.fingerprints)
 
-    def test_scheduler_without_workers_runs_inline(self, tmp_path):
-        result = SweepScheduler(make_sweep(TAUS[:2]), tmp_path, workers=0).run()
-        assert result.provenance == ["run", "run"]
-        assert result.to_table() == SweepExecutor(
-            make_sweep(TAUS[:2]), jobs=1
-        ).run().to_table()
-
-    def test_invalid_workers_rejected(self, tmp_path):
-        with pytest.raises(ScenarioError, match="workers"):
-            SweepScheduler(make_sweep(), tmp_path, workers=-1)
-
 
 class TestWorkerLoop:
     def publish(self, root, sweep=None, analyze=True):
-        scheduler = SweepScheduler(sweep or make_sweep(), root, workers=0,
-                                   analyze=analyze)
-        return scheduler, scheduler.publish()[0]
+        executor = SweepExecutor(sweep or make_sweep(), cache_dir=root)
+        return executor.publish(analyze=analyze)[0]
 
     def test_single_worker_drains_the_queue(self, tmp_path):
-        scheduler, plan = self.publish(tmp_path)
+        plan = self.publish(tmp_path)
         report = run_worker(tmp_path, worker_id="solo")
         assert sorted(report.completed) == sorted(plan.fingerprints)
         assert not report.reclaimed
@@ -251,7 +239,7 @@ class TestWorkerLoop:
         assert again.already_cached == len(plan.fingerprints)
 
     def test_max_variants_stops_early(self, tmp_path):
-        scheduler, plan = self.publish(tmp_path)
+        self.publish(tmp_path)
         report = run_worker(tmp_path, worker_id="partial", max_variants=2)
         assert len(report.completed) == 2
         assert report.already_cached == 0
@@ -265,7 +253,7 @@ class TestWorkerLoop:
         lease and no cache entry; a peer reclaims the stale lease, runs
         the variant, and the final table matches an uninterrupted run
         byte for byte."""
-        scheduler, plan = self.publish(tmp_path)
+        plan = self.publish(tmp_path)
         # Complete all but the last variant.
         run_worker(tmp_path, worker_id="early", max_variants=len(plan) - 1)
         victim = plan.fingerprints[-1]
@@ -285,13 +273,13 @@ class TestWorkerLoop:
         assert rescuer.reclaimed == [victim]
         assert rescuer.completed == [victim]
 
-        merged = scheduler.collect(plan)
+        merged = SweepExecutor(make_sweep(), cache_dir=tmp_path).run()
         reference = SweepExecutor(make_sweep(), jobs=1).run()
         assert merged.to_table() == reference.to_table()
         assert merged.to_csv() == reference.to_csv()
 
     def test_live_peer_lease_is_respected(self, tmp_path):
-        scheduler, plan = self.publish(tmp_path)
+        plan = self.publish(tmp_path)
         board = LeaseBoard(tmp_path, owner="busy-peer", ttl=3600)
         held = plan.fingerprints[0]
         assert board.acquire(held)
@@ -338,10 +326,8 @@ class TestCostAwarePacking:
     def test_publish_stamps_costs_and_orders_claims_lpt(
         self, tmp_path, calibrated
     ):
-        scheduler = SweepScheduler(
-            self.ladder_sweep(), tmp_path / "cache", workers=0
-        )
-        _, queue = scheduler.publish()
+        executor = SweepExecutor(self.ladder_sweep(), cache_dir=tmp_path / "cache")
+        _, queue = executor.publish()
         costs = [item.cost for item in queue.items]
         assert all(c is not None and c > 0 for c in costs)
         order = queue.claim_order()
@@ -357,10 +343,8 @@ class TestCostAwarePacking:
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path / "nocalib"))
-        scheduler = SweepScheduler(
-            self.ladder_sweep(), tmp_path / "cache", workers=0
-        )
-        _, queue = scheduler.publish()
+        executor = SweepExecutor(self.ladder_sweep(), cache_dir=tmp_path / "cache")
+        _, queue = executor.publish()
         assert all(item.cost is None for item in queue.items)
         assert queue.claim_order() == queue.items
 
@@ -380,7 +364,7 @@ class TestCostAwarePacking:
         self, tmp_path, calibrated
     ):
         sweep = self.ladder_sweep()
-        packed = SweepScheduler(sweep, tmp_path / "cache", workers=1).run()
+        packed = SweepExecutor(sweep, jobs=2, cache_dir=tmp_path / "cache").run()
         reference = SweepExecutor(sweep, jobs=1).run()
         assert packed.to_table() == reference.to_table()
         assert packed.to_csv() == reference.to_csv()

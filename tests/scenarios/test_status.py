@@ -62,11 +62,9 @@ class TestSweepStatus:
         assert after == before
 
     def test_published_sweep_shows_work_order(self, tmp_path):
-        from repro.scenarios import SweepScheduler
-
         cache_dir = tmp_path / "shared"
         sweep = Sweep("taylor-green", {"tau": [0.7, 0.8]}, steps=10)
-        SweepScheduler(sweep, cache_dir, workers=0).publish()
+        SweepExecutor(sweep, cache_dir=cache_dir).publish()
         status = sweep_status(cache_dir)
         assert status.published
         assert status.total == 2

@@ -7,12 +7,7 @@ import time
 
 import pytest
 
-from repro.scenarios import (
-    Sweep,
-    SweepExecutor,
-    SweepScheduler,
-    sweep_status,
-)
+from repro.scenarios import Sweep, SweepExecutor, sweep_status
 from repro.scenarios.scheduler import LeaseBoard
 from repro.scenarios.workers import lease_heartbeat, run_worker
 from repro.telemetry import Telemetry, load_run
@@ -25,14 +20,15 @@ def make_sweep(taus=(0.6, 0.7, 0.8)):
 class TestMultiWorkerMerge:
     def test_two_worker_sweep_merges_without_loss(self, tmp_path):
         telemetry_dir = tmp_path / "telemetry"
-        result = SweepScheduler(
-            make_sweep(), tmp_path, workers=2, telemetry_dir=telemetry_dir
+        result = SweepExecutor(
+            make_sweep(), jobs=2, cache_dir=tmp_path, telemetry_dir=telemetry_dir
         ).run()
         assert result.passed
 
         aggregate = load_run(tmp_path)
-        # one exclusively-owned file per launched worker, no torn lines
-        assert len(aggregate.files) == 2
+        # the driver's own file (its cache probes) plus one exclusively
+        # owned file per launched worker, no torn lines
+        assert len(aggregate.files) == 3
         assert aggregate.dropped == 0
         # every variant executed exactly once, fleet-wide
         counters = aggregate.counters
@@ -63,7 +59,7 @@ class TestMultiWorkerMerge:
         aggregate = load_run(tmp_path)
         assert aggregate.dropped == 0
         assert aggregate.counters["variant.completed"] == 3
-        # pool children forked from the parent must not share its file
+        # workers forked from the driver must not share its file
         assert len(aggregate.files) >= 2
 
     def test_warm_executor_counts_cached_variants(self, tmp_path):
@@ -83,7 +79,7 @@ class TestMultiWorkerMerge:
 
 class TestWorkerReport:
     def test_report_fields_sourced_from_telemetry(self, tmp_path):
-        SweepScheduler(make_sweep(), tmp_path, workers=0).publish()
+        SweepExecutor(make_sweep(), cache_dir=tmp_path).publish()
         telemetry_dir = tmp_path / "telemetry"
 
         first = run_worker(
@@ -103,7 +99,7 @@ class TestWorkerReport:
         assert "3 cache hit(s)" in second.summary()
 
     def test_report_defaults_without_recorder(self, tmp_path):
-        SweepScheduler(make_sweep((0.7,)), tmp_path, workers=0).publish()
+        SweepExecutor(make_sweep((0.7,)), cache_dir=tmp_path).publish()
         report = run_worker(tmp_path, worker_id="w1")
         assert report.cache_hits == 0
         assert math.isnan(report.mflups)
@@ -139,8 +135,8 @@ class TestHeartbeat:
 
 class TestStatusRollup:
     def test_status_includes_telemetry_lines(self, tmp_path):
-        SweepScheduler(
-            make_sweep(), tmp_path, workers=2,
+        SweepExecutor(
+            make_sweep(), jobs=2, cache_dir=tmp_path,
             telemetry_dir=tmp_path / "telemetry",
         ).run()
         status = sweep_status(tmp_path)
@@ -162,19 +158,18 @@ class TestStatusRollup:
         assert "telemetry:" not in status.summary()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_telemetry_never_changes_the_table(tmp_path, workers):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_telemetry_never_changes_the_table(tmp_path, jobs):
     """Observation is not perturbation at the sweep level either: the
     data columns are byte-identical with and without telemetry."""
     plain = SweepExecutor(make_sweep(), cache_dir=tmp_path / "a").run(
         analyze=False
     )
-    instrumented = SweepScheduler(
+    instrumented = SweepExecutor(
         make_sweep(),
-        tmp_path / "b",
-        workers=workers,
-        analyze=False,
+        jobs=jobs,
+        cache_dir=tmp_path / "b",
         telemetry_dir=tmp_path / "b" / "telemetry",
-    ).run()
+    ).run(analyze=False)
     assert instrumented.to_table() == plain.to_table()
     assert instrumented.to_csv() == plain.to_csv()
