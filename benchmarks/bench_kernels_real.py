@@ -23,6 +23,7 @@ from repro.core import (
     make_kernel,
 )
 from repro.lattice import get_lattice
+from repro.machine.roofline import copy_bandwidth
 from repro.perf import mflups
 
 SHAPE = (32, 32, 32)
@@ -89,6 +90,15 @@ def test_kernel_throughput(benchmark, lname, kernel_cls, dtype):
         1 if dtype == "float64" else 0.5
     )
     assert np.isfinite(state["f"]).all()
+
+
+def test_copy_bandwidth(benchmark):
+    """The host's ``Bm`` (Eq. 5) in bytes/s, measured in this run so
+    ``compare_bench.py`` can hold every throughput row above to its
+    ceiling ``Bm / B(Q)``.  The probe times itself (best of several
+    copies), so the benchmark's round limits cannot skew it."""
+    benchmark.extra_info["copy_bandwidth"] = round(copy_bandwidth())
+    benchmark(lambda: None)  # register a timing so --benchmark-only keeps this
 
 
 def test_planned_beats_roll_acceptance(benchmark):

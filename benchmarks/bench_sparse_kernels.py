@@ -5,9 +5,11 @@ same stream+collide update on a :class:`~repro.core.sparse.SparseDomain`
 at several fluid fills, across the sparse kernel ladder (legacy
 fancy-index baseline -> planned flat-gather).  MFLUP/s counts *fluid*
 lattice updates only — that is the whole point of sparse storage — and
-every row is stamped with its ``fill`` so the perf-model fitter
-(``repro perf-model fit``) can calibrate the fill-fraction term of
-B(Q) from this suite's export (bench schema 5).
+every row is stamped with its ``fill`` (bench schema 5), which keys the
+per-fill regression gate of ``compare_bench.py`` and keeps these rows
+out of its dense Eq. 5 efficiency check: the fill-extended B(Q) of
+:func:`~repro.machine.roofline.sparse_bytes_per_cell` is a model, not
+a bound.
 
 Shapes that must hold on any host: (a) both kernels agree bitwise-close
 at every fill, (b) the planned kernel's zero-allocation flat gather

@@ -12,37 +12,25 @@ and fails only on a drop larger than ``--max-regression`` — wide enough
 to absorb host-to-host and run-to-run noise, tight enough to catch a
 real hot-loop regression.  Stdlib-only, like the exporter.
 
-``--model CALIBRATION.json`` adds a second, baseline-free gate: every
-throughput row of the *current* record is compared against the fitted
-perf-model calibration (``repro perf-model fit``), and a measurement
-far below its prediction (``--model-slack``, default 50%) fails even
-when no baseline record has a row for that (kernel, lattice, dtype)
-cell.  The calibration file is plain JSON — effective bandwidth
-``beta`` per fitted cell — so this stays stdlib-only too::
-
-    python benchmarks/compare_bench.py BENCH_PR5.json \
-        --model calibration.json
+Every run also checks the current record against the paper's roofline
+(Eq. 5) when it carries the host's copy bandwidth ``Bm`` (the probe row
+``bench_kernels_real.py`` writes in the same run): each dense row's
+efficiency ``mflups * bytes_per_cell / Bm`` is printed, and a row above
+1 fails, because no kernel can beat the bandwidth ceiling ``Bm / B(Q)``
+— a rate above it means that row's cells, timing or ``B(Q)`` is wrong.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
 LATTICES = ("D3Q19", "D3Q39")
 
-_LATTICE_RE = re.compile(r"D3Q\d+", re.IGNORECASE)
-
-#: Schema-1 records name kernels by class (mirrors repro.perf.model).
-_LEGACY_KERNEL_NAMES = {
-    "naivekernel": "naive",
-    "rollkernel": "roll",
-    "fusedgatherkernel": "fused-gather",
-    "plannedkernel": "planned",
-}
+#: Extra-info key of the copy-bandwidth probe row: ``Bm`` in bytes/s.
+BANDWIDTH_KEY = "copy_bandwidth"
 
 
 def kernel_mflups(record: dict, kernel: str) -> dict[str, float]:
@@ -127,108 +115,45 @@ def compare(
     return ok, lines
 
 
-def _row_cell(name: str, entry: dict) -> "tuple[str, str, str, str] | None":
-    """The fitted-model key of one bench row: (kernel, mode, dtype, lattice).
+def roofline_check(record: dict) -> tuple[bool, list[str]]:
+    """(ok, report lines): the Eq. 5 efficiency of every dense row.
 
-    Mirrors ``repro.perf.model.samples_from_bench`` — extra-info fields
-    when stamped (schema >= 2), name parsing for legacy rows — but in
-    stdlib form.  ``None`` for rows that are not attributable
-    throughput measurements.
+    A dense row carries ``bytes_per_cell`` and no ``fill``; its
+    efficiency is ``mflups * 1e6 * bytes_per_cell / Bm``, with ``Bm``
+    from the record's probe row.  Any row above 1 fails.  A record
+    without a probe row (the committed baselines) is not checked.
     """
-    if "mflups" not in entry:
-        return None
-    lowered = name.lower()
-    kernel = entry.get("kernel")
-    if not kernel:
-        for legacy, mapped in _LEGACY_KERNEL_NAMES.items():
-            if legacy in lowered:
-                kernel = mapped
-                break
-    match = _LATTICE_RE.search(name)
-    lattice = (
-        match.group(0).upper()
-        if match
-        else str(entry.get("lattice") or "").upper() or None
-    )
-    if not kernel or not lattice:
-        return None
-    dtype = str(
-        entry.get("dtype") or ("float32" if "float32" in lowered else "float64")
-    )
-    # Mirrors samples_from_bench's mode inference: a fill column or a
-    # sparse kernel name marks the indirect-addressing population.
-    if "distributed" in lowered:
-        mode = "distributed"
-    elif entry.get("fill") is not None or "sparse" in str(kernel).lower():
-        mode = "sparse"
-    else:
-        mode = "single"
-    return (str(kernel), mode, dtype, lattice)
-
-
-def model_check(
-    record: dict, calibration: dict, slack: float
-) -> tuple[bool, list[str]]:
-    """(ok, report lines): flag rows measured far below their prediction.
-
-    A row fails when ``measured < predicted * (1 - slack)``.  Only rows
-    with an *exact* fitted cell in the calibration participate — the
-    pooled extrapolation levels live in :mod:`repro.perf.model`, and a
-    regression gate should only ever compare against a direct fit.
-    Measuring *above* prediction never fails (that is an improvement, or
-    a stale calibration to refit).
-    """
-    fitted = {
-        (e["kernel"], e["mode"], e["dtype"], e["lattice"]): e
-        for e in calibration.get("entries", [])
-    }
-    lines: list[str] = []
+    kernels = record.get("kernels", {})
+    probes = [e[BANDWIDTH_KEY] for e in kernels.values() if BANDWIDTH_KEY in e]
+    if not probes:
+        return True, []
+    bandwidth = float(probes[0])
+    if not bandwidth > 0:
+        return False, [f"copy bandwidth {bandwidth!r} is not a positive rate"]
     ok = True
-    checked = 0
-    for name, entry in sorted(record.get("kernels", {}).items()):
-        cell = _row_cell(name, entry)
-        if cell is None or cell not in fitted:
+    lines = [f"Bm {bandwidth / 1e9:.2f} GB/s (copy probe)"]
+    for name, entry in sorted(kernels.items()):
+        if (
+            "mflups" not in entry
+            or entry.get("bytes_per_cell") is None
+            or entry.get("fill") is not None
+        ):
             continue
-        fit = fitted[cell]
-        b = float(entry.get("bytes_per_cell") or fit["bytes_per_cell"])
-        predicted = float(fit["beta"]) / (b * 1e6)
-        measured = float(entry["mflups"])
-        if predicted <= 0:
-            continue
-        checked += 1
-        ratio = measured / predicted
-        verdict = "ok"
-        if ratio < 1.0 - slack:
-            verdict = f"MEASURED FAR BELOW MODEL (> {slack:.0%} short)"
-            ok = False
-        kernel, mode, dtype, lattice = cell
-        lines.append(
-            f"model {kernel} {mode} {dtype} {lattice}: measured "
-            f"{measured:.2f} vs predicted {predicted:.2f} MFLUP/s "
-            f"({ratio:.2f}x) {verdict}"
+        efficiency = (
+            float(entry["mflups"]) * 1e6 * float(entry["bytes_per_cell"]) / bandwidth
         )
-    if not checked:
-        return False, lines + [
-            "model gate: no current rows matched a fitted calibration cell"
-        ]
+        verdict = "ok"
+        if efficiency > 1.0:
+            verdict = "ABOVE THE Eq. 5 CEILING"
+            ok = False
+        lines.append(f"Eq. 5 efficiency {name}: {efficiency:.3f} {verdict}")
     return ok, lines
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "baseline",
-        type=Path,
-        help="committed reference record (with --model and no current "
-        "record, this is the record the model gate checks)",
-    )
-    parser.add_argument(
-        "current",
-        type=Path,
-        nargs="?",
-        default=None,
-        help="freshly measured record (optional with --model)",
-    )
+    parser.add_argument("baseline", type=Path, help="committed reference record")
+    parser.add_argument("current", type=Path, help="freshly measured record")
     parser.add_argument(
         "--kernel",
         default="roll",
@@ -241,40 +166,14 @@ def main(argv: list[str]) -> int:
         metavar="FRACTION",
         help="maximum tolerated MFLUP/s drop (default: 0.30)",
     )
-    parser.add_argument(
-        "--model",
-        type=Path,
-        default=None,
-        metavar="CALIBRATION.json",
-        help="also gate the current record against this fitted perf-model "
-        "calibration (measured far below predicted fails)",
-    )
-    parser.add_argument(
-        "--model-slack",
-        type=float,
-        default=0.50,
-        metavar="FRACTION",
-        help="maximum tolerated shortfall below the model prediction "
-        "(default: 0.50)",
-    )
     args = parser.parse_args(argv)
-    if args.current is None and args.model is None:
-        parser.error("a current record is required unless --model is given")
     baseline = json.loads(args.baseline.read_text())
-    current = json.loads(args.current.read_text()) if args.current else baseline
-    ok = True
-    if args.current is not None:
-        ok, lines = compare(baseline, current, args.kernel, args.max_regression)
-        for line in lines:
-            print(line)
-    if args.model is not None:
-        model_ok, lines = model_check(
-            current, json.loads(args.model.read_text()), args.model_slack
-        )
-        for line in lines:
-            print(line)
-        ok = ok and model_ok
-    if not ok:
+    current = json.loads(args.current.read_text())
+    ok, lines = compare(baseline, current, args.kernel, args.max_regression)
+    roofline_ok, roofline_lines = roofline_check(current)
+    for line in lines + roofline_lines:
+        print(line)
+    if not (ok and roofline_ok):
         print("bench regression gate FAILED", file=sys.stderr)
         return 1
     print("bench regression gate passed")

@@ -23,11 +23,12 @@ import sys
 from pathlib import Path
 
 #: Schema 5: sparse-kernel rows carry a ``fill`` column (the fluid
-#: fraction of the bounding box) so the perf-model fitter can calibrate
-#: the fill-fraction term of B(Q), and the ``suite`` field names the
-#: bench module that produced the record instead of being hardwired.
-#: Schema 4 added the measuring ``host`` and ``cpu_count`` (the fitter
-#: keys calibrations per host) and stamped ``dtype`` on every
+#: fraction of the bounding box), which keys them per fill in
+#: ``compare_bench.py``, and the ``suite`` field names the bench module
+#: that produced the record instead of being hardwired.  Extra-info keys
+#: pass through unchanged, so the ``copy_bandwidth`` probe row (the
+#: host's Eq. 5 ``Bm``) needs no schema change.  Schema 4 added the
+#: measuring ``host`` and ``cpu_count`` and stamped ``dtype`` on every
 #: throughput row; schema 3 (PR 5) added ``comm_bytes`` and
 #: distributed-ladder names; schema 2 (PR 4) added ``kernel``/``dtype``
 #: extra-info keys.

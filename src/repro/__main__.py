@@ -38,10 +38,8 @@ Usage::
     python -m repro sweep-worker --cache-dir shared --follow  # drain it
     python -m repro case taylor-green --steps 50 --json --cache-dir shared
 
-    python -m repro perf-model fit BENCH_PR4.json BENCH_PR5.json
-    python -m repro perf-model show
-    python -m repro perf-model predict --kernel planned --lattice D3Q19 \
-        --dtype float32 --shape 32,32,32 --steps 500
+    python -m repro perf-model predict --lattice D3Q19 --dtype float32 \
+        --shape 32,32,32 --steps 500        # Eq. 5 ceiling on this host
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Stable programmatic facade over the scenario subsystem.
 
 Everything a caller can do from the command line — run a case, run or
-publish a sweep, drive a worker, inspect a fleet, query the perf model
+publish a sweep, drive a worker, inspect a fleet, evaluate the roofline
 — is a keyword-only function here, and the CLI, the ``repro serve``
 HTTP front end and library users all go through the *same* functions.
 That single-path rule is what makes the byte-identity guarantee hold:
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -388,8 +389,8 @@ def publish_sweep(
 
     Runs nothing: ``sweep-worker`` processes — on any hosts sharing
     ``cache_dir`` — claim and execute the variants, each with its own
-    lease lifetime.  When this host holds a fitted perf-model
-    calibration, items are stamped with predicted costs so workers
+    lease lifetime.  Items are stamped with their Eq. 5 traffic
+    (:func:`~repro.scenarios.scheduler.predict_spec_costs`) so workers
     claim longest-first.
     """
     check_sweep_options(
@@ -594,16 +595,16 @@ def run_worker(
 
 @dataclasses.dataclass(frozen=True)
 class CostEstimate:
-    """One perf-model answer: predicted throughput (and wall-clock,
-    when shape+steps were given).  ``level`` is the fit quality tier
-    the model answered from."""
+    """The paper's Eq. 5 for one lattice on this host: the bandwidth
+    ceiling ``mflups = Bm / B(Q)``, and the wall-clock ``seconds`` at
+    that ceiling when shape and steps were given.  ``bandwidth`` is
+    ``Bm`` in bytes/s, ``bytes_per_cell`` is ``B(Q)`` at ``dtype``."""
 
-    kernel: str
     lattice: str
     dtype: str
-    ranks: int
+    bandwidth: float
+    bytes_per_cell: int
     mflups: float
-    level: str
     seconds: float | None = None
 
     def to_payload(self) -> dict[str, Any]:
@@ -612,45 +613,35 @@ class CostEstimate:
 
 def predict_cost(
     *,
-    kernel: str,
     lattice: str,
     dtype: str = "float64",
     shape: Sequence[int] | None = None,
     steps: int | None = None,
-    ranks: int = 1,
-    host: str | None = None,
-    path: str | Path | None = None,
-) -> CostEstimate | None:
-    """Query the per-host performance calibration.
+) -> CostEstimate:
+    """Evaluate Eq. 5's bandwidth term with this host's ``Bm``.
 
-    ``None`` when no calibration is persisted (for ``host``/``path``)
-    or the model has no coverage for the combination — callers decide
-    whether that is an error (the CLI prints a hint, the server
-    returns a structured 404).
+    ``Bm`` comes from :func:`repro.machine.roofline.copy_bandwidth`,
+    measured on every call; nothing is read from or written to disk.
+    Kernel, rank count and host do not enter Eq. 5, so they are not
+    parameters.
     """
-    from .perf import model as perf_model
+    from .lattice import get_lattice
+    from .machine.roofline import bytes_per_cell, copy_bandwidth
 
-    where = Path(path) if path else perf_model.calibration_path(host)
-    model = perf_model.load_calibration(where)
-    if model is None:
-        return None
-    grid = tuple(int(s) for s in shape) if shape is not None else None
-    prediction = model.predict(kernel, lattice, dtype, shape=grid, ranks=ranks)
-    if prediction is None:
-        return None
+    try:
+        velocities = get_lattice(lattice)
+        b = bytes_per_cell(velocities, dtype)
+    except KeyError as exc:
+        raise ScenarioError(str(exc.args[0])) from exc
+    bandwidth = copy_bandwidth()
     seconds: float | None = None
-    if grid is not None and steps:
-        seconds = model.predict_case_seconds(
-            kernel, lattice, dtype, grid, steps, ranks=ranks
-        )
-        if seconds != seconds:  # NaN -> no coverage for the wall-clock
-            seconds = None
+    if shape is not None and steps:
+        seconds = steps * math.prod(shape) * b / bandwidth
     return CostEstimate(
-        kernel=kernel,
-        lattice=lattice,
+        lattice=velocities.name,
         dtype=dtype,
-        ranks=ranks,
-        mflups=prediction.mflups,
-        level=prediction.level,
+        bandwidth=bandwidth,
+        bytes_per_cell=b,
+        mflups=bandwidth / b / 1e6,
         seconds=seconds,
     )

@@ -13,6 +13,8 @@ restart; this module provides the minimum a downstream user needs:
   order-independent serialization of scalar run outcomes (the basis of
   the scenario sweep result cache, whose keys and payloads must be
   bit-identical across processes and runs);
+* :func:`atomic_write_text` — the one way shared state files are
+  replaced: readers see the old file or the new one, never a torn one;
 * :class:`ClaimRecord` and the claim-file primitives — atomic,
   filesystem-level exclusive claims on shared resources (the lease
   files that let distributed sweep workers divide work without a
@@ -53,6 +55,7 @@ __all__ = [
     "RESPONSE_SCHEMA_VERSION",
     "response_envelope",
     "render_response",
+    "atomic_write_text",
     "ClaimRecord",
     "write_claim",
     "read_claim",
@@ -159,6 +162,20 @@ def render_response(kind: str, data: Any) -> str:
     )
 
 
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text`` through a sibling temp file + rename.
+
+    Readers see the old content or the new, never a half-written file
+    (a crashed writer must not leave state a resume would trust).  The
+    temp name is unique per write: concurrent writers of one file must
+    not rename each other's temp file away or install a truncated one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex[:8]}.tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
 # -- claim records ----------------------------------------------------------
 #
 # A claim file is a filesystem-level mutual-exclusion token: whoever
@@ -244,13 +261,9 @@ def read_claim(path: str | Path) -> ClaimRecord | None:
 def refresh_claim(path: str | Path, record: ClaimRecord) -> None:
     """Atomically rewrite a claim (heartbeat / extended expiry).
 
-    Only the owner should refresh; the write goes through a uniquely
-    named temp file + rename so readers never see a torn record.
+    Only the owner should refresh; readers never see a torn record.
     """
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex[:8]}.tmp")
-    tmp.write_text(record.to_json())
-    os.replace(tmp, path)
+    atomic_write_text(path, record.to_json())
 
 
 def release_claim(path: str | Path, owner: str) -> bool:
@@ -313,9 +326,10 @@ def claim_lock(
     Built on the same :func:`write_claim` / :func:`break_claim`
     primitives as worker leases, so it is safe across processes and
     hosts sharing the directory.  A holder that crashed (same-host dead
-    pid) or let its TTL lapse is broken and the lock re-acquired; a
-    live contender past ``timeout`` raises :class:`TimeoutError` rather
-    than spinning forever.
+    pid) or let its TTL lapse is broken and the lock re-acquired, as is
+    an unreadable claim file once it is ``ttl`` old; a live contender
+    past ``timeout`` raises :class:`TimeoutError` rather than spinning
+    forever.
     """
     path = Path(path)
     host = socket.gethostname()
@@ -335,13 +349,25 @@ def claim_lock(
         if write_claim(path, record):
             break
         held = read_claim(path)
-        if held is None or now >= held.expires_at or _claim_owner_dead(held):
+        if held is None:
+            # Gone: its holder released after our create failed, so try
+            # again at once.  Breaking here could remove a fresh claim
+            # a peer made since.  A file that exists but will not parse
+            # is broken only once it is ``ttl`` old.
+            try:
+                age = now - path.stat().st_mtime
+            except FileNotFoundError:
+                continue
+            if age >= ttl:
+                break_claim(path)
+                continue
+        elif now >= held.expires_at or _claim_owner_dead(held):
             break_claim(path)
             continue
         if time.monotonic() >= deadline:
             raise TimeoutError(
                 f"could not acquire claim lock {path} within {timeout:g}s "
-                f"(held by {held.owner})"
+                f"(held by {held.owner if held else 'an unreadable claim'})"
             )
         time.sleep(poll)
     try:

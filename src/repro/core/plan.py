@@ -52,7 +52,6 @@ from .streaming import pull_gather_rows
 __all__ = [
     "AUTO_KERNEL",
     "AUTO_RUNG",
-    "DEFAULT_KERNEL",
     "KernelPlan",
     "PlannedKernel",
     "available_kernels",
@@ -640,10 +639,6 @@ AUTO_KERNEL = "auto"
 #: fill), so the alias is fixed: resolving it reads no per-host state,
 #: and an ``auto`` spec fingerprints like a ``planned`` one everywhere.
 AUTO_RUNG = "planned"
-
-#: What ``Simulation`` uses when no kernel is requested (the legacy
-#: roll-stream + fused-collide production pair).
-DEFAULT_KERNEL = "roll"
 
 
 def available_kernels() -> tuple[str, ...]:

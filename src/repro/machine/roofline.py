@@ -14,13 +14,17 @@ limiter* — on both Blue Genes and both lattices it is the bandwidth
 
 Also implements the §III-C refinements: the torus-bandwidth lower bound
 (all loads/stores served over the network) and the hardware-efficiency
-upper bound ``P(Bm) / P(Ppeak)``.
+upper bound ``P(Bm) / P(Ppeak)``.  For the host this runs on, ``Bm``
+comes from :func:`copy_bandwidth`, a copy probe measured per call.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import time
+
+import numpy as np
 
 from ..lattice import VelocitySet
 from .spec import MachineSpec
@@ -29,6 +33,7 @@ __all__ = [
     "Limiter",
     "RooflinePoint",
     "bytes_per_cell",
+    "copy_bandwidth",
     "sparse_bytes_per_cell",
     "roofline",
     "torus_lower_bound",
@@ -63,7 +68,7 @@ def bytes_per_cell(lattice: VelocitySet, dtype: str = "float64") -> int:
 
 #: Cache-line size assumed by the sparse fill penalty (bytes).  The
 #: paper's machines and commodity x86 both move 64-byte (or larger)
-#: lines; the exact figure only shifts the fitted beta, not the trend.
+#: lines; the exact figure only shifts the traffic estimate, not the trend.
 CACHE_LINE_BYTES = 64
 
 
@@ -95,6 +100,34 @@ def sparse_bytes_per_cell(
     index_bytes = 8 * lattice.q
     line_waste = (CACHE_LINE_BYTES - itemsize) * lattice.q * (1.0 - fill)
     return float(base + index_bytes + line_waste)
+
+
+#: Copy probe buffer size: well past any last-level cache, so the probe
+#: times main memory, as ``Bm`` in Eq. 5 does.
+COPY_PROBE_BYTES = 64 << 20
+
+#: Timed copies per probe; the fastest one is reported.
+COPY_PROBE_REPEATS = 5
+
+
+def copy_bandwidth() -> float:
+    """This host's main-memory bandwidth ``Bm`` in bytes/s (read + write).
+
+    Times ``np.copyto`` between two pre-touched buffers, so no page
+    fault lands in the timed copies, and reports the best of
+    :data:`COPY_PROBE_REPEATS`.  Measured on every call and never
+    stored: a figure from one machine says nothing about another.
+    """
+    src = np.ones(COPY_PROBE_BYTES // 8)
+    dst = np.empty_like(src)
+    np.copyto(dst, src)
+    best = float("inf")
+    for _ in range(COPY_PROBE_REPEATS):
+        start = time.perf_counter()
+        np.copyto(dst, src)
+        best = min(best, time.perf_counter() - start)
+    return 2 * src.nbytes / best
+
 
 #: Core floating-point operations per lattice update in the paper's
 #: implementation (§III-B): "our implementation has 178 core

@@ -11,18 +11,6 @@ from .cost_model import CostModel, Placement, StepBreakdown, Workload
 from .event_sim import CommSimResult, simulate_comm_times
 from .hybrid_model import HybridSweepPoint, best_point, sweep_hybrid
 from .metrics import mflups, parallel_efficiency, runtime_for_mflups, speedup
-from .model import (
-    FittedPerfModel,
-    MeasuredSample,
-    ModelEntry,
-    Prediction,
-    calibration_path,
-    fit_samples,
-    kernel_cache_dir,
-    load_calibration,
-    samples_from_bench,
-    save_calibration,
-)
 from .noise import JitterModel
 from .optimization import (
     LADDER,
@@ -56,16 +44,6 @@ __all__ = [
     "depth_table",
     "DepthSweepResult",
     "effect_note",
-    "calibration_path",
-    "fit_samples",
-    "FittedPerfModel",
-    "kernel_cache_dir",
-    "load_calibration",
-    "MeasuredSample",
-    "ModelEntry",
-    "Prediction",
-    "samples_from_bench",
-    "save_calibration",
     "HybridSweepPoint",
     "JitterModel",
     "LADDER",

@@ -27,7 +27,7 @@ import traceback
 from pathlib import Path
 from typing import Any
 
-from ..core.io import claim_lock
+from ..core.io import atomic_write_text, claim_lock
 
 __all__ = [
     "DEFAULT_MAX_ATTEMPTS",
@@ -268,6 +268,6 @@ class FailureLedger:
             },
         }
         self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        os.replace(tmp, self.path)
+        atomic_write_text(
+            self.path, json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        )

@@ -21,11 +21,10 @@ import hashlib
 import json
 import logging
 import os
-import uuid
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from ..core.io import canonical_json
+from ..core.io import atomic_write_text, canonical_json
 from ..errors import ScenarioError
 from ..resilience.ledger import FAILURES_FILENAME
 from ..telemetry.recorder import NULL_TELEMETRY, NullTelemetry, Telemetry
@@ -51,17 +50,6 @@ QUEUE_FILENAME = "queue.json"
 #: Sidecar directory corrupt entries are renamed into (see
 #: :meth:`ResultCache.quarantine_corrupt`).
 CORRUPT_DIRNAME = "corrupt"
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    """Write via a sibling temp file + rename so readers never see a
-    half-written entry (a crashed sweep must not leave corrupt state
-    that a resume would trust).  The temp name is unique per write:
-    concurrent workers saving one manifest must not rename each
-    other's temp file away."""
-    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex[:8]}.tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def _checksum(data: Any) -> str:
@@ -201,7 +189,7 @@ class ResultCache:
             "data": json.loads(text),
         }
         path = self.entry_path(fingerprint)
-        _atomic_write(path, json.dumps(envelope, sort_keys=True, indent=1))
+        atomic_write_text(path, json.dumps(envelope, sort_keys=True, indent=1))
         return path
 
     def keys(self) -> tuple[str, ...]:
@@ -326,7 +314,7 @@ class SweepManifest:
         self.save()
 
     def save(self) -> Path:
-        _atomic_write(
+        atomic_write_text(
             self.path,
             json.dumps(
                 {

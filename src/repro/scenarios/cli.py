@@ -17,9 +17,7 @@ path is what makes ``repro case --json`` output and a warm
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 from typing import Any, Sequence
 
 from .. import api
@@ -380,89 +378,27 @@ def run_events_cli(
 
 
 def run_perf_model_cli(
-    action: str,
     *,
-    bench: Sequence[str] = (),
-    host: str | None = None,
-    path: str | None = None,
-    kernel: str | None = None,
-    lattice: str | None = None,
+    lattice: str,
     dtype: str = "float64",
     shape: str | None = None,
     steps: int | None = None,
-    ranks: int = 1,
 ) -> int:
-    """The ``repro perf-model fit|show|predict`` workflow.
-
-    ``fit`` least-squares the calibration from committed bench records
-    and persists it to the per-host calibration file; ``show`` prints
-    what is persisted; ``predict`` answers one (kernel, lattice, dtype,
-    shape, ranks) query from it via :func:`repro.api.predict_cost`.
-    """
-    from ..perf import model as perf_model
-
-    if action == "fit":
-        if not bench:
-            raise ScenarioError("perf-model fit needs at least one BENCH_*.json record")
-        fitted = perf_model.fit(bench, host=host)
-        for line in fitted.summary_lines():
-            print(line)
-        written = perf_model.save_calibration(fitted, path)
-        print(f"wrote {written}")
-        return 0
-
-    where = Path(path) if path else perf_model.calibration_path(host)
-    if action == "show":
-        try:
-            raw = json.loads(where.read_text())
-        except OSError:
-            print(
-                f"no calibration at {where} — fit one with "
-                "`repro perf-model fit BENCH_*.json`"
-            )
-            return 1
-        except ValueError as exc:
-            raise ScenarioError(f"corrupt calibration {where}: {exc}") from exc
-        model = perf_model.FittedPerfModel.from_json(raw)
-        for line in model.summary_lines():
-            print(line)
-        print(f"({where})")
-        return 0
-
-    # predict
-    if not kernel or not lattice:
-        raise ScenarioError("perf-model predict needs --kernel and --lattice")
+    """``repro perf-model predict``: the paper's Eq. 5 ceiling
+    ``Bm / B(Q)`` on this host via :func:`repro.api.predict_cost`, and
+    the wall-clock at that ceiling when shape and steps are given."""
     grid = tuple(int(s) for s in shape.split(",")) if shape else None
     estimate = api.predict_cost(
-        kernel=kernel,
-        lattice=lattice,
-        dtype=dtype,
-        shape=grid,
-        steps=steps,
-        ranks=ranks,
-        host=host,
-        path=path,
+        lattice=lattice, dtype=dtype, shape=grid, steps=steps
     )
-    if estimate is None:
-        if perf_model.load_calibration(where) is None:
-            print(
-                f"no calibration at {where} — fit one with "
-                "`repro perf-model fit BENCH_*.json`"
-            )
-        else:
-            print(
-                f"model has no coverage for kernel={kernel} lattice={lattice} "
-                f"dtype={dtype} ranks={ranks}"
-            )
-        return 1
     line = (
-        f"{kernel} {lattice} {dtype}"
-        + (f" ranks={ranks}" if ranks > 1 else "")
-        + f": {estimate.mflups:.2f} MFLUP/s predicted ({estimate.level} fit)"
+        f"{estimate.lattice} {dtype}: {estimate.mflups:.2f} MFLUP/s ceiling "
+        f"(Bm {estimate.bandwidth / 1e9:.2f} GB/s / "
+        f"B(Q) {estimate.bytes_per_cell} B)"
     )
-    if grid is not None and steps and estimate.seconds is not None:
+    if estimate.seconds is not None:
         line += (
-            f", ~{estimate.seconds:.2f}s for {steps} steps on "
+            f", >= {estimate.seconds:.3g}s for {steps} steps on "
             f"{'x'.join(map(str, grid))}"
         )
     print(line)
@@ -851,63 +787,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf_model = sub.add_parser(
         "perf-model",
-        help="fit, inspect, or query the per-host performance calibration "
-        "that packs sweeps by predicted cost and gates bench records",
+        help="the paper's Eq. 5 roofline ceiling on this host",
     )
     perf_model.add_argument(
         "action",
-        choices=("fit", "show", "predict"),
-        help="fit: least-squares the calibration from bench records; "
-        "show: print the persisted calibration; predict: one query",
+        choices=("predict",),
+        help="predict: Bm / B(Q) with Bm from a copy probe run now",
     )
     perf_model.add_argument(
-        "bench",
-        nargs="*",
-        metavar="BENCH.json",
-        help="exported bench records to fit from (fit)",
-    )
-    perf_model.add_argument(
-        "--host",
-        default=None,
-        help="calibrate/query for this host (default: this machine)",
-    )
-    perf_model.add_argument(
-        "--path",
-        default=None,
-        metavar="FILE",
-        help="calibration file (default: the per-host file under "
-        "$REPRO_KERNEL_CACHE_DIR)",
-    )
-    perf_model.add_argument(
-        "--kernel", default=None, help="kernel to predict for (predict)"
-    )
-    perf_model.add_argument(
-        "--lattice", default=None, help="lattice to predict for (predict)"
+        "--lattice", required=True, help="lattice to evaluate, e.g. D3Q19"
     )
     perf_model.add_argument(
         "--dtype",
         default="float64",
         choices=("float32", "float64"),
-        help="population precision to predict for (predict)",
+        help="population precision (float32 halves B(Q))",
     )
     perf_model.add_argument(
         "--shape",
         default=None,
         metavar="X,Y,Z",
-        help="grid shape, for predicted wall-clock (predict)",
+        help="grid shape, for the wall-clock at the ceiling",
     )
     perf_model.add_argument(
         "--steps",
         type=int,
         default=None,
-        help="step count, for predicted wall-clock (predict)",
-    )
-    perf_model.add_argument(
-        "--ranks",
-        type=int,
-        default=1,
-        help="rank count: >1 predicts the distributed slab kernels "
-        "(predict)",
+        help="step count, for the wall-clock at the ceiling",
     )
     return parser
 
@@ -947,16 +853,10 @@ def main(argv: Sequence[str]) -> int:
             )
         if args.command == "perf-model":
             return run_perf_model_cli(
-                args.action,
-                bench=args.bench,
-                host=args.host,
-                path=args.path,
-                kernel=args.kernel,
                 lattice=args.lattice,
                 dtype=args.dtype,
                 shape=args.shape,
                 steps=args.steps,
-                ranks=args.ranks,
             )
         if args.command == "sweep-worker":
             return run_worker_cli(

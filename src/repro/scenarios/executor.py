@@ -363,8 +363,8 @@ def _sweep_root(cache_dir: str | Path | None) -> Iterator[Path]:
 
 
 def _publish(root: Path, plan: SweepPlan, analyze: bool) -> "WorkQueue":
-    """Write ``plan``'s work order under ``root``, stamped with LPT
-    costs when this host holds a perf-model calibration."""
+    """Write ``plan``'s work order under ``root``, each item stamped
+    with its Eq. 5 traffic so workers claim longest-first."""
     from .scheduler import WorkQueue, predict_spec_costs  # imports this module
 
     return WorkQueue.publish(
@@ -486,8 +486,7 @@ class SweepExecutor:
         """Expand the sweep and write queue + manifest under the cache dir.
 
         Runs nothing: ``sweep-worker`` processes on any host sharing the
-        directory claim the variants, longest predicted first when this
-        host holds a perf-model calibration
+        directory claim the variants, largest Eq. 5 traffic first
         (:meth:`~repro.scenarios.scheduler.WorkQueue.claim_order`).
         """
         if self.cache_dir is None:

@@ -13,9 +13,10 @@ The coordination substrate is the PR 2 cache layout, extended with two
 artifacts:
 
 ``queue.json``
-    The published work order: case name, per-variant overrides and
-    fingerprints, and the analyze mode.  Host-agnostic — a worker needs
-    only this file and the case registry to rebuild each variant.
+    The published work order: case name, per-variant overrides,
+    fingerprints and Eq. 5 costs, and the analyze mode.  Host-agnostic —
+    a worker needs only this file and the case registry to rebuild
+    each variant.
 ``leases/<fingerprint>.lease``
     Atomic claim files (:class:`~repro.core.io.ClaimRecord`): a worker
     that creates one owns that variant until it commits or the lease
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import socket
 import time
@@ -45,6 +47,7 @@ from typing import Any
 
 from ..core.io import (
     ClaimRecord,
+    atomic_write_text,
     break_claim,
     read_claim,
     refresh_claim,
@@ -52,6 +55,8 @@ from ..core.io import (
     write_claim,
 )
 from ..errors import ScenarioError
+from ..lattice import get_lattice
+from ..machine.roofline import bytes_per_cell
 from ..resilience import FailureLedger, FailureRecord
 from ..telemetry.aggregate import FleetRollup
 from ..telemetry.recorder import TELEMETRY_DIRNAME
@@ -90,9 +95,9 @@ def _retuple(value: Any) -> Any:
 class WorkItem:
     """One variant of a published sweep, as a worker sees it.
 
-    ``cost`` is the publisher's predicted wall-clock seconds for the
-    variant (from the host's fitted perf-model calibration, see
-    :mod:`repro.perf.model`); ``None`` when no calibration covered it.
+    ``cost`` is the variant's Eq. 5 memory traffic in bytes
+    (:func:`predict_spec_costs`), the same on every host; ``None`` on
+    items published without one (queues written by older releases).
     Costs are advisory — they order claims, never gate them.  ``case``
     overrides the queue-level case name for this one item (how serve
     appends mix cases onto one queue); ``None`` inherits the queue's.
@@ -147,8 +152,8 @@ class WorkQueue:
         """Atomically write the work order for ``plan`` under ``root``.
 
         ``costs`` (index-aligned with the plan) stamps each item with
-        its predicted wall-clock seconds so workers can claim
-        longest-first; omitted or ``None`` entries publish uncosted.
+        its predicted cost so workers can claim longest-first; omitted
+        or ``None`` entries publish uncosted.
         """
         if not isinstance(plan.case_ref, str):
             raise ScenarioError(
@@ -187,10 +192,7 @@ class WorkQueue:
             ) from exc
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
-        path = root / QUEUE_FILENAME
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        atomic_write_text(root / QUEUE_FILENAME, text)
         return cls.load(root)
 
     @classmethod
@@ -275,10 +277,7 @@ class WorkQueue:
                 f"work queue items need JSON-serialisable overrides: {exc}"
             ) from exc
         root.mkdir(parents=True, exist_ok=True)
-        path = root / QUEUE_FILENAME
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        atomic_write_text(root / QUEUE_FILENAME, text)
         return cls.load(root)
 
     @classmethod
@@ -662,30 +661,19 @@ def sweep_status(cache_dir: str | Path) -> SweepStatus:
     )
 
 
-def predict_spec_costs(specs) -> "list[float | None] | None":
-    """Predicted wall-clock seconds per spec, from this host's
-    calibration (:func:`repro.perf.model.load_calibration`).
+def predict_spec_costs(specs) -> "list[float]":
+    """Each spec's memory traffic under the paper's roofline (Eq. 5):
+    ``steps * prod(shape) * B(Q)`` bytes, with ``B(Q)`` from
+    :func:`repro.machine.roofline.bytes_per_cell` at the spec's dtype.
 
-    Returns ``None`` when no calibration exists; individual specs the
-    model has no coverage for come back as ``None`` entries.  Inverse
-    of the paper's Eq. 4: ``steps * cells / (P * 1e6)``.  The costs
-    only order which variants workers claim first (longest first),
-    never what a variant computes.
+    A pure function of the spec — no measurement, file or host name —
+    so every publisher ranks a grid alike.  On a bandwidth-bound kernel
+    wall-clock is this traffic over the host's ``Bm``, so ordering by it
+    is longest-expected-first.  The costs only order which variants
+    workers claim first, never what a variant computes.
     """
-    from ..core.plan import DEFAULT_KERNEL
-    from ..perf.model import load_calibration
-
-    calibration = load_calibration()
-    if calibration is None:
-        return None
-    costs: list[float | None] = []
+    costs = []
     for spec in specs:
-        seconds = calibration.predict_case_seconds(
-            spec.kernel or DEFAULT_KERNEL,
-            spec.lattice,
-            spec.dtype,
-            spec.shape,
-            spec.steps,
-        )
-        costs.append(None if seconds != seconds else seconds)  # NaN -> None
+        b = bytes_per_cell(get_lattice(spec.lattice), spec.dtype)
+        costs.append(float(spec.steps * math.prod(spec.shape) * b))
     return costs

@@ -9,9 +9,8 @@ DIR`` runs exactly this; ``repro sweep --jobs N`` starts N of them
 locally over its cache directory
 (:class:`~repro.scenarios.executor.SweepExecutor`).
 
-The loop per pass, in the queue's claim order — grid order, unless the
-publisher stamped every variant with a predicted cost from its fitted
-perf-model calibration, in which case claims go longest-first
+The loop per pass, in the queue's claim order — largest Eq. 5 traffic
+first, ties and queues with an uncosted item in grid order
 (:meth:`~repro.scenarios.scheduler.WorkQueue.claim_order`):
 
 1. skip variants with a usable cache entry (someone finished them);

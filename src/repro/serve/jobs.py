@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .. import api
+from ..core.io import atomic_write_text
 from ..errors import ScenarioError
 from ..resilience import FailureLedger
 from ..scenarios.cache import SweepManifest, sweep_key
@@ -153,16 +154,9 @@ class JobStore:
             return record, entry
         if self.telemetry.enabled:
             self.telemetry.count("serve.cache.miss")
-        costs = predict_spec_costs([request.spec])
+        (cost,) = predict_spec_costs([request.spec])
         self._enqueue(
-            [
-                (
-                    request.case,
-                    request.overrides,
-                    request.fingerprint,
-                    costs[0] if costs else None,
-                )
-            ]
+            [(request.case, request.overrides, request.fingerprint, cost)]
         )
         return record, None
 
@@ -197,14 +191,13 @@ class JobStore:
             created_at=time.time(),
         )
         self._save(record)
-        cold: list[tuple[str, dict[str, Any], str, float | None]] = []
-        cold_specs = []
-        for spec, ov, fp in zip(
-            request.specs, request.overrides, request.fingerprints
-        ):
-            if usable_entry(self.cache, fp, True) is None:
-                cold.append((request.case, ov, fp, None))
-                cold_specs.append(spec)
+        cold = [
+            (spec, ov, fp)
+            for spec, ov, fp in zip(
+                request.specs, request.overrides, request.fingerprints
+            )
+            if usable_entry(self.cache, fp, True) is None
+        ]
         if self.telemetry.enabled:
             if len(request) > len(cold):
                 self.telemetry.count("serve.cache.hit", len(request) - len(cold))
@@ -212,20 +205,17 @@ class JobStore:
                 self.telemetry.count("serve.cache.miss", len(cold))
         if not cold:
             return record, api.assemble_sweep(request, self.root)
-        costs = predict_spec_costs(cold_specs)
-        if costs:
-            cold = [
-                (case_, ov, fp, cost)
-                for (case_, ov, fp, _), cost in zip(cold, costs)
+        costs = predict_spec_costs([spec for spec, _, _ in cold])
+        self._enqueue(
+            [
+                (request.case, ov, fp, cost)
+                for (_, ov, fp), cost in zip(cold, costs)
             ]
-        self._enqueue(cold)
+        )
         return record, None
 
     def _save(self, record: JobRecord) -> None:
-        path = self.jobs_dir / f"{record.id}.json"
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(record.to_json())
-        tmp.replace(path)
+        atomic_write_text(self.jobs_dir / f"{record.id}.json", record.to_json())
 
     def _enqueue(
         self, entries: "list[tuple[str, dict[str, Any], str, float | None]]"

@@ -8,25 +8,6 @@ import pytest
 from repro.lattice import get_lattice
 
 
-@pytest.fixture(autouse=True, scope="session")
-def _isolated_calibration(tmp_path_factory):
-    """Point the perf-model calibration root at a throwaway directory.
-
-    Tests must neither read a developer's ~/.cache calibration (it would
-    change how sweeps pack variants onto workers) nor write into it.
-    """
-    import os
-
-    path = tmp_path_factory.mktemp("calibration-root")
-    old = os.environ.get("REPRO_KERNEL_CACHE_DIR")
-    os.environ["REPRO_KERNEL_CACHE_DIR"] = str(path)
-    yield
-    if old is None:
-        os.environ.pop("REPRO_KERNEL_CACHE_DIR", None)
-    else:
-        os.environ["REPRO_KERNEL_CACHE_DIR"] = old
-
-
 @pytest.fixture(params=["D3Q15", "D3Q19", "D3Q27", "D3Q39"])
 def lattice(request):
     """Every registered lattice."""

@@ -230,8 +230,8 @@ class TestSelection:
 
 class TestAutoAlias:
     """'auto' is the planned rung on every grid, and it keeps no
-    per-host state: nothing under the calibration root is read or
-    written while it resolves."""
+    per-host state: nothing under the former calibration root is read
+    or written while it resolves."""
 
     def test_every_lattice(self, lattice):
         kernel = make_kernel(AUTO_KERNEL, lattice, tau=0.8, shape=(6, 5, 4))
@@ -262,10 +262,12 @@ class TestAutoAlias:
         assert np.array_equal(runs[AUTO_KERNEL], runs["planned"])
 
     def test_stale_verdict_records_are_never_read(self, tmp_path, monkeypatch):
-        """Verdict files an older release left in the calibration root
-        (one crowning roll, one corrupt) change nothing and stay as
-        they were."""
-        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
+        """Verdict files an older release left in the former default
+        calibration root (one crowning roll, one corrupt) change nothing
+        and stay as they were."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        root = tmp_path / "repro" / "kernel-auto"
+        root.mkdir(parents=True)
         records = {
             "roll.json": json.dumps(
                 {
@@ -277,18 +279,18 @@ class TestAutoAlias:
             "corrupt.json": "{not json",
         }
         for name, text in records.items():
-            (tmp_path / name).write_text(text)
+            (root / name).write_text(text)
         sim = Simulation("D3Q19", (6, 6, 6), tau=0.8, kernel=AUTO_KERNEL)
         assert isinstance(sim.kernel, PlannedKernel)
         assert {
-            path.name: path.read_text() for path in tmp_path.iterdir()
+            path.name: path.read_text() for path in root.iterdir()
         } == records
 
     def test_writes_nothing_under_the_calibration_root(
         self, tmp_path, monkeypatch
     ):
-        root = tmp_path / "calibration"
-        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(root))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        root = tmp_path / "repro" / "kernel-auto"
         for shape in ((6, 6, 6), (7, 6, 6)):
             for dtype in ("float64", "float32"):
                 sim = Simulation(

@@ -1,5 +1,8 @@
 """Tests for the Wellein/Eq. 5 roofline — Table II must reproduce."""
 
+import importlib
+import math
+
 import pytest
 
 from repro.lattice import get_lattice
@@ -83,3 +86,32 @@ class TestFlopsPerCell:
         f27 = flops_per_cell(get_lattice("D3Q27"))
         assert 170 < f15 < 178
         assert 178 < f27 < 190
+
+
+#: The module itself: the package re-exports its ``roofline`` function
+#: under the same name.
+roofline_module = importlib.import_module("repro.machine.roofline")
+
+
+class TestCopyBandwidth:
+    """``Bm`` for this host: a copy probe measured on every call."""
+
+    def test_measures_a_positive_finite_rate(self):
+        bandwidth = roofline_module.copy_bandwidth()
+        assert math.isfinite(bandwidth) and bandwidth > 0
+
+    def test_reports_read_plus_write_bytes_of_the_best_copy(self, monkeypatch):
+        """Five timed copies of 10 s, 4 s, 5 s, 2 s, 8 s: the 2 s copy
+        sets the rate, over twice the buffer (read + write)."""
+        monkeypatch.setattr(roofline_module, "COPY_PROBE_BYTES", 1 << 16)
+        durations = iter([10.0, 4.0, 5.0, 2.0, 8.0])
+        clock = {"now": 0.0, "stop": False}
+
+        def perf_counter():
+            if clock["stop"]:
+                clock["now"] += next(durations)
+            clock["stop"] = not clock["stop"]
+            return clock["now"]
+
+        monkeypatch.setattr(roofline_module.time, "perf_counter", perf_counter)
+        assert roofline_module.copy_bandwidth() == 2 * (1 << 16) / 2.0

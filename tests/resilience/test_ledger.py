@@ -169,6 +169,58 @@ class TestClaimLock:
             holder = read_claim(lock)
             assert holder is not None and holder.owner != "gone"
 
+    def test_a_lock_retaken_during_our_read_is_not_broken(
+        self, tmp_path, monkeypatch
+    ):
+        """Our create fails; the holder releases and a peer takes the
+        lock before we look.  Finding the file gone, we must retry, not
+        break whatever claim sits there next: the peer keeps its lock
+        and we time out."""
+        import os
+        import socket
+
+        from repro.core import io
+
+        lock = tmp_path / "x.lock"
+        now = time.time()
+
+        def live(owner):
+            return ClaimRecord(
+                owner=owner, resource=str(lock), host=socket.gethostname(),
+                pid=os.getpid(), acquired_at=now, expires_at=now + 3600,
+            )
+
+        assert write_claim(lock, live("first"))
+        reads = []
+
+        def read_during_handover(path):
+            if not reads:
+                lock.unlink()  # "first" releases ...
+                reads.append(read_claim(path))
+                assert write_claim(lock, live("peer"))  # ... "peer" takes it
+                return reads[0]
+            return read_claim(path)
+
+        monkeypatch.setattr(io, "read_claim", read_during_handover)
+        with pytest.raises(TimeoutError, match="held by peer"):
+            with claim_lock(lock, timeout=0.1, poll=0.02):
+                pass
+        assert reads == [None]
+        assert read_claim(lock).owner == "peer"
+
+    def test_unreadable_claim_is_broken_once_ttl_old(self, tmp_path):
+        import os
+
+        lock = tmp_path / "x.lock"
+        lock.write_text("")  # a torn claim from an older release
+        with pytest.raises(TimeoutError, match="unreadable claim"):
+            with claim_lock(lock, ttl=30.0, timeout=0.1, poll=0.02):
+                pass
+        old = time.time() - 60
+        os.utime(lock, (old, old))
+        with claim_lock(lock, ttl=30.0, timeout=5.0):
+            assert read_claim(lock) is not None
+
     def test_timeout_raises(self, tmp_path):
         lock = tmp_path / "x.lock"
         import os

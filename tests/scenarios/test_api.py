@@ -116,11 +116,57 @@ class TestEnvelope:
             render_response("thing", {"x": float("nan")})
 
 
+@pytest.fixture
+def probe(monkeypatch):
+    """A copy probe that reports 12 GB/s and counts its calls."""
+    import importlib
+
+    roofline = importlib.import_module("repro.machine.roofline")
+    calls = []
+
+    def copy_bandwidth():
+        calls.append(1)
+        return 12e9
+
+    monkeypatch.setattr(roofline, "copy_bandwidth", copy_bandwidth)
+    return calls
+
+
 class TestPredictCost:
-    def test_no_calibration_returns_none(self, tmp_path):
+    """``predict_cost`` is Eq. 5's bandwidth term with a measured ``Bm``."""
+
+    def test_ceiling_is_bm_over_bq(self, probe):
+        estimate = api.predict_cost(lattice="D3Q19")
+        assert estimate.bandwidth == 12e9
+        assert estimate.bytes_per_cell == 456
+        assert estimate.mflups == 12e9 / 456 / 1e6
+        assert estimate.seconds is None
+
+    def test_float32_halves_bq_and_doubles_the_ceiling(self, probe):
+        f64 = api.predict_cost(lattice="D3Q39")
+        f32 = api.predict_cost(lattice="D3Q39", dtype="float32")
+        assert (f64.bytes_per_cell, f32.bytes_per_cell) == (936, 468)
+        assert f32.mflups == 2 * f64.mflups
+
+    def test_seconds_are_the_work_at_the_ceiling(self, probe):
         estimate = api.predict_cost(
-            kernel="planned",
-            lattice="D3Q19",
-            path=tmp_path / "missing.json",
+            lattice="D3Q19", shape=(64, 64, 64), steps=100
         )
-        assert estimate is None
+        assert estimate.seconds == 100 * 64**3 * 456 / 12e9
+
+    def test_probes_on_every_call_and_touches_no_file(
+        self, probe, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        api.predict_cost(lattice="D3Q19")
+        api.predict_cost(lattice="D3Q19")
+        assert len(probe) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "query", [{"lattice": "D3Q99"}, {"lattice": "D3Q19", "dtype": "int8"}]
+    )
+    def test_unknown_lattice_or_dtype_is_a_scenario_error(self, probe, query):
+        with pytest.raises(ScenarioError):
+            api.predict_cost(**query)
+        assert probe == []

@@ -258,7 +258,7 @@ class TestAutoKernelAlias:
     resolution step, no per-host state read or written."""
 
     def test_auto_resolves_silently(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         code = main(
             ["case", "taylor-green", "--steps", "20", "--kernel", "auto"]
         )
@@ -287,6 +287,56 @@ class TestAutoKernelAlias:
             assert code == 0
             tables[kernel] = capsys.readouterr().out
         assert tables["auto"] == tables["planned"]
+
+
+class TestPerfModelCommand:
+    """``repro perf-model predict`` prints the Eq. 5 ceiling; the fitted
+    model's subcommands and flags are gone."""
+
+    @pytest.fixture(autouse=True)
+    def probe(self, monkeypatch):
+        import importlib
+
+        roofline = importlib.import_module("repro.machine.roofline")
+        monkeypatch.setattr(roofline, "copy_bandwidth", lambda: 12e9)
+
+    def test_predict_prints_the_ceiling(self, capsys):
+        code = main(["perf-model", "predict", "--lattice", "D3Q19"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "D3Q19 float64: 26.32 MFLUP/s ceiling "
+            "(Bm 12.00 GB/s / B(Q) 456 B)\n"
+        )
+
+    def test_predict_adds_wall_clock_with_shape_and_steps(self, capsys):
+        code = main(["perf-model", "predict", "--lattice", "D3Q19",
+                     "--dtype", "float32", "--shape", "64,64,64",
+                     "--steps", "100"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "D3Q19 float32: 52.63 MFLUP/s ceiling "
+            "(Bm 12.00 GB/s / B(Q) 228 B), >= 0.498s for 100 steps "
+            "on 64x64x64\n"
+        )
+
+    @pytest.mark.parametrize("action", ["fit", "show"])
+    def test_fit_and_show_exit_2(self, action, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["perf-model", action, "bench.json"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag", ["--kernel=planned", "--ranks=2", "--host=h", "--path=p.json"]
+    )
+    def test_removed_predict_flags_exit_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["perf-model", "predict", "--lattice", "D3Q19", flag])
+        assert exc.value.code == 2
+
+    def test_unknown_lattice_is_an_error_not_a_traceback(self, capsys):
+        code = main(["perf-model", "predict", "--lattice", "D3Q99"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestTelemetryFlags:

@@ -200,13 +200,13 @@ class TestLeaseWorkers:
         order or lease."""
         import multiprocessing
 
-        from repro.perf import model
+        from repro.scenarios import scheduler
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the serial path must not get here")
 
         monkeypatch.setattr(multiprocessing.Process, "start", forbidden)
-        monkeypatch.setattr(model, "load_calibration", forbidden)
+        monkeypatch.setattr(scheduler, "predict_spec_costs", forbidden)
         for runs in (len(TAUS), 0):
             result = SweepExecutor(make_sweep(), jobs=1, cache_dir=tmp_path).run(
                 analyze=False

@@ -1,10 +1,14 @@
 """Distributed sweeps: leases, determinism, crash recovery."""
 
 import multiprocessing
+import os
+import sys
+import threading
 import time
 
 import pytest
 
+from repro.__main__ import main as repro_main
 from repro.core.io import ClaimRecord, read_claim, write_claim
 from repro.errors import ScenarioError
 from repro.scenarios import (
@@ -17,7 +21,7 @@ from repro.scenarios import (
     run_worker,
 )
 from repro.scenarios.executor import SweepPlan
-from repro.scenarios.scheduler import LeaseBoard
+from repro.scenarios.scheduler import LeaseBoard, predict_spec_costs
 
 TAUS = [0.55, 0.7, 0.8, 0.95]
 
@@ -300,71 +304,133 @@ class TestWorkerLoop:
 
 
 class TestCostAwarePacking:
-    """Publishers with a fitted calibration stamp predicted costs and
+    """Every publisher stamps each item with its Eq. 5 traffic and
     workers claim longest-first; everything else stays bit-identical."""
 
+    #: Costs differ across these variants: D3Q39 moves 936/456 the
+    #: bytes of D3Q19 per cell update, and 4 steps twice 2 steps'.
+    GRID = ["--param", "lattice=D3Q19,D3Q39", "--param", "steps=2,4"]
+    EQ5_ORDER = [("D3Q39", 4), ("D3Q39", 2), ("D3Q19", 4), ("D3Q19", 2)]
+
     @staticmethod
-    def ladder_sweep():
-        # Costs genuinely differ across these variants (D3Q39 roll is
-        # ~8x the work of D3Q19 planned); tau alone would tie them all.
+    def costed_sweep():
         return Sweep(
             "taylor-green",
-            {"lattice": ["D3Q19", "D3Q39"], "kernel": ["roll", "planned"]},
-            steps=5,
+            {"lattice": ["D3Q19", "D3Q39"], "steps": [2, 4],
+             "shape": [(8, 8, 4)]},
         )
 
-    @pytest.fixture
-    def calibrated(self, tmp_path, monkeypatch):
-        from pathlib import Path
-
-        from repro.perf.model import fit, save_calibration
-
-        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path / "calib"))
-        repo = Path(__file__).resolve().parents[2]
-        save_calibration(fit([repo / f"BENCH_PR{n}.json" for n in (3, 4, 5)]))
-
-    def test_publish_stamps_costs_and_orders_claims_lpt(
-        self, tmp_path, calibrated
-    ):
-        executor = SweepExecutor(self.ladder_sweep(), cache_dir=tmp_path / "cache")
-        _, queue = executor.publish()
+    def test_publish_stamps_eq5_costs_and_orders_claims_lpt(self, tmp_path):
+        sweep = self.costed_sweep()
+        _, queue = SweepExecutor(sweep, cache_dir=tmp_path).publish()
         costs = [item.cost for item in queue.items]
-        assert all(c is not None and c > 0 for c in costs)
-        order = queue.claim_order()
-        assert [i.cost for i in order] == sorted(costs, reverse=True)
-        # D3Q39 roll (the most expensive cell in the history) goes first.
-        assert order[0].overrides["lattice"] == "D3Q39"
-        assert order[0].overrides["kernel"] == "roll"
+        assert costs == predict_spec_costs(SweepPlan.of(sweep).specs)
+        assert [
+            (item.overrides["lattice"], item.overrides["steps"])
+            for item in queue.claim_order()
+        ] == self.EQ5_ORDER
         # The stamped costs survive the queue.json round trip.
-        reloaded = WorkQueue.load(tmp_path / "cache")
-        assert [i.cost for i in reloaded.items] == costs
+        assert [i.cost for i in WorkQueue.load(tmp_path).items] == costs
 
-    def test_without_calibration_claims_stay_grid_order(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path / "nocalib"))
-        executor = SweepExecutor(self.ladder_sweep(), cache_dir=tmp_path / "cache")
-        _, queue = executor.publish()
-        assert all(item.cost is None for item in queue.items)
+    def test_equal_costs_claim_in_grid_order(self, tmp_path):
+        _, queue = SweepExecutor(make_sweep(), cache_dir=tmp_path).publish()
+        assert len({item.cost for item in queue.items}) == 1
         assert queue.claim_order() == queue.items
 
     def test_any_uncosted_item_disables_the_reordering(self, tmp_path):
-        plan = SweepPlan.of(self.ladder_sweep())
+        plan = SweepPlan.of(self.costed_sweep())
         queue = WorkQueue.publish(
             tmp_path, plan, analyze=True, costs=[9.0, None, 1.0, 2.0]
         )
         assert queue.claim_order() == queue.items
 
     def test_misaligned_costs_rejected(self, tmp_path):
-        plan = SweepPlan.of(self.ladder_sweep())
+        plan = SweepPlan.of(self.costed_sweep())
         with pytest.raises(ScenarioError, match="align"):
             WorkQueue.publish(tmp_path, plan, analyze=True, costs=[1.0])
 
-    def test_costed_run_table_matches_uncosted_reference(
-        self, tmp_path, calibrated
+    def test_jobs2_claims_in_eq5_order_and_prints_the_jobs1_table(
+        self, tmp_path, monkeypatch, capsys
     ):
-        sweep = self.ladder_sweep()
-        packed = SweepExecutor(sweep, jobs=2, cache_dir=tmp_path / "cache").run()
+        """Each forked worker logs the variants it runs: every worker
+        runs its share in Eq. 5 order, the workers run all of them, and
+        the printed table is the --jobs 1 table byte for byte."""
+        from repro.scenarios import executor
+
+        log = tmp_path / "runs.log"
+        execute = executor._execute_variant
+
+        def logged(task):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {task.fingerprint}\n")
+            return execute(task)
+
+        monkeypatch.setattr(executor, "_execute_variant", logged)
+        argv = ["sweep", "taylor-green", *self.GRID]
+        assert repro_main(argv + ["--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        log.unlink()  # the inline runs of --jobs 1
+        assert repro_main(argv + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
+        plan = SweepPlan.of(
+            Sweep("taylor-green", {"lattice": ["D3Q19", "D3Q39"],
+                                   "steps": [2, 4]})
+        )
+        rank = {
+            fingerprint: self.EQ5_ORDER.index(
+                (overrides["lattice"], overrides["steps"])
+            )
+            for overrides, fingerprint in zip(plan.overrides, plan.fingerprints)
+        }
+        runs: dict[str, list[int]] = {}
+        for line in log.read_text().splitlines():
+            pid, fingerprint = line.split()
+            runs.setdefault(pid, []).append(rank[fingerprint])
+        assert str(os.getpid()) not in runs  # no variant was left inline
+        assert sorted(r for ranks in runs.values() for r in ranks) == [0, 1, 2, 3]
+        for ranks in runs.values():
+            assert ranks == sorted(ranks)
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_costed_grid_tables_match_jobs1_and_warm_replay(self, tmp_path, jobs):
+        sweep = self.costed_sweep()
         reference = SweepExecutor(sweep, jobs=1).run()
+        packed = SweepExecutor(sweep, jobs=jobs, cache_dir=tmp_path).run()
+        warm = SweepExecutor(sweep, jobs=jobs, cache_dir=tmp_path).run()
+        assert (tmp_path / "queue.json").is_file()  # workers ran
         assert packed.to_table() == reference.to_table()
-        assert packed.to_csv() == reference.to_csv()
+        assert packed.to_csv() == reference.to_csv() == warm.to_csv()
+        assert warm.runs_executed == 0
+
+
+class TestConcurrentPublish:
+    def test_concurrent_publishes_never_leave_a_corrupt_queue(self, tmp_path):
+        """4 threads x 100 publishes of one plan: each write goes through
+        its own temp file, so no rename loses its source and no reader
+        ever sees a truncated queue.json."""
+        plan = SweepPlan.of(make_sweep())
+        errors: list[Exception] = []
+
+        def publisher():
+            for _ in range(100):
+                try:
+                    WorkQueue.publish(tmp_path, plan, analyze=True)
+                except (OSError, ScenarioError) as exc:
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=publisher) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        queue = WorkQueue.load(tmp_path)
+        assert [item.fingerprint for item in queue.items] == plan.fingerprints
+        assert not list(tmp_path.glob("*.tmp"))

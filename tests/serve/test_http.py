@@ -105,6 +105,33 @@ class TestWarmCase:
         assert bodies["auto"] == bodies["planned"]
 
 
+class TestConcurrentWarmPosts:
+    def test_identical_warm_posts_all_answer_200(self, server, tmp_path):
+        """8 clients x 25 identical warm POSTs: every request saves the
+        same job record, each through its own temp file, so none loses
+        its rename to a peer and answers 500."""
+        api.run_case(
+            CASE,
+            steps=5,
+            overrides=api.decode_overrides(BODY["overrides"]),
+            cache_dir=tmp_path,
+        )
+        statuses: list[int] = []
+
+        def client():
+            for _ in range(25):
+                statuses.append(request(server, "/v1/case", BODY)[0])
+
+        threads = [threading.Thread(target=client) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert statuses == [200] * 200
+        assert not list((tmp_path / "jobs").glob("*.tmp"))
+
+
 class TestColdLifecycle:
     def test_queued_to_done_through_a_worker(self, server, tmp_path):
         status, _, envelope = request(server, "/v1/case", BODY)

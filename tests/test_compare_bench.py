@@ -1,9 +1,13 @@
 """The CI benchmark regression gate (benchmarks/compare_bench.py)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
-COMPARATOR = Path(__file__).resolve().parent.parent / "benchmarks" / "compare_bench.py"
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+COMPARATOR = REPO / "benchmarks" / "compare_bench.py"
 
 
 def load_comparator():
@@ -151,134 +155,87 @@ class TestCompare:
         assert "no comparable" in lines[0]
 
 
-#: A minimal fitted calibration (repro.perf.model JSON layout): roll
-#: float64 D3Q19 fitted at 3.0 MFLUP/s over B=456 bytes/cell.
-CALIBRATION = {
-    "schema": 1,
-    "host": "test-host",
-    "entries": [
-        {
-            "kernel": "roll",
-            "mode": "single",
-            "dtype": "float64",
-            "lattice": "D3Q19",
-            "bytes_per_cell": 456,
-            "beta": 3.0 * 456 * 1e6,
-            "mflups": 3.0,
-            "n": 3,
-            "spread": 0.05,
-        }
-    ],
-}
+#: Bm of the probe row below: 12 GB/s puts the D3Q19/float64 ceiling
+#: at 12e9 / 456 / 1e6 = 26.3 MFLUP/s.
+BANDWIDTH = 12e9
 
 
-def model_record(mflups: float) -> dict:
-    """A schema-4-style record: one fitted row plus rows the gate skips."""
+def probed_record(mflups: float) -> dict:
+    """A fresh bench record: the copy probe row, one dense row at
+    ``mflups`` and rows the Eq. 5 check skips."""
     return {
         "kernels": {
+            "test_copy_bandwidth": {"mean_s": 1e-7, "copy_bandwidth": BANDWIDTH},
             "test_kernel_throughput[roll-float64-D3Q19]": {
                 "mflups": mflups,
                 "kernel": "roll",
                 "dtype": "float64",
                 "bytes_per_cell": 456,
             },
-            # float32 cell is not in CALIBRATION -> skipped, not failed.
-            "test_kernel_throughput[roll-float32-D3Q19]": {
-                "mflups": 8.0,
-                "kernel": "roll",
-                "dtype": "float32",
+            # A sparse row (fill column) sits on a modelled B(Q, fill),
+            # not a bound, so it is never checked, however fast.
+            "test_sparse_kernel_throughput[sparse-planned-fill0.5]": {
+                "mflups": 1e6,
+                "kernel": "sparse-planned",
+                "fill": 0.5,
+                "bytes_per_cell": 1140.0,
             },
-            # Non-throughput rows never participate.
+            # A row without bytes_per_cell (the distributed ladder).
+            "test_distributed_throughput[planned-float64-D3Q19]": {
+                "mflups": 1e6,
+            },
             "test_distributed_overhead": {"mean_s": 0.004},
         }
     }
 
 
-class TestModelGate:
-    def test_measured_near_prediction_passes(self):
+class TestRooflineCheck:
+    def test_prints_the_efficiency_of_every_dense_row(self):
         module = load_comparator()
-        ok, lines = module.model_check(model_record(3.0), CALIBRATION, slack=0.50)
+        ok, lines = module.roofline_check(probed_record(13.0))
         assert ok
-        assert len(lines) == 1  # only the fitted (roll, f64, D3Q19) cell
-        assert "roll single float64 D3Q19" in lines[0]
+        assert lines == [
+            "Bm 12.00 GB/s (copy probe)",
+            "Eq. 5 efficiency test_kernel_throughput[roll-float64-D3Q19]: "
+            "0.494 ok",
+        ]
 
-    def test_measured_far_below_prediction_fails(self):
+    def test_row_above_the_ceiling_fails(self):
         module = load_comparator()
-        ok, lines = module.model_check(model_record(0.5), CALIBRATION, slack=0.50)
+        ok, lines = module.roofline_check(probed_record(27.0))
         assert not ok
-        assert "MEASURED FAR BELOW MODEL" in lines[0]
+        assert "ABOVE THE Eq. 5 CEILING" in lines[-1]
 
-    def test_measured_above_prediction_never_fails(self):
+    def test_record_without_a_probe_row_is_not_checked(self):
+        """The committed baselines carry no Bm."""
         module = load_comparator()
-        ok, _ = module.model_check(model_record(30.0), CALIBRATION, slack=0.50)
-        assert ok
+        for n in (3, 4, 5, 9):
+            record = json.loads((REPO / f"BENCH_PR{n}.json").read_text())
+            assert module.roofline_check(record) == (True, [])
 
-    def test_no_fitted_rows_fails_loudly(self):
+    def test_non_positive_bandwidth_fails(self):
         module = load_comparator()
-        ok, lines = module.model_check(
-            {"kernels": {"test_other": {"mean_s": 0.1}}}, CALIBRATION, 0.50
-        )
+        record = probed_record(1.0)
+        record["kernels"]["test_copy_bandwidth"]["copy_bandwidth"] = 0
+        ok, _ = module.roofline_check(record)
         assert not ok
-        assert "no current rows" in lines[-1]
 
-    def test_legacy_class_names_match_fitted_cells(self):
+    def test_main_gates_the_current_record_on_the_ceiling(self, tmp_path, capsys):
         module = load_comparator()
-        record = {
-            "kernels": {
-                "test_kernel_throughput[RollKernel-D3Q19]": {"mflups": 2.9},
-            }
-        }
-        ok, lines = module.model_check(record, CALIBRATION, slack=0.50)
-        assert ok and len(lines) == 1
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(probed_record(13.0)))
+        for mflups, code in ((13.0, 0), (27.0, 1)):
+            current = tmp_path / f"current-{mflups}.json"
+            current.write_text(json.dumps(probed_record(mflups)))
+            assert module.main([str(baseline), str(current)]) == code
+            out = capsys.readouterr().out
+            assert "Eq. 5 efficiency" in out
 
-    def test_sparse_rows_match_sparse_fitted_cells(self):
-        """A fill-stamped row keys the 'sparse' mode (mirroring
-        samples_from_bench) and checks against the row's own sparse
-        bytes_per_cell, not the calibration's."""
+    @pytest.mark.parametrize("flag", ["--model=c.json", "--model-slack=0.5"])
+    def test_model_gate_flags_are_gone(self, flag, tmp_path, capsys):
         module = load_comparator()
-        calibration = {
-            "entries": [
-                {
-                    "kernel": "sparse-planned",
-                    "mode": "sparse",
-                    "dtype": "float64",
-                    "lattice": "D3Q19",
-                    "bytes_per_cell": 1140.0,
-                    "beta": 6.0 * 1140.0 * 1e6,
-                    "mflups": 6.0,
-                }
-            ]
-        }
-        record = {
-            "kernels": {
-                "test_sparse_kernel_throughput[sparse-planned-fill0.5]": {
-                    "mflups": 5.8,
-                    "kernel": "sparse-planned",
-                    "dtype": "float64",
-                    "lattice": "D3Q19",
-                    "fill": 0.5,
-                    "bytes_per_cell": 1140.0,
-                },
-            }
-        }
-        ok, lines = module.model_check(record, calibration, slack=0.50)
-        assert ok and len(lines) == 1
-        assert "sparse-planned sparse float64 D3Q19" in lines[0]
-
-    def test_main_model_only_invocation(self, tmp_path, capsys):
-        import json
-
-        module = load_comparator()
-        record_path = tmp_path / "bench.json"
-        record_path.write_text(json.dumps(model_record(3.1)))
-        calib_path = tmp_path / "calibration.json"
-        calib_path.write_text(json.dumps(CALIBRATION))
-        assert module.main([str(record_path), "--model", str(calib_path)]) == 0
-        assert "gate passed" in capsys.readouterr().out
-
-    def test_main_requires_current_or_model(self, tmp_path, capsys):
-        import pytest
-
-        module = load_comparator()
-        with pytest.raises(SystemExit):
-            module.main([str(tmp_path / "only.json")])
+        record = tmp_path / "record.json"
+        record.write_text(json.dumps(probed_record(13.0)))
+        with pytest.raises(SystemExit) as exc:
+            module.main([str(record), str(record), flag])
+        assert exc.value.code == 2

@@ -106,13 +106,33 @@ class TestExport:
         }
         record = load_exporter().export(report)
         assert record["suite"] == "bench_sparse_kernels"
-        # The fill column flows through untouched (the perf-model fitter
-        # keys the B(Q) fill term on it).
+        # The fill column flows through untouched (compare_bench keys
+        # sparse rows per fill on it).
         entry = record["kernels"][
             "test_sparse_kernel_throughput[sparse-planned-fill0.5]"
         ]
         assert entry["fill"] == 0.5
         assert entry["bytes_per_cell"] == 1140.0
+
+
+    def test_copy_bandwidth_probe_row_keeps_the_schema(self):
+        """The probe row's Bm rides in extra_info, so the record keeps
+        schema 5 and the row gets no throughput fields."""
+        report = {
+            "benchmarks": [
+                {
+                    "name": "test_copy_bandwidth",
+                    "stats": {"mean": 1e-7},
+                    "extra_info": {"copy_bandwidth": 12700000000},
+                }
+            ]
+        }
+        record = load_exporter().export(report)
+        assert record["schema"] == 5
+        assert record["kernels"]["test_copy_bandwidth"] == {
+            "mean_s": 1e-7,
+            "copy_bandwidth": 12700000000,
+        }
 
 
 class TestMain:
