@@ -1,13 +1,17 @@
-"""Real measured MFlup/s of the numpy kernels (not the machine model).
+"""Real measured MFlup/s of the kernels (not the machine model).
 
 This is the *executable* analogue of the paper's single-node study: the
 same stream+collide update measured on this host, across the kernel
 ladder (roll -> fused-gather -> planned), lattices (D3Q19 vs D3Q39),
 equilibrium orders and population dtypes (float32 halves the paper's
-bytes-per-cell figure).  Absolute numbers depend on the host; the
-shapes that must hold are (a) D3Q39 costs ~2x D3Q19 per cell, (b) all
-kernels agree, and (c) the planned kernel's zero-allocation update
-beats the roll kernel by the acceptance margins below.
+bytes-per-cell figure).  The planned rows time the compiled collide
+where this host built it (their ``collide`` column says which path
+ran); the ``test_reference_collide_throughput`` rows time its numpy
+reference, the path of a host without a C compiler.  Absolute numbers
+depend on the host; the shapes that must hold are (a) D3Q39 costs ~2x
+D3Q19 per cell, (b) all kernels agree, and (c) the planned kernel's
+zero-allocation update beats the roll kernel by the acceptance margins
+below.
 """
 
 import time
@@ -19,6 +23,7 @@ from repro.core import (
     FusedGatherKernel,
     PlannedKernel,
     RollKernel,
+    compiled,
     equilibrium,
     make_kernel,
 )
@@ -89,6 +94,35 @@ def test_kernel_throughput(benchmark, lname, kernel_cls, dtype):
     benchmark.extra_info["bytes_per_cell"] = lattice.bytes_per_cell * (
         1 if dtype == "float64" else 0.5
     )
+    if isinstance(kernel, PlannedKernel):
+        plan = kernel.plan_for(SHAPE)
+        benchmark.extra_info["collide"] = "compiled" if plan.compiled else "arena"
+    assert np.isfinite(state["f"]).all()
+
+
+@pytest.mark.parametrize("lname", ["D3Q19", "D3Q39"])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_reference_collide_throughput(benchmark, monkeypatch, lname, dtype):
+    """The planned kernel on its numpy reference collide (the loader
+    patched to report no compiler): what a host without ``cc`` runs.
+    Named apart from ``planned`` so no planned-row gate absorbs it."""
+    monkeypatch.setattr(compiled, "load", lambda dtype: None)
+    lattice = get_lattice(lname)
+    kernel = PlannedKernel(lattice, tau=0.8, dtype=dtype, shape=SHAPE)
+    assert not kernel.plan_for(SHAPE).compiled
+    state = {"f": kernel.step(_state(lattice, dtype))}
+
+    def step():
+        state["f"] = kernel.step(state["f"])
+
+    benchmark(step)
+    cells = int(np.prod(SHAPE))
+    benchmark.extra_info["mflups"] = round(mflups(1, cells, benchmark.stats["mean"]), 2)
+    benchmark.extra_info["kernel"] = "numpy-reference"
+    benchmark.extra_info["dtype"] = dtype
+    benchmark.extra_info["bytes_per_cell"] = lattice.bytes_per_cell * (
+        1 if dtype == "float64" else 0.5
+    )
     assert np.isfinite(state["f"]).all()
 
 
@@ -122,25 +156,29 @@ def test_planned_beats_roll_acceptance(benchmark):
     benchmark(lambda: None)  # register a timing so --benchmark-only keeps this
 
 
+#: Grid of the planned cost ratio (the ROADMAP's bare-kernel shape).
+RATIO_SHAPE = (32, 32, 4)
+
+
 def test_d3q39_costs_about_double(benchmark):
-    """The paper's headline cost ratio: B(Q39)/B(Q19) = 936/456 ~ 2.05."""
-    times = {}
+    """The paper's headline cost ratio: B(Q39)/B(Q19) = 936/456 ~ 2.05.
+
+    Recorded for the roll kernel at 32^3 (the gated ratio) and for the
+    planned kernel at 32x32x4 (``planned_ratio``, recorded only)."""
+    times, planned = {}, {}
     for lname in ("D3Q19", "D3Q39"):
         lattice = get_lattice(lname)
-        kernel = RollKernel(lattice, tau=0.8)
-        f = _state(lattice)
-        kernel.step(f.copy())
-        import time
-
-        reps = 3
-        t0 = time.perf_counter()
-        g = f.copy()
-        for _ in range(reps):
-            g = kernel.step(g)
-        times[lname] = (time.perf_counter() - t0) / reps
+        times[lname] = _measure(RollKernel(lattice, tau=0.8), _state(lattice), reps=3)
+        rng = np.random.default_rng(0)
+        rho = 1.0 + 0.01 * rng.standard_normal(RATIO_SHAPE)
+        u = 0.01 * rng.standard_normal((3, *RATIO_SHAPE))
+        kernel = PlannedKernel(lattice, tau=0.8, shape=RATIO_SHAPE)
+        planned[lname] = _measure(kernel, equilibrium(lattice, rho, u), reps=20)
 
     ratio = times["D3Q39"] / times["D3Q19"]
+    planned_ratio = planned["D3Q39"] / planned["D3Q19"]
     benchmark.extra_info["measured_ratio"] = round(ratio, 2)
+    benchmark.extra_info["planned_ratio"] = round(planned_ratio, 2)
     benchmark.extra_info["paper_ratio"] = round(936 / 456, 2)
     # Shape check: D3Q39 costs a small multiple of D3Q19.  The paper's C
     # kernel sits exactly at the byte ratio 2.05 (bandwidth-bound); the

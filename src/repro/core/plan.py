@@ -10,17 +10,25 @@ Python analogue — at construction it builds
   indices computed once per shape), into which static bounce-back walls
   can be folded (:meth:`KernelPlan.fold_bounce_back`),
 * dtype-cast velocity/weight tables (cached per lattice, see
-  :meth:`~repro.lattice.VelocitySet.velocities_as`), plus the Guo
-  forcing constants when a body force is fused in
-  (:meth:`KernelPlan.set_forcing`),
-* a scratch arena (``adv``, ``rho``, ``u``, ``term``, ``work``,
-  ``cell``, and ``cu`` at third order) sized for the grid,
+  :meth:`~repro.lattice.VelocitySet.velocities_as`) and scalar
+  constants, plus the Guo forcing constants when a body force is fused
+  in (:meth:`KernelPlan.set_forcing`),
+* the collide: the compiled C loop of ``collide.c`` with its block
+  scratch, built once per process and dtype by
+  :mod:`repro.core.compiled`, or — on a host without a C compiler —
+  the numpy reference and its arena (``rho``, ``u``, ``cell``,
+  ``term``, ``work``, and ``cu`` at third order), allocated on first
+  use.
 
-so :meth:`PlannedKernel.step` performs the full stream + moments +
-equilibrium + relax (+ forcing) update exclusively through ``out=``
-ufunc calls: zero per-step heap allocations (tracemalloc-asserted in
-the tests).  :class:`~repro.core.simulation.Simulation` installs its
-walls and forcing into the plan, so forced, walled cases run here too.
+:meth:`PlannedKernel.step` streams with one ``np.take`` into a
+preallocated buffer and collides in one call: zero per-step heap
+allocations on either collide path (tracemalloc-asserted in the
+tests).  Both collide paths perform the op sequence written down in
+``collide.c`` — elementwise IEEE operations in a fixed order, no BLAS
+— so they write the same bytes, whatever the grid size; that is also
+why a planned slab window matches the planned single domain bit for
+bit.  :class:`~repro.core.simulation.Simulation` installs its walls
+and forcing into the plan, so forced, walled cases run here too.
 
 The plan also carries the **dtype policy**: built for float32, the
 whole update runs in single precision, halving the paper's
@@ -44,6 +52,7 @@ import numpy as np
 
 from ..errors import LatticeError
 from ..lattice import VelocitySet
+from . import compiled
 from .equilibrium import equilibrium_order_for
 from .fields import LAYOUT_AOS, LAYOUT_SOA, resolve_dtype, resolve_layout
 from .kernels import FusedGatherKernel, LBMKernel, NaiveKernel, RollKernel
@@ -139,14 +148,90 @@ def build_slab_gather_table(
     return np.ascontiguousarray(np.concatenate(rows))
 
 
+#: Indices into a plan's constants array, in the order of ``collide.c``'s
+#: ``K_*`` enum.
+_K_KEEP, _K_OMEGA, _K_INV_CS2, _K_HALF_INV_CS2, _K_SIX_CS2, _K_CUBIC = range(6)
+
+
+def _rule_terms(coefficients: np.ndarray, dtype: np.dtype) -> tuple:
+    """The non-zero terms of one linear sum, as ``(index, kind, coef)``.
+
+    Terms come in ascending index order; ``coef`` is cast to ``dtype``
+    and ``kind`` is ``1``/``-1`` for a unit coefficient (a plain add or
+    subtract) and ``0`` for any other (a product, then an add) — the
+    "rule" of ``collide.c``'s op sequence.
+    """
+    terms = []
+    for j, coef in enumerate(np.asarray(coefficients, dtype=dtype)):
+        if coef != 0:
+            terms.append((j, 1 if coef == 1 else -1 if coef == -1 else 0, coef))
+    return tuple(terms)
+
+
+def _rule_sum(acc: np.ndarray, rows, terms: tuple, tmp: np.ndarray) -> None:
+    """``acc = sum(coef * rows[j])`` over ``terms``, by the rule.
+
+    The first term initialises ``acc`` (a copy, a negation or a
+    product); later unit terms add or subtract, and any other term is
+    multiplied into ``tmp`` first and then added.  No terms give 0.
+    """
+    if not terms:
+        acc.fill(0)
+        return
+    j, kind, coef = terms[0]
+    if kind == 1:
+        np.copyto(acc, rows[j])
+    elif kind == -1:
+        np.negative(rows[j], out=acc)
+    else:
+        np.multiply(rows[j], coef, out=acc)
+    for j, kind, coef in terms[1:]:
+        if kind == 1:
+            np.add(acc, rows[j], out=acc)
+        elif kind == -1:
+            np.subtract(acc, rows[j], out=acc)
+        else:
+            np.multiply(rows[j], coef, out=tmp)
+            np.add(acc, tmp, out=acc)
+
+
+class _Arena:
+    """Scratch of the numpy reference collide, allocated on its first call.
+
+    Row views are prebuilt so the per-velocity operations are
+    same-shape contiguous ufunc calls: broadcast in-place ops
+    ((Q, N) ⊙ (N,)) would be correct too, but numpy routes them through
+    its ufunc buffer whenever N is below the buffer size — a per-step
+    heap allocation.
+    """
+
+    def __init__(self, q: int, d: int, n: int, order: int, dtype: np.dtype) -> None:
+        self.rho = np.empty(n, dtype=dtype)  # density
+        self.u = np.empty((d, n), dtype=dtype)  # momentum, then velocity
+        self.cell = np.empty(n, dtype=dtype)  # |u|^2 terms; a sum's scratch
+        self.term = np.empty((q, n), dtype=dtype)  # Hermite series, then feq
+        self.work = np.empty((q, n), dtype=dtype)  # cu / cs2, then the source
+        # cu_i = c_i . u is needed apart from cu / cs2 only at order 3
+        self.cu = np.empty((q, n), dtype=dtype) if order >= 3 else None
+        self.u_rows = tuple(self.u)
+        self.term_rows = tuple(self.term)
+        self.work_rows = tuple(self.work)
+        self.cu_rows = self.work_rows if self.cu is None else tuple(self.cu)
+
+    @property
+    def nbytes(self) -> int:
+        arrays = (self.rho, self.u, self.cell, self.term, self.work, self.cu)
+        return int(sum(a.nbytes for a in arrays if a is not None))
+
+
 class KernelPlan:
     """Precomputed state for one ``(lattice, shape, order, dtype)`` hot loop.
 
     Everything :meth:`PlannedKernel.step` needs that does not change
     between steps: the gather table, the cast constant tables, and the
-    scratch arena.  Plans are cheap to hold and safe to share between
-    steps; they must not be shared between concurrently stepping kernels
-    (the arena is mutable state).
+    collide's scratch.  Plans are cheap to hold and safe to share
+    between steps; they must not be shared between concurrently
+    stepping kernels (the scratch is mutable state).
 
     ``shape`` is the plan's *compute* extent.  By default it is also the
     streaming source extent (periodic single domain); a plan built via
@@ -176,7 +261,7 @@ class KernelPlan:
         self.order = equilibrium_order_for(lattice, order)
         self.dtype = resolve_dtype(dtype)
         self.layout = resolve_layout(layout)
-        q = lattice.q
+        q, d = lattice.q, lattice.dim
         n = int(np.prod(self.shape))
         self.num_cells = n
         #: x-slice of the source array this plan computes (None = whole).
@@ -210,49 +295,46 @@ class KernelPlan:
             self._soa_index = None
         # Constant tables, cast once (velocities_as caches per lattice).
         self.c = lattice.velocities_as(self.dtype)  # (Q, D)
-        self.c_t = np.ascontiguousarray(self.c.T)  # (D, Q)
         self.w = lattice.weights_as(self.dtype)  # (Q,)
-        # Scratch arena: the only memory the per-step update ever writes
-        # besides the caller's field itself.  The post-streaming buffer
-        # `adv` serves only the fused step_into path (the split
-        # stream/collide path streams into the caller's own buffer), so
-        # it is allocated lazily on the first fused step.
+        # Scalar constants: computed in float64, cast to the dtype once
+        # (as numpy casts a Python float operand); the omega pair is
+        # filled by the first collide (see _set_omega).
+        cs2 = lattice.cs2_float
+        inv_cs2 = 1.0 / cs2
+        self._k = np.zeros(6, dtype=self.dtype)
+        self._k[_K_INV_CS2] = inv_cs2
+        self._k[_K_HALF_INV_CS2] = 0.5 * inv_cs2
+        self._k[_K_SIX_CS2] = 6.0 * cs2
+        self._k[_K_CUBIC] = inv_cs2 * inv_cs2 / 6.0
+        self._omega: float | None = None
+        # The sums of the op sequence: momentum over velocities, per
+        # axis, and c_i . u over axes, per velocity.
+        self._moment_terms = tuple(_rule_terms(col, self.dtype) for col in self.c.T)
+        self._cu_terms = tuple(_rule_terms(row, self.dtype) for row in self.c)
+        # The post-streaming buffer `adv` serves only the fused step_into
+        # path (the split stream/collide path streams into the caller's
+        # own buffer), so it is allocated lazily on the first fused step;
+        # so is the numpy reference's arena.
         self._adv: np.ndarray | None = None
         self._adv_flat: np.ndarray | None = None
-        self.rho = np.empty(n, dtype=self.dtype)  # density
-        self.u = np.empty((lattice.dim, n), dtype=self.dtype)  # velocity
-        # c_i . u is needed on its own only by the third-order term; at
-        # order <= 2 one dot with the pre-divided c / cs2 table writes
-        # cu / cs2 straight into `work`, saving a (Q, N) buffer.
-        if self.order >= 3:
-            self.cu: np.ndarray | None = np.empty((q, n), dtype=self.dtype)
-            self._c_over_cs2 = None
-        else:
-            self.cu = None
-            self._c_over_cs2 = np.ascontiguousarray(
-                lattice.velocities_as(np.float64) / lattice.cs2_float,
-                dtype=self.dtype,
-            )
-        self.term = np.empty((q, n), dtype=self.dtype)  # Hermite series / feq
-        self.work = np.empty((q, n), dtype=self.dtype)  # (Q, N) scratch
-        self.cell = np.empty(n, dtype=self.dtype)  # per-cell scratch (u^2)
-        # Row views + scalar weights, prebuilt so the hot loop's
-        # per-velocity operations are same-shape contiguous ufunc calls.
-        # Broadcast in-place ops ((Q, N) ⊙ (N,)) would be correct too,
-        # but numpy routes them through its ufunc buffer whenever N is
-        # below the buffer size — a per-step heap allocation.
-        self._u_rows = tuple(self.u[a] for a in range(lattice.dim))
-        self._term_rows = tuple(self.term[i] for i in range(q))
-        self._work_rows = tuple(self.work[i] for i in range(q))
-        self._w_scalars = tuple(float(w) for w in self.w)
+        self._arena: _Arena | None = None
         #: How many static bounce-back masks are folded into ``gather``.
         self.folded_walls = 0
         # Guo forcing (set_forcing): the relaxation it was fixed for, the
-        # (u row, F_a / 2) momentum shifts, and the source S = M u + b.
+        # momentum shift h = F/2 and the source S = M u + b, cast to the
+        # dtype, plus the non-zero terms of M's rows for the reference.
         self._force_omega: float | None = None
-        self._half_force: tuple = ()
+        self._half_force: np.ndarray | None = None
         self._force_matrix: np.ndarray | None = None
-        self._force_bias: tuple = ()
+        self._force_bias: np.ndarray | None = None
+        self._force_terms: tuple = ()
+        # The compiled loop, built once per process and dtype (None: no
+        # compiler, the numpy reference runs instead).
+        self._native = compiled.load(self.dtype)
+        self._scratch: np.ndarray | None = None
+        if self._native is not None:
+            self._scratch = np.empty(self._native.scratch_size(q, d), dtype=self.dtype)
+            self._bind_native()
 
     @classmethod
     def for_window(
@@ -267,7 +349,7 @@ class KernelPlan:
 
         ``stream_into`` then expects the *padded* array as its source
         and the plan's window-sized buffer as its destination; the
-        collision arena is sized for the window.  Used per validity
+        collision scratch is sized for the window.  Used per validity
         level by :class:`~repro.parallel.plan.PlannedSlabKernel` (each
         deep-halo sub-step computes a different, shrinking window).
         """
@@ -286,22 +368,19 @@ class KernelPlan:
         return plan
 
     @property
+    def compiled(self) -> bool:
+        """Whether :meth:`collide_into` runs the compiled C loop (else the
+        byte-identical numpy reference)."""
+        return self._native is not None
+
+    @property
     def nbytes(self) -> int:
-        """Bytes held by the arena + gather table (diagnostics)."""
-        arrays = (
-            self.gather,
-            self.rho,
-            self.u,
-            self.term,
-            self.work,
-            self.cell,
-        )
-        extra = 0 if self._adv is None else self._adv.nbytes
-        if self.cu is not None:
-            extra += self.cu.nbytes
-        if self._aos_out is not None:
-            extra += self._aos_out.nbytes + self._soa_index.nbytes
-        return int(sum(a.nbytes for a in arrays)) + extra
+        """Bytes held by the gather table and the scratch (diagnostics)."""
+        arrays = (self.gather, self._adv, self._aos_out, self._soa_index, self._scratch)
+        total = sum(a.nbytes for a in arrays if a is not None)
+        if self._arena is not None:
+            total += self._arena.nbytes
+        return int(total)
 
     def _fused_buffers(self) -> tuple[np.ndarray, np.ndarray]:
         """The (adv, adv_flat) pair for the fused path, allocated once."""
@@ -311,6 +390,25 @@ class KernelPlan:
             )
             self._adv_flat = self._adv.reshape(-1)
         return self._adv, self._adv_flat
+
+    def _bind_native(self) -> None:
+        """The compiled loop's fixed arguments: sizes and the addresses of
+        the plan-owned tables (the plan keeps each array alive)."""
+        lat = self.lattice
+        forced = self._force_matrix is not None
+        self._native_args = (
+            self.num_cells,
+            lat.q,
+            lat.dim,
+            self.order,
+            self.c.ctypes.data,
+            self.w.ctypes.data,
+            self._k.ctypes.data,
+            self._half_force.ctypes.data if forced else None,
+            self._force_matrix.ctypes.data if forced else None,
+            self._force_bias.ctypes.data if forced else None,
+            self._scratch.ctypes.data,
+        )
 
     # -- walls and forcing carried by the plan ---------------------------
 
@@ -343,7 +441,7 @@ class KernelPlan:
 
     @property
     def forced(self) -> bool:
-        """Whether :meth:`set_forcing` fused a body force into the arena."""
+        """Whether :meth:`set_forcing` fused a body force into the collide."""
         return self._force_omega is not None
 
     def set_forcing(self, force: Sequence[float], omega: float) -> None:
@@ -355,9 +453,9 @@ class KernelPlan:
         ``S_i = A_i cu_i + B_i - C_i (u . F)`` with the per-velocity
         constants ``C_i = (1 - omega/2) w_i / cs2``,
         ``B_i = C_i (c_i . F)`` and ``A_i = B_i / cs2``.  Being linear
-        in ``u``, the source is one ``(Q, D) x (D, N)`` product into the
-        arena plus the constant ``B``, so a forced step stays
-        allocation-free.  ``omega`` is fixed here, with the constants.
+        in ``u``, the source is ``S_i = sum_a M_ia u_a + b_i``, summed
+        per velocity by the op sequence's rule.  ``omega`` is fixed
+        here, with the constants.
         """
         lat = self.lattice
         force = np.asarray(force, dtype=np.float64)
@@ -371,15 +469,15 @@ class KernelPlan:
         c_dot_f = c @ force
         # S_i = sum_a M_ia u_a + b_i with M_ia = C_i ((c_i.F) c_ia / cs2 - F_a)
         matrix = scale[:, None] * (c_dot_f[:, None] * c / cs2 - force[None, :])
-        bias = scale * c_dot_f
         self._force_matrix = np.ascontiguousarray(matrix, dtype=self.dtype)
-        self._force_bias = tuple(
-            (row, float(b)) for row, b in zip(self._work_rows, bias) if b
-        )
-        self._half_force = tuple(
-            (row, 0.5 * float(fa)) for row, fa in zip(self._u_rows, force) if fa
+        self._force_bias = np.ascontiguousarray(scale * c_dot_f, dtype=self.dtype)
+        self._half_force = np.ascontiguousarray(0.5 * force, dtype=self.dtype)
+        self._force_terms = tuple(
+            _rule_terms(row, self.dtype) for row in self._force_matrix
         )
         self._force_omega = float(omega)
+        if self._native is not None:
+            self._bind_native()
 
     # -- the planned update --------------------------------------------
 
@@ -428,82 +526,124 @@ class KernelPlan:
         """
         np.take(self._flat_source(f), self.gather, out=out.reshape(-1), mode="clip")
 
+    def _set_omega(self, omega: float) -> None:
+        self._k[_K_KEEP] = 1.0 - omega
+        self._k[_K_OMEGA] = omega
+        self._omega = omega
+
+    def _check_buffers(self, src: np.ndarray, out_flat: np.ndarray) -> None:
+        """Refuse buffers the collide cannot address as plain ``(Q, N)``
+        rows of the plan's dtype (checked before any pointer is passed)."""
+        shape = (self.lattice.q, self.num_cells)
+        for role, array in (("src", src), ("out", out_flat)):
+            if (
+                array.shape != shape
+                or array.dtype != self.dtype
+                or not array.flags.c_contiguous
+            ):
+                raise LatticeError(
+                    f"collide {role} must be a C-contiguous {self.dtype.name} "
+                    f"array of shape {shape}, got {array.dtype.name} "
+                    f"{array.shape}"
+                )
+        if not out_flat.flags.writeable:
+            raise LatticeError("collide out is read-only")
+
     def collide_into(self, src: np.ndarray, out_flat: np.ndarray, omega: float) -> None:
         """Relax post-streaming populations ``src`` (shape ``(Q, N)``)
-        into ``out_flat`` using only ``out=`` ufunc calls on the arena.
+        into ``out_flat``.
 
-        ``src`` may be the arena's own ``adv`` (the fused path) or any
+        ``src`` may be the plan's own ``adv`` (the fused path), any
         ``(Q, N)`` view of a caller-owned buffer (the split path the
         simulation driver uses so boundary conditions can run between
-        streaming and collision).  ``src`` is read-only here; the result
-        is ``(1 - omega) src + omega feq(src)``, plus the Guo source
-        when :meth:`set_forcing` installed a body force.
+        streaming and collision), or ``out_flat`` itself (an in-place
+        collide).  The result is ``(1 - omega) src + omega feq(src)``,
+        plus the Guo source when :meth:`set_forcing` installed a body
+        force, computed by the op sequence written down in
+        ``collide.c``: by the compiled loop when this process built it,
+        else by :meth:`_collide_reference` — the same bytes either way.
         """
-        rho, u, cu = self.rho, self.u, self.cu
-        term, work, cell = self.term, self.work, self.cell
-        cs2 = self.lattice.cs2_float
-        inv_cs2 = 1.0 / cs2
         if self._force_omega is not None and omega != self._force_omega:
             raise LatticeError(
                 f"plan forcing was fixed for omega={self._force_omega}, "
                 f"collide called with omega={omega}"
             )
-
-        # moments: rho = sum_i f_i ; u = (c^T f + F/2) / rho
-        src.sum(axis=0, out=rho)
-        np.dot(self.c_t, src, out=u)
-        for u_row, half_force in self._half_force:
-            u_row += half_force
-        for u_row in self._u_rows:  # u /= rho without broadcast buffering
-            u_row /= rho
-        # work = cu/cs2 with cu_i = c_i . u (kept apart only at order 3)
-        if cu is None:
-            np.dot(self._c_over_cs2, u, out=work)
+        self._check_buffers(src, out_flat)
+        if omega != self._omega:
+            self._set_omega(omega)
+        if self._native is None:
+            self._collide_reference(src, out_flat)
         else:
-            np.dot(self.c, u, out=cu)
-            np.multiply(cu, inv_cs2, out=work)
-        # cell = u^2, squared row by row through a term row (free until
-        # the series below) so u itself survives for the forcing source
-        u_rows = self._u_rows
-        squares = self._term_rows[0]
-        np.multiply(u_rows[0], u_rows[0], out=cell)
-        for u_row in u_rows[1:]:
-            np.multiply(u_row, u_row, out=squares)
-            cell += squares
+            self._native.fn(src.ctypes.data, out_flat.ctypes.data, *self._native_args)
 
-        # Hermite series at the plan's order (paper Eqs. 2/3)
-        if self.order >= 2:
-            np.multiply(work, work, out=term)  # (cu/cs2)^2
-            term *= 0.5
-            term += work
-            term += 1.0
-            cell *= 0.5 * inv_cs2  # cell = u^2/(2 cs2)
-            for term_row in self._term_rows:
-                term_row -= cell
+    def _collide_reference(self, src: np.ndarray, out_flat: np.ndarray) -> None:
+        """The numpy reference: ``collide.c``'s op sequence, one ``out=``
+        ufunc call per step, over the lazily allocated arena."""
+        if self._arena is None:
+            lat = self.lattice
+            self._arena = _Arena(lat.q, lat.dim, self.num_cells, self.order, self.dtype)
+        ar, k, order = self._arena, self._k, self.order
+        rho, cell, term, work, cu = ar.rho, ar.cell, ar.term, ar.work, ar.cu
+        u_rows, term_rows, work_rows = ar.u_rows, ar.term_rows, ar.work_rows
+
+        # 1. rho = f_0 + f_1 + ..., rows added in ascending i
+        np.copyto(rho, src[0])
+        for i in range(1, self.lattice.q):
+            np.add(rho, src[i], out=rho)
+        # 2-3. u_a = (m_a + F_a/2) / rho, m_a = sum_i c_ia f_i by the rule
+        forced = self._force_omega is not None
+        for a, (u_row, terms) in enumerate(zip(u_rows, self._moment_terms)):
+            _rule_sum(u_row, src, terms, cell)
+            if forced and self._half_force[a] != 0:
+                np.add(u_row, self._half_force[a], out=u_row)
+            np.divide(u_row, rho, out=u_row)
+        # 4. cell = |u|^2 / (2 cs2), squared row by row through a term row
+        if order >= 2:
+            squares = term_rows[0]
+            np.multiply(u_rows[0], u_rows[0], out=cell)
+            for u_row in u_rows[1:]:
+                np.multiply(u_row, u_row, out=squares)
+                np.add(cell, squares, out=cell)
+            np.multiply(cell, k[_K_HALF_INV_CS2], out=cell)
+
+        # 5. cu_i = c_i . u by the rule, then the Hermite series at the
+        # plan's order (paper Eqs. 2/3) with work = cu / cs2
+        for cu_row, terms in zip(ar.cu_rows, self._cu_terms):
+            _rule_sum(cu_row, u_rows, terms, term_rows[0])
+        np.multiply(work if cu is None else cu, k[_K_INV_CS2], out=work)
+        if order >= 2:
+            np.multiply(work, work, out=term)
+            np.multiply(term, 0.5, out=term)
+            np.add(term, work, out=term)
+            np.add(term, 1.0, out=term)
+            for term_row in term_rows:
+                np.subtract(term_row, cell, out=term_row)
         else:
             np.add(work, 1.0, out=term)
-        if self.order >= 3:
-            cell *= 6.0 * cs2  # cell = 3 u^2 (undoes the 1/(2 cs2))
+        if order >= 3:
+            np.multiply(cell, k[_K_SIX_CS2], out=cell)  # 3 |u|^2
             np.multiply(cu, cu, out=work)
-            work *= inv_cs2  # cu^2/cs2
-            for work_row in self._work_rows:
-                work_row -= cell
-            work *= cu
-            work *= inv_cs2 * inv_cs2 / 6.0
-            term += work
+            np.multiply(work, k[_K_INV_CS2], out=work)
+            for work_row in work_rows:
+                np.subtract(work_row, cell, out=work_row)
+            np.multiply(work, cu, out=work)
+            np.multiply(work, k[_K_CUBIC], out=work)
+            np.add(term, work, out=term)
 
-        # feq = w rho term (into term), then out = (1-omega) src + omega feq
-        for term_row, weight in zip(self._term_rows, self._w_scalars):
-            term_row *= weight
-            term_row *= rho
-        np.multiply(src, 1.0 - omega, out=out_flat)
-        term *= omega
-        out_flat += term
-        if self._force_matrix is not None:  # Guo source S = M u + b
-            np.dot(self._force_matrix, u, out=work)
-            for work_row, bias in self._force_bias:
-                work_row += bias
-            out_flat += work
+        # feq = term w_i rho, then out = (1 - omega) src + omega feq
+        for term_row, weight in zip(term_rows, self.w):
+            np.multiply(term_row, weight, out=term_row)
+            np.multiply(term_row, rho, out=term_row)
+        np.multiply(src, k[_K_KEEP], out=out_flat)
+        np.multiply(term, k[_K_OMEGA], out=term)
+        np.add(out_flat, term, out=out_flat)
+        if forced:  # Guo source S = M u + b
+            sources = zip(work_rows, self._force_terms, self._force_bias)
+            for work_row, terms, bias in sources:
+                _rule_sum(work_row, u_rows, terms, cell)
+                if bias != 0:
+                    np.add(work_row, bias, out=work_row)
+            np.add(out_flat, work, out=out_flat)
 
     def step_into(self, f: np.ndarray, omega: float) -> np.ndarray:
         """One fused stream+collide step, result written back into ``f``."""

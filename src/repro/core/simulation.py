@@ -257,11 +257,18 @@ class Simulation:
         ``stream``: ``"gather"`` (the planned table) or ``"generic"``;
         ``walls`` (plain static bounce-back): ``"folded"`` into the
         gather, ``"post-stream"`` when any runs as an operator after
-        streaming, or ``"none"``; ``collide``: ``"arena"`` or
-        ``"generic"``; ``forcing``: ``"arena"``, ``"generic"`` or
+        streaming, or ``"none"``; ``collide``: ``"compiled"`` (the
+        plan's C loop), ``"arena"`` (its byte-identical numpy
+        reference, on a host without a C compiler) or ``"generic"``;
+        ``forcing``: the collide's value on a forced run, else
         ``"none"``.  Moving and diffuse walls always run post-stream.
         """
-        fast = "arena" if self._planned else "generic"
+        if not self._planned:
+            fast = "generic"
+        elif self.kernel.plan_for(self.shape).compiled:
+            fast = "compiled"
+        else:
+            fast = "arena"
         if any(type(bc) is BounceBackWalls for bc in self._post_stream):
             walls = "post-stream"
         elif any(type(bc) is BounceBackWalls for bc in self.boundaries):

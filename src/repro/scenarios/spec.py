@@ -33,7 +33,15 @@ from ..lattice import VelocitySet, available_lattices
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runner import CaseResult
 
-__all__ = ["CaseSpec", "steady_state"]
+__all__ = ["ARITHMETIC", "CaseSpec", "steady_state"]
+
+#: Revision of the planned kernel's arithmetic, hashed into every
+#: fingerprint.  Fingerprints hash specs, not code, so when a change
+#: alters the bytes a spec steps to, this revision changes with it:
+#: every cache entry, queue item and manifest written before then misses
+#: and re-runs instead of replaying the old bytes.  Revision 2 is the
+#: explicit op sequence of ``core/collide.c`` and its numpy reference.
+ARITHMETIC = 2
 
 
 def _const_token(const: Any) -> Any:
@@ -383,7 +391,9 @@ class CaseSpec:
         overrides/params were applied in and of the process computing
         it.  Factory callables contribute their qualified names, so
         editing which factory a case uses invalidates its cache entries
-        while re-running an identical sweep hits them.
+        while re-running an identical sweep hits them.  The token also
+        carries :data:`ARITHMETIC`, so a change to the stepping
+        arithmetic re-baselines every fingerprint at once.
         """
         from ..core.io import canonical_json
 
@@ -391,6 +401,7 @@ class CaseSpec:
             field.name: _fingerprint_token(getattr(self, field.name))
             for field in dataclasses.fields(self)
         }
+        token["arithmetic"] = ARITHMETIC
         digest = hashlib.sha256(canonical_json(token).encode("utf-8"))
         return digest.hexdigest()
 

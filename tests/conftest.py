@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import compiled
 from repro.lattice import get_lattice
 
 
@@ -57,3 +58,27 @@ def make_random_state(rng):
         return random_state(lattice, shape, rng, amplitude)
 
     return factory
+
+
+@pytest.fixture
+def expected_collide():
+    """The collide path a planned kernel of ``dtype`` takes in this
+    process: ``"compiled"`` where the C loop built, else the numpy
+    reference, ``"arena"`` (a host without a C compiler)."""
+
+    def expected(dtype) -> str:
+        return "compiled" if compiled.load(dtype) is not None else "arena"
+
+    return expected
+
+
+@pytest.fixture(params=["compiled", "arena"])
+def collide_path(request, monkeypatch):
+    """Run a test once per collide path.  ``"arena"`` patches the loader
+    so plans built during the test run the numpy reference;
+    ``"compiled"`` is skipped on a host where the C loop did not build."""
+    if request.param == "arena":
+        monkeypatch.setattr(compiled, "load", lambda dtype: None)
+    elif compiled.load("float64") is None:
+        pytest.skip("no C compiler: the compiled collide did not build")
+    return request.param

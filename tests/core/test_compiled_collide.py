@@ -1,0 +1,336 @@
+"""The compiled planned collide and its numpy reference.
+
+``collide.c`` and ``KernelPlan._collide_reference`` perform one op
+sequence, so they must write the same bytes for every lattice, order,
+dtype, forcing, aliasing, block remainder and plan kind.  On a host
+without a C compiler the reference carries every planned run, and case
+payloads and sweep tables must not change by a byte.
+"""
+
+import contextlib
+import inspect
+import json
+import logging
+import os
+import subprocess
+import sys
+import threading
+from unittest import mock
+
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+
+import repro
+from repro import api
+from repro.core import KernelPlan, SparseDomain, compiled, equilibrium
+from repro.core.io import canonical_json
+from repro.core.sparse import build_sparse_gather_table
+from repro.lattice import get_lattice
+from repro.telemetry import Telemetry, set_telemetry
+
+LATTICE_ORDERS = [
+    (lname, order)
+    for lname in ("D3Q15", "D3Q19", "D3Q27", "D3Q39")
+    for order in range(1, get_lattice(lname).equilibrium_order + 1)
+]
+
+#: No force, a force along one axis, an oblique force.
+FORCES = {"none": None, "axis": (1e-4, 0.0, 0.0), "oblique": (2e-4, -1e-4, 5e-5)}
+
+OMEGA = 1.0 / 0.7
+
+
+def _loaded(dtype):
+    native = compiled.load(dtype)
+    if native is None:
+        pytest.skip("no C compiler: the compiled collide did not build")
+    return native
+
+
+@pytest.fixture(scope="module")
+def built():
+    """Skip, before any hypothesis example runs, where nothing compiles."""
+    _loaded("float64")
+
+
+def _reference():
+    """Plans built inside this context run the numpy reference."""
+    return mock.patch.object(compiled, "load", lambda dtype: None)
+
+
+def _populations(lattice, n, rng, dtype):
+    rho = 1.0 + 0.02 * rng.standard_normal(n)
+    u = 0.05 * rng.standard_normal((lattice.dim, n))
+    noise = 1e-3 * rng.standard_normal((lattice.q, n))
+    return (equilibrium(lattice, rho, u) + noise).astype(dtype)
+
+
+class TestDifferential:
+    @pytest.mark.parametrize("force", list(FORCES))
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("lname,order", LATTICE_ORDERS)
+    def test_c_loop_equals_reference(self, lname, order, dtype, force):
+        """Every lattice x order x dtype x force cell, in and out of place,
+        for N below the C block size and N that is not a multiple of it."""
+        block = _loaded(dtype).block
+        lat = get_lattice(lname)
+        rng = np.random.default_rng(7)
+        for n in (block // 2 + 1, 2 * block + 37):
+            src = _populations(lat, n, rng, dtype)
+            outputs = []
+            for make in (contextlib.nullcontext, _reference):
+                gather = np.zeros(lat.q * n, dtype=np.int64)
+                with make():
+                    plan = KernelPlan(lat, (n,), order, dtype, gather=gather)
+                if FORCES[force] is not None:
+                    plan.set_forcing(FORCES[force], OMEGA)
+                out = np.empty_like(src)
+                plan.collide_into(src, out, OMEGA)
+                in_place = src.copy()
+                plan.collide_into(in_place, in_place, OMEGA)
+                outputs.append((plan.compiled, out, in_place))
+            (built, out, in_place), (ref_built, ref_out, ref_in_place) = outputs
+            assert built and not ref_built
+            assert out.tobytes() == ref_out.tobytes()
+            assert in_place.tobytes() == ref_in_place.tobytes()
+            assert out.tobytes() == in_place.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["soa", "aos", "sparse", "window"]),
+        lattice_order=st.sampled_from(LATTICE_ORDERS),
+        dtype=st.sampled_from(["float64", "float32"]),
+        force=st.sampled_from(list(FORCES)),
+        shape=st.tuples(*[st.integers(1, 7)] * 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(
+        kind="window",
+        lattice_order=("D3Q39", 3),
+        dtype="float64",
+        force="oblique",
+        shape=(2, 7, 7),
+        seed=0,
+    )
+    def test_plan_kinds_step_alike(
+        self, built, kind, lattice_order, dtype, force, shape, seed
+    ):
+        """A full stream + collide step through AoS, sparse and slab-window
+        plans: the compiled plan and the reference plan agree bytewise."""
+        _loaded(dtype)
+        lname, order = lattice_order
+        lat = get_lattice(lname)
+        results = []
+        for make in (contextlib.nullcontext, _reference):
+            rng = np.random.default_rng(seed)  # one state for both plans
+            with make():
+                plan, f, step = _plan_kind(kind, lat, shape, order, dtype, rng)
+            if FORCES[force] is not None:
+                plan.set_forcing(FORCES[force], OMEGA)
+            results.append((plan.compiled, step(plan, f)))
+        (built, got), (ref_built, expected) = results
+        assert built and not ref_built
+        assert got.tobytes() == expected.tobytes()
+
+
+def _plan_kind(kind, lat, shape, order, dtype, rng):
+    """(plan, populations, step) for one plan kind."""
+    if kind == "window":
+        k = lat.max_displacement
+        padded = (shape[0] + 2 * k, *shape[1:])
+        window = slice(k, k + shape[0])
+        plan = KernelPlan.for_window(lat, padded, window, order=order, dtype=dtype)
+        f = _populations(lat, int(np.prod(padded)), rng, dtype)
+        f = f.reshape(lat.q, *padded)
+
+        def step(plan, f):
+            adv, _ = plan._fused_buffers()
+            plan.stream_into(f, adv)
+            plan.collide_into(adv, adv, OMEGA)  # in place, as the slab does
+            return adv
+
+        return plan, f, step
+    if kind == "sparse":
+        solid = rng.random(shape) < 0.3
+        solid.flat[0] = False
+        domain = SparseDomain(lat, solid)
+        gather = build_sparse_gather_table(domain)
+        plan = KernelPlan(
+            lat, (domain.num_fluid,), order=order, dtype=dtype, gather=gather
+        )
+        f = _populations(lat, domain.num_fluid, rng, dtype)
+    else:
+        plan = KernelPlan(lat, shape, order=order, dtype=dtype, layout=kind)
+        f = _populations(lat, int(np.prod(shape)), rng, dtype)
+        f = f.reshape(lat.q, *shape)
+        if kind == "aos":
+            f = np.moveaxis(np.ascontiguousarray(np.moveaxis(f, 0, -1)), -1, 0)
+
+    def step(plan, f):
+        plan.step_into(f, OMEGA)
+        return f if kind != "aos" else np.moveaxis(f, 0, -1)
+
+    return plan, f, step
+
+
+class TestReferenceCarriesTheRunsWithoutACompiler:
+    def test_payload_and_sweep_table_unchanged(self, monkeypatch, tmp_path, caplog):
+        """``cc`` hidden from a fresh loader: the forced, walled artery
+        payload and a D3Q19/D3Q39 sweep table are byte-identical to the
+        compiled run, and the fallback is logged once per process."""
+        _loaded("float64")
+
+        def outputs():
+            case = api.run_case("artery-flow", steps=40)
+            grid = {"lattice": ["D3Q19", "D3Q39"]}
+            sweep = api.run_sweep("taylor-green", grid, steps=5, jobs=1)
+            path = case.result.simulation.effective_path["collide"]
+            return path, canonical_json(case.payload), sweep.to_csv()
+
+        path, payload, table = outputs()
+        assert path == "compiled"
+        monkeypatch.setattr(compiled, "_PROCESS_LOADER", compiled.Loader())
+        monkeypatch.setenv("PATH", str(tmp_path))
+        with caplog.at_level(logging.WARNING, logger=compiled.__name__):
+            ref_path, ref_payload, ref_table = outputs()
+            compiled.load("float32")  # a second dtype warns no more
+        assert ref_path == "arena"
+        assert ref_payload == payload
+        assert ref_table == table
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "no 'cc' on PATH" in warnings[0].getMessage()
+
+
+class TestLoader:
+    def test_import_builds_nothing(self):
+        """``import repro.api`` starts no compiler and loads no library;
+        it imports :mod:`ctypes` only where numpy itself does."""
+        code = """if True:
+            import json, subprocess, sys
+            spawned = []
+            start = subprocess.Popen.__init__
+            def record(self, *args, **kwargs):
+                spawned.append(str(args[0] if args else kwargs.get("args")))
+                start(self, *args, **kwargs)
+            subprocess.Popen.__init__ = record
+            import numpy
+            numpy_ctypes = "ctypes" in sys.modules
+            import repro.api
+            from repro.core import compiled
+            print(json.dumps({
+                "spawned": spawned,
+                "built": sorted(compiled._PROCESS_LOADER._built),
+                "ctypes": "ctypes" in sys.modules,
+                "numpy_ctypes": numpy_ctypes,
+            }))
+        """
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+            env=env,
+        )
+        state = json.loads(run.stdout)
+        assert state["spawned"] == []
+        assert state["built"] == []
+        assert state["ctypes"] == state["numpy_ctypes"]
+
+    def test_concurrent_first_loads_build_once(self):
+        """Eight threads race for a fresh loader's first float64 plan: one
+        compile, one shared function."""
+        _loaded("float64")
+        loader = compiled.Loader()
+        builds = []
+        real_compile = loader._compile
+
+        def counting_compile(*args):
+            builds.append(args)
+            return real_compile(*args)
+
+        loader._compile = counting_compile
+        barrier = threading.Barrier(8)
+        got = []
+
+        def first_plan():
+            barrier.wait(timeout=30)
+            got.append(loader.load("float64"))
+
+        threads = [threading.Thread(target=first_plan) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(builds) == 1
+        assert len(got) == 8 and len({id(fn) for fn in got}) == 1
+
+    def test_failed_build_falls_back_with_one_event(self, caplog, tmp_path):
+        """A compiler that fails returns None, warns once for any number of
+        dtypes, and records one ``kernel.compile`` event per build."""
+        failing = tmp_path / "cc"
+        failing.write_text("#!/bin/sh\nexit 1\n")
+        failing.chmod(0o755)
+        recorder = Telemetry.in_memory()
+        previous = set_telemetry(recorder)
+        try:
+            loader = compiled.Loader(compiler=str(failing))
+            with caplog.at_level(logging.WARNING, logger=compiled.__name__):
+                assert loader.load("float64") is None
+                assert loader.load("float64") is None
+                assert loader.load("float32") is None
+        finally:
+            set_telemetry(previous)
+        events = [e for e in recorder.events() if e["name"] == "kernel.compile"]
+        assert [e["attrs"]["dtype"] for e in events] == ["float64", "float32"]
+        assert {e["attrs"]["outcome"] for e in events} == {"reference"}
+        assert all(e["attrs"]["seconds"] >= 0 for e in events)
+        assert "exited 1" in events[0]["attrs"]["reason"]
+        assert len([r for r in caplog.records if r.levelno == logging.WARNING]) == 1
+
+    def test_successful_build_event(self):
+        _loaded("float64")
+        recorder = Telemetry.in_memory()
+        previous = set_telemetry(recorder)
+        try:
+            assert compiled.Loader().load("float64") is not None
+        finally:
+            set_telemetry(previous)
+        (event,) = [e for e in recorder.events() if e["name"] == "kernel.compile"]
+        assert event["attrs"]["outcome"] == "compiled"
+        assert event["attrs"]["seconds"] > 0
+        assert event["attrs"]["reason"] is None
+
+
+class TestPlanSurface:
+    def test_collide_has_no_blas_call(self):
+        """The reference sums term by term; a BLAS product would reorder
+        the sums and break the byte contract with the C loop."""
+        for fn in (KernelPlan.collide_into, KernelPlan._collide_reference):
+            body = inspect.getsource(fn)
+            for banned in ("np.dot", "@", "matmul", "einsum", "tensordot"):
+                assert banned not in body, (fn.__name__, banned)
+
+    @pytest.mark.parametrize(
+        "src,out,match",
+        [
+            (np.ones((19, 8)), np.ones((19, 8), np.float32), "float64"),
+            (np.ones((19, 9)), np.ones((19, 8)), "shape"),
+            (np.ones((19, 16))[:, ::2], np.ones((19, 8)), "C-contiguous"),
+        ],
+    )
+    def test_bad_buffers_rejected_on_both_paths(self, q19, src, out, match):
+        from repro.errors import LatticeError
+
+        for make in (contextlib.nullcontext, _reference):
+            with make():
+                plan = KernelPlan(q19, (2, 2, 2))
+            with pytest.raises(LatticeError, match=match):
+                plan.collide_into(src, out, OMEGA)

@@ -158,16 +158,17 @@ class TestPlannedEquivalence:
 
 class TestZeroAllocation:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_step_allocates_nothing_after_warmup(self, q39, dtype):
+    def test_step_allocates_nothing_after_warmup(self, q39, dtype, collide_path):
         """The acceptance property: after the first (plan-building) step,
         PlannedKernel.step makes zero heap allocations — numpy data
         allocations are tracemalloc-traced, so a single hidden
         full-lattice temporary would blow the budget by ~3 orders of
-        magnitude."""
+        magnitude.  Checked on the compiled loop and on the reference."""
         shape = (16, 16, 16)
         f = _initial_state(q39, shape, dtype=np.dtype(dtype))
         kernel = PlannedKernel(q39, tau=0.8, dtype=dtype)
         f = kernel.step(f)  # warmup: builds plan + arena
+        assert kernel.plan_for(shape).compiled == (collide_path == "compiled")
         tracemalloc.start()
         for _ in range(5):
             f = kernel.step(f)

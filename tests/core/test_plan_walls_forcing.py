@@ -151,7 +151,7 @@ class TestForcedArenaCollide:
     @pytest.mark.parametrize(
         "dtype,rtol", [("float64", 1e-13), ("float32", 1e-5)]
     )
-    def test_forced_walled_run_tracks_generic_path(self, dtype, rtol):
+    def test_forced_walled_run_tracks_generic_path(self, dtype, rtol, expected_collide):
         """40 forced, walled steps: planned (folded walls, arena forcing)
         vs the legacy pair (post-stream walls, generic forcing)."""
         lat = get_lattice("D3Q19")
@@ -175,11 +175,12 @@ class TestForcedArenaCollide:
             sim.run(40)
         planned, legacy = (sim.f.astype(np.float64) for sim in sims)
         assert np.abs(planned - legacy).max() <= rtol * np.abs(legacy).max()
+        collide = expected_collide(dtype)
         assert sims[0].effective_path == {
             "stream": "gather",
             "walls": "folded",
-            "collide": "arena",
-            "forcing": "arena",
+            "collide": collide,
+            "forcing": collide,
         }
         assert sims[1].effective_path == {
             "stream": "generic",

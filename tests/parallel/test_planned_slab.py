@@ -24,6 +24,19 @@ def _tol(dtype):
     return 1e-13 if dtype == "float64" else 2e-5
 
 
+def _assert_matches(kernel, dtype, got, ref):
+    """Planned slabs collide by the same op sequence as the planned single
+    domain, elementwise whatever the window width: byte for byte.  The
+    legacy slab pair keeps its per-dtype rounding tolerance."""
+    assert got.dtype == np.dtype(dtype)
+    if kernel == "planned":
+        assert np.array_equal(got, ref)
+    else:
+        assert np.allclose(
+            got.astype(np.float64), ref.astype(np.float64), atol=_tol(dtype)
+        )
+
+
 def _run_pair(lname, shape, tau, steps, *, ranks, depth, schedule, kernel, dtype):
     """(single-domain f, distributed gather) under one configuration."""
     rho, u = shear_wave(shape)
@@ -52,8 +65,9 @@ def _run_pair(lname, shape, tau, steps, *, ranks, depth, schedule, kernel, dtype
 
 
 class TestEquivalenceMatrix:
-    """The PR's correctness contract: gather() equals the single-domain
-    solver for every kernel x dtype x ghost-depth x schedule cell."""
+    """The correctness contract: gather() equals the single-domain solver
+    for every kernel x dtype x ghost-depth x schedule cell (bit for bit
+    on the planned path)."""
 
     @pytest.mark.parametrize("schedule", list(ExchangeSchedule))
     @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -71,11 +85,7 @@ class TestEquivalenceMatrix:
             kernel=kernel,
             dtype=dtype,
         )
-        got = dist.gather()
-        assert got.dtype == np.dtype(dtype)
-        assert np.allclose(
-            got.astype(np.float64), ref.astype(np.float64), atol=_tol(dtype)
-        )
+        _assert_matches(kernel, dtype, dist.gather(), ref)
 
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -92,11 +102,7 @@ class TestEquivalenceMatrix:
             kernel=kernel,
             dtype=dtype,
         )
-        assert np.allclose(
-            dist.gather().astype(np.float64),
-            ref.astype(np.float64),
-            atol=_tol(dtype),
-        )
+        _assert_matches(kernel, dtype, dist.gather(), ref)
 
     def test_planned_float64_bitwise_vs_legacy_tolerance(self):
         """Planned and legacy slab paths agree to rounding (they are
@@ -127,7 +133,7 @@ class TestEquivalenceMatrix:
 
     def test_uneven_decomposition_planned(self):
         """23 planes over 4 ranks (6,6,6,5): two slab geometries, two
-        plan sets, still exact."""
+        plan sets, still bit-exact."""
         ref, dist = _run_pair(
             "D3Q19",
             (23, 4, 4),
@@ -139,7 +145,7 @@ class TestEquivalenceMatrix:
             kernel="planned",
             dtype="float64",
         )
-        assert np.allclose(dist.gather(), ref, atol=1e-13)
+        assert np.array_equal(dist.gather(), ref)
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(LatticeError, match="unknown distributed kernel"):
@@ -148,11 +154,12 @@ class TestEquivalenceMatrix:
 
 class TestZeroAllocation:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_step_and_exchange_allocate_nothing(self, dtype):
+    def test_step_and_exchange_allocate_nothing(self, dtype, collide_path):
         """The acceptance property: after warmup, the planned distributed
         loop — stepping *and* halo exchange — makes no heap allocations
         beyond O(1) request bookkeeping (a single hidden payload or
-        window copy would exceed the budget ~100-fold)."""
+        window copy would exceed the budget ~100-fold), on the compiled
+        loop and on the reference."""
         dist = DistributedSimulation(
             "D3Q39",
             (32, 16, 16),
@@ -165,6 +172,8 @@ class TestZeroAllocation:
         rho, u = shear_wave((32, 16, 16))
         dist.initialize(rho, u)
         dist.run(4)  # warmup: two full exchange macro-cycles
+        plans = [p for k in dist._slab_kernels.values() for p in k._plans.values()]
+        assert {p.compiled for p in plans} == {collide_path == "compiled"}
         slab_bytes = sum(slab.data.nbytes for slab in dist.slabs)
         tracemalloc.start()
         dist.run(6)  # three macro-cycles including their exchanges

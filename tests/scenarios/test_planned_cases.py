@@ -1,10 +1,10 @@
 """Registered cases run on the planned kernel by default.
 
-No silent downgrades: every dense case except the three that pin the
-legacy pair resolves to the arena collide with no static wall left for
-after streaming, and a forced step stays allocation-free.  Checkpoints
-stamped with the legacy pair migrate through the byte-identical
-``roll`` kernel.
+No silent downgrades: every dense case except the one that pins the
+legacy pair resolves to the planned collide (compiled where this host
+built the C loop) with no static wall left for after streaming, and a
+forced step stays allocation-free.  Checkpoints stamped with the legacy
+pair migrate through the byte-identical ``roll`` kernel.
 """
 
 import tracemalloc
@@ -16,9 +16,8 @@ from repro.errors import ScenarioError
 from repro.scenarios import CaseRunner, available_cases, get_case
 
 #: Dense cases that keep ``kernel=None``: a regularized collision (no
-#: planned arena yet) and two bit-exact distributed-vs-single-domain
-#: checks that hold only on the legacy slab pair.
-PINNED_TO_LEGACY = {"microchannel-knudsen", "deep-halo-tuning", "scaling-study"}
+#: planned arena yet).
+PINNED_TO_LEGACY = {"microchannel-knudsen"}
 
 FORCED_CASES = [
     "poiseuille-channel",
@@ -42,24 +41,27 @@ def test_exactly_the_pinned_cases_keep_the_legacy_pair():
 @pytest.mark.parametrize(
     "name", [n for n in DENSE_CASES if n not in PINNED_TO_LEGACY]
 )
-def test_default_spec_takes_the_arena_path(name):
+def test_default_spec_takes_the_arena_path(name, expected_collide):
     sim, _ = CaseRunner(name).build()
     path = sim.effective_path
+    collide = expected_collide(sim.dtype)
     assert path["stream"] == "gather"
-    assert path["collide"] == "arena"
+    assert path["collide"] == collide
     assert path["walls"] in ("folded", "none")
-    assert path["forcing"] == ("none" if sim.forcing is None else "arena")
+    assert path["forcing"] == ("none" if sim.forcing is None else collide)
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("name", FORCED_CASES)
-def test_forced_steps_allocate_nothing(name, dtype):
-    """The planned zero-allocation budget, now with walls and forcing.
-    The budget scales with the field, so poiseuille's 240-cell native
-    channel is widened: a field that small is below the fixed ~2 KB of
-    transient view objects a few steps create."""
+def test_forced_steps_allocate_nothing(name, dtype, collide_path):
+    """The planned zero-allocation budget, now with walls and forcing, on
+    the compiled loop and on the reference.  The budget scales with the
+    field, so poiseuille's 240-cell native channel is widened: a field
+    that small is below the fixed ~2 KB of transient view objects a few
+    steps create."""
     overrides = {"shape": (16, 15, 16)} if name == "poiseuille-channel" else {}
     sim, _ = CaseRunner(name, dtype=dtype, **overrides).build()
+    assert sim.effective_path["forcing"] == collide_path
     sim.run(2)  # warm every lazy buffer
     tracemalloc.start()
     sim.run(5)

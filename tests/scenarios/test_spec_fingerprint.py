@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.scenarios import CaseSpec, get_case, steady_state
+from repro.scenarios import CaseSpec, available_cases, get_case, steady_state
+from repro.scenarios import spec as spec_module
 
 
 # Module-level factories: stable qualified names across processes.
@@ -130,6 +131,15 @@ class TestSensitivity:
     def test_identical_spec_same_fingerprint(self):
         copy = dataclasses.replace(BASE)
         assert copy.fingerprint() == BASE.fingerprint()
+
+    def test_arithmetic_revision_rebaselines_every_case(self, monkeypatch):
+        """Fingerprints hash specs, not code: the arithmetic revision in
+        the token is what moves every registered case's fingerprint when
+        the stepping bytes change."""
+        before = {n: get_case(n).fingerprint() for n in available_cases()}
+        monkeypatch.setattr(spec_module, "ARITHMETIC", spec_module.ARITHMETIC - 1)
+        after = {n: get_case(n).fingerprint() for n in available_cases()}
+        assert all(before[n] != after[n] for n in before)
 
     def test_same_qualname_lambdas_do_not_collide(self):
         """Two '<lambda>'s from one scope share module:qualname; their
