@@ -332,7 +332,7 @@ def run_sweep(
     quarantined into an explicit ``FAILED`` row (``jobs=1`` runs
     inline and raises instead).  ``cache_dir`` keeps per-variant
     results (warm re-runs execute nothing); ``resume`` continues an
-    interrupted sweep from its manifest; ``adaptive`` samples the grid
+    interrupted sweep from its record; ``adaptive`` samples the grid
     (coarse pass, then refinement where the named observable changes
     fastest) instead of enumerating it; ``telemetry`` records
     structured JSONL events under ``<cache-dir>/telemetry``.
@@ -385,7 +385,8 @@ def publish_sweep(
     layout: str | None = None,
     resume: bool = False,
 ) -> "tuple[SweepPlan, WorkQueue]":
-    """Write a sweep's work order (queue + manifest) and return it.
+    """Add a sweep's work items and record under ``cache_dir``, and
+    return them.
 
     Runs nothing: ``sweep-worker`` processes — on any hosts sharing
     ``cache_dir`` — claim and execute the variants, each with its own

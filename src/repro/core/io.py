@@ -15,6 +15,8 @@ restart; this module provides the minimum a downstream user needs:
   bit-identical across processes and runs);
 * :func:`atomic_write_text` — the one way shared state files are
   replaced: readers see the old file or the new one, never a torn one;
+* :func:`create_once` — the one way shared state files are created
+  exactly once: the first writer wins, later writers change nothing;
 * :class:`ClaimRecord` and the claim-file primitives — atomic,
   filesystem-level exclusive claims on shared resources (the lease
   files that let distributed sweep workers divide work without a
@@ -56,6 +58,7 @@ __all__ = [
     "response_envelope",
     "render_response",
     "atomic_write_text",
+    "create_once",
     "ClaimRecord",
     "write_claim",
     "read_claim",
@@ -220,19 +223,22 @@ class ClaimRecord:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
 
-def write_claim(path: str | Path, record: ClaimRecord) -> bool:
-    """Atomically create the claim file; ``False`` if already claimed.
+def create_once(path: str | Path, text: str) -> bool:
+    """Create ``path`` holding ``text``; ``False`` if it already exists.
 
-    The record is written to a private temp file and hard-linked into
-    place; ``link`` fails when the claim exists, so of any number of
+    The text is written to a private temp file and hard-linked into
+    place; ``link`` fails when the target exists, so of any number of
     concurrent callers exactly one succeeds — including across NFS-style
-    shared mounts — and no reader ever sees a claim file before its
-    record is complete (an empty one reads as corrupt, and
-    :func:`claim_lock` would break it while its owner still holds it).
+    shared mounts — and no reader ever sees the file before its content
+    is complete.  A missing parent directory is created on demand.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex[:8]}.tmp")
-    tmp.write_text(record.to_json())
+    try:
+        tmp.write_text(text)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text)
     try:
         os.link(tmp, path)
     except FileExistsError:
@@ -240,6 +246,17 @@ def write_claim(path: str | Path, record: ClaimRecord) -> bool:
     finally:
         tmp.unlink()
     return True
+
+
+def write_claim(path: str | Path, record: ClaimRecord) -> bool:
+    """Atomically create the claim file; ``False`` if already claimed.
+
+    :func:`create_once` of the record: of any number of concurrent
+    callers exactly one succeeds, and no reader ever sees a claim file
+    before its record is complete (an empty one reads as corrupt, and
+    :func:`claim_lock` would break it while its owner still holds it).
+    """
+    return create_once(path, record.to_json())
 
 
 def read_claim(path: str | Path) -> ClaimRecord | None:
@@ -279,13 +296,24 @@ def release_claim(path: str | Path, owner: str) -> bool:
     return True
 
 
-def break_claim(path: str | Path) -> bool:
-    """Forcibly remove a (stale) claim; ``True`` iff *we* removed it.
+def break_claim(path: str | Path, expected: ClaimRecord | None) -> bool:
+    """Remove a stale claim, but only the one judged; ``True`` iff *we*
+    removed it.
 
-    Rename-to-unique-then-unlink, so when several observers race to
-    break the same stale claim exactly one of them wins and the claim
-    file disappears exactly once — the winner may then re-acquire with
-    :func:`write_claim` without a window where two fresh claims exist.
+    ``expected`` is the record the caller read and judged stale
+    (``None``: a file that did not parse).  The claim is renamed to a
+    unique name; if the moved file is not the judged claim — a peer
+    broke that one and re-took the resource in between — it is linked
+    back and nothing is broken.  Of several observers racing to break
+    the same stale claim exactly one wins, and the winner may then
+    re-acquire with :func:`write_claim` without a window where two
+    fresh claims exist.
+
+    One race remains, inside the rename/link-back window: a third
+    contender that finds the path empty there creates its own claim,
+    the link-back fails, and the peer's re-taken claim is lost, so two
+    holders run.  Leases tolerate that (commits are idempotent); a
+    :func:`claim_lock` section may lose an update.
     """
     path = Path(path)
     trash = path.with_name(f"{path.name}.broken-{uuid.uuid4().hex[:8]}")
@@ -294,10 +322,14 @@ def break_claim(path: str | Path) -> bool:
     except OSError:
         return False
     try:
-        trash.unlink()
-    except OSError:  # pragma: no cover - cleanup only
-        pass
-    return True
+        if read_claim(trash) != expected:
+            with contextlib.suppress(OSError):
+                os.link(trash, path)
+            return False
+        return True
+    finally:
+        with contextlib.suppress(OSError):
+            trash.unlink()
 
 
 def _claim_owner_dead(record: ClaimRecord) -> bool:
@@ -359,10 +391,10 @@ def claim_lock(
             except FileNotFoundError:
                 continue
             if age >= ttl:
-                break_claim(path)
+                break_claim(path, None)
                 continue
         elif now >= held.expires_at or _claim_owner_dead(held):
-            break_claim(path)
+            break_claim(path, held)
             continue
         if time.monotonic() >= deadline:
             raise TimeoutError(

@@ -3,7 +3,7 @@
 Two halves:
 
 * :mod:`repro.resilience.ledger` — the durable **failure ledger**
-  (``failures.json`` beside ``queue.json``): per-fingerprint attempt
+  (``failures.json`` beside ``queue/``): per-fingerprint attempt
   records and poison-variant quarantine, shared by every worker via the
   same claim-file primitives that back leases.
 * :mod:`repro.resilience.faults` — **deterministic fault injection**

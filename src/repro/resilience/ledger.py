@@ -1,6 +1,6 @@
 """Durable failure ledger for the sweep fleet.
 
-``failures.json`` lives beside ``queue.json`` in the sweep cache
+``failures.json`` lives beside ``queue/`` in the sweep cache
 directory and records every failed attempt at a variant, keyed by the
 variant's content fingerprint.  Workers append attempt records under a
 short-lived :func:`~repro.core.io.claim_lock` (the same claim-file

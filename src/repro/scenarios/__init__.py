@@ -7,8 +7,8 @@ observables; :func:`register_case` puts it in the catalog;
 expands parameter grids into comparison tables; :class:`SweepExecutor`,
 the one sweep driver, runs the variants behind a content-addressed
 :class:`ResultCache`, so interrupted sweeps resume and identical sweeps
-replay for free.  With ``jobs > 1`` it publishes a :class:`WorkQueue`
-and starts local lease workers (:func:`run_worker`) — the same loop
+replay for free.  With ``jobs > 1`` it adds its variants to the
+directory's :class:`WorkQueue` and starts local lease workers (:func:`run_worker`) — the same loop
 that runs on any host sharing the cache directory — and
 :class:`AdaptiveSampler` replaces full Cartesian expansion of large
 grids with a coarse pass plus refinement where a chosen observable

@@ -1,4 +1,4 @@
-"""Per-variant result cache and sweep progress manifest.
+"""Per-variant result cache, commit markers and sweep records.
 
 The sweep executor keys each variant by its spec's content hash
 (:meth:`~repro.scenarios.spec.CaseSpec.fingerprint`) and stores the
@@ -8,10 +8,21 @@ makes re-running an identical sweep (or a superset sweep sharing some
 variants) free, and the checksum catches truncated or hand-edited
 entries so they are transparently re-run instead of poisoning tables.
 
-A :class:`SweepManifest` sits next to the entries and records which
-variants of one particular sweep have completed, so an interrupted
-``python -m repro sweep --cache-dir ... --resume`` can prove it is
-continuing the same sweep and report what remains.
+Beside the entries, every piece of shared state is one file per item,
+created once (:func:`repro.core.io.create_once`), so writers only ever
+add and never rewrite each other's state:
+
+``done/<fingerprint>``
+    The commit marker: whoever committed (or adopted) the entry, written
+    after it.  Markers decide only what a worker skips — a drain costs
+    O(unmarked items) — never what a reader trusts: every read that
+    returns a payload still verifies the entry's checksum.
+``sweeps/<key>.json``
+    One sweep's identity (:class:`SweepManifest`): case, parameters and
+    ordered fingerprints, so ``--resume`` can prove it continues a sweep
+    started here and ``sweep-status`` can report totals.
+``queue/<fingerprint>.json``
+    Published work items (:class:`repro.scenarios.scheduler.WorkQueue`).
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ import os
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from ..core.io import atomic_write_text, canonical_json
+from ..core.io import atomic_write_text, canonical_json, create_once
 from ..errors import ScenarioError
 from ..resilience.ledger import FAILURES_FILENAME
 from ..telemetry.recorder import NULL_TELEMETRY, NullTelemetry, Telemetry
@@ -33,23 +44,59 @@ __all__ = [
     "CORRUPT_DIRNAME",
     "CacheDiff",
     "CacheLookup",
+    "DONE_DIRNAME",
+    "QUEUE_DIRNAME",
     "ResultCache",
+    "SWEEPS_DIRNAME",
     "SweepManifest",
     "sweep_key",
+    "warn_legacy_state",
 ]
 
 logger = logging.getLogger(__name__)
 
 _ENTRY_VERSION = 1
 
-#: Name of the distributed work order file (written by
-#: :class:`repro.scenarios.scheduler.WorkQueue`); reserved alongside the
-#: manifest so cache key listings never mistake it for an entry.
-QUEUE_FILENAME = "queue.json"
+#: Directory of commit markers: one small file per committed entry,
+#: naming the worker that committed it.
+DONE_DIRNAME = "done"
+#: Directory of published work items (written by
+#: :class:`repro.scenarios.scheduler.WorkQueue`).
+QUEUE_DIRNAME = "queue"
+#: Directory of sweep records (:class:`SweepManifest`).
+SWEEPS_DIRNAME = "sweeps"
+
+#: Single-slot state files of older releases.  They are never read;
+#: reserved so cache key listings never mistake them for entries.
+LEGACY_FILENAMES = ("queue.json", "manifest.json")
 
 #: Sidecar directory corrupt entries are renamed into (see
 #: :meth:`ResultCache.quarantine_corrupt`).
 CORRUPT_DIRNAME = "corrupt"
+
+_warned_legacy: set[Path] = set()
+
+
+def warn_legacy_state(root: str | Path) -> None:
+    """Warn, once per directory and process, that ``root`` still holds
+    a ``queue.json`` or ``manifest.json`` from an older release.
+
+    Both are ignored: work is published as ``queue/`` items and progress
+    is the ``done/`` markers, so such a sweep must be republished (see
+    the README's upgrade note).
+    """
+    root = Path(root)
+    if root in _warned_legacy:
+        return
+    found = [name for name in LEGACY_FILENAMES if (root / name).exists()]
+    if found:
+        _warned_legacy.add(root)
+        logger.warning(
+            "%s holds %s from an older release; ignored — republish the "
+            "sweep (README: 'Upgrading a cache directory')",
+            root,
+            " and ".join(found),
+        )
 
 
 def _checksum(data: Any) -> str:
@@ -94,6 +141,10 @@ class ResultCache:
     is the observable variant: it distinguishes missing from corrupt,
     logs corrupt entry paths, and counts ``cache.hit`` /
     ``cache.miss`` / ``cache.corrupt`` on the attached recorder.
+
+    A committed entry also gets a marker, ``done/<fingerprint>``
+    (:meth:`mark_done`), holding the id of the worker that committed
+    it; :meth:`done` lists them without reading any entry.
     """
 
     def __init__(
@@ -107,6 +158,46 @@ class ResultCache:
 
     def entry_path(self, fingerprint: str) -> Path:
         return self.root / f"{fingerprint}.json"
+
+    def marker_path(self, fingerprint: str) -> Path:
+        return self.root / DONE_DIRNAME / fingerprint
+
+    def mark_done(self, fingerprint: str, worker: str | None = None) -> bool:
+        """Record the entry of ``fingerprint`` as committed by ``worker``.
+
+        Created once: the first marker keeps its attribution, and
+        ``False`` means one was already there.  Call it only after the
+        entry is on disk."""
+        path = self.marker_path(fingerprint)
+        if path.exists():
+            return False
+        return create_once(path, json.dumps({"worker": worker}))
+
+    def committer(self, fingerprint: str) -> str | None:
+        """The worker id inside a marker (``None``: no marker, or one
+        written by an inline sweep)."""
+        try:
+            worker = json.loads(self.marker_path(fingerprint).read_text())["worker"]
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
+        return None if worker is None else str(worker)
+
+    def unmark(self, fingerprint: str) -> None:
+        """Drop a marker whose entry turned out unusable, so the next
+        worker drain runs the variant again."""
+        try:
+            self.marker_path(fingerprint).unlink()
+        except OSError:
+            pass
+
+    def done(self) -> set[str]:
+        """Fingerprints with a marker: one directory listing (a marker
+        still being created is a dotted temp name, left out)."""
+        try:
+            names = os.listdir(self.root / DONE_DIRNAME)
+        except FileNotFoundError:
+            return set()
+        return {name for name in names if "." not in name}
 
     def _load(self, fingerprint: str) -> CacheLookup:
         """Read and validate one entry (no counters — the shared
@@ -144,12 +235,14 @@ class ResultCache:
         Counters record storage-level probe outcomes (``cache.hit``,
         ``cache.miss``, ``cache.corrupt``); a corrupt entry additionally
         logs its path — a tampered or torn entry is worth an operator's
-        attention even though it is transparently re-run.
+        attention even though it is transparently re-run.  Its marker
+        goes too, so the next worker drain re-runs it.
         """
         found = self._load(fingerprint)
         if found.status == "corrupt":
             path = self.entry_path(fingerprint)
             moved = self.quarantine_corrupt(fingerprint)
+            self.unmark(fingerprint)
             logger.warning(
                 "corrupt cache entry at %s (quarantined to %s; will re-run)",
                 path,
@@ -194,7 +287,7 @@ class ResultCache:
 
     def keys(self) -> tuple[str, ...]:
         """Fingerprints of every readable-looking entry on disk."""
-        reserved = {SweepManifest.FILENAME, QUEUE_FILENAME, FAILURES_FILENAME}
+        reserved = {*LEGACY_FILENAMES, FAILURES_FILENAME}
         return tuple(
             sorted(p.stem for p in self.root.glob("*.json") if p.name not in reserved)
         )
@@ -254,27 +347,31 @@ class CacheDiff:
 
 @dataclasses.dataclass
 class SweepManifest:
-    """Progress record of one sweep over one cache directory.
+    """One sweep's record, ``sweeps/<key>.json``, viewed with its progress.
 
-    ``completed`` lists variant fingerprints in completion order; the
-    executor updates it after every variant so a crash loses at most
-    the in-flight runs.  ``workers`` attributes each completion to the
-    worker that ran it (distributed sweeps only; the in-process
-    executor leaves it empty).
+    The record holds what identifies the sweep — case, parameters and
+    ordered fingerprints — and is created once.  Progress is not stored
+    in it: ``completed`` (grid order) and ``workers`` (fingerprint ->
+    committing worker; inline runs attribute none) are read from the
+    ``done/`` markers when the record is loaded, and
+    :meth:`record_completion` adds a marker.  Any number of sweeps keep
+    their records side by side in one directory.
     """
 
-    path: Path
+    root: Path
     case: str
     parameters: list[str]
     fingerprints: list[str]
     completed: list[str] = dataclasses.field(default_factory=list)
     workers: dict[str, str] = dataclasses.field(default_factory=dict)
 
-    FILENAME = "manifest.json"
-
     @property
     def key(self) -> str:
         return sweep_key(self.case, self.fingerprints)
+
+    @property
+    def path(self) -> Path:
+        return self.root / SWEEPS_DIRNAME / f"{self.key}.json"
 
     def missing(self) -> list[str]:
         done = set(self.completed)
@@ -285,50 +382,38 @@ class SweepManifest:
         return not self.missing()
 
     def mark_complete(self, fingerprint: str) -> None:
-        if fingerprint not in self.completed:
-            self.completed.append(fingerprint)
-        self.save()
+        """Record a completion made inline, by no worker."""
+        self.record_completion(fingerprint)
 
     def record_completion(self, fingerprint: str, worker: str | None = None) -> None:
-        """Merge-save one completion from a possibly concurrent writer.
+        """Add the marker of one committed variant.
 
-        Distributed workers share one manifest file; a plain
-        read-modify-write would let two workers erase each other's
-        completions.  Re-reading the on-disk state and unioning before
-        the atomic save narrows the lost-update window to near zero —
-        and a lost update is *only* cosmetic anyway, because completion
-        is always recomputable from the content-addressed cache
-        entries, which each worker writes before recording here.
-        """
-        latest = SweepManifest.load(self.path.parent)
-        if latest is not None and latest.key == self.key:
-            for done in latest.completed:
-                if done not in self.completed:
-                    self.completed.append(done)
-            for done, owner in latest.workers.items():
-                self.workers.setdefault(done, owner)
+        Concurrent writers cannot erase each other: each completion is
+        its own file, and the first marker of a fingerprint keeps its
+        attribution."""
+        if ResultCache(self.root).mark_done(fingerprint, worker) and worker:
+            self.workers[fingerprint] = worker
         if fingerprint not in self.completed:
             self.completed.append(fingerprint)
-        if worker is not None:
-            self.workers[fingerprint] = worker
-        self.save()
 
     def save(self) -> Path:
-        atomic_write_text(
-            self.path,
-            json.dumps(
-                {
-                    "key": self.key,
-                    "case": self.case,
-                    "parameters": self.parameters,
-                    "fingerprints": self.fingerprints,
-                    "completed": self.completed,
-                    "workers": self.workers,
-                },
-                indent=1,
-            ),
-        )
-        return self.path
+        """Write the record once; an existing one (same key, so the same
+        content) is left as it is."""
+        path = self.path
+        if not path.exists():
+            create_once(
+                path,
+                json.dumps(
+                    {
+                        "key": self.key,
+                        "case": self.case,
+                        "parameters": self.parameters,
+                        "fingerprints": self.fingerprints,
+                    },
+                    indent=1,
+                ),
+            )
+        return path
 
     @classmethod
     def create(
@@ -339,7 +424,7 @@ class SweepManifest:
         fingerprints: Sequence[str],
     ) -> "SweepManifest":
         manifest = cls(
-            path=Path(root) / cls.FILENAME,
+            root=Path(root),
             case=case,
             parameters=list(parameters),
             fingerprints=list(fingerprints),
@@ -348,23 +433,55 @@ class SweepManifest:
         return manifest
 
     @classmethod
-    def load(cls, root: str | Path) -> "SweepManifest | None":
-        """Read the manifest under ``root``; ``None`` if absent/corrupt."""
-        path = Path(root) / cls.FILENAME
+    def _read(cls, root: Path, path: Path) -> "SweepManifest | None":
         try:
             raw = json.loads(path.read_text())
-            manifest = cls(
-                path=path,
+            return cls(
+                root=root,
                 case=str(raw["case"]),
                 parameters=[str(p) for p in raw["parameters"]],
                 fingerprints=[str(f) for f in raw["fingerprints"]],
-                completed=[str(f) for f in raw["completed"]],
-                workers={
-                    str(k): str(v) for k, v in raw.get("workers", {}).items()
-                },
             )
         except (OSError, ValueError, KeyError, TypeError):
             return None
+
+    @classmethod
+    def records(cls, root: str | Path) -> "list[SweepManifest]":
+        """Every readable sweep record under ``root``, oldest first,
+        without progress."""
+        root = Path(root)
+        sweeps = root / SWEEPS_DIRNAME
+        if not sweeps.is_dir():
+            return []
+        dated = []
+        for path in sweeps.glob("*.json"):
+            try:
+                dated.append((path.stat().st_mtime_ns, path.name, path))
+            except OSError:
+                continue
+        found = (cls._read(root, path) for _, _, path in sorted(dated))
+        return [manifest for manifest in found if manifest is not None]
+
+    @classmethod
+    def load(cls, root: str | Path, key: str | None = None) -> "SweepManifest | None":
+        """The record of sweep ``key`` under ``root`` — by default the
+        most recently created one — with its progress; ``None`` if
+        absent or corrupt."""
+        root = Path(root)
+        if key is None:
+            records = cls.records(root)
+            manifest = records[-1] if records else None
+        else:
+            manifest = cls._read(root, root / SWEEPS_DIRNAME / f"{key}.json")
+        if manifest is None:
+            return None
+        cache = ResultCache(root)
+        done = cache.done()
+        manifest.completed = [fp for fp in manifest.fingerprints if fp in done]
+        for fp in manifest.completed:
+            worker = cache.committer(fp)
+            if worker is not None:
+                manifest.workers[fp] = worker
         return manifest
 
     @classmethod
@@ -375,20 +492,16 @@ class SweepManifest:
         parameters: Sequence[str],
         fingerprints: Sequence[str],
     ) -> "SweepManifest":
-        """The manifest of an interrupted run of *this* sweep.
+        """The record of an interrupted run of *this* sweep.
 
-        Raises :class:`ScenarioError` when there is nothing to resume
-        or the on-disk manifest belongs to a different sweep.
+        Raises :class:`ScenarioError` when this sweep was never started
+        under ``root``.  Records of other sweeps do not matter: entries
+        are content-addressed, so sweeps sharing a directory cannot mix.
         """
-        manifest = cls.load(root)
+        manifest = cls.load(root, sweep_key(case, fingerprints))
         if manifest is None:
             raise ScenarioError(
-                f"nothing to resume: no sweep manifest under {root}"
-            )
-        if manifest.key != sweep_key(case, fingerprints):
-            raise ScenarioError(
-                f"cannot resume: manifest under {root} records a different "
-                f"sweep (case {manifest.case!r} over "
-                f"{', '.join(manifest.parameters)})"
+                f"nothing to resume: no record of this sweep (case {case!r} "
+                f"over {', '.join(parameters)}) under {root}"
             )
         return manifest

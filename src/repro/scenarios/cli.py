@@ -522,15 +522,15 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--resume",
         action="store_true",
-        help="continue an interrupted sweep recorded in DIR's manifest "
+        help="continue an interrupted sweep recorded under DIR/sweeps/ "
         "(requires --cache-dir)",
     )
     sweep.add_argument(
         "--publish",
         action="store_true",
-        help="write the work order (queue + manifest) under --cache-dir "
-        "and exit; run the variants with `sweep-worker` processes, "
-        "possibly on other hosts",
+        help="add the work items (DIR/queue/) and the sweep record "
+        "(DIR/sweeps/) under --cache-dir and exit; run the variants with "
+        "`sweep-worker` processes, possibly on other hosts",
     )
     sweep.add_argument(
         "--lease-ttl",
@@ -623,8 +623,8 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument(
         "--worker-id",
         default=None,
-        help="label recorded in leases and the manifest "
-        "(default: host:pid:nonce)",
+        help="label recorded in leases and the done/ markers of the "
+        "variants it commits (default: host:pid:nonce)",
     )
     worker.add_argument(
         "--lease-ttl",

@@ -8,13 +8,14 @@ variant whose content hash already has a valid entry in the
 :class:`~repro.scenarios.cache.ResultCache` (kept in a temporary
 directory when the caller names none), renders variants the fleet
 quarantined as explicit ``FAILED`` rows, and runs the rest.  With
-``jobs > 1`` it publishes the plan's work order
+``jobs > 1`` it publishes the plan's work items
 (:class:`~repro.scenarios.scheduler.WorkQueue`) and starts that many
 local lease workers (:func:`~repro.scenarios.workers.run_worker`, the
 loop ``repro sweep-worker`` runs on any host); with ``jobs=1``, or a
-plan that cannot be published, it runs them inline.  Progress is
-recorded in a :class:`~repro.scenarios.cache.SweepManifest` so an
-interrupted sweep resumes with only the missing variants.
+plan that cannot be published, it runs them inline.  The sweep is
+recorded once (:class:`~repro.scenarios.cache.SweepManifest`) and every
+commit leaves a ``done/`` marker, so an interrupted sweep resumes with
+only the missing variants.
 
 Results are reduced to their scalar outcomes (metrics, observable
 series, checks) before crossing process or disk boundaries; wall-clock
@@ -44,7 +45,7 @@ from ..telemetry.recorder import (
     get_telemetry,
     process_recorder,
 )
-from .cache import ResultCache, SweepManifest
+from .cache import ResultCache, SweepManifest, warn_legacy_state
 from .registry import get_case
 from .runner import CaseResult, CaseRunner
 from .spec import CaseSpec
@@ -235,10 +236,16 @@ def usable_entry(
     records ``cache.hit``/``cache.miss``/``cache.corrupt`` counters on
     the cache's recorder; ``count=False`` probes silently
     (:meth:`ResultCache.get`) for read-only status checks and
-    under-lease re-checks that would otherwise inflate the counters."""
+    under-lease re-checks that would otherwise inflate the counters.
+
+    An entry that is on disk but unusable here — corrupt, or of the
+    other analyze mode, so about to be re-run and overwritten — loses
+    its ``done/`` marker, so worker drains stop skipping it."""
     entry = cache.lookup(fingerprint).payload if count else cache.get(fingerprint)
     if entry is not None and entry.get("analyze") == analyze:
         return entry
+    if entry is not None or cache.entry_path(fingerprint).exists():
+        cache.unmark(fingerprint)
     return None
 
 
@@ -331,23 +338,19 @@ def open_cache(
     fingerprints: list[str],
     resume: bool = False,
 ) -> tuple[ResultCache, SweepManifest]:
-    """The (cache, manifest) pair for one sweep over one directory.
+    """The (cache, sweep record) pair for one sweep over one directory.
 
-    ``resume=True`` requires a manifest from an earlier interrupted run
-    of this same sweep (a safety latch: resuming a *different* sweep
-    over the same directory is an error, not a silent cache mixup);
-    otherwise a fresh manifest is created unless a matching one exists.
+    ``resume=True`` requires the record of an earlier run of this same
+    sweep under the directory (nothing to resume is an error);
+    otherwise the record is created unless it exists already.
     """
     cache = ResultCache(cache_dir)
+    warn_legacy_state(cache.root)
     parameters = list(parameters)
     if resume:
         manifest = SweepManifest.resume(cache.root, case, parameters, fingerprints)
     else:
-        manifest = SweepManifest.load(cache.root)
-        if manifest is None or manifest.fingerprints != fingerprints:
-            manifest = SweepManifest.create(
-                cache.root, case, parameters, fingerprints
-            )
+        manifest = SweepManifest.create(cache.root, case, parameters, fingerprints)
     return cache, manifest
 
 
@@ -363,8 +366,8 @@ def _sweep_root(cache_dir: str | Path | None) -> Iterator[Path]:
 
 
 def _publish(root: Path, plan: SweepPlan, analyze: bool) -> "WorkQueue":
-    """Write ``plan``'s work order under ``root``, each item stamped
-    with its Eq. 5 traffic so workers claim longest-first."""
+    """Add ``plan``'s work items under ``root``, each stamped with its
+    Eq. 5 traffic so workers claim longest-first."""
     from .scheduler import WorkQueue, predict_spec_costs  # imports this module
 
     return WorkQueue.publish(
@@ -393,13 +396,13 @@ class SweepExecutor:
         raising variant is retried with backoff, then quarantined into
         a ``FAILED`` row.
     cache_dir:
-        Directory of per-variant entries and the sweep manifest (plus
-        ``queue.json`` and ``leases/`` once workers run); ``None`` uses
-        a temporary directory removed when :meth:`run` returns.
+        Directory of per-variant entries, their ``done/`` markers and
+        the sweep's record under ``sweeps/`` (plus ``queue/`` items and
+        ``leases/`` once workers run); ``None`` uses a temporary
+        directory removed when :meth:`run` returns.
     resume:
-        Require a manifest from an earlier interrupted run of this
-        same sweep (a safety latch: resuming a *different* sweep over
-        the same directory is an error, not a silent cache mixup).
+        Require the record of an earlier, interrupted run of this same
+        sweep under ``cache_dir``: nothing to resume is an error.
     telemetry_dir:
         Directory of append-only JSONL event files; setting it enables
         structured telemetry for the run — a per-process recorder here
@@ -466,8 +469,9 @@ class SweepExecutor:
                     # cache itself counts): feeds the fleet hit rate.
                     if recorder.enabled:
                         recorder.count("variant.cached")
-                    if fingerprint not in manifest.completed:
-                        manifest.completed.append(fingerprint)
+                    # Adopt entries written without a marker (run_case,
+                    # a crashed committer): no-op when one exists.
+                    manifest.mark_complete(fingerprint)
                 elif fingerprint in quarantined:
                     payloads[index] = failed_payload(
                         plan.case, quarantined[fingerprint], analyze=analyze
@@ -475,7 +479,6 @@ class SweepExecutor:
                     provenance[index] = "failed"
                 else:
                     pending.append(index)
-            manifest.save()
             done = self._run_pending(plan, pending, cache, analyze, manifest)
         for index, (payload, source) in done.items():
             payloads[index] = payload
@@ -483,7 +486,8 @@ class SweepExecutor:
         return plan.result(range(len(plan)), payloads, provenance)
 
     def publish(self, *, analyze: bool = True) -> "tuple[SweepPlan, WorkQueue]":
-        """Expand the sweep and write queue + manifest under the cache dir.
+        """Expand the sweep, record it and add its work items under the
+        cache dir.
 
         Runs nothing: ``sweep-worker`` processes on any host sharing the
         directory claim the variants, largest Eq. 5 traffic first
@@ -524,14 +528,10 @@ class SweepExecutor:
             and len(pending) > 1
             and self._run_workers(plan, cache.root, analyze, len(pending))
         ):
-            # The workers committed to the cache, the failure ledger and
-            # the manifest: read all three back.  Silent probes — the
-            # workers counted their own cache outcomes.
+            # The workers committed to the cache and the failure ledger:
+            # read both back.  Silent probes — the workers counted their
+            # own cache outcomes.
             quarantined = FailureLedger(cache.root).quarantined()
-            if manifest is not None:
-                latest = SweepManifest.load(cache.root)
-                if latest is not None and latest.key == manifest.key:
-                    manifest = latest
             for index in pending:
                 fingerprint = plan.fingerprints[index]
                 entry = usable_entry(cache, fingerprint, analyze, count=False)

@@ -181,8 +181,8 @@ class AdaptiveSampler:
     ) -> None:
         """Run one pass's variants through the cache, recording both.
 
-        No manifest (unlike a plain sweep): adaptive sweeps run a
-        data-dependent subset, so a fixed-fingerprint manifest would
+        No sweep record (unlike a plain sweep): adaptive sweeps run a
+        data-dependent subset, so a fixed-fingerprint record would
         lie.  The missing variants run as a sub-plan of their own, so
         workers the driver starts never see an unsampled variant.
         """

@@ -9,14 +9,16 @@ driver (:class:`~repro.scenarios.executor.SweepExecutor`) publishes
 through it, both for ``repro sweep --publish`` and for the local
 workers ``--jobs N`` starts.
 
-The coordination substrate is the PR 2 cache layout, extended with two
-artifacts:
+The coordination substrate is the content-addressed cache layout
+(:mod:`repro.scenarios.cache`: entries, ``done/`` markers and
+``sweeps/`` records), extended with two artifacts:
 
-``queue.json``
-    The published work order: case name, per-variant overrides,
-    fingerprints and Eq. 5 costs, and the analyze mode.  Host-agnostic —
-    a worker needs only this file and the case registry to rebuild
-    each variant.
+``queue/<fingerprint>.json``
+    One published work item, created once: case name, overrides, Eq. 5
+    cost, grid index and analyze mode.  Host-agnostic — a worker needs
+    only this file and the case registry to rebuild the variant.
+    Publishers only ever add items, so a sweep, ``--jobs N`` and a live
+    ``repro serve`` can share one directory.
 ``leases/<fingerprint>.lease``
     Atomic claim files (:class:`~repro.core.io.ClaimRecord`): a worker
     that creates one owns that variant until it commits or the lease
@@ -37,18 +39,19 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import math
 import os
 import socket
 import time
 import uuid
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from ..core.io import (
     ClaimRecord,
-    atomic_write_text,
     break_claim,
+    create_once,
     read_claim,
     refresh_claim,
     release_claim,
@@ -60,7 +63,7 @@ from ..machine.roofline import bytes_per_cell
 from ..resilience import FailureLedger, FailureRecord
 from ..telemetry.aggregate import FleetRollup
 from ..telemetry.recorder import TELEMETRY_DIRNAME
-from .cache import QUEUE_FILENAME, sweep_key
+from .cache import QUEUE_DIRNAME, ResultCache, SweepManifest, warn_legacy_state
 from .executor import DEFAULT_LEASE_TTL, SweepPlan, _VariantTask
 
 __all__ = [
@@ -74,16 +77,19 @@ __all__ = [
     "sweep_status",
 ]
 
-_QUEUE_VERSION = 1
+_ITEM_VERSION = 1
 LEASE_DIRNAME = "leases"
+
+logger = logging.getLogger(__name__)
+_warned_items: set[Path] = set()
 
 
 def _retuple(value: Any) -> Any:
     """Undo JSON's tuple->list coercion on override values.
 
     The CLI and ``CaseSpec`` use tuples for fixed-arity values
-    (``shape``, ``forcing``); round-tripping through ``queue.json``
-    must hand workers the same types the scheduler fingerprinted."""
+    (``shape``, ``forcing``); round-tripping through a work item must
+    hand workers the same types the scheduler fingerprinted."""
     if isinstance(value, list):
         return tuple(_retuple(v) for v in value)
     if isinstance(value, dict):
@@ -93,53 +99,79 @@ def _retuple(value: Any) -> Any:
 
 @dataclasses.dataclass(frozen=True)
 class WorkItem:
-    """One variant of a published sweep, as a worker sees it.
+    """One published variant, as a worker sees it: ``queue/<fingerprint>.json``.
 
-    ``cost`` is the variant's Eq. 5 memory traffic in bytes
+    Every item carries its own ``case`` (one directory holds the work of
+    many sweeps and serve requests), its grid ``index`` within the sweep
+    or request that published it, and its ``analyze`` mode.  ``cost``
+    is the variant's Eq. 5 memory traffic in bytes
     (:func:`predict_spec_costs`), the same on every host; ``None`` on
-    items published without one (queues written by older releases).
-    Costs are advisory — they order claims, never gate them.  ``case``
-    overrides the queue-level case name for this one item (how serve
-    appends mix cases onto one queue); ``None`` inherits the queue's.
+    items published without one.  Costs are advisory — they order
+    claims, never gate them.
     """
 
     index: int
     overrides: dict[str, Any]
     fingerprint: str
+    case: str
+    analyze: bool = True
     cost: float | None = None
-    case: str | None = None
 
-    def task(
-        self, case: str, analyze: bool, telemetry_dir: str | None = None
-    ) -> _VariantTask:
+    def task(self, telemetry_dir: str | None = None) -> _VariantTask:
         return _VariantTask(
-            case=self.case or case,
+            case=self.case,
             overrides=tuple(sorted(self.overrides.items())),
-            analyze=analyze,
+            analyze=self.analyze,
             fingerprint=self.fingerprint,
             telemetry_dir=telemetry_dir,
+        )
+
+    def to_json(self) -> str:
+        raw: dict[str, Any] = {
+            "version": _ITEM_VERSION,
+            "index": self.index,
+            "case": self.case,
+            "overrides": self.overrides,
+            "fingerprint": self.fingerprint,
+            "analyze": self.analyze,
+        }
+        if self.cost is not None:
+            raw["cost"] = float(self.cost)
+        return json.dumps(raw, indent=1, sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str) -> "WorkItem":
+        raw = json.loads(text)
+        if raw["version"] != _ITEM_VERSION:
+            raise ValueError(
+                f"version {raw['version']}, expected {_ITEM_VERSION}"
+            )
+        return cls(
+            index=int(raw["index"]),
+            overrides={str(k): _retuple(v) for k, v in raw["overrides"].items()},
+            fingerprint=str(raw["fingerprint"]),
+            case=str(raw["case"]),
+            analyze=bool(raw["analyze"]),
+            cost=float(raw["cost"]) if raw.get("cost") is not None else None,
         )
 
 
 @dataclasses.dataclass
 class WorkQueue:
-    """The published work order one sweep exposes to its workers.
+    """Work items published under ``<root>/queue/``, one file each.
 
     Publishing requires a *registered* case (workers on other hosts
     rebuild variants from the registry by name) and JSON-serialisable
-    overrides — closures cannot cross hosts.  The queue's ``key`` ties
-    it to the manifest of the same sweep.
+    overrides — closures cannot cross hosts.  An item is created once
+    and never rewritten: re-publishing a variant leaves the first item
+    in place, so publishers only ever add work.  ``queued`` holds the
+    fingerprint of every item on file, including any :meth:`load` was
+    told to skip.
     """
 
     path: Path
-    case: str
-    parameters: list[str]
-    analyze: bool
     items: list[WorkItem]
-
-    @property
-    def key(self) -> str:
-        return sweep_key(self.case, [item.fingerprint for item in self.items])
+    queued: frozenset[str] = frozenset()
 
     @classmethod
     def publish(
@@ -149,7 +181,7 @@ class WorkQueue:
         analyze: bool,
         costs: "list[float | None] | None" = None,
     ) -> "WorkQueue":
-        """Atomically write the work order for ``plan`` under ``root``.
+        """Add a work item for every variant of ``plan`` under ``root``.
 
         ``costs`` (index-aligned with the plan) stamps each item with
         its predicted cost so workers can claim longest-first; omitted
@@ -165,163 +197,107 @@ class WorkQueue:
                 f"costs must align with the plan: got {len(costs)} for "
                 f"{len(plan.fingerprints)} variants"
             )
-        try:
-            items_json = [
-                {"overrides": overrides, "fingerprint": fingerprint}
-                for overrides, fingerprint in zip(plan.overrides, plan.fingerprints)
-            ]
-            if costs is not None:
-                for item, cost in zip(items_json, costs):
-                    if cost is not None:
-                        item["cost"] = float(cost)
-            text = json.dumps(
-                {
-                    "version": _QUEUE_VERSION,
-                    "case": plan.case,
-                    "parameters": list(plan.parameters),
-                    "analyze": analyze,
-                    "items": items_json,
-                },
-                indent=1,
-                sort_keys=True,
-            )
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(
-                "distributed sweeps need JSON-serialisable overrides "
-                f"(case {plan.case!r}): {exc}"
-            ) from exc
-        root = Path(root)
-        root.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(root / QUEUE_FILENAME, text)
-        return cls.load(root)
-
-    @classmethod
-    def append(
-        cls,
-        root: str | Path,
-        entries: "list[tuple[str, dict[str, Any], str, float | None]]",
-        analyze: bool = True,
-    ) -> "WorkQueue":
-        """Merge per-case work items into the queue under ``root``.
-
-        ``entries`` are ``(case, overrides, fingerprint, cost)`` tuples;
-        each item is written with an explicit per-item ``case`` so one
-        queue can carry variants of many cases (the serve front end's
-        shape — anything a client asks for lands on the same fleet).
-        Existing items win on fingerprint collision, so re-submitting a
-        request is idempotent.  Creates the queue when none exists.
-
-        Read-modify-write: callers must serialise concurrent appends
-        themselves (the serve process does, under one lock); workers
-        only ever read the queue, so appends never race them into
-        corruption — at worst a worker loaded the pre-append snapshot
-        and picks the new items up on its next pass.
-        """
-        if analyze not in (True, False):
-            raise ScenarioError(f"analyze must be a bool, got {analyze!r}")
-        root = Path(root)
-        existing: "WorkQueue | None" = None
-        if (root / QUEUE_FILENAME).is_file():
-            existing = cls.load(root)
-            if existing.analyze != analyze:
-                raise ScenarioError(
-                    f"queue under {root} was published with "
-                    f"analyze={existing.analyze}; cannot append "
-                    f"analyze={analyze} items"
-                )
-        items_json: list[dict[str, Any]] = []
-        seen: set[str] = set()
-        parameters: list[str] = list(existing.parameters) if existing else []
-        if existing is not None:
-            for item in existing.items:
-                entry: dict[str, Any] = {
-                    "case": item.case or existing.case,
-                    "overrides": item.overrides,
-                    "fingerprint": item.fingerprint,
-                }
-                if item.cost is not None:
-                    entry["cost"] = item.cost
-                items_json.append(entry)
-                seen.add(item.fingerprint)
-        for case, overrides, fingerprint, cost in entries:
-            if fingerprint in seen:
-                continue
-            seen.add(fingerprint)
-            entry = {
-                "case": str(case),
-                "overrides": dict(overrides),
-                "fingerprint": str(fingerprint),
-            }
-            if cost is not None:
-                entry["cost"] = float(cost)
-            items_json.append(entry)
-            for name in sorted(overrides):
-                if name not in parameters:
-                    parameters.append(name)
-        if not items_json:
-            raise ScenarioError("cannot publish an empty work queue")
-        try:
-            text = json.dumps(
-                {
-                    "version": _QUEUE_VERSION,
-                    "case": existing.case if existing else str(entries[0][0]),
-                    "parameters": parameters,
-                    "analyze": analyze,
-                    "items": items_json,
-                },
-                indent=1,
-                sort_keys=True,
-            )
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(
-                f"work queue items need JSON-serialisable overrides: {exc}"
-            ) from exc
-        root.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(root / QUEUE_FILENAME, text)
-        return cls.load(root)
-
-    @classmethod
-    def load(cls, root: str | Path) -> "WorkQueue":
-        """Read the work order under ``root``; error if absent/corrupt."""
-        path = Path(root) / QUEUE_FILENAME
-        try:
-            raw = json.loads(path.read_text())
-            if raw["version"] != _QUEUE_VERSION:
-                raise ScenarioError(
-                    f"work queue {path} has version {raw['version']}, "
-                    f"expected {_QUEUE_VERSION}"
-                )
-            items = [
+        return cls.append(
+            root,
+            [
                 WorkItem(
                     index=index,
-                    overrides={
-                        str(k): _retuple(v)
-                        for k, v in item["overrides"].items()
-                    },
-                    fingerprint=str(item["fingerprint"]),
-                    cost=(
-                        float(item["cost"]) if item.get("cost") is not None else None
-                    ),
-                    case=(
-                        str(item["case"]) if item.get("case") is not None else None
-                    ),
+                    overrides=dict(overrides),
+                    fingerprint=fingerprint,
+                    case=plan.case,
+                    analyze=analyze,
+                    cost=None if costs is None else costs[index],
                 )
-                for index, item in enumerate(raw["items"])
-            ]
-            return cls(
-                path=path,
-                case=str(raw["case"]),
-                parameters=[str(p) for p in raw["parameters"]],
-                analyze=bool(raw["analyze"]),
-                items=items,
-            )
-        except OSError as exc:
+                for index, (overrides, fingerprint) in enumerate(
+                    zip(plan.overrides, plan.fingerprints)
+                )
+            ],
+        )
+
+    @classmethod
+    def append(cls, root: str | Path, items: "list[WorkItem]") -> "WorkQueue":
+        """Create the work item of each of ``items`` under ``root``.
+
+        Idempotent and safe under any number of concurrent publishers:
+        an item that exists already wins, so re-submitting a request
+        adds nothing — unless it asks for the other analyze mode, which
+        is refused (one fingerprint has one item).  Returns the items as
+        they are on file.
+        """
+        if not items:
+            raise ScenarioError("cannot publish an empty work queue")
+        queue_dir = Path(root) / QUEUE_DIRNAME
+        written: list[WorkItem] = []
+        for item in items:
+            if item.analyze not in (True, False):
+                raise ScenarioError(
+                    f"analyze must be a bool, got {item.analyze!r}"
+                )
+            try:
+                text = item.to_json()
+            except (TypeError, ValueError) as exc:
+                raise ScenarioError(
+                    "distributed sweeps need JSON-serialisable overrides "
+                    f"(case {item.case!r}): {exc}"
+                ) from exc
+            path = queue_dir / f"{item.fingerprint}.json"
+            if create_once(path, text):
+                written.append(item)
+                continue
+            existing = _read_item(path)
+            if existing.analyze != item.analyze:
+                raise ScenarioError(
+                    f"work item {path} was published with "
+                    f"analyze={existing.analyze}; cannot append it with "
+                    f"analyze={item.analyze}"
+                )
+            written.append(existing)
+        return cls(
+            path=queue_dir,
+            items=written,
+            queued=frozenset(item.fingerprint for item in written),
+        )
+
+    @classmethod
+    def load(cls, root: str | Path, skip: Iterable[str] = ()) -> "WorkQueue":
+        """Read the work items under ``root``, except those in ``skip``
+        (a worker skips the ones with a ``done/`` marker, so a drain
+        reads only unfinished items); error if nothing was published.
+
+        An item file that does not read (only a hand edit can make one:
+        items appear complete or not at all) is left out with a
+        warning, so it holds up no other item."""
+        root = Path(root)
+        warn_legacy_state(root)
+        queue_dir = root / QUEUE_DIRNAME
+        if not queue_dir.is_dir():
             raise ScenarioError(
-                f"no published sweep under {Path(root)}: {exc} — run "
+                f"no published sweep under {root} — run "
                 "`repro sweep ... --cache-dir DIR --publish` first"
-            ) from exc
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ScenarioError(f"corrupt work queue {path}: {exc}") from exc
+            )
+        queued = cls.listing(root)
+        skip = set(skip)
+        items = []
+        for fingerprint in queued - skip:
+            path = queue_dir / f"{fingerprint}.json"
+            try:
+                items.append(_read_item(path))
+            except ScenarioError as exc:
+                if path not in _warned_items:
+                    _warned_items.add(path)
+                    logger.warning("skipping %s", exc)
+        items.sort(key=lambda item: (item.index, item.fingerprint))
+        return cls(path=queue_dir, items=items, queued=frozenset(queued))
+
+    @staticmethod
+    def listing(root: str | Path) -> set[str]:
+        """Fingerprints of every item under ``root``: one directory
+        listing, no item read; empty when nothing was published."""
+        try:
+            names = os.listdir(Path(root) / QUEUE_DIRNAME)
+        except FileNotFoundError:
+            return set()
+        return {name[:-5] for name in names if name.endswith(".json")}
 
     def claim_order(self) -> list[WorkItem]:
         """The order workers should try to claim variants in.
@@ -336,9 +312,19 @@ class WorkQueue:
         always assembles grid order, so result tables stay
         bit-identical either way.
         """
-        if any(item.cost is None for item in self.items):
-            return list(self.items)
-        return sorted(self.items, key=lambda item: (-item.cost, item.index))
+        order = sorted(self.items, key=lambda item: (item.index, item.fingerprint))
+        if any(item.cost is None for item in order):
+            return order
+        return sorted(order, key=lambda item: (-item.cost, item.index))
+
+
+def _read_item(path: Path) -> WorkItem:
+    try:
+        return WorkItem.from_json(path.read_text())
+    except OSError as exc:
+        raise ScenarioError(f"unreadable work item {path}: {exc}") from exc
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ScenarioError(f"corrupt work item {path}: {exc}") from exc
 
 
 class LeaseBoard:
@@ -411,12 +397,14 @@ class LeaseBoard:
         predecessor's lease (a *live* own lease is never stale).  The
         caller still has to :meth:`acquire` afterwards — of many
         concurrent reclaimers exactly one succeeds in breaking, and the
-        subsequent acquire is the usual atomic race.
+        subsequent acquire is the usual atomic race.  Only the record
+        judged stale is broken (:func:`~repro.core.io.break_claim`): a
+        lease a peer re-took after our read stays.
         """
         record = self.holder(fingerprint)
         if record is None or not self.stale(record):
             return False
-        return break_claim(self.path(fingerprint))
+        return break_claim(self.path(fingerprint), record)
 
     def active(self) -> dict[str, ClaimRecord]:
         """All live (non-stale) leases on the board right now."""
@@ -473,10 +461,13 @@ def lease_holder(
 class SweepStatus:
     """Read-only snapshot of a sweep's coordination directory.
 
-    Assembled by :func:`sweep_status` from the manifest, the published
-    work queue (if any) and the lease files — the ``repro sweep-status``
-    view an operator uses to answer "how far along is this distributed
-    sweep, and who is working on what?" without touching any of it.
+    Assembled by :func:`sweep_status` from directory listings — sweep
+    records, work items, ``done/`` markers and lease files — the
+    ``repro sweep-status`` view an operator uses to answer "how far
+    along is this distributed sweep, and who is working on what?"
+    without touching any of it.  ``total`` counts every variant a
+    recorded sweep or a published item names; ``case`` and
+    ``parameters`` are those of the most recently recorded sweep.
     """
 
     root: str
@@ -539,11 +530,13 @@ class SweepStatus:
 
     def summary(self) -> str:
         """Human-readable report (what the CLI prints)."""
-        if self.case is None:
-            return f"{self.root}: no sweep manifest (nothing published or run here)"
+        if self.total == 0:
+            return f"{self.root}: no sweep recorded (nothing published or run here)"
         lines = [
             f"sweep over case {self.case!r} ({', '.join(self.parameters)}) "
-            f"under {self.root}",
+            f"under {self.root}"
+            if self.case is not None
+            else f"work published under {self.root} (no sweep recorded)",
             f"  variants: {self.total} total, {self.completed} completed, "
             f"{self.missing} missing"
             + (" — complete" if self.complete else ""),
@@ -595,18 +588,28 @@ def sweep_status(cache_dir: str | Path) -> SweepStatus:
     """Inspect a sweep cache directory without mutating it.
 
     Unlike :class:`LeaseBoard`, this never creates the leases directory
-    or breaks stale claims — it only reads what is there: the manifest's
-    completion record (with per-worker attribution), whether a work
-    order is published, and each lease's liveness (expired TTL, or a
-    same-host owner whose pid is gone, counts as stale).
+    or breaks stale claims — it only reads what is there: the sweep
+    records and work items that name variants, the ``done/`` markers
+    that complete them (with per-worker attribution), and each lease's
+    liveness (expired TTL, or a same-host owner whose pid is gone,
+    counts as stale).  No cache entry is read.
     """
-    from .cache import SweepManifest
-
     root = Path(cache_dir)
     if not root.is_dir():
         raise ScenarioError(f"no sweep cache directory at {root}")
-    manifest = SweepManifest.load(root)
-    published = (root / QUEUE_FILENAME).is_file()
+    warn_legacy_state(root)
+    records = SweepManifest.records(root)
+    queued = WorkQueue.listing(root)
+    named = set(queued)
+    for record in records:
+        named.update(record.fingerprints)
+    cache = ResultCache(root)  # the directory exists: creates nothing
+    completed = named & cache.done()
+    workers: dict[str, int] = {}
+    for fingerprint in completed:
+        owner = cache.committer(fingerprint)
+        if owner is not None:
+            workers[owner] = workers.get(owner, 0) + 1
     host = socket.gethostname()
     now = time.time()
     live: list[ClaimRecord] = []
@@ -618,12 +621,7 @@ def sweep_status(cache_dir: str | Path) -> SweepStatus:
             if record is None:
                 continue
             (stale if _lease_stale(record, host, now) else live).append(record)
-    workers: dict[str, int] = {}
-    if manifest is not None:
-        for owner in manifest.workers.values():
-            workers[owner] = workers.get(owner, 0) + 1
-    total = len(manifest.fingerprints) if manifest is not None else 0
-    completed = len(set(manifest.completed)) if manifest is not None else 0
+    total = len(named)
     telemetry: FleetRollup | None = None
     telemetry_dir = root / TELEMETRY_DIRNAME
     if telemetry_dir.is_dir():
@@ -632,7 +630,7 @@ def sweep_status(cache_dir: str | Path) -> SweepStatus:
         from ..telemetry.aggregate import load_run
 
         telemetry = load_run(telemetry_dir).fleet_stats(
-            remaining=total - completed
+            remaining=total - len(completed)
         )
     ledger_records = FailureLedger(root).load()
     failing = tuple(
@@ -645,14 +643,15 @@ def sweep_status(cache_dir: str | Path) -> SweepStatus:
         for _, record in sorted(ledger_records.items())
         if record.quarantined
     )
+    newest = records[-1] if records else None
     return SweepStatus(
         root=str(root),
-        case=manifest.case if manifest is not None else None,
-        parameters=tuple(manifest.parameters) if manifest is not None else (),
+        case=newest.case if newest is not None else None,
+        parameters=tuple(newest.parameters) if newest is not None else (),
         total=total,
-        completed=completed,
+        completed=len(completed),
         workers=workers,
-        published=published,
+        published=bool(queued),
         live_leases=tuple(live),
         stale_leases=tuple(stale),
         telemetry=telemetry,

@@ -38,7 +38,7 @@ __all__ = ["ARITHMETIC", "CaseSpec", "steady_state"]
 #: Revision of the planned kernel's arithmetic, hashed into every
 #: fingerprint.  Fingerprints hash specs, not code, so when a change
 #: alters the bytes a spec steps to, this revision changes with it:
-#: every cache entry, queue item and manifest written before then misses
+#: every cache entry, queue item and sweep record written before then misses
 #: and re-runs instead of replaying the old bytes.  Revision 2 is the
 #: explicit op sequence of ``core/collide.c`` and its numpy reference.
 ARITHMETIC = 2

@@ -35,7 +35,7 @@ class SweepResult:
     per variant whether it was ``"cached"`` (usable before the run),
     ``"run"`` (executed during it, inline or by a worker it started) or
     ``"failed"`` (a quarantined placeholder); which worker ran what
-    stays in the manifest and ``sweep-status``.  ``fingerprints``
+    stays in the ``done/`` markers and ``sweep-status``.  ``fingerprints``
     carries the matching cache keys.  Adaptively sampled sweeps
     additionally record the full grid size in ``grid_total`` (the rows
     cover only the sampled subset) and each row's sampling ``stages``

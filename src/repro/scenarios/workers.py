@@ -9,28 +9,33 @@ DIR`` runs exactly this; ``repro sweep --jobs N`` starts N of them
 locally over its cache directory
 (:class:`~repro.scenarios.executor.SweepExecutor`).
 
-The loop per pass, in the queue's claim order — largest Eq. 5 traffic
-first, ties and queues with an uncosted item in grid order
+Each pass lists ``queue/`` and ``done/`` and reads only the items with
+no ``done/`` marker, so a pass costs O(unfinished work), however long
+the directory's history.  Over those, in claim order — largest Eq. 5
+traffic first, ties and sets with an uncosted item in grid order
 (:meth:`~repro.scenarios.scheduler.WorkQueue.claim_order`):
 
-1. skip variants with a usable cache entry (someone finished them);
+1. probe the cache: a usable entry (written by ``run_case``, an inline
+   sweep, an older release, or a committer that died before its
+   marker) is adopted — it gets a marker — and skipped;
 2. try to acquire the variant's lease; if held by someone else, check
    staleness (expired TTL, or a dead same-host pid) and reclaim;
 3. run the variant, commit the payload to the content-addressed cache,
-   record completion in the shared manifest, release the lease.
+   read it back, write its ``done/`` marker, release the lease.
 
-A worker exits when every variant has a usable cache entry, or — by
+A worker exits when every item is marked or quarantined, or — by
 default — when it can make no progress because live peers hold all
 remaining leases (``wait=True`` polls instead, which also lets a
 waiting worker pick up the leases of peers that die).  Crash recovery
 follows from the commit order: the cache entry is written *before* the
-lease is released, so a worker that dies mid-variant leaves a lease
-that goes stale and a variant that simply re-runs elsewhere.
+marker and the lease release, so a worker that dies mid-variant leaves
+a lease that goes stale and a variant that simply re-runs elsewhere —
+or, past its commit, an entry the next pass adopts.
 
 A variant that *raises* is never fatal to the worker: the exception is
 recorded in the shared failure ledger
 (:class:`~repro.resilience.FailureLedger`, ``failures.json`` beside
-``queue.json``), the lease is released, and the variant is retried
+``queue/``), the lease is released, and the variant is retried
 with exponential backoff until ``max_attempts``, after which it is
 **quarantined** — skipped by the whole fleet so the sweep terminates
 with an explicit ``FAILED`` row instead of crash-looping.  Setting
@@ -49,7 +54,6 @@ import time
 from pathlib import Path
 from typing import Iterator
 
-from ..errors import ScenarioError
 from ..resilience import DEFAULT_MAX_ATTEMPTS, FailureLedger, FaultPlan
 from ..telemetry.recorder import (
     NULL_TELEMETRY,
@@ -59,7 +63,7 @@ from ..telemetry.recorder import (
     process_recorder,
 )
 from . import executor as _executor
-from .cache import ResultCache, SweepManifest
+from .cache import ResultCache
 from .scheduler import DEFAULT_LEASE_TTL, LeaseBoard, WorkQueue
 
 __all__ = ["WorkerReport", "lease_heartbeat", "run_worker"]
@@ -205,8 +209,9 @@ def run_worker(
     Parameters
     ----------
     worker_id:
-        Label recorded in leases and the manifest (default: a unique
-        ``host:pid:nonce`` token).
+        Label recorded in leases and the ``done/`` markers of the
+        variants it commits (default: a unique ``host:pid:nonce``
+        token).
     lease_ttl:
         Seconds before an unreleased lease counts as stale.  A live
         worker heartbeats its lease every TTL/4 while a variant runs
@@ -224,10 +229,10 @@ def run_worker(
         only peer-held work remains.
     follow:
         Never exit for lack of work: once the queue drains, keep
-        polling for items appended to it (the ``repro serve`` front end
-        appends cold requests to the same queue).  Implies ``wait``.
-        Either way the worker re-reads a changed queue between passes,
-        so appended work reaches even non-follow fleets mid-sweep.
+        polling for items added to it (the ``repro serve`` front end
+        adds cold requests to the same directory).  Implies ``wait``.
+        Either way every pass lists the queue afresh, so added work
+        reaches even non-follow fleets mid-sweep.
     max_attempts:
         Failed attempts (fleet-wide, via the shared failure ledger)
         after which a variant is quarantined and skipped by everyone.
@@ -247,9 +252,10 @@ def run_worker(
         default leaves the ambient recorder in charge.
     """
     root = Path(cache_dir)
-    queue = WorkQueue.load(root)
     cache = ResultCache(root)
-    manifest = SweepManifest.load(root)
+    #: Markers seen at the pass's listing plus those this worker wrote.
+    done = cache.done()
+    queue = WorkQueue.load(root, skip=done)
     board = LeaseBoard(root, owner=worker_id, ttl=lease_ttl)
     ledger = FailureLedger(root, max_attempts=max_attempts)
     plan = FaultPlan.from_env()
@@ -267,9 +273,8 @@ def run_worker(
 
     def note_cached(fingerprint: str) -> None:
         """Count a variant someone *else* already finished — once,
-        however many passes re-observe it (raw ``cache.hit`` probes do
-        repeat), and never for this worker's own completions showing up
-        cached on the next scan."""
+        however many passes re-observe it, and never for this worker's
+        own completions."""
         if (
             recorder.enabled
             and fingerprint not in seen_cached
@@ -279,81 +284,48 @@ def run_worker(
             recorder.count("variant.cached")
 
     def count_cached() -> int:
-        cached = 0
-        for item in queue.items:
-            if _executor.usable_entry(
-                cache, item.fingerprint, queue.analyze, count=False
-            ):
-                cached += 1
-        return cached - len(report.completed)
+        return len(queue.queued & done) - len(report.completed)
 
-    claim_order = queue.claim_order()
-
-    def refresh() -> bool:
-        """Re-read a changed queue (serve appends items mid-flight).
-
-        ``True`` iff the item list changed; reloads the manifest too so
-        the ``manifest.key == queue.key`` completion guard tracks the
-        appended queue instead of silently dropping attribution.
-        """
-        nonlocal queue, manifest, claim_order
-        try:
-            latest = WorkQueue.load(root)
-        except ScenarioError:
-            return False
-        if [i.fingerprint for i in latest.items] == [
-            i.fingerprint for i in queue.items
-        ]:
-            return False
-        queue = latest
-        manifest = SweepManifest.load(root)
-        claim_order = queue.claim_order()
-        return True
-
-    def adopt_orphan(fingerprint: str) -> bool:
-        """Finish a dead peer's commit on its behalf.
-
-        A worker that crashes between its cache write and its manifest
-        record leaves a usable entry with no completion.  Re-reading the
-        on-disk manifest first keeps this from stealing attribution for
-        completions a live peer recorded after our last load; the merge
-        in :meth:`SweepManifest.record_completion` makes the write safe
-        either way.
-        """
-        nonlocal manifest
-        if manifest is None or manifest.key != queue.key:
-            return False
-        if fingerprint in manifest.completed:
-            return False
-        latest = SweepManifest.load(root)
-        if latest is not None and latest.key == queue.key:
-            manifest = latest
-            if fingerprint in manifest.completed:
-                return False
-        manifest.record_completion(fingerprint, worker=board.owner)
-        return True
+    def adopt(fingerprint: str) -> None:
+        """Mark a usable entry nobody marked: written by ``run_case``,
+        an inline sweep or an older release, or by a committer that died
+        before its marker (whose stale lease goes too).  A live peer's
+        lease means it is mid-commit and will mark the entry itself."""
+        holder = board.holder(fingerprint)
+        if holder is not None and not board.stale(holder):
+            return
+        if cache.mark_done(fingerprint, board.owner) and holder is not None:
+            board.reclaim(fingerprint)
 
     poll_cap = max(poll, 8.0)
     idle_delay = poll
     idle_since = time.monotonic()
+    rescan = False
 
     try:
         while True:
+            if rescan:
+                done = cache.done()
+                queue = WorkQueue.load(root, skip=done)
+            rescan = True
+            if recorder.enabled:
+                # Marked items count as found cached, as a probe would.
+                for fingerprint in queue.queued & done:
+                    note_cached(fingerprint)
             ran_this_pass = 0
             failed_this_pass = 0
             blocked = 0
             retry_wait = 0
             next_retry = math.inf
             failures = ledger.load()
-            for item in claim_order:
+            for item in queue.claim_order():
                 if max_variants is not None and len(report.completed) >= max_variants:
                     report.already_cached = count_cached()
                     return report
-                if _executor.usable_entry(cache, item.fingerprint, queue.analyze):
+                if _executor.usable_entry(cache, item.fingerprint, item.analyze):
                     note_cached(item.fingerprint)
-                    if adopt_orphan(item.fingerprint):
-                        # the committer is dead: drop its stale lease too
-                        board.reclaim(item.fingerprint)
+                    adopt(item.fingerprint)
+                    done.add(item.fingerprint)
                     continue
                 record = failures.get(item.fingerprint)
                 if record is not None and record.quarantined:
@@ -372,13 +344,10 @@ def run_worker(
                         continue
                 try:
                     # Re-check under the lease: a peer may have committed
-                    # between our cache probe and the acquire.  Silent
-                    # (count=False): the probe above already counted.
-                    if _executor.usable_entry(
-                        cache, item.fingerprint, queue.analyze, count=False
-                    ):
+                    # (entry, then marker, then release) since our probe.
+                    if cache.marker_path(item.fingerprint).exists():
                         note_cached(item.fingerprint)
-                        adopt_orphan(item.fingerprint)
+                        done.add(item.fingerprint)
                         continue
                     attempt = (0 if record is None else record.attempt_count) + 1
                     try:
@@ -392,7 +361,7 @@ def run_worker(
                                 cache=cache,
                                 board=board,
                             )
-                        task = item.task(queue.case, queue.analyze, telemetry_path)
+                        task = item.task(telemetry_path)
                         if injector is not None:
                             injector.fire(
                                 "run",
@@ -450,12 +419,17 @@ def run_worker(
                         continue
                     if record is not None:
                         ledger.clear(item.fingerprint)
-                    if manifest is not None and manifest.key == queue.key:
-                        manifest.record_completion(item.fingerprint, worker=board.owner)
-                    if item.fingerprint not in report.completed:
-                        # a torn commit re-run completes the same variant twice
-                        report.completed.append(item.fingerprint)
                     ran_this_pass += 1
+                    # Mark only what reads back: a torn write is
+                    # quarantined here and re-run on the next pass.
+                    if cache.get(item.fingerprint) is None:
+                        cache.lookup(item.fingerprint)
+                        continue
+                    cache.mark_done(item.fingerprint, board.owner)
+                    done.add(item.fingerprint)
+                    if item.fingerprint not in report.completed:
+                        # a corrupt entry's re-run completes it again
+                        report.completed.append(item.fingerprint)
                 finally:
                     board.release(item.fingerprint)
 
@@ -463,16 +437,15 @@ def run_worker(
             if ran_this_pass or failed_this_pass:
                 idle_delay = poll
                 idle_since = time.monotonic()
-                refresh()
                 continue  # made progress: scan again immediately
-            if refresh():
+            if WorkQueue.load(root, skip=queue.queued | done).items:
                 idle_delay = poll
                 idle_since = time.monotonic()
                 continue  # new items appeared while we scanned
             if retry_wait == 0:
                 if blocked == 0:
                     if not follow:
-                        # every variant is cached or quarantined
+                        # every item is marked or quarantined
                         return report
                 elif not (wait or follow):
                     return report  # live peers hold the rest; let them finish

@@ -5,12 +5,16 @@ maintains — the server stores only the *request* (a :class:`JobRecord`
 JSON file under ``<cache-dir>/jobs/``), never progress.  Status is
 derived, not stored:
 
-* a usable cache entry ⇒ the variant is **done**;
+* a ``done/`` marker ⇒ the variant is **done**;
+* quarantined by the failure ledger ⇒ **failed**;
 * a live lease (:func:`repro.scenarios.scheduler.lease_holder`) ⇒
   **running**;
-* its fingerprint on the published queue ⇒ **queued**;
-* none of the above ⇒ **lost** (the queue was wiped out from under
-  the job — resubmitting re-enqueues it).
+* a ``queue/`` item ⇒ **queued**;
+* none of the above ⇒ **lost** (its item was removed from under the
+  job — resubmitting re-enqueues it).
+
+Status reads two directory listings, never a cache entry; the result
+endpoint reads (and verifies) the entries themselves.
 
 Because every input is on the shared directory, the server is
 stateless: restart it (or start three of them) and every job answer
@@ -25,18 +29,22 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
-import threading
 import time
 from pathlib import Path
 from typing import Any, Mapping
 
 from .. import api
-from ..core.io import atomic_write_text
+from ..core.io import atomic_write_text, create_once
 from ..errors import ScenarioError
 from ..resilience import FailureLedger
-from ..scenarios.cache import SweepManifest, sweep_key
+from ..scenarios.cache import sweep_key, warn_legacy_state
 from ..scenarios.executor import usable_entry
-from ..scenarios.scheduler import WorkQueue, lease_holder, predict_spec_costs
+from ..scenarios.scheduler import (
+    WorkItem,
+    WorkQueue,
+    lease_holder,
+    predict_spec_costs,
+)
 from ..scenarios.sweep import SweepResult
 from ..telemetry.recorder import NULL_TELEMETRY
 
@@ -100,9 +108,9 @@ class JobRecord:
 class JobStore:
     """Submit, persist and answer jobs over one sweep cache directory.
 
-    Thread-safe for one server process: queue appends (the only
-    read-modify-write) run under a lock.  All reads are plain
-    re-derivations from disk — see the module docstring.
+    Safe under any number of threads and server processes: job records
+    and work items are created once, and every read is a plain
+    re-derivation from disk — see the module docstring.
     """
 
     def __init__(self, root: str | Path, telemetry=None) -> None:
@@ -112,7 +120,7 @@ class JobStore:
         self.jobs_dir.mkdir(exist_ok=True)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.cache = api.open_cache(self.root, telemetry=self.telemetry)
-        self._lock = threading.Lock()
+        warn_legacy_state(self.root)
 
     # -- submission --------------------------------------------------------
 
@@ -151,12 +159,23 @@ class JobStore:
         if entry is not None:
             if self.telemetry.enabled:
                 self.telemetry.count("serve.cache.hit")
+            # An entry written without a marker (run_case): mark it, so
+            # the job's status reads done.
+            self.cache.mark_done(request.fingerprint)
             return record, entry
         if self.telemetry.enabled:
             self.telemetry.count("serve.cache.miss")
         (cost,) = predict_spec_costs([request.spec])
         self._enqueue(
-            [(request.case, request.overrides, request.fingerprint, cost)]
+            [
+                WorkItem(
+                    index=0,
+                    overrides=request.overrides,
+                    fingerprint=request.fingerprint,
+                    case=request.case,
+                    cost=cost,
+                )
+            ]
         )
         return record, None
 
@@ -191,13 +210,14 @@ class JobStore:
             created_at=time.time(),
         )
         self._save(record)
-        cold = [
-            (spec, ov, fp)
-            for spec, ov, fp in zip(
-                request.specs, request.overrides, request.fingerprints
-            )
-            if usable_entry(self.cache, fp, True) is None
-        ]
+        cold = []
+        for index, (spec, ov, fp) in enumerate(
+            zip(request.specs, request.overrides, request.fingerprints)
+        ):
+            if usable_entry(self.cache, fp, True) is None:
+                cold.append((index, spec, ov, fp))
+            else:
+                self.cache.mark_done(fp)
         if self.telemetry.enabled:
             if len(request) > len(cold):
                 self.telemetry.count("serve.cache.hit", len(request) - len(cold))
@@ -205,42 +225,35 @@ class JobStore:
                 self.telemetry.count("serve.cache.miss", len(cold))
         if not cold:
             return record, api.assemble_sweep(request, self.root)
-        costs = predict_spec_costs([spec for spec, _, _ in cold])
+        costs = predict_spec_costs([spec for _, spec, _, _ in cold])
         self._enqueue(
             [
-                (request.case, ov, fp, cost)
-                for (_, ov, fp), cost in zip(cold, costs)
+                WorkItem(
+                    index=index,
+                    overrides=ov,
+                    fingerprint=fp,
+                    case=request.case,
+                    cost=cost,
+                )
+                for (index, _, ov, fp), cost in zip(cold, costs)
             ]
         )
         return record, None
 
     def _save(self, record: JobRecord) -> None:
-        atomic_write_text(self.jobs_dir / f"{record.id}.json", record.to_json())
+        """Persist a job record once: the first request's record (and
+        its ``created_at``) stays; only a record that does not load is
+        rewritten."""
+        path = self.jobs_dir / f"{record.id}.json"
+        if self.get(record.id) is not None:
+            return
+        if not create_once(path, record.to_json()) and self.get(record.id) is None:
+            atomic_write_text(path, record.to_json())
 
-    def _enqueue(
-        self, entries: "list[tuple[str, dict[str, Any], str, float | None]]"
-    ) -> None:
-        """Append cold variants to the shared queue (idempotent) and keep
-        the manifest's fingerprint list tracking it, so completion
-        attribution and ``sweep-status`` totals include served work."""
-        with self._lock:
-            queue = WorkQueue.append(self.root, entries, analyze=True)
-            fingerprints = [item.fingerprint for item in queue.items]
-            manifest = SweepManifest.load(self.root)
-            if manifest is None or manifest.fingerprints != fingerprints:
-                manifest = SweepManifest(
-                    path=self.root / SweepManifest.FILENAME,
-                    case=queue.case,
-                    parameters=list(queue.parameters),
-                    fingerprints=fingerprints,
-                    completed=(
-                        [f for f in manifest.completed if f in set(fingerprints)]
-                        if manifest is not None
-                        else []
-                    ),
-                    workers=dict(manifest.workers) if manifest is not None else {},
-                )
-                manifest.save()
+    def _enqueue(self, items: "list[WorkItem]") -> None:
+        """Add cold variants as work items (idempotent: an item that
+        exists already wins)."""
+        WorkQueue.append(self.root, items)
         if self.telemetry.enabled:
             self.telemetry.event("serve.queue.depth", depth=self.queue_depth())
 
@@ -254,21 +267,12 @@ class JobStore:
         path = self.jobs_dir / f"{job_id}.json"
         try:
             return JobRecord.from_json(path.read_text())
-        except OSError:
+        except (OSError, ValueError, KeyError, TypeError, ScenarioError):
             return None
 
     def queue_depth(self) -> int:
-        """Published variants still without a usable cache entry."""
-        try:
-            queue = WorkQueue.load(self.root)
-        except ScenarioError:
-            return 0
-        return sum(
-            1
-            for item in queue.items
-            if usable_entry(self.cache, item.fingerprint, queue.analyze, count=False)
-            is None
-        )
+        """Published variants without a ``done/`` marker."""
+        return len(WorkQueue.listing(self.root) - self.cache.done())
 
     def variant_states(self, record: JobRecord) -> dict[str, str]:
         """Fingerprint -> done/failed/running/queued/lost, from disk.
@@ -277,14 +281,12 @@ class JobStore:
         ledger, ``max_attempts`` exhausted) — terminal until the ledger
         entry is cleared.
         """
-        try:
-            queued = {i.fingerprint for i in WorkQueue.load(self.root).items}
-        except ScenarioError:
-            queued = set()
+        queued = WorkQueue.listing(self.root)
+        done = self.cache.done()
         quarantined = FailureLedger(self.root).quarantined()
         states: dict[str, str] = {}
         for fingerprint in record.fingerprints:
-            if usable_entry(self.cache, fingerprint, record.analyze, count=False):
+            if fingerprint in done:
                 states[fingerprint] = "done"
             elif fingerprint in quarantined:
                 states[fingerprint] = "failed"

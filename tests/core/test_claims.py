@@ -82,14 +82,16 @@ class TestReleaseClaim:
 class TestBreakClaim:
     def test_exactly_one_breaker_wins(self, tmp_path):
         path = tmp_path / "v.lease"
-        write_claim(path, record())
-        assert break_claim(path)
-        assert not break_claim(path)  # already gone
+        stale = record()
+        write_claim(path, stale)
+        assert break_claim(path, stale)
+        assert not break_claim(path, stale)  # already gone
         assert read_claim(path) is None
 
     def test_breaker_then_writer_recovers_the_resource(self, tmp_path):
         path = tmp_path / "v.lease"
-        write_claim(path, record(owner="dead"))
-        assert break_claim(path)
+        dead = record(owner="dead")
+        write_claim(path, dead)
+        assert break_claim(path, dead)
         assert write_claim(path, record(owner="rescuer"))
         assert read_claim(path).owner == "rescuer"

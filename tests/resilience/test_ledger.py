@@ -208,6 +208,49 @@ class TestClaimLock:
         assert reads == [None]
         assert read_claim(lock).owner == "peer"
 
+    def test_second_breaker_of_one_stale_claim_leaves_the_lock_held(
+        self, tmp_path, monkeypatch
+    ):
+        """Two contenders read the same stale claim.  The first breaks
+        it and takes the lock before the second acts; the second's
+        break finds a claim other than the one it judged, puts it back,
+        and keeps waiting: the first keeps its lock."""
+        import os
+        import socket
+
+        from repro.core import io
+
+        lock = tmp_path / "x.lock"
+        now = time.time()
+        stale = ClaimRecord(
+            owner="gone", resource=lock.name, host="nowhere", pid=1,
+            acquired_at=now - 100, expires_at=now - 50,
+        )
+        first = ClaimRecord(
+            owner="first", resource=lock.name, host=socket.gethostname(),
+            pid=os.getpid(), acquired_at=now, expires_at=now + 3600,
+        )
+        assert write_claim(lock, stale)
+        real_read = io.read_claim
+        reads = []
+
+        def stale_snapshot(path):
+            if path == lock and not reads:
+                reads.append(path)
+                # "first" judged the same record stale, broke it and
+                # took the lock between our read and our break.
+                lock.unlink()
+                assert write_claim(lock, first)
+                return stale
+            return real_read(path)
+
+        monkeypatch.setattr(io, "read_claim", stale_snapshot)
+        with pytest.raises(TimeoutError, match="held by first"):
+            with claim_lock(lock, timeout=0.1, poll=0.02):
+                pass
+        assert real_read(lock) == first
+        assert [p.name for p in tmp_path.iterdir()] == ["x.lock"]
+
     def test_unreadable_claim_is_broken_once_ttl_old(self, tmp_path):
         import os
 

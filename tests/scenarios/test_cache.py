@@ -1,4 +1,4 @@
-"""ResultCache/SweepManifest units + warm/corrupt/partial cache behavior."""
+"""ResultCache/markers/SweepManifest units + warm/corrupt/partial cache behavior."""
 
 import json
 import threading
@@ -8,7 +8,7 @@ import pytest
 from repro.errors import ScenarioError
 from repro.scenarios import ResultCache, Sweep, SweepExecutor, SweepManifest
 from repro.scenarios import executor as executor_module
-from repro.scenarios.cache import sweep_key
+from repro.scenarios.cache import SWEEPS_DIRNAME, sweep_key
 
 PAYLOAD = {
     "case": "x",
@@ -92,13 +92,93 @@ class TestSweepManifest:
 
     def test_load_absent_or_corrupt_is_none(self, tmp_path):
         assert SweepManifest.load(tmp_path) is None
-        (tmp_path / SweepManifest.FILENAME).write_text("{not json")
+        (tmp_path / SWEEPS_DIRNAME).mkdir()
+        (tmp_path / SWEEPS_DIRNAME / "abc.json").write_text("{not json")
         assert SweepManifest.load(tmp_path) is None
+        assert SweepManifest.load(tmp_path, "abc") is None
 
-    def test_resume_rejects_mismatched_sweep(self, tmp_path):
+    def test_resume_needs_this_sweeps_record(self, tmp_path):
         SweepManifest.create(tmp_path, "x", ["tau"], ["f1"])
-        with pytest.raises(ScenarioError, match="different"):
+        with pytest.raises(ScenarioError, match="nothing to resume"):
             SweepManifest.resume(tmp_path, "y", ["tau"], ["f1"])
+        assert SweepManifest.resume(tmp_path, "x", ["tau"], ["f1"]).case == "x"
+
+    def test_records_of_many_sweeps_sit_side_by_side(self, tmp_path):
+        """The single manifest slot is gone: a later sweep no longer
+        replaces an earlier one's record, so both stay resumable."""
+        first = SweepManifest.create(tmp_path, "x", ["tau"], ["f1", "f2"])
+        SweepManifest.create(tmp_path, "y", ["kn"], ["g1"])
+        first.mark_complete("f2")
+        resumed = SweepManifest.resume(tmp_path, "x", ["tau"], ["f1", "f2"])
+        assert resumed.completed == ["f2"]
+        assert resumed.missing() == ["f1"]
+        assert [m.case for m in SweepManifest.records(tmp_path)] == ["x", "y"]
+
+    def test_save_is_create_once(self, tmp_path):
+        manifest = SweepManifest.create(tmp_path, "x", ["tau"], ["f1"])
+        before = manifest.path.read_bytes()
+        again = SweepManifest.create(tmp_path, "x", ["tau"], ["f1"])
+        assert again.path == manifest.path
+        assert manifest.path.read_bytes() == before
+
+
+class TestMarkers:
+    def test_first_marker_keeps_its_attribution(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("abc123", PAYLOAD)
+        assert cache.mark_done("abc123", "w1")
+        assert not cache.mark_done("abc123", "w2")
+        assert cache.committer("abc123") == "w1"
+        assert cache.done() == {"abc123"}
+        assert cache.keys() == ("abc123",)  # markers are not entries
+
+    def test_corrupt_lookup_drops_the_marker(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        path = cache.put("abc123", PAYLOAD)
+        cache.mark_done("abc123", "w1")
+        path.write_text("{torn")
+        assert cache.get("abc123") is None
+        assert cache.done() == {"abc123"}  # silent probes change nothing
+        assert cache.lookup("abc123").status == "corrupt"
+        assert cache.done() == set()
+
+    def test_unusable_entry_read_drops_the_marker(self, tmp_path):
+        """A silent read that finds the entry torn, or of the other
+        analyze mode, unmarks it so worker drains run it again."""
+        cache = ResultCache(tmp_path)
+        cache.put("abc123", {**PAYLOAD, "analyze": True})
+        cache.mark_done("abc123", "w1")
+        assert executor_module.usable_entry(cache, "abc123", True, count=False)
+        assert cache.done() == {"abc123"}
+        assert executor_module.usable_entry(cache, "abc123", False, count=False) is None
+        assert cache.done() == set()
+        cache.mark_done("abc123", "w1")
+        cache.entry_path("abc123").write_text("{torn")
+        assert executor_module.usable_entry(cache, "abc123", True, count=False) is None
+        assert cache.done() == set()
+        # a plain miss leaves markers alone (no entry to judge)
+        cache.mark_done("gone", "w1")
+        assert executor_module.usable_entry(cache, "gone", True) is None
+        assert "gone" in cache.done()
+
+    def test_legacy_single_slot_files_are_ignored_with_one_warning(
+        self, tmp_path, caplog
+    ):
+        from repro.scenarios.cache import warn_legacy_state
+
+        (tmp_path / "queue.json").write_text("{}")
+        (tmp_path / "manifest.json").write_text("{}")
+        with caplog.at_level("WARNING", logger="repro.scenarios.cache"):
+            SweepExecutor(make_sweep(), jobs=1, cache_dir=tmp_path).run(
+                analyze=False
+            )
+            warn_legacy_state(tmp_path)
+        warnings = [r for r in caplog.records if "older release" in r.message]
+        assert len(warnings) == 1
+        assert "queue.json and manifest.json" in warnings[0].message
+        assert "README" in warnings[0].message
+        assert (tmp_path / "queue.json").read_text() == "{}"  # never touched
+        assert SweepManifest.load(tmp_path).case == "taylor-green"
 
 
 class TestWarmCacheSweeps:
@@ -167,8 +247,8 @@ class TestConcurrentManifest:
         return SweepManifest.create(root, "case", ["tau"], ["f1", "f2", "f3"])
 
     def test_record_completion_merges_concurrent_writers(self, tmp_path):
-        """Two in-memory manifests (two workers) over one file: neither
-        erases the other's completions."""
+        """Two in-memory manifests (two workers) over one directory:
+        neither erases the other's completions."""
         a = self.make_manifest(tmp_path)
         b = SweepManifest.load(tmp_path)
         a.record_completion("f1", worker="wa")
@@ -177,23 +257,24 @@ class TestConcurrentManifest:
         assert sorted(merged.completed) == ["f1", "f2"]
         assert merged.workers == {"f1": "wa", "f2": "wb"}
 
-    def test_concurrent_saves_never_collide(self, tmp_path):
-        """Eight writers saving one manifest at once (more than this
-        host's cores): each save renames only its own temp file, so none
-        raises and no completion or temp file is left behind."""
+    def test_concurrent_completions_never_collide(self, tmp_path):
+        """Eight writers completing variants at once (more than this
+        host's cores): each completion is its own marker, so none
+        raises, the first marker of each variant keeps its worker, and
+        no temp file is left behind."""
         self.make_manifest(tmp_path)
         errors = []
 
-        def hammer(fingerprint):
+        def hammer(fingerprint, worker):
             mine = SweepManifest.load(tmp_path)
             try:
                 for _ in range(20):
-                    mine.record_completion(fingerprint, worker=fingerprint)
+                    mine.record_completion(fingerprint, worker=worker)
             except OSError as exc:
                 errors.append(exc)
 
         threads = [
-            threading.Thread(target=hammer, args=(f"f{i % 3 + 1}",))
+            threading.Thread(target=hammer, args=(f"f{i % 3 + 1}", f"w{i}"))
             for i in range(8)
         ]
         for thread in threads:
@@ -202,8 +283,12 @@ class TestConcurrentManifest:
             thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert sorted(SweepManifest.load(tmp_path).completed) == ["f1", "f2", "f3"]
-        assert [path.name for path in tmp_path.iterdir()] == ["manifest.json"]
+        merged = SweepManifest.load(tmp_path)
+        assert merged.completed == ["f1", "f2", "f3"]
+        assert set(merged.workers) == {"f1", "f2", "f3"}
+        assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == sorted(
+            ["f1", "f2", "f3", f"{merged.key}.json"]
+        )
 
     def test_record_completion_ignores_foreign_manifest(self, tmp_path):
         mine = self.make_manifest(tmp_path)
@@ -216,12 +301,12 @@ class TestConcurrentManifest:
         manifest.record_completion("f3", worker="w9")
         assert SweepManifest.load(tmp_path).workers == {"f3": "w9"}
 
-    def test_legacy_manifest_without_workers_loads(self, tmp_path):
+    def test_inline_completions_are_unattributed(self, tmp_path):
         manifest = self.make_manifest(tmp_path)
-        raw = json.loads(manifest.path.read_text())
-        del raw["workers"]
-        manifest.path.write_text(json.dumps(raw))
-        assert SweepManifest.load(tmp_path).workers == {}
+        manifest.mark_complete("f2")
+        loaded = SweepManifest.load(tmp_path)
+        assert loaded.completed == ["f2"]
+        assert loaded.workers == {}
 
 
 class TestCacheDiff:

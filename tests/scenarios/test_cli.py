@@ -100,7 +100,7 @@ class TestSweepExecutorFlags:
             "--json",
         ])
         assert code == 0
-        assert (tmp_path / "queue.json").is_file()  # workers ran
+        assert (tmp_path / "queue").is_dir()  # workers ran
         out = capfd.readouterr().out
         payload = json.loads(out)
         assert payload["kind"] == "sweep"

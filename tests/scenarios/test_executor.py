@@ -125,17 +125,51 @@ class TestInterruptionAndResume:
                 make_sweep(), jobs=1, cache_dir=tmp_path, resume=True
             ).run(analyze=False)
 
-    def test_resume_different_sweep_errors(self, tmp_path):
+    def test_resume_of_a_sweep_never_started_here_errors(self, tmp_path):
         SweepExecutor(make_sweep(TAUS[:2]), jobs=1, cache_dir=tmp_path).run(
             analyze=False
         )
         other = Sweep(
             "taylor-green", {"tau": [0.66], "shape": [(8, 8, 4)]}, steps=10
         )
-        with pytest.raises(ScenarioError, match="different"):
+        with pytest.raises(ScenarioError, match="nothing to resume: no record"):
             SweepExecutor(other, jobs=1, cache_dir=tmp_path, resume=True).run(
                 analyze=False
             )
+
+    def test_resume_after_another_sweep_ran_in_the_directory(
+        self, tmp_path, monkeypatch
+    ):
+        """Each sweep keeps its own record, so a sweep interrupted
+        before a different one ran over the same directory still
+        resumes, running only its missing variants."""
+        real = executor_module._execute_variant
+        calls = []
+
+        def crashing(task):
+            if len(calls) == 2:
+                raise RuntimeError("simulated crash")
+            calls.append(task.fingerprint)
+            return real(task)
+
+        monkeypatch.setattr(executor_module, "_execute_variant", crashing)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            SweepExecutor(make_sweep(), jobs=1, cache_dir=tmp_path).run(
+                analyze=False
+            )
+        monkeypatch.setattr(executor_module, "_execute_variant", real)
+        other = Sweep(
+            "taylor-green", {"tau": [0.66], "shape": [(8, 8, 4)]}, steps=10
+        )
+        SweepExecutor(other, jobs=1, cache_dir=tmp_path).run(analyze=False)
+        resumed = SweepExecutor(
+            make_sweep(), jobs=1, cache_dir=tmp_path, resume=True
+        ).run(analyze=False)
+        assert resumed.provenance.count("cached") == 2
+        assert resumed.runs_executed == 2
+        assert resumed.to_table() == SweepExecutor(make_sweep()).run(
+            analyze=False
+        ).to_table()
 
     def test_resume_requires_cache_dir(self):
         with pytest.raises(ScenarioError, match="cache directory"):
@@ -170,7 +204,7 @@ class TestCaseRefPortability:
             analyze=False
         )
         assert result.provenance == ["run", "run"]
-        assert not (tmp_path / "queue.json").exists()
+        assert not (tmp_path / "queue").exists()
 
     def test_unpicklable_override_value_falls_back_to_serial(self, tmp_path):
         """Closure-valued sweep *parameters* must not crash the worker
@@ -187,7 +221,7 @@ class TestCaseRefPortability:
             analyze=False
         )
         assert result.provenance == ["run", "run"]
-        assert not (tmp_path / "queue.json").exists()
+        assert not (tmp_path / "queue").exists()
         assert [r.metrics["steps_run"] for r in result.results] == [10, 10]
 
 
@@ -212,7 +246,7 @@ class TestLeaseWorkers:
                 analyze=False
             )
             assert result.runs_executed == runs
-            assert not (tmp_path / "queue.json").exists()
+            assert not (tmp_path / "queue").exists()
             assert not (tmp_path / "leases").exists()
 
     def test_variants_dead_workers_left_run_inline(self, tmp_path, monkeypatch):
@@ -222,7 +256,7 @@ class TestLeaseWorkers:
         result = SweepExecutor(make_sweep(), jobs=2, cache_dir=tmp_path).run(
             analyze=False
         )
-        assert (tmp_path / "queue.json").is_file()  # workers were started
+        assert (tmp_path / "queue").is_dir()  # workers were started
         assert result.provenance == ["run"] * len(TAUS)
         serial = SweepExecutor(make_sweep(), jobs=1).run(analyze=False)
         assert result.to_table() == serial.to_table()

@@ -95,7 +95,7 @@ class TestTwoParameterAcceptance:
             analyze=False
         )
         assert parallel.rows(provenance=True) == serial.rows(provenance=True)
-        assert (tmp_path / "parallel" / "queue.json").is_file()  # workers ran
+        assert (tmp_path / "parallel" / "queue").is_dir()  # workers ran
         # each pass published only its own variants: nothing unsampled ran
         cache = ResultCache(tmp_path / "parallel")
         assert sorted(cache.keys()) == sorted(parallel.fingerprints)

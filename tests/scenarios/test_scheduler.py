@@ -33,12 +33,7 @@ def make_sweep(taus=TAUS):
 
 
 def cache_bytes(root):
-    reserved = {"manifest.json", "queue.json"}
-    return {
-        p.name: p.read_bytes()
-        for p in sorted(root.glob("*.json"))
-        if p.name not in reserved
-    }
+    return {p.name: p.read_bytes() for p in sorted(root.glob("*.json"))}
 
 
 class TestLeaseBoard:
@@ -159,10 +154,39 @@ class TestLeaseBoard:
         write_claim(board.path("fp"), stale)
         from repro.core.io import break_claim
 
-        first = break_claim(board.path("fp"))
-        second = break_claim(board.path("fp"))
+        first = break_claim(board.path("fp"), stale)
+        second = break_claim(board.path("fp"), stale)
         assert first and not second
         assert read_claim(board.path("fp")) is None
+
+    def test_second_reclaimer_of_one_stale_lease_breaks_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        """Two workers read the same stale lease.  The first reclaims
+        and re-acquires it before the second breaks: the second's break
+        finds a lease other than the one it judged and puts it back, so
+        the first keeps the variant."""
+        from repro.scenarios import scheduler
+
+        a = LeaseBoard(tmp_path, owner="a")
+        b = LeaseBoard(tmp_path, owner="b")
+        stale = ClaimRecord(
+            owner="dead", resource="fp", host="elsewhere", pid=1,
+            acquired_at=time.time() - 100, expires_at=time.time() - 50,
+        )
+        assert write_claim(a.path("fp"), stale)
+        real_read = scheduler.read_claim
+
+        def stale_snapshot(path):
+            monkeypatch.setattr(scheduler, "read_claim", real_read)
+            assert a.reclaim("fp") and a.acquire("fp")
+            return stale  # what b read before a acted
+
+        monkeypatch.setattr(scheduler, "read_claim", stale_snapshot)
+        assert not b.reclaim("fp")
+        assert a.holder("fp").owner == "a"
+        assert not b.acquire("fp")
+        assert sorted(p.name for p in a.dir.iterdir()) == ["fp.lease"]
 
 
 class TestWorkQueue:
@@ -170,21 +194,55 @@ class TestWorkQueue:
         plan = SweepPlan.of(make_sweep())
         WorkQueue.publish(tmp_path, plan, analyze=False)
         queue = WorkQueue.load(tmp_path)
-        assert queue.case == "taylor-green"
+        assert {i.case for i in queue.items} == {"taylor-green"}
+        assert [i.index for i in queue.items] == list(range(len(plan)))
         assert [i.fingerprint for i in queue.items] == plan.fingerprints
+        assert sorted(p.name for p in (tmp_path / "queue").iterdir()) == sorted(
+            f"{fp}.json" for fp in plan.fingerprints
+        )
         # tuple-valued overrides survive the JSON round-trip
         assert queue.items[0].overrides["shape"] == (8, 8, 4)
         # and the worker-side task agrees with the plan's
-        assert queue.items[0].task("taylor-green", False) == plan.task(0, False)
+        assert queue.items[0].task() == plan.task(0, False)
 
     def test_load_without_publish_errors(self, tmp_path):
         with pytest.raises(ScenarioError, match="no published sweep"):
             WorkQueue.load(tmp_path)
 
-    def test_corrupt_queue_errors(self, tmp_path):
-        (tmp_path / "queue.json").write_text("{not json")
-        with pytest.raises(ScenarioError, match="corrupt work queue"):
+    def test_load_skips_the_named_items_without_reading_them(self, tmp_path):
+        plan = SweepPlan.of(make_sweep())
+        WorkQueue.publish(tmp_path, plan, analyze=True)
+        done = set(plan.fingerprints[:3])
+        for fingerprint in done:  # unreadable: a read would be skipped too
+            (tmp_path / "queue" / f"{fingerprint}.json").write_text("{torn")
+        queue = WorkQueue.load(tmp_path, skip=done)
+        assert [i.fingerprint for i in queue.items] == plan.fingerprints[3:]
+        assert queue.queued == set(plan.fingerprints)
+
+    def test_corrupt_item_is_skipped_with_a_warning(self, tmp_path, caplog):
+        plan = SweepPlan.of(make_sweep())
+        WorkQueue.publish(tmp_path, plan, analyze=True)
+        torn = tmp_path / "queue" / f"{plan.fingerprints[1]}.json"
+        torn.write_text("{not json")
+        with caplog.at_level("WARNING", logger="repro.scenarios.scheduler"):
+            queue = WorkQueue.load(tmp_path)
             WorkQueue.load(tmp_path)
+        assert [i.fingerprint for i in queue.items] == [
+            fp for fp in plan.fingerprints if fp != plan.fingerprints[1]
+        ]
+        assert caplog.text.count("corrupt work item") == 1
+
+    def test_existing_item_wins_and_other_analyze_mode_is_refused(self, tmp_path):
+        plan = SweepPlan.of(make_sweep())
+        first = WorkQueue.publish(tmp_path, plan, analyze=True, costs=[1.0] * 4)
+        before = {p.name: p.read_bytes() for p in (tmp_path / "queue").iterdir()}
+        again = WorkQueue.publish(tmp_path, plan, analyze=True)  # uncosted
+        assert again.items == first.items  # the first items stayed
+        assert {
+            p.name: p.read_bytes() for p in (tmp_path / "queue").iterdir()
+        } == before
+        with pytest.raises(ScenarioError, match="analyze=True"):
+            WorkQueue.publish(tmp_path, plan, analyze=False)
 
     def test_unregistered_case_rejected(self, tmp_path):
         import dataclasses
@@ -214,7 +272,7 @@ class TestDistributedDeterminism:
             == cache_bytes(tmp_path / "w2")
             == cache_bytes(tmp_path / "w4")
         )
-        assert (tmp_path / "w4" / "queue.json").is_file()  # workers ran
+        assert (tmp_path / "w4" / "queue").is_dir()  # workers ran
         assert warm.runs_executed == 0
         assert all(p == "cached" for p in warm.provenance)
 
@@ -329,7 +387,7 @@ class TestCostAwarePacking:
             (item.overrides["lattice"], item.overrides["steps"])
             for item in queue.claim_order()
         ] == self.EQ5_ORDER
-        # The stamped costs survive the queue.json round trip.
+        # The stamped costs survive the work items' round trip.
         assert [i.cost for i in WorkQueue.load(tmp_path).items] == costs
 
     def test_equal_costs_claim_in_grid_order(self, tmp_path):
@@ -398,7 +456,7 @@ class TestCostAwarePacking:
         reference = SweepExecutor(sweep, jobs=1).run()
         packed = SweepExecutor(sweep, jobs=jobs, cache_dir=tmp_path).run()
         warm = SweepExecutor(sweep, jobs=jobs, cache_dir=tmp_path).run()
-        assert (tmp_path / "queue.json").is_file()  # workers ran
+        assert (tmp_path / "queue").is_dir()  # workers ran
         assert packed.to_table() == reference.to_table()
         assert packed.to_csv() == reference.to_csv() == warm.to_csv()
         assert warm.runs_executed == 0
@@ -406,9 +464,9 @@ class TestCostAwarePacking:
 
 class TestConcurrentPublish:
     def test_concurrent_publishes_never_leave_a_corrupt_queue(self, tmp_path):
-        """4 threads x 100 publishes of one plan: each write goes through
-        its own temp file, so no rename loses its source and no reader
-        ever sees a truncated queue.json."""
+        """4 threads x 100 publishes of one plan: each item is created
+        once through its own temp file, so no publisher errors and no
+        reader ever sees a truncated item."""
         plan = SweepPlan.of(make_sweep())
         errors: list[Exception] = []
 
@@ -433,4 +491,4 @@ class TestConcurrentPublish:
         assert errors == []
         queue = WorkQueue.load(tmp_path)
         assert [item.fingerprint for item in queue.items] == plan.fingerprints
-        assert not list(tmp_path.glob("*.tmp"))
+        assert not list(tmp_path.rglob("*.tmp"))

@@ -20,10 +20,11 @@ class TestSweepStatus:
         with pytest.raises(ScenarioError, match="no sweep cache"):
             sweep_status(tmp_path / "nowhere")
 
-    def test_directory_without_manifest(self, tmp_path):
+    def test_directory_without_a_sweep(self, tmp_path):
         status = sweep_status(tmp_path)
         assert status.case is None
-        assert "no sweep manifest" in status.summary()
+        assert status.total == 0
+        assert "no sweep recorded" in status.summary()
 
     def test_completed_sweep(self, finished_sweep_dir):
         status = sweep_status(finished_sweep_dir)

@@ -33,6 +33,30 @@ class TestSubmitCase:
         assert first.id == again.id
         assert len(WorkQueue.load(tmp_path).items) == 1
 
+    def test_resubmission_leaves_the_record_bytes_unchanged(self, tmp_path):
+        """A job record is created once: later POSTs of the same request,
+        warm or cold, neither rewrite it nor move ``created_at``."""
+        store = JobStore(tmp_path)
+        first, _ = submit_small(store)
+        path = tmp_path / "jobs" / f"{first.id}.json"
+        before = path.read_bytes()
+        submit_small(store)
+        assert path.read_bytes() == before
+        api.run_worker(tmp_path)
+        again, payload = submit_small(store)  # now a warm hit
+        assert payload is not None
+        assert path.read_bytes() == before
+        assert again.id == first.id
+
+    def test_record_that_does_not_load_is_rewritten(self, tmp_path):
+        store = JobStore(tmp_path)
+        first, _ = submit_small(store)
+        path = tmp_path / "jobs" / f"{first.id}.json"
+        path.write_text("{torn")
+        assert store.get(first.id) is None
+        submit_small(store)
+        assert store.get(first.id).fingerprints == first.fingerprints
+
     def test_warm_submission_answers_without_queueing(self, tmp_path):
         outcome = api.run_case(
             CASE,
