@@ -57,6 +57,7 @@ def equilibrium(
     order: int | None = None,
     out: np.ndarray | None = None,
     dtype: "np.dtype | str | None" = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Evaluate the truncated Hermite equilibrium on a grid.
 
@@ -77,6 +78,10 @@ def equilibrium(
         Population dtype to evaluate in.  ``None`` follows the dtype
         policy: ``out``'s dtype when given, else float32 iff every
         floating array input is float32, else float64.
+    work:
+        Optional scratch of shape ``(Q, *S)`` in the evaluated dtype,
+        overwritten: the one intermediate the series needs beside
+        ``out`` (allocated per call otherwise, at third order).
 
     Returns
     -------
@@ -106,15 +111,42 @@ def equilibrium(
 
     spatial_shape = cu.shape[1:]
     expand = (slice(None),) + (None,) * len(spatial_shape)
-
-    term = 1.0 + cu / cs2
-    if order >= 2:
-        term += 0.5 * (cu / cs2) ** 2 - 0.5 * (u2 / cs2)
-    if order >= 3:
-        term += cu / (6.0 * cs2 * cs2) * ((cu * cu) / cs2 - 3.0 * u2)
-
     if out is None:
         out = np.empty((lattice.q, *spatial_shape), dtype=dtype)
-    np.multiply(w[expand], term, out=out)
+
+    # The series, with x = cu / cs2, is summed left to right as
+    #   term = (1 + x) + (x^2/2 - u2/(2 cs2)) + cu/(6 cs2^2) (cu^2/cs2 - 3 u2)
+    # by the same elementwise operations as the expression form (IEEE
+    # addition and multiplication commute exactly, so operand order is
+    # free and the bytes match it), but in place: ``term`` (the output
+    # unless that casts), ``cu`` (tensordot's own result) and ``x`` (the
+    # work buffer; ``cu`` itself below third order when none is given)
+    # hold every intermediate.
+    term = out if out.dtype == dtype else np.empty_like(cu)
+    if work is not None:
+        if work.shape != cu.shape or work.dtype != dtype:
+            raise LatticeError(
+                f"work must be a {dtype} array of shape {cu.shape}, "
+                f"got {work.dtype} {work.shape}"
+            )
+        x = work
+    else:
+        x = cu if order < 3 else np.empty_like(cu)
+    np.divide(cu, cs2, out=x)
+    np.add(x, 1.0, out=term)
+    if order >= 2:
+        np.square(x, out=x)
+        x *= 0.5
+        x -= 0.5 * (u2 / cs2)
+        term += x
+    if order >= 3:
+        np.multiply(cu, cu, out=x)
+        x /= cs2
+        x -= 3.0 * u2
+        cu /= 6.0 * cs2 * cs2
+        x *= cu
+        term += x
+
+    np.multiply(term, w[expand], out=out)
     out *= rho[None]
     return out

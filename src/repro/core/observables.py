@@ -1,6 +1,16 @@
-"""Diagnostics computed from the macroscopic fields."""
+"""Diagnostics computed from the macroscopic fields.
+
+The velocity-based diagnostics share one moments pass inside a
+:func:`shared_moments` block: a case records several of them per
+observable row, and each would otherwise recompute ``(rho, u)`` from
+the same populations.
+"""
 
 from __future__ import annotations
+
+import contextlib
+import threading
+import weakref
 
 import numpy as np
 
@@ -8,6 +18,7 @@ from ..lattice import VelocitySet
 from .moments import macroscopic
 
 __all__ = [
+    "shared_moments",
     "total_mass",
     "total_momentum",
     "kinetic_energy",
@@ -16,6 +27,43 @@ __all__ = [
     "enstrophy",
     "velocity_profile",
 ]
+
+
+_row = threading.local()
+
+
+@contextlib.contextmanager
+def shared_moments():
+    """Evaluate ``(rho, u)`` once per population array inside the block.
+
+    Meant for one observable row: every diagnostic below reads the
+    moments of the same unchanged populations, so they share one
+    :func:`~repro.core.moments.macroscopic` pass (same bytes as their
+    own).  Only the latest array's moments are held, under a weak
+    reference to the array (matched by identity, and never keeping a
+    copy alive), and they are dropped when the block exits: populations
+    written after it (a step, ``initialize``, a restore) are read
+    afresh.
+    """
+    outer = getattr(_row, "held", None)
+    _row.held = ()
+    try:
+        yield
+    finally:
+        _row.held = outer
+
+
+def _moments(lattice: VelocitySet, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``macroscopic(lattice, f)``, shared within a :func:`shared_moments`
+    block."""
+    held = getattr(_row, "held", None)
+    if held is None:
+        return macroscopic(lattice, f)
+    if held and held[0]() is f and held[1] is lattice:
+        return held[2]
+    moments = macroscopic(lattice, f)
+    _row.held = (weakref.ref(f), lattice, moments)
+    return moments
 
 
 def total_mass(f: np.ndarray) -> float:
@@ -32,19 +80,19 @@ def total_momentum(lattice: VelocitySet, f: np.ndarray) -> np.ndarray:
 
 def kinetic_energy(lattice: VelocitySet, f: np.ndarray) -> float:
     """Total macroscopic kinetic energy ``1/2 sum rho |u|^2``."""
-    rho, u = macroscopic(lattice, f)
+    rho, u = _moments(lattice, f)
     return float(0.5 * (rho * np.einsum("a...,a...->...", u, u)).sum())
 
 
 def max_speed(lattice: VelocitySet, f: np.ndarray) -> float:
     """Maximum flow speed (for Mach/stability monitoring)."""
-    _, u = macroscopic(lattice, f)
+    _, u = _moments(lattice, f)
     return float(np.sqrt(np.einsum("a...,a...->...", u, u)).max())
 
 
 def mach_number_field(lattice: VelocitySet, f: np.ndarray) -> np.ndarray:
     """Local Mach number field ``|u| / c_s``."""
-    _, u = macroscopic(lattice, f)
+    _, u = _moments(lattice, f)
     return np.sqrt(np.einsum("a...,a...->...", u, u) / lattice.cs2_float)
 
 
@@ -53,7 +101,7 @@ def enstrophy(lattice: VelocitySet, f: np.ndarray) -> float:
 
     Diagnoses vortical structure decay in the Taylor–Green example.
     """
-    _, u = macroscopic(lattice, f)
+    _, u = _moments(lattice, f)
     if u.shape[0] != 3:
         raise ValueError("enstrophy requires a 3-D velocity field")
 
@@ -74,7 +122,7 @@ def velocity_profile(
     Averages ``u[flow_axis]`` over all axes except ``across_axis`` —
     e.g. the Poiseuille/Couette profile across a channel.
     """
-    _, u = macroscopic(lattice, f)
+    _, u = _moments(lattice, f)
     comp = u[flow_axis]
     axes = tuple(a for a in range(comp.ndim) if a != across_axis)
     return comp.mean(axis=axes)

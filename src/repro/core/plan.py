@@ -307,10 +307,6 @@ class KernelPlan:
         self._k[_K_SIX_CS2] = 6.0 * cs2
         self._k[_K_CUBIC] = inv_cs2 * inv_cs2 / 6.0
         self._omega: float | None = None
-        # The sums of the op sequence: momentum over velocities, per
-        # axis, and c_i . u over axes, per velocity.
-        self._moment_terms = tuple(_rule_terms(col, self.dtype) for col in self.c.T)
-        self._cu_terms = tuple(_rule_terms(row, self.dtype) for row in self.c)
         # The post-streaming buffer `adv` serves only the fused step_into
         # path (the split stream/collide path streams into the caller's
         # own buffer), so it is allocated lazily on the first fused step;
@@ -582,6 +578,10 @@ class KernelPlan:
         if self._arena is None:
             lat = self.lattice
             self._arena = _Arena(lat.q, lat.dim, self.num_cells, self.order, self.dtype)
+            # The sums of the op sequence: momentum over velocities, per
+            # axis, and c_i . u over axes, per velocity.
+            self._moment_terms = tuple(_rule_terms(col, self.dtype) for col in self.c.T)
+            self._cu_terms = tuple(_rule_terms(row, self.dtype) for row in self.c)
         ar, k, order = self._arena, self._k, self.order
         rho, cell, term, work, cu = ar.rho, ar.cell, ar.term, ar.work, ar.cu
         u_rows, term_rows, work_rows = ar.u_rows, ar.term_rows, ar.work_rows

@@ -28,6 +28,7 @@ from ..lattice import VelocitySet, get_lattice
 from ..telemetry.recorder import NullTelemetry, Telemetry, get_telemetry
 from .boundary import BounceBackWalls, BoundaryCondition
 from .collision import BGKCollision
+from .equilibrium import equilibrium
 from .fields import LAYOUT_SOA, DistributionField, resolve_dtype, resolve_layout
 from .forcing import GuoForcing
 from .kernels import LBMKernel
@@ -205,17 +206,21 @@ class Simulation:
         self.telemetry = telemetry
 
     def initialize(self, rho: np.ndarray | float, u: np.ndarray) -> None:
-        """Set populations to the equilibrium of ``(rho, u)``; reset clock."""
+        """Set populations to the equilibrium of ``(rho, u)``; reset clock.
+
+        The equilibrium is evaluated into the field, with the advection
+        scratch as its work buffer: both arrays the steps touch are
+        written here, and no population array is allocated.
+        """
         rho_arr = np.broadcast_to(np.asarray(rho, dtype=np.float64), self.shape)
-        self.field = DistributionField.from_equilibrium(
+        equilibrium(
             self.lattice,
-            np.array(rho_arr),
+            rho_arr,
             u,
             order=self.collision.order,
-            dtype=self.dtype,
-            layout=self.layout,
+            out=self.field.data,
+            work=self._adv.data,
         )
-        self._adv = DistributionField.zeros(self.lattice, self.shape, dtype=self.dtype)
         self.time_step = 0
         self.timings = StepTimings()
 

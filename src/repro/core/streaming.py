@@ -46,22 +46,22 @@ def pull_gather_rows(
     ``scale`` and ``row_step`` map the spatial index into a flat
     population buffer, ``rows[i, flat(x)] = flat(x - c_i) * scale +
     i * row_step`` (``row_step=N`` addresses struct-of-arrays storage,
-    ``scale=Q, row_step=1`` array-of-structs).  The table is filled in
-    place, one velocity row at a time, from per-axis 1-D source
-    offsets, so building it never holds more than the table itself.
+    ``scale=Q, row_step=1`` array-of-structs).  Each velocity's row is
+    one periodically shifted copy of the base grid ``flat(x) * scale``
+    plus its offset, written in one pass: the window at ``-c_i`` of the
+    base grid wrapped ``k = max_displacement`` cells deep on every side
+    (``ext[k + j] = base[j mod n]``, extents below ``k`` included).
+    Building the table holds that small wrapped grid beside the table.
     """
     shape = tuple(int(s) for s in shape)
-    ndim = len(shape)
-    rows = np.empty((lattice.q, int(np.prod(shape))), dtype=np.intp)
-    for i, c in enumerate(lattice.velocities):
-        row = rows[i].reshape(shape)
-        row[...] = i * row_step
-        stride = scale
-        for axis in reversed(range(ndim)):
-            n = shape[axis]
-            offsets = (np.arange(n) - int(c[axis])) % n * stride
-            row += offsets.reshape((n,) + (1,) * (ndim - 1 - axis))
-            stride *= n
+    n = int(np.prod(shape))
+    k = lattice.max_displacement
+    base = np.arange(0, n * scale, scale, dtype=np.intp).reshape(shape)
+    ext = np.pad(base, k, mode="wrap")
+    rows = np.empty((lattice.q, n), dtype=np.intp)
+    for i, c in enumerate(lattice.velocities.tolist()):
+        window = tuple(slice(k - ci, k - ci + s) for ci, s in zip(c, shape))
+        np.add(ext[window], i * row_step, out=rows[i].reshape(shape))
     return rows
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from ..core.forcing import GuoForcing
 from ..core.initial_conditions import uniform_flow
 from ..core.io import load_checkpoint_data, save_checkpoint
+from ..core.observables import shared_moments
 from ..core.simulation import Simulation
 from ..errors import ScenarioError
 from ..lattice import get_lattice
@@ -345,8 +346,10 @@ class CaseRunner:
     def _record(self, result: CaseResult) -> None:
         sim = result.simulation
         result.series.setdefault("step", []).append(float(sim.time_step))
-        for name, probe in self.spec.observables.items():
-            result.series.setdefault(name, []).append(float(probe(sim)))
+        # One row reads one state: its probes share one moments pass.
+        with shared_moments():
+            for name, probe in self.spec.observables.items():
+                result.series.setdefault(name, []).append(float(probe(sim)))
 
 
 def run_case(name: str, *, analyze: bool = True, **overrides: Any) -> CaseResult:

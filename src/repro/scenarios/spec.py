@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import json
 import types
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
@@ -394,16 +395,25 @@ class CaseSpec:
         while re-running an identical sweep hits them.  The token also
         carries :data:`ARITHMETIC`, so a change to the stepping
         arithmetic re-baselines every fingerprint at once.
-        """
-        from ..core.io import canonical_json
 
+        The token is JSON-typed already (string keys, lists, scalars),
+        so it is dumped as is: the text, and so the digest, equals
+        ``canonical_json(self.fingerprint_token())``.
+        """
+        text = json.dumps(
+            self.fingerprint_token(), sort_keys=True, separators=(",", ":")
+        )
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def fingerprint_token(self) -> dict[str, Any]:
+        """The canonical, process-stable token :meth:`fingerprint` hashes:
+        every field's token plus :data:`ARITHMETIC`."""
         token = {
             field.name: _fingerprint_token(getattr(self, field.name))
             for field in dataclasses.fields(self)
         }
         token["arithmetic"] = ARITHMETIC
-        digest = hashlib.sha256(canonical_json(token).encode("utf-8"))
-        return digest.hexdigest()
+        return token
 
     # -- derivation --------------------------------------------------------
 

@@ -115,9 +115,10 @@ class WorkerReport:
     """What one worker did before exiting.
 
     ``cache_hits`` and ``mflups`` are sourced from the worker's
-    telemetry counters (``variant.cached`` observations and
-    ``variant.updates`` / ``variant.seconds``); without an enabled
-    recorder they stay at their defaults (0 and NaN).
+    telemetry counters (``variant.cached``, counted for each unmarked
+    entry the worker adopted, and ``variant.updates`` /
+    ``variant.seconds``); without an enabled recorder they stay at
+    their defaults (0 and NaN).
     """
 
     worker_id: str
@@ -269,19 +270,6 @@ def run_worker(
     )
     cache.telemetry = recorder
     counters_base = dict(recorder.counters)
-    seen_cached: set[str] = set()
-
-    def note_cached(fingerprint: str) -> None:
-        """Count a variant someone *else* already finished — once,
-        however many passes re-observe it, and never for this worker's
-        own completions."""
-        if (
-            recorder.enabled
-            and fingerprint not in seen_cached
-            and fingerprint not in report.completed
-        ):
-            seen_cached.add(fingerprint)
-            recorder.count("variant.cached")
 
     def count_cached() -> int:
         return len(queue.queued & done) - len(report.completed)
@@ -290,12 +278,21 @@ def run_worker(
         """Mark a usable entry nobody marked: written by ``run_case``,
         an inline sweep or an older release, or by a committer that died
         before its marker (whose stale lease goes too).  A live peer's
-        lease means it is mid-commit and will mark the entry itself."""
+        lease means it is mid-commit and will mark the entry itself.
+
+        Only an adopted entry counts as this worker's cache hit: a
+        marked one was counted by whoever marked it (``variant.completed``
+        by the worker that ran it, ``variant.cached`` by the sweep or
+        worker that adopted it), so counting it here too would count one
+        variant once per worker that lists it."""
         holder = board.holder(fingerprint)
         if holder is not None and not board.stale(holder):
             return
-        if cache.mark_done(fingerprint, board.owner) and holder is not None:
-            board.reclaim(fingerprint)
+        if cache.mark_done(fingerprint, board.owner):
+            if recorder.enabled:
+                recorder.count("variant.cached")
+            if holder is not None:
+                board.reclaim(fingerprint)
 
     poll_cap = max(poll, 8.0)
     idle_delay = poll
@@ -308,10 +305,6 @@ def run_worker(
                 done = cache.done()
                 queue = WorkQueue.load(root, skip=done)
             rescan = True
-            if recorder.enabled:
-                # Marked items count as found cached, as a probe would.
-                for fingerprint in queue.queued & done:
-                    note_cached(fingerprint)
             ran_this_pass = 0
             failed_this_pass = 0
             blocked = 0
@@ -323,7 +316,6 @@ def run_worker(
                     report.already_cached = count_cached()
                     return report
                 if _executor.usable_entry(cache, item.fingerprint, item.analyze):
-                    note_cached(item.fingerprint)
                     adopt(item.fingerprint)
                     done.add(item.fingerprint)
                     continue
@@ -346,7 +338,6 @@ def run_worker(
                     # Re-check under the lease: a peer may have committed
                     # (entry, then marker, then release) since our probe.
                     if cache.marker_path(item.fingerprint).exists():
-                        note_cached(item.fingerprint)
                         done.add(item.fingerprint)
                         continue
                     attempt = (0 if record is None else record.attempt_count) + 1

@@ -1,7 +1,9 @@
 """Tests for the Hermite equilibria (paper Eqs. 2-3)."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.core import equilibrium, equilibrium_order_for
 from repro.errors import LatticeError
@@ -123,3 +125,93 @@ class TestBuffersAndErrors:
             errs.append(np.abs(feq2 - feq1).max())
         # second-order term scales ~u^2: ratio ~4 for 2x velocity
         assert errs[1] / errs[0] == pytest.approx(4.0, rel=0.1)
+
+
+def _expression_form(lattice, rho, u, order, dtype, out=None):
+    """The equilibrium as one expression per term (a fresh temporary per
+    operation): the oracle the in-place evaluation must match byte for
+    byte."""
+    rho = np.asarray(rho, dtype=dtype)
+    u = np.asarray(u, dtype=dtype)
+    cs2 = lattice.cs2_float
+    c = lattice.velocities_as(dtype)
+    w = lattice.weights_as(dtype)
+    cu = np.tensordot(c, u, axes=([1], [0]))
+    u2 = np.einsum("a...,a...->...", u, u)
+    spatial_shape = cu.shape[1:]
+    expand = (slice(None),) + (None,) * len(spatial_shape)
+    term = 1.0 + cu / cs2
+    if order >= 2:
+        term += 0.5 * (cu / cs2) ** 2 - 0.5 * (u2 / cs2)
+    if order >= 3:
+        term += cu / (6.0 * cs2 * cs2) * ((cu * cu) / cs2 - 3.0 * u2)
+    if out is None:
+        out = np.empty((lattice.q, *spatial_shape), dtype=dtype)
+    np.multiply(w[expand], term, out=out)
+    out *= rho[None]
+    return out
+
+
+@st.composite
+def _equilibrium_inputs(draw):
+    from repro.lattice import get_lattice
+
+    lattice = get_lattice(draw(st.sampled_from(["D3Q15", "D3Q19", "D3Q27", "D3Q39"])))
+    order = draw(st.integers(1, lattice.equilibrium_order))
+    dtype = np.dtype(draw(st.sampled_from(["float64", "float32"])))
+    shape = draw(
+        st.sampled_from([(), (1,), (7,), (1, 1, 1), (2, 3, 1), (5, 4, 3), (16, 7, 2)])
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    speed = draw(st.sampled_from([1e-3, 0.05, 0.3]))
+    rho = 1.0 + 0.05 * rng.standard_normal(shape)
+    u = speed * rng.standard_normal((3, *shape))
+    return lattice, order, dtype, rho, u
+
+
+class TestInPlaceEvaluation:
+    """The in-place series writes the expression form's exact bytes."""
+
+    @given(inputs=_equilibrium_inputs(), use_out=st.booleans(), use_work=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_bytes_match_expression_form(self, inputs, use_out, use_work):
+        lattice, order, dtype, rho, u = inputs
+        expected = _expression_form(lattice, rho, u, order, dtype)
+        work = np.full_like(expected, np.nan) if use_work else None
+        if use_out:
+            out = np.full_like(expected, np.nan)
+            got = equilibrium(lattice, rho, u, order=order, out=out, work=work)
+            assert got is out
+        else:
+            got = equilibrium(lattice, rho, u, order=order, dtype=dtype, work=work)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    def test_mismatched_work_buffer_rejected(self, q19):
+        rho = np.ones((3, 3, 3))
+        u = np.zeros((3, 3, 3, 3))
+        with pytest.raises(LatticeError, match="work must be"):
+            equilibrium(q19, rho, u, work=np.empty((19, 3, 3, 3), dtype=np.float32))
+        with pytest.raises(LatticeError, match="work must be"):
+            equilibrium(q19, rho, u, work=np.empty((19, 3, 3)))
+
+    def test_inputs_left_untouched(self, q39):
+        rng = np.random.default_rng(3)
+        rho = 1.0 + 0.01 * rng.standard_normal((4, 3, 2))
+        u = 0.05 * rng.standard_normal((3, 4, 3, 2))
+        rho0, u0 = rho.copy(), u.copy()
+        equilibrium(q39, rho, u)
+        assert rho.tobytes() == rho0.tobytes() and u.tobytes() == u0.tobytes()
+
+    def test_casting_out_matches_expression_form(self, q39):
+        """An ``out`` of another dtype than the one evaluated in still
+        receives the evaluated dtype's values, cast once at the end."""
+        rng = np.random.default_rng(5)
+        rho = 1.0 + 0.01 * rng.standard_normal((3, 3, 3))
+        u = 0.05 * rng.standard_normal((3, 3, 3, 3))
+        out = np.empty((39, 3, 3, 3), dtype=np.float32)
+        expected = _expression_form(
+            q39, rho, u, 3, np.dtype(np.float64), out=np.empty_like(out)
+        )
+        equilibrium(q39, rho, u, out=out, dtype="float64")
+        assert out.tobytes() == expected.tobytes()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import (
     Simulation,
+    equilibrium,
     kinetic_energy,
     macroscopic,
     shear_wave,
@@ -153,6 +154,29 @@ class TestDriverMechanics:
         sim.initialize(rho, u)
         assert sim.time_step == 0
         assert sim.timings.steps == 0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"kernel": "planned"}, {"kernel": "planned", "layout": "aos"},
+         {"kernel": "planned", "dtype": "float32"}],
+    )
+    def test_initialize_writes_the_existing_buffers(self, paper_lattice, kwargs):
+        """``initialize`` fills the arrays ``__init__`` allocated (no
+        second population array) with ``equilibrium()``'s bytes."""
+        shape = (6, 4, 3)
+        sim = Simulation(paper_lattice, shape, tau=0.8, **kwargs)
+        field, adv = sim.field.data, sim._adv.data
+        rho = 1.0 + 0.01 * np.random.default_rng(1).standard_normal(shape)
+        _, u = taylor_green((6, 6, 3), u0=0.02)
+        u = np.ascontiguousarray(u[:, :, :4])
+        sim.initialize(rho, u)
+        assert sim.field.data is field and sim._adv.data is adv
+        expected = equilibrium(paper_lattice, rho, u, dtype=sim.dtype)
+        assert sim.f.tobytes() == expected.tobytes()
+
+    def test_uninitialized_populations_are_zero(self):
+        sim = Simulation("D3Q19", (4, 4, 4), tau=0.8, kernel="planned")
+        assert not sim.f.any()
 
     def test_uniform_flow_is_invariant(self, paper_lattice):
         """A uniform moving fluid in a periodic box stays exactly uniform."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import stream_padded, stream_periodic
+from repro.core.streaming import pull_gather_rows
 
 
 class TestPeriodicStreaming:
@@ -107,3 +108,55 @@ class TestPaddedStreaming:
         f = np.zeros((19, 4, 3, 3))
         with pytest.raises(ValueError, match="in place"):
             stream_padded(q19, f, out=f)
+
+
+def _gather_rows_by_axis(lattice, shape, scale=1, row_step=0):
+    """Pull indices built from per-axis broadcast offsets: the oracle
+    for :func:`pull_gather_rows`' shifted-copy construction."""
+    ndim = len(shape)
+    rows = np.empty((lattice.q, int(np.prod(shape))), dtype=np.intp)
+    for i, c in enumerate(lattice.velocities):
+        row = rows[i].reshape(shape)
+        row[...] = i * row_step
+        stride = scale
+        for axis in reversed(range(ndim)):
+            n = shape[axis]
+            offsets = (np.arange(n) - int(c[axis])) % n * stride
+            row += offsets.reshape((n,) + (1,) * (ndim - 1 - axis))
+            stride *= n
+    return rows
+
+
+class TestPullGatherRows:
+    SHAPES = [(32, 32, 4), (48, 21, 21), (6, 5, 4), (1, 2, 3), (2, 1, 7), (3, 2, 1), (1, 1, 1)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("layout", ["soa", "aos", "bare"])
+    def test_matches_per_axis_construction(self, lattice, shape, layout):
+        n = int(np.prod(shape))
+        scale, row_step = {"soa": (1, n), "aos": (lattice.q, 1), "bare": (1, 0)}[layout]
+        got = pull_gather_rows(lattice, shape, scale=scale, row_step=row_step)
+        expected = _gather_rows_by_axis(lattice, shape, scale, row_step)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    def test_callers_build_the_same_tables(self, paper_lattice):
+        from repro.core.kernels import FusedGatherKernel
+        from repro.core.plan import build_aos_gather_table, build_gather_table
+
+        shape = (5, 2, 3)
+        n = int(np.prod(shape))
+        q = paper_lattice.q
+        assert np.array_equal(
+            build_gather_table(paper_lattice, shape),
+            _gather_rows_by_axis(paper_lattice, shape, 1, n).reshape(-1),
+        )
+        assert np.array_equal(
+            build_aos_gather_table(paper_lattice, shape),
+            _gather_rows_by_axis(paper_lattice, shape, q, 1).reshape(-1),
+        )
+        kernel = FusedGatherKernel(paper_lattice, tau=0.8)
+        f = np.random.default_rng(0).random((q, *shape))
+        streamed = kernel.stream(f, out=np.empty_like(f))
+        assert np.array_equal(kernel._gather, _gather_rows_by_axis(paper_lattice, shape))
+        assert np.array_equal(streamed, stream_periodic(paper_lattice, f))

@@ -1,5 +1,7 @@
 """CaseRunner: series recording, stopping criteria, checkpoint/restart."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -208,3 +210,109 @@ class TestBuild:
         )
         with pytest.raises(ScenarioError, match="geometry"):
             CaseRunner(spec).build()
+
+
+class TestObservableRows:
+    """The probes of one row share one moments pass; no row reads the
+    moments of another row's populations."""
+
+    @staticmethod
+    def _alone(runner, sim):
+        """Every probe evaluated on its own, outside any shared row."""
+        return {name: float(probe(sim)) for name, probe in runner.spec.observables.items()}
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"lattice": "D3Q39"}, {"layout": "aos"}, {"dtype": "float32"}],
+    )
+    def test_series_match_probes_evaluated_alone(self, overrides):
+        runner = CaseRunner("taylor-green", **FAST_TG, **overrides)
+        result = runner.run(analyze=False)
+        sim, _ = runner.build()
+        expected = {name: [] for name in runner.spec.observables}
+        for step in result.series["step"]:
+            sim.run(int(step) - sim.time_step)
+            for name, value in self._alone(runner, sim).items():
+                expected[name].append(value)
+        for name, values in expected.items():
+            assert np.array(result.series[name]).tobytes() == np.array(values).tobytes()
+
+    def test_one_moments_pass_per_row(self, monkeypatch):
+        from repro.core import observables
+
+        calls = []
+        real = observables.macroscopic
+
+        def counted(lattice, f):
+            calls.append(1)
+            return real(lattice, f)
+
+        monkeypatch.setattr(observables, "macroscopic", counted)
+        result = CaseRunner("taylor-green", **FAST_TG).run(analyze=False)
+        # kinetic_energy, max_speed and enstrophy read one pass per row
+        assert len(calls) == len(result.series["step"])
+
+    def _two_rows(self, change):
+        """Record a row, apply ``change(runner, sim)``, record another."""
+        from repro.scenarios.runner import CaseResult
+
+        runner = CaseRunner("taylor-green", **FAST_TG)
+        sim, solid = runner.build()
+        result = CaseResult(runner.spec, sim, solid)
+        runner._record(result)
+        change(runner, sim)
+        runner._record(result)
+        for name, value in self._alone(runner, sim).items():
+            assert result.series[name][-1] == value, name
+        return result
+
+    def test_row_after_field_write_sees_new_populations(self):
+        from repro.core import equilibrium, macroscopic
+
+        def write(runner, sim):
+            rho, u = macroscopic(sim.lattice, sim.f)
+            sim.field.data[...] = equilibrium(sim.lattice, rho, 2.0 * u)
+
+        result = self._two_rows(write)
+        first, second = result.series["max_speed"]
+        assert second == pytest.approx(2.0 * first)
+
+    def test_row_after_initialize_sees_new_populations(self):
+        from repro.core.initial_conditions import taylor_green
+
+        def reinitialize(runner, sim):
+            sim.initialize(*taylor_green(runner.spec.shape, u0=3e-3))
+
+        result = self._two_rows(reinitialize)
+        first, second = result.series["max_speed"]
+        assert second == pytest.approx(3.0 * first)
+
+    def test_row_after_restore_sees_new_populations(self, tmp_path):
+        runner = CaseRunner("taylor-green", **FAST_TG)
+        stepped, _ = runner.build()
+        stepped.run(7)
+        path = runner.save(tmp_path / "ck.npz", stepped)
+
+        def restore(runner, sim):
+            runner._restore(sim, path)
+
+        result = self._two_rows(restore)
+        assert result.series["kinetic_energy"][-1] == float(
+            runner.spec.observables["kinetic_energy"](stepped)
+        )
+        assert result.series["kinetic_energy"][0] != result.series["kinetic_energy"][1]
+
+
+class TestBuildAllocations:
+    @pytest.mark.parametrize("lattice", ["D3Q19", "D3Q39"])
+    def test_second_build_peak_within_seven_fields(self, lattice):
+        """A build allocates the two population arrays, the gather table
+        and the equilibrium's intermediates, no throwaway field copies."""
+        CaseRunner("taylor-green", lattice=lattice, steps=3).build()
+        tracemalloc.start()
+        try:
+            sim, _ = CaseRunner("taylor-green", lattice=lattice, steps=3).build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * sim.field.nbytes

@@ -7,13 +7,17 @@ cache would either miss identical work or silently serve wrong results.
 """
 
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
+from hypothesis import given, settings
 
+from repro.core.io import canonical_json
 from repro.scenarios import CaseSpec, available_cases, get_case, steady_state
 from repro.scenarios import spec as spec_module
 
@@ -265,3 +269,55 @@ class TestProcessStability:
             )
             tokens.append(out.stdout.strip())
         assert tokens[0] == tokens[1]
+
+
+_param_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(2**40), 2**40),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.text(max_size=6),
+        st.builds(np.float64, st.floats(-1e3, 1e3)),
+        st.builds(np.int32, st.integers(-100, 100)),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.tuples(inner, inner),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        st.builds(np.asarray, st.lists(st.floats(-1, 1), max_size=4)),
+    ),
+    max_leaves=8,
+)
+
+
+class TestDirectDump:
+    """``fingerprint()`` dumps its token without the ``jsonable`` rebuild;
+    the digest must stay ``sha256(canonical_json(token))``."""
+
+    @staticmethod
+    def _canonical_digest(spec):
+        text = canonical_json(spec.fingerprint_token())
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def test_every_registered_case(self):
+        for name in available_cases():
+            spec = get_case(name)
+            assert spec.fingerprint() == self._canonical_digest(spec), name
+
+    @given(
+        name=st.sampled_from(["taylor-green", "poiseuille-channel", "deep-halo-tuning"]),
+        tau=st.floats(0.51, 2.0),
+        steps=st.integers(1, 10_000),
+        dtype=st.sampled_from(["float32", "float64"]),
+        lattice=st.sampled_from(["D3Q19", "D3Q39"]),
+        params=st.dictionaries(
+            st.text("abcdefxyz_", min_size=1, max_size=5), _param_values, max_size=3
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_overrides(self, name, tau, steps, dtype, lattice, params):
+        spec = get_case(name).with_overrides(
+            tau=tau, steps=steps, dtype=dtype, lattice=lattice, **params
+        )
+        assert spec.fingerprint() == self._canonical_digest(spec)

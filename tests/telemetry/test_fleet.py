@@ -77,6 +77,53 @@ class TestMultiWorkerMerge:
         assert aggregate.cache_hit_rate() == 1.0
 
 
+class TestFleetHitRate:
+    """Each variant counts once, fleet-wide: as the cache hit of whoever
+    found it unmarked, or as the completion of whoever ran it."""
+
+    def test_partly_warm_two_job_sweep_reads_true_rate(self, tmp_path):
+        from repro import api
+
+        api.run_sweep("taylor-green", {"tau": [0.6, 0.7]}, steps=3, cache_dir=tmp_path)
+        api.run_sweep(
+            "taylor-green",
+            {"tau": [0.6, 0.7, 0.8, 0.9]},
+            steps=3,
+            jobs=2,
+            telemetry=True,
+            cache_dir=tmp_path,
+        )
+        counters = load_run(tmp_path).counters
+        assert counters["variant.cached"] == 2
+        assert counters["variant.completed"] == 2
+        assert api.sweep_status(tmp_path).telemetry.cache_hit_rate == 0.5
+
+    def test_worker_over_fully_marked_directory_counts_no_hit(self, tmp_path):
+        SweepExecutor(make_sweep(), cache_dir=tmp_path).run(analyze=False)
+        SweepExecutor(make_sweep(), cache_dir=tmp_path).publish(analyze=False)
+        report = run_worker(
+            tmp_path, worker_id="w1", telemetry_dir=tmp_path / "telemetry"
+        )
+        assert report.completed == []
+        assert report.already_cached == 3
+        assert report.cache_hits == 0
+
+    def test_worker_counts_the_entries_it_adopts(self, tmp_path):
+        from repro import api
+
+        for tau in (0.6, 0.7):  # entries without done/ markers
+            api.run_case("taylor-green", steps=10, overrides={"tau": tau},
+                         cache_dir=tmp_path)
+        SweepExecutor(make_sweep(), cache_dir=tmp_path).publish()
+        telemetry_dir = tmp_path / "telemetry"
+        first = run_worker(tmp_path, worker_id="w1", telemetry_dir=telemetry_dir)
+        assert len(first.completed) == 1
+        assert first.cache_hits == 2
+        second = run_worker(tmp_path, worker_id="w2", telemetry_dir=telemetry_dir)
+        assert second.cache_hits == 0
+        assert load_run(tmp_path).cache_hit_rate() == pytest.approx(2 / 3)
+
+
 class TestWorkerReport:
     def test_report_fields_sourced_from_telemetry(self, tmp_path):
         SweepExecutor(make_sweep(), cache_dir=tmp_path).publish()
@@ -90,13 +137,16 @@ class TestWorkerReport:
         assert first.mflups > 0
         assert "MFLUP/s" in first.summary()
 
+        # w1's runs are counted once, as w1's completions: w2 finds
+        # them marked, adopts nothing and so counts no cache hit.
         second = run_worker(
             tmp_path, worker_id="w2", telemetry_dir=telemetry_dir
         )
         assert second.completed == []
-        assert second.cache_hits == 3
+        assert second.already_cached == 3
+        assert second.cache_hits == 0
         assert math.isnan(second.mflups)
-        assert "3 cache hit(s)" in second.summary()
+        assert "cache hit" not in second.summary()
 
     def test_report_defaults_without_recorder(self, tmp_path):
         SweepExecutor(make_sweep((0.7,)), cache_dir=tmp_path).publish()
