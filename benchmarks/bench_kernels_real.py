@@ -2,7 +2,7 @@
 
 This is the *executable* analogue of the paper's single-node study: the
 same stream+collide update measured on this host, across the kernel
-ladder (roll -> fused-gather -> planned), lattices (D3Q19 vs D3Q39),
+ladder (roll -> planned), lattices (D3Q19 vs D3Q39),
 equilibrium orders and population dtypes (float32 halves the paper's
 bytes-per-cell figure).  The planned rows time the compiled collide
 where this host built it (their ``collide`` column says which path
@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    FusedGatherKernel,
     PlannedKernel,
     RollKernel,
     compiled,
@@ -33,12 +32,10 @@ from repro.perf import mflups
 
 SHAPE = (32, 32, 32)
 
-#: (kernel class, dtype) rungs of the measured ladder.  The allocating
-#: kernels are measured at float64 (their historic configuration); the
-#: planned kernel at both dtype-policy ends.
+#: (kernel class, dtype) rungs of the measured ladder, each at both
+#: dtype-policy ends.
 LADDER = [
     (RollKernel, "float64"),
-    (FusedGatherKernel, "float64"),
     (PlannedKernel, "float64"),
     (RollKernel, "float32"),
     (PlannedKernel, "float32"),
@@ -191,10 +188,9 @@ def test_d3q39_costs_about_double(benchmark):
 
 
 def test_distributed_overhead(benchmark):
-    """Halo exchange overhead of the in-process distributed solver
-    relative to the single-domain path (4 ranks, depth 2).  Kept under
-    its historic name/configuration as the cross-PR baseline the
-    distributed ladder below is gated against."""
+    """One step of the in-process distributed solver (4 ranks, depth 2,
+    planned slabs, exchanges included), kept under its historic
+    name/configuration as a cross-PR reference row."""
     from repro.core import Simulation, shear_wave
     from repro.parallel import DistributedSimulation
 
@@ -212,21 +208,17 @@ def test_distributed_overhead(benchmark):
     assert dist.gather().shape == (19, *shape)
 
 
-# -- distributed slab ladder (PR 5) -----------------------------------------
+# -- distributed planned slabs ----------------------------------------------
 
 DIST_SHAPE = (32, 16, 16)
 
-#: (slab kernel, dtype) rungs of the distributed ladder: the legacy
-#: stream_padded + BGKCollision pair at its historic float64, then the
-#: planned windowed kernel at both dtype-policy ends.
-DIST_LADDER = [
-    ("legacy", "float64"),
-    ("planned", "float64"),
-    ("planned", "float32"),
-]
+#: Dtype-policy ends of the planned slab rows (ids keep the ``planned-``
+#: prefix the committed records and the ``planned+distributed`` gate
+#: match on).
+DIST_DTYPES = ("float64", "float32")
 
 
-def _dist_sim(lname, kernel, dtype):
+def _dist_sim(lname, dtype):
     from repro.core import shear_wave
     from repro.parallel import DistributedSimulation
 
@@ -236,7 +228,6 @@ def _dist_sim(lname, kernel, dtype):
         tau=0.8,
         num_ranks=4,
         ghost_depth=2,
-        kernel=kernel,
         dtype=dtype,
     )
     rho, u = shear_wave(DIST_SHAPE)
@@ -247,40 +238,18 @@ def _dist_sim(lname, kernel, dtype):
 
 @pytest.mark.parametrize("lname", ["D3Q19", "D3Q39"])
 @pytest.mark.parametrize(
-    "kernel,dtype", DIST_LADDER, ids=[f"{k}-{d}" for k, d in DIST_LADDER]
+    "dtype", DIST_DTYPES, ids=[f"planned-{d}" for d in DIST_DTYPES]
 )
-def test_distributed_throughput(benchmark, lname, kernel, dtype):
+def test_distributed_throughput(benchmark, lname, dtype):
     """Measured MFLUP/s of one distributed step (4 ranks, depth 2),
     exchange cost amortised in — the slab-parallel analogue of the
     single-domain ladder above."""
-    dist = _dist_sim(lname, kernel, dtype)
+    dist = _dist_sim(lname, dtype)
     benchmark(dist.run, 1)
     cells = int(np.prod(DIST_SHAPE))
     achieved = mflups(1, cells, benchmark.stats["mean"])
     benchmark.extra_info["mflups"] = round(achieved, 2)
-    benchmark.extra_info["kernel"] = kernel
+    benchmark.extra_info["kernel"] = "planned"
     benchmark.extra_info["dtype"] = dtype
     benchmark.extra_info["comm_bytes"] = dist.total_comm_bytes()
     assert np.isfinite(dist.gather()).all()
-
-
-def test_planned_slab_beats_legacy_acceptance(benchmark):
-    """The PR-5 acceptance ratio: the planned distributed step must
-    reach >= 1.5x the legacy slab path's MFLUP/s on both paper lattices
-    at float64.  Measured margins on a quiet host are ~3-5x, so the
-    threshold leaves CI noise plenty of headroom."""
-
-    def _measure(dist, reps=5):
-        start = time.perf_counter()
-        dist.run(reps)
-        return (time.perf_counter() - start) / reps
-
-    speedups = {}
-    for lname in ("D3Q19", "D3Q39"):
-        legacy = _measure(_dist_sim(lname, "legacy", "float64"))
-        planned = _measure(_dist_sim(lname, "planned", "float64"))
-        speedups[lname] = legacy / planned
-        benchmark.extra_info[f"speedup_{lname}"] = round(speedups[lname], 2)
-    assert speedups["D3Q19"] >= 1.5
-    assert speedups["D3Q39"] >= 1.5
-    benchmark(lambda: None)  # register a timing so --benchmark-only keeps this

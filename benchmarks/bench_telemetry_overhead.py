@@ -35,7 +35,6 @@ def _distributed(telemetry=None):
         tau=0.8,
         num_ranks=4,
         ghost_depth=2,
-        kernel="planned",
         telemetry=telemetry,
     )
     rho, u = shear_wave(SHAPE)

@@ -2,27 +2,24 @@
 
 The paper's §V is a ladder of single-node code transformations (data
 handling, loop restructuring, branch removal, SIMD).  The analogous
-transformations available to *Python* code are implemented here as three
-kernels with identical semantics and very different machine behaviour:
+transformations available to *Python* code end in three kernels with
+identical semantics and very different machine behaviour:
 
 * :class:`NaiveKernel` — the paper's Fig. 3/4 pseudocode transcribed
   literally: per-cell, per-velocity Python loops.  Only usable on tiny
   grids; serves as the executable specification the fast kernels are
   validated against.
-* :class:`RollKernel` — velocity-major vectorization: one
-  ``numpy.roll`` per velocity, then a fused vectorized collide.  It
-  runs the same stream and collide code as
-  :class:`~repro.core.simulation.Simulation`'s legacy default pair
-  (``kernel=None``), so the two produce identical bytes.
-* :class:`FusedGatherKernel` — stream and collide in one pass over a
-  precomputed flat gather-index table (the Python analogue of the
-  paper's loop-fusion/index-precomputation optimizations: indices
-  computed once, no per-step index arithmetic).
+* :class:`RollKernel` — velocity-major vectorization: one shifted copy
+  per velocity, then a vectorized collide.  It runs the same stream and
+  collide code as :class:`~repro.core.simulation.Simulation`'s legacy
+  default pair (``kernel=None``), so the two produce identical bytes;
+  it is that pair's name on the CLI and over HTTP.
 * :class:`~repro.core.plan.PlannedKernel` (in :mod:`repro.core.plan`) —
-  the ladder's endpoint: precomputed gather table *and* a preallocated
-  scratch arena, so a step makes zero heap allocations; also the kernel
-  that carries the float32/float64 dtype policy, static walls and Guo
-  forcing, and the one registered cases run by default.
+  the ladder's endpoint: a precomputed gather table (the paper's
+  index-precomputation optimization), a compiled collide and a
+  preallocated scratch arena, so a step makes zero heap allocations.
+  It carries the float32/float64 dtype policy, the SoA/AoS layouts,
+  static walls and Guo forcing, and registered cases run it by default.
 
 Kernel selection (by name, or ``"auto"``, a fixed alias for the planned
 kernel) lives in :func:`repro.core.plan.make_kernel`.
@@ -36,9 +33,9 @@ import numpy as np
 
 from ..lattice import VelocitySet
 from .collision import BGKCollision
-from .streaming import pull_gather_rows, stream_periodic
+from .streaming import stream_periodic
 
-__all__ = ["LBMKernel", "NaiveKernel", "RollKernel", "FusedGatherKernel"]
+__all__ = ["LBMKernel", "NaiveKernel", "RollKernel"]
 
 
 class LBMKernel:
@@ -91,51 +88,6 @@ class RollKernel(LBMKernel):
         adv = stream_periodic(self.lattice, f, out=self._buffer)
         self.collision.apply(adv, out=f)
         return f
-
-
-class FusedGatherKernel(LBMKernel):
-    """Stream+collide in one pass via a precomputed gather table.
-
-    For each velocity ``i`` the pull-gather ``f_i(x - c_i)`` is a single
-    fancy-index ``take`` with indices computed once at construction —
-    the Python analogue of the paper's "minimize index calculation"
-    (LoBr) optimization.
-    """
-
-    name = "fused-gather"
-
-    def __init__(self, lattice: VelocitySet, tau: float, order: int | None = None):
-        super().__init__(lattice, tau, order)
-        self._shape: tuple[int, ...] | None = None
-        self._gather: np.ndarray | None = None
-
-    def _build_gather(self, shape: tuple[int, ...]) -> None:
-        """Flat pull indices: gather[i, x_flat] = flat(x - c_i) (periodic)."""
-        self._gather = pull_gather_rows(self.lattice, shape)  # (Q, N)
-        self._shape = shape
-
-    def step(self, f: np.ndarray) -> np.ndarray:
-        shape = f.shape[1:]
-        if self._shape != shape:
-            self._build_gather(shape)
-        flat = f.reshape(self.lattice.q, -1)
-        adv = np.take_along_axis(flat, self._gather, axis=1)
-        out = adv.reshape(f.shape)
-        self.collision.apply(out, out=out)
-        return out
-
-    def stream(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Gather-table streaming (the split path runs the same index
-        precomputation as the fused step, not the roll fallback)."""
-        shape = f.shape[1:]
-        if self._shape != shape:
-            self._build_gather(shape)
-        flat = f.reshape(self.lattice.q, -1)
-        adv = np.take_along_axis(flat, self._gather, axis=1)
-        # copyto honours out's strides; `out.reshape(...)[...] =` would
-        # silently write into a throwaway copy for non-contiguous out.
-        np.copyto(out, adv.reshape(f.shape))
-        return out
 
 
 class NaiveKernel(LBMKernel):

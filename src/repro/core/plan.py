@@ -30,6 +30,13 @@ why a planned slab window matches the planned single domain bit for
 bit.  :class:`~repro.core.simulation.Simulation` installs its walls
 and forcing into the plan, so forced, walled cases run here too.
 
+:class:`KernelPlan` is the one optimized update of every domain kind:
+dense grids step through :class:`PlannedKernel` (SoA or AoS), sparse
+domains through :class:`~repro.core.sparse.PlannedSparseKernel` (a plan
+over the fluid-site list) and halo-padded slabs through
+:class:`~repro.parallel.plan.PlannedSlabKernel` (one window plan per
+validity level).
+
 The plan also carries the **dtype policy**: built for float32, the
 whole update runs in single precision, halving the paper's
 bytes-per-cell figure B(Q) — the knob its roofline model (Table II)
@@ -37,11 +44,12 @@ says roughly doubles bandwidth-bound throughput.
 
 :func:`make_kernel` is the registry every layer above selects kernels
 through (``Simulation(kernel=...)``, ``CaseSpec.kernel``, the CLI
-``--kernel`` flag).  ``kernel="auto"`` is a fixed alias for the
-production rung, :data:`AUTO_RUNG` (``planned``; ``sparse-planned`` on
-a sparse domain): it consults no per-host state and runs no timed
-step, so an ``auto`` request is the same workload, with the same
-fingerprint, on every host.
+``--kernel`` flag): ``naive`` (the executable spec), ``roll`` (the
+legacy pair's bytes) and ``planned``.  ``kernel="auto"`` is a fixed
+alias for the production rung, :data:`AUTO_RUNG` (``planned``): it
+consults no per-host state and runs no timed step, so an ``auto``
+request is the same workload, with the same fingerprint, on every
+host.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ from ..lattice import VelocitySet
 from . import compiled
 from .equilibrium import equilibrium_order_for
 from .fields import LAYOUT_AOS, LAYOUT_SOA, resolve_dtype, resolve_layout
-from .kernels import FusedGatherKernel, LBMKernel, NaiveKernel, RollKernel
+from .kernels import LBMKernel, NaiveKernel, RollKernel
 from .streaming import pull_gather_rows
 
 __all__ = [
@@ -78,9 +86,9 @@ def build_gather_table(lattice: VelocitySet, shape: Sequence[int]) -> np.ndarray
     ``np.take(f.reshape(-1), table, out=...)`` advects every population —
     the paper's "minimize index calculation" transformation taken to its
     limit: a single gather with no per-step index arithmetic at all.
-    The index math itself is :func:`~repro.core.streaming.pull_gather_rows`
-    (shared with :class:`~repro.core.kernels.FusedGatherKernel`), which
-    fills the ``(Q, N)`` table in place with the row offsets included.
+    The index math itself is :func:`~repro.core.streaming.pull_gather_rows`,
+    which fills the ``(Q, N)`` table in place with the row offsets
+    included.
     """
     shape = tuple(int(s) for s in shape)
     n = int(np.prod(shape))
@@ -767,7 +775,6 @@ class PlannedKernel(LBMKernel):
 KERNELS: dict[str, type[LBMKernel]] = {
     "naive": NaiveKernel,
     "roll": RollKernel,
-    "fused-gather": FusedGatherKernel,
     "planned": PlannedKernel,
 }
 
@@ -775,9 +782,9 @@ KERNELS: dict[str, type[LBMKernel]] = {
 AUTO_KERNEL = "auto"
 
 #: The rung ``kernel="auto"`` names.  ``planned`` wins every committed
-#: bench row (every lattice x dtype cell, and ``sparse-planned`` every
-#: fill), so the alias is fixed: resolving it reads no per-host state,
-#: and an ``auto`` spec fingerprints like a ``planned`` one everywhere.
+#: bench row (every lattice x dtype cell), so the alias is fixed:
+#: resolving it reads no per-host state, and an ``auto`` spec
+#: fingerprints like a ``planned`` one everywhere.
 AUTO_RUNG = "planned"
 
 
@@ -794,7 +801,6 @@ def make_kernel(
     dtype: "np.dtype | str | None" = None,
     shape: Sequence[int] | None = None,
     layout: str | None = None,
-    domain=None,
 ) -> LBMKernel:
     """Resolve a kernel selection to a ready instance.
 
@@ -807,10 +813,10 @@ def make_kernel(
     planned kernel supports ``"aos"`` (its plan remaps the gather
     table).
 
-    ``domain`` (a :class:`~repro.core.sparse.SparseDomain`) switches to
-    the sparse rung of the ladder: ``legacy``/``planned``/``auto`` (and
-    the registry names ``sparse-legacy``/``sparse-planned``) resolve to
-    indirect-addressing kernels streaming that domain's fluid sites.
+    ``sparse-planned`` is listed in the registry but streams a
+    :class:`~repro.core.sparse.SparseDomain`, which only
+    :class:`~repro.core.sparse.SparseSimulation` builds; it is refused
+    here.
     """
     layout = resolve_layout(layout)
     if isinstance(kernel, LBMKernel):
@@ -821,26 +827,17 @@ def make_kernel(
             )
         return kernel
     key = str(kernel).lower()
-    if domain is not None:
-        if layout != LAYOUT_SOA:
-            raise LatticeError(
-                "sparse kernels store populations per fluid site "
-                "(struct-of-arrays only); layout='aos' is a dense-grid axis"
-            )
-        from .sparse import make_sparse_kernel  # late: sparse builds on plan
-
-        return make_sparse_kernel(key, domain, tau, order=order, dtype=dtype)
-    if key.startswith("sparse-"):
-        raise LatticeError(
-            f"kernel {kernel!r} streams a SparseDomain; pass domain= "
-            "(or select it through SparseSimulation(kernel=...))"
-        )
     if key == AUTO_KERNEL:
         key = AUTO_RUNG
     if key not in KERNELS:
         raise LatticeError(
             f"unknown kernel {kernel!r}; available: "
             f"{', '.join(available_kernels())} (or 'auto')"
+        )
+    if key.startswith("sparse-"):
+        raise LatticeError(
+            f"kernel {kernel!r} streams a SparseDomain; SparseSimulation "
+            "builds it"
         )
     cls = KERNELS[key]
     if cls is PlannedKernel:

@@ -59,7 +59,82 @@ class StepTimings:
         return self.steps * num_cells / (self.total_seconds * 1e6)
 
 
-class Simulation:
+class _Driver:
+    """The run loop and telemetry hook shared by :class:`Simulation` and
+    :class:`~repro.core.sparse.SparseSimulation`.
+
+    A subclass supplies ``step()``, which books its wall-clock time into
+    ``self.timings`` (a :class:`StepTimings`), ``_check_finite()`` and
+    the ``telemetry`` recorder.
+    """
+
+    telemetry: "Telemetry | NullTelemetry"
+    timings: StepTimings
+
+    def set_telemetry(self, telemetry: "Telemetry | NullTelemetry") -> None:
+        """Install a structured-event recorder on this simulation."""
+        self.telemetry = telemetry
+
+    def run(
+        self,
+        steps: int,
+        monitor: "Callable[[_Driver], None] | None" = None,
+        monitor_every: int = 1,
+        check_stability_every: int = 0,
+    ) -> None:
+        """Run ``steps`` time steps.
+
+        Parameters
+        ----------
+        monitor:
+            Callback invoked every ``monitor_every`` steps with the
+            simulation (after the step).
+        check_stability_every:
+            If positive, verify all populations are finite at that period
+            and raise :class:`StabilityError` otherwise.
+
+        With an enabled recorder, one span per phase
+        (``phase.stream``/``phase.collide``/``phase.boundary``) is
+        emitted for the steps this call actually ran, sourced from the
+        :class:`StepTimings` deltas, so the hot :meth:`step` path
+        carries no telemetry code and its zero-allocation guarantee is
+        untouched.
+        """
+        # With stability checking on, a diverging run's last step computes
+        # moments of already non-finite populations before _check_finite
+        # can raise; silence numpy's invalid/overflow warnings for that
+        # window so divergence is reported once, as StabilityError.
+        numeric_guard = (
+            np.errstate(invalid="ignore", over="ignore")
+            if check_stability_every
+            else contextlib.nullcontext()
+        )
+        traced = self.telemetry.enabled
+        t = self.timings
+        base = (t.stream_seconds, t.collide_seconds, t.boundary_seconds, t.steps)
+        try:
+            with numeric_guard:
+                for n in range(steps):
+                    self.step()
+                    if monitor is not None and (n + 1) % monitor_every == 0:
+                        monitor(self)
+                    if check_stability_every and (n + 1) % check_stability_every == 0:
+                        self._check_finite()
+        finally:
+            done = t.steps - base[3]
+            if traced and done:
+                self.telemetry.record_span(
+                    "phase.stream", t.stream_seconds - base[0], rank=0, steps=done
+                )
+                self.telemetry.record_span(
+                    "phase.collide", t.collide_seconds - base[1], rank=0, steps=done
+                )
+                self.telemetry.record_span(
+                    "phase.boundary", t.boundary_seconds - base[2], rank=0, steps=done
+                )
+
+
+class Simulation(_Driver):
     """A single-block periodic LBM simulation.
 
     Parameters
@@ -81,13 +156,15 @@ class Simulation:
         Optional :class:`GuoForcing` body force (BGK collisions only).
     kernel:
         Which stream/collide implementation advances the populations: a
-        registry name (``"roll"``, ``"fused-gather"``, ``"planned"``,
-        ``"naive"``), ``"auto"`` (an alias for ``"planned"``), an
+        registry name (``"planned"``, ``"roll"``, ``"naive"``),
+        ``"auto"`` (an alias for ``"planned"``), an
         :class:`~repro.core.kernels.LBMKernel` instance, or ``None`` for
         the legacy default pair (``stream_periodic`` + the collision
-        operator).  Kernels own a BGK collision, so ``kernel`` and a
-        custom ``collision`` are mutually exclusive.  A planned kernel
-        carries the whole case: the leading run of plain
+        operator), the only path for a custom collision such as the
+        regularized or MRT operators; ``"roll"`` steps the legacy
+        pair's bytes through a BGK kernel.  Kernels own a BGK collision,
+        so ``kernel`` and a custom ``collision`` are mutually exclusive.
+        A planned kernel carries the whole case: the leading run of plain
         :class:`BounceBackWalls` is folded into its gather table and
         ``forcing`` is fused into its arena collide (see
         :attr:`effective_path`); later boundaries still run after
@@ -200,10 +277,6 @@ class Simulation:
         self._post_stream = self.boundaries[folded:]
         if self.forcing is not None:
             plan.set_forcing(self.forcing.force, self.collision.omega)
-
-    def set_telemetry(self, telemetry: "Telemetry | NullTelemetry") -> None:
-        """Install a structured-event recorder on this simulation."""
-        self.telemetry = telemetry
 
     def initialize(self, rho: np.ndarray | float, u: np.ndarray) -> None:
         """Set populations to the equilibrium of ``(rho, u)``; reset clock.
@@ -330,70 +403,6 @@ class Simulation:
         self.timings.stream_seconds += t1 - t0
         self.timings.boundary_seconds += t2 - t1
         self.timings.collide_seconds += t3 - t2
-
-    def run(
-        self,
-        steps: int,
-        monitor: Callable[["Simulation"], None] | None = None,
-        monitor_every: int = 1,
-        check_stability_every: int = 0,
-    ) -> None:
-        """Run ``steps`` time steps.
-
-        Parameters
-        ----------
-        monitor:
-            Callback invoked every ``monitor_every`` steps with the
-            simulation (after the step).
-        check_stability_every:
-            If positive, verify all populations are finite at that period
-            and raise :class:`StabilityError` otherwise.
-
-        With an enabled recorder, one span per phase is emitted for the
-        steps this call actually ran (sourced from the :class:`StepTimings`
-        deltas, so the hot :meth:`step` path carries no telemetry code
-        and its zero-allocation guarantee is untouched).
-        """
-        # With stability checking on, a diverging run's last step computes
-        # moments of already non-finite populations before _check_finite
-        # can raise; silence numpy's invalid/overflow warnings for that
-        # window so divergence is reported once, as StabilityError.
-        numeric_guard = (
-            np.errstate(invalid="ignore", over="ignore")
-            if check_stability_every
-            else contextlib.nullcontext()
-        )
-        if not self.telemetry.enabled:
-            with numeric_guard:
-                for n in range(steps):
-                    self.step()
-                    if monitor is not None and (n + 1) % monitor_every == 0:
-                        monitor(self)
-                    if check_stability_every and (n + 1) % check_stability_every == 0:
-                        self._check_finite()
-            return
-        t = self.timings
-        base = (t.stream_seconds, t.collide_seconds, t.boundary_seconds, t.steps)
-        try:
-            with numeric_guard:
-                for n in range(steps):
-                    self.step()
-                    if monitor is not None and (n + 1) % monitor_every == 0:
-                        monitor(self)
-                    if check_stability_every and (n + 1) % check_stability_every == 0:
-                        self._check_finite()
-        finally:
-            done = t.steps - base[3]
-            if done:
-                self.telemetry.record_span(
-                    "phase.stream", t.stream_seconds - base[0], rank=0, steps=done
-                )
-                self.telemetry.record_span(
-                    "phase.collide", t.collide_seconds - base[1], rank=0, steps=done
-                )
-                self.telemetry.record_span(
-                    "phase.boundary", t.boundary_seconds - base[2], rank=0, steps=done
-                )
 
     def _check_finite(self) -> None:
         if not self.field.is_finite():

@@ -14,51 +14,46 @@ This module implements that representation:
   the last fluid node — the standard irregular-domain LBM formulation.
 
 For a fully fluid periodic box the sparse solver reproduces the dense
-:class:`~repro.core.simulation.Simulation` exactly (unit-tested); with
+planned :class:`~repro.core.simulation.Simulation` byte for byte (the
+two share the plan's collide; unit-tested); with
 walls it conserves mass exactly and produces the expected channel
 profiles.  Memory drops from ``Q * nx * ny * nz`` to ``Q * N_fluid`` —
 the win that matters when an artery occupies a few percent of its
 bounding box — and the repo's population dtype policy applies
 (``dtype="float32"`` halves the per-node bytes again).
 
-Two kernels implement the update (the sparse rung of the kernel
-ladder, selectable through ``SparseSimulation(kernel=...)`` and the case
-registry; ``kernel="auto"`` names the planned one):
-
-* :class:`LegacySparseKernel` (``"sparse-legacy"``) — the original
-  fancy-index gather + :meth:`BGKCollision.apply`, allocating a fresh
-  ``(Q, N_fluid)`` buffer per step;
-* :class:`PlannedSparseKernel` (``"sparse-planned"``) — the domain's
-  per-velocity neighbor lists flattened at plan time into one
-  contiguous gather table driving a :class:`~repro.core.plan.KernelPlan`
-  arena, so stream + collide (bounce-back links included — they are
-  just more gather indices) runs with zero per-step heap allocations,
-  exactly like the dense planned kernel.
+One kernel implements the update, :class:`PlannedSparseKernel`
+(``"sparse-planned"``; a sparse case spells it ``planned`` or ``auto``):
+the domain's per-velocity neighbor lists are flattened at plan time into
+one contiguous gather table driving a :class:`~repro.core.plan.KernelPlan`
+arena, so stream + collide (bounce-back links included — they are just
+more gather indices) runs with zero per-step heap allocations, exactly
+like the dense planned kernel.  :class:`SparseSimulation` always builds
+it.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import LatticeError, StabilityError
 from ..lattice import VelocitySet, get_lattice
+from ..telemetry.recorder import get_telemetry
 from .collision import BGKCollision
 from .equilibrium import equilibrium
 from .fields import resolve_dtype
 from .moments import density, momentum
-from .plan import AUTO_KERNEL, AUTO_RUNG, KERNELS, KernelPlan
-from .simulation import StepTimings
+from .plan import KERNELS, KernelPlan
+from .simulation import StepTimings, _Driver
 
 __all__ = [
-    "LegacySparseKernel",
     "PlannedSparseKernel",
     "SparseDomain",
     "SparseSimulation",
     "build_sparse_gather_table",
-    "make_sparse_kernel",
 ]
 
 
@@ -155,46 +150,7 @@ def build_sparse_gather_table(domain: SparseDomain) -> np.ndarray:
     return np.ascontiguousarray(flat.reshape(-1))
 
 
-class _SparseKernel:
-    """Shared construction for the sparse stream+collide kernels."""
-
-    name = "sparse"
-
-    def __init__(
-        self,
-        domain: SparseDomain,
-        tau: float,
-        order: int | None = None,
-        dtype: "np.dtype | str | None" = None,
-    ) -> None:
-        self.domain = domain
-        self.lattice = domain.lattice
-        self.tau = float(tau)
-        self.dtype = resolve_dtype(dtype)
-        self.collision = BGKCollision(self.lattice, tau, order=order)
-
-    def step(self, f: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
-
-
-class LegacySparseKernel(_SparseKernel):
-    """The original allocating sparse update (the ladder's baseline).
-
-    One fancy-index gather through the 2-D neighbor tables (allocates
-    the streamed buffer), then :meth:`BGKCollision.apply` in place
-    (allocates its moment/equilibrium temporaries).
-    """
-
-    name = "sparse-legacy"
-
-    def step(self, f: np.ndarray) -> np.ndarray:
-        dom = self.domain
-        streamed = f[dom.pull_velocity, dom.pull_from]
-        self.collision.apply(streamed, out=streamed)
-        return streamed
-
-
-class PlannedSparseKernel(_SparseKernel):
+class PlannedSparseKernel:
     """Zero-allocation planned sparse update.
 
     At plan time the domain's neighbor lists become one flat gather
@@ -216,7 +172,10 @@ class PlannedSparseKernel(_SparseKernel):
         order: int | None = None,
         dtype: "np.dtype | str | None" = None,
     ) -> None:
-        super().__init__(domain, tau, order=order, dtype=dtype)
+        self.domain = domain
+        self.lattice = domain.lattice
+        self.dtype = resolve_dtype(dtype)
+        self.collision = BGKCollision(self.lattice, tau, order=order)
         self.plan = KernelPlan(
             self.lattice,
             (domain.num_fluid,),
@@ -248,57 +207,17 @@ class PlannedSparseKernel(_SparseKernel):
         return self.plan.step_into(f, self.collision.omega)
 
 
-#: Short selector names accepted by ``SparseSimulation(kernel=...)`` —
-#: the registry names without their ``sparse-`` prefix, mirroring how
-#: the distributed path spells its ladder — plus ``"auto"``, which names
-#: the same rung here as on a dense grid.
-_SPARSE_ALIASES = {
-    "legacy": "sparse-legacy",
-    "planned": "sparse-planned",
-}
-_SPARSE_ALIASES[AUTO_KERNEL] = _SPARSE_ALIASES[AUTO_RUNG]
-
-_SPARSE_KERNELS = {
-    "sparse-legacy": LegacySparseKernel,
-    "sparse-planned": PlannedSparseKernel,
-}
-
-
-def make_sparse_kernel(
-    kernel: "str | _SparseKernel | None",
-    domain: SparseDomain,
-    tau: float,
-    order: int | None = None,
-    dtype: "np.dtype | str | None" = None,
-) -> _SparseKernel:
-    """Resolve a sparse kernel selection to a ready instance.
-
-    ``kernel`` may be ``None``/``"legacy"`` (the allocating baseline),
-    ``"planned"`` or its alias ``"auto"``, a full registry name
-    (``"sparse-legacy"``/``"sparse-planned"``), or an already built
-    sparse kernel instance (returned as-is).
-    """
-    if isinstance(kernel, _SparseKernel):
-        return kernel
-    key = "legacy" if kernel is None else str(kernel).lower()
-    key = _SPARSE_ALIASES.get(key, key)
-    if key not in _SPARSE_KERNELS:
-        raise LatticeError(
-            f"unknown sparse kernel {kernel!r}; available: legacy, planned, "
-            "sparse-legacy, sparse-planned (or 'auto')"
-        )
-    return _SPARSE_KERNELS[key](domain, tau, order=order, dtype=dtype)
-
-
-class SparseSimulation:
+class SparseSimulation(_Driver):
     """BGK LBM on a :class:`SparseDomain` (indirect addressing).
 
     The update is *pull*-form: for every fluid node and velocity, the
     post-streaming population is gathered through the neighbor table,
-    then collided.  ``kernel`` selects the sparse rung —
-    ``"legacy"`` (default, allocating) or ``"planned"``
-    (zero-allocation planned gather; ``"auto"`` is its alias, as on the
-    dense path).
+    then collided, by a :class:`PlannedSparseKernel` (zero per-step
+    allocations).  :meth:`run` is the dense driver's loop: with the
+    ambient recorder enabled (:func:`repro.telemetry.get_telemetry`) it
+    emits the same ``phase.*`` spans, and since walls are gather
+    indices the fused step books all its time as collide, so
+    ``phase.stream`` and ``phase.boundary`` read 0 s.
     """
 
     def __init__(
@@ -309,7 +228,6 @@ class SparseSimulation:
         order: int | None = None,
         force: Sequence[float] | None = None,
         dtype: "np.dtype | str | None" = None,
-        kernel: "str | _SparseKernel | None" = None,
     ) -> None:
         self.lattice = get_lattice(lattice) if isinstance(lattice, str) else lattice
         if self.lattice.max_displacement != 1:
@@ -320,8 +238,8 @@ class SparseSimulation:
             )
         self.dtype = resolve_dtype(dtype)
         self.domain = SparseDomain(self.lattice, solid_mask)
-        self.kernel = make_sparse_kernel(
-            kernel, self.domain, tau, order=order, dtype=self.dtype
+        self.kernel = PlannedSparseKernel(
+            self.domain, tau, order=order, dtype=self.dtype
         )
         self.collision = self.kernel.collision
         self.f = np.zeros((self.lattice.q, self.domain.num_fluid), dtype=self.dtype)
@@ -346,6 +264,7 @@ class SparseSimulation:
             self._force_scalars = tuple(self._force_term[:, 0])
         self.time_step = 0
         self.timings = StepTimings()
+        self.telemetry = get_telemetry()
 
     # -- setup ------------------------------------------------------------
 
@@ -388,29 +307,6 @@ class SparseSimulation:
         # are gather indices), so the whole step books as collide time.
         self.timings.steps += 1
         self.timings.collide_seconds += time.perf_counter() - t0
-
-    def run(
-        self,
-        steps: int,
-        monitor: "Callable[[SparseSimulation], None] | None" = None,
-        monitor_every: int = 1,
-        check_stability_every: int = 0,
-    ) -> None:
-        """Run ``steps`` updates (same contract as the dense driver)."""
-        import contextlib
-
-        numeric_guard = (
-            np.errstate(invalid="ignore", over="ignore")
-            if check_stability_every
-            else contextlib.nullcontext()
-        )
-        with numeric_guard:
-            for n in range(steps):
-                self.step()
-                if monitor is not None and (n + 1) % monitor_every == 0:
-                    monitor(self)
-                if check_stability_every and (n + 1) % check_stability_every == 0:
-                    self._check_finite()
 
     def _check_finite(self) -> None:
         if not np.isfinite(self.f).all():
@@ -458,8 +354,6 @@ class SparseSimulation:
         return self.f.nbytes
 
 
-# Register the sparse rungs in the shared kernel registry so
-# `available_kernels()` lists the full ladder.  Dense construction paths
-# never reach these (make_kernel routes sparse names through
-# make_sparse_kernel, which needs a domain).
-KERNELS.update(_SPARSE_KERNELS)
+# Listed in the shared registry so `available_kernels()` names every
+# rung; make_kernel refuses it (only SparseSimulation builds a domain).
+KERNELS[PlannedSparseKernel.name] = PlannedSparseKernel

@@ -1,20 +1,18 @@
 """Streaming (advection) step.
 
 Propagates each population along its discrete velocity: the *push*
-scheme of the paper's Fig. 3, ``distr_adv[x + c_i] = distr[x]``.  Two
-implementations:
+scheme of the paper's Fig. 3, ``distr_adv[x + c_i] = distr[x]``, on a
+fully periodic domain (the paper's cubic periodic test systems).
 
-* :func:`stream_periodic` — fully periodic domain via ``numpy.roll``
-  (the production path for single-domain simulations; matches the
-  paper's cubic periodic test systems).
-* :func:`stream_padded` — non-wrapping slice shifts for halo-padded slab
-  subdomains.  Values that would enter from outside the pad are filled
-  with ``fill_value``; they only ever land in the outermost ``k`` planes,
-  which the deep-halo validity window has already expired (enforced by
-  :mod:`repro.parallel.halo`).
+* :func:`stream_periodic` — one shifted slice copy per velocity (the
+  legacy pair's and ``roll``'s stream).
+* :func:`pull_gather_rows` — the same update as precomputed pull
+  indices, the index math behind every planned gather table.  Halo
+  padded slabs stream through
+  :func:`~repro.core.plan.build_slab_gather_table`, which is
+  non-wrapping along the decomposed axis.
 
-Both advance populations by exactly one time step; for D3Q39 a
-population may hop up to ``k = 3`` planes.
+For D3Q39 a population may hop up to ``k = 3`` planes per step.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import numpy as np
 
 from ..lattice import VelocitySet
 
-__all__ = ["pull_gather_rows", "stream_periodic", "stream_padded"]
+__all__ = ["pull_gather_rows", "stream_periodic"]
 
 
 def pull_gather_rows(
@@ -39,9 +37,9 @@ def pull_gather_rows(
     The periodic pull formulation of streaming as precomputed index
     arithmetic (the paper's "minimize index calculation" optimization):
     gathering ``f[i].ravel()[rows[i]]`` equals push-streaming ``f[i]``.
-    Shared by :class:`~repro.core.kernels.FusedGatherKernel` and
-    :class:`~repro.core.plan.KernelPlan`, so there is exactly one copy
-    of the index math.  Shape ``(Q, N)``, ``N = prod(shape)``.
+    The dense gather tables of :class:`~repro.core.plan.KernelPlan` are
+    built here, so there is exactly one copy of the index math.  Shape
+    ``(Q, N)``, ``N = prod(shape)``.
 
     ``scale`` and ``row_step`` map the spatial index into a flat
     population buffer, ``rows[i, flat(x)] = flat(x - c_i) * scale +
@@ -120,67 +118,4 @@ def stream_periodic(
             out[i] = f[i]
         else:
             _roll_into(f[i], out[i], tuple(int(s) for s in c))
-    return out
-
-
-def _shift_mixed(
-    src: np.ndarray,
-    shift: tuple[int, ...],
-    nowrap_axes: tuple[int, ...],
-    fill_value: float,
-) -> np.ndarray:
-    """Shift ``src``: periodic on most axes, non-wrapping on ``nowrap_axes``.
-
-    Vacated cells along the non-wrapping axes receive ``fill_value``.
-    """
-    wrap_axes = [a for a in range(src.ndim) if a not in nowrap_axes and shift[a]]
-    if wrap_axes:
-        src = np.roll(src, shift=[shift[a] for a in wrap_axes], axis=wrap_axes)
-    active = [a for a in nowrap_axes if shift[a]]
-    if not active:
-        return src if wrap_axes else src.copy()
-    out = np.full_like(src, fill_value)
-    src_slices: list[slice] = [slice(None)] * src.ndim
-    dst_slices: list[slice] = [slice(None)] * src.ndim
-    for axis in active:
-        s = shift[axis]
-        n = src.shape[axis]
-        if abs(s) >= n:
-            return out
-        if s >= 0:
-            src_slices[axis] = slice(0, n - s)
-            dst_slices[axis] = slice(s, n)
-        else:
-            src_slices[axis] = slice(-s, n)
-            dst_slices[axis] = slice(0, n + s)
-    out[tuple(dst_slices)] = src[tuple(src_slices)]
-    return out
-
-
-def stream_padded(
-    lattice: VelocitySet,
-    f: np.ndarray,
-    out: np.ndarray | None = None,
-    fill_value: float = np.nan,
-    nowrap_axes: tuple[int, ...] = (0,),
-) -> np.ndarray:
-    """Push-streaming for halo-padded slab subdomains.
-
-    Periodic along the non-decomposed axes; *non-wrapping* along
-    ``nowrap_axes`` (default: x, the paper's 1-D decomposition axis).
-    Cells within ``k`` planes of a non-wrapping edge receive
-    ``fill_value`` where the source would lie outside the array.  Using
-    NaN as the default fill makes any read of expired halo data
-    immediately visible in tests.
-    """
-    if out is None:
-        out = np.empty_like(f)
-    if out is f:
-        raise ValueError("stream_padded cannot operate in place")
-    for i, c in enumerate(lattice.velocities):
-        shift = tuple(int(x) for x in c)
-        if not any(shift):
-            out[i] = f[i]
-        else:
-            out[i] = _shift_mixed(f[i], shift, nowrap_axes, fill_value)
     return out

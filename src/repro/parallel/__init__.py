@@ -1,7 +1,7 @@
 """Parallel runtime: simulated MPI, decomposition, halos, distributed LBM."""
 
 from .decomposition import Slab1D
-from .distributed import DISTRIBUTED_KERNELS, DistributedSimulation
+from .distributed import DistributedSimulation
 from .halo import HaloSlab, HaloSpec
 from .hybrid import HybridConfig
 from .instrumentation import PhaseProfile, PhaseProfiler
@@ -10,7 +10,6 @@ from .plan import PlannedSlabKernel
 from .schedules import ExchangeSchedule
 
 __all__ = [
-    "DISTRIBUTED_KERNELS",
     "DistributedSimulation",
     "PlannedSlabKernel",
     "ExchangeSchedule",

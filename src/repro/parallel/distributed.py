@@ -2,23 +2,19 @@
 
 Runs the paper's parallel algorithm — 1-D slab decomposition, halo-padded
 subdomains, deep-halo exchanges every ``depth`` steps — with *exact*
-functional semantics: for any rank count, ghost depth, schedule, kernel
-and dtype, the gathered global state equals the single-domain
-:class:`~repro.core.simulation.Simulation` configured the same way (this
-is unit- and property-tested; it is the correctness contract the paper's
-optimizations must preserve).
+functional semantics: for any rank count, ghost depth, schedule and
+dtype, the gathered global state equals the planned single-domain
+:class:`~repro.core.simulation.Simulation` (``kernel="planned"``)
+configured the same way, bit for bit (unit- and property-tested; it is
+the correctness contract the paper's optimizations must preserve).
 
-Two slab kernels are selectable:
+Every slab steps through :class:`~repro.parallel.plan.PlannedSlabKernel`,
+the windowed zero-allocation analogue of the single-domain planned
+kernel (gather-table streaming + the plan's collide), shared by slabs of
+equal geometry.
 
-* ``"legacy"`` (the default) — :func:`~repro.core.streaming.stream_padded`
-  into a scratch buffer plus :meth:`~repro.core.collision.BGKCollision.apply`
-  on the valid window, allocating several padded temporaries per step;
-* ``"planned"`` — :class:`~repro.parallel.plan.PlannedSlabKernel`,
-  the windowed zero-allocation analogue of the single-domain planned
-  kernel (gather-table streaming + preallocated arenas).
-
-The dtype policy reaches every buffer: slab storage, scratch, and the
-exchange payloads, so ``dtype="float32"`` halves the message ledger's
+The dtype policy reaches every buffer: slab storage, window buffers and
+the exchange payloads, so ``dtype="float32"`` halves the message ledger's
 byte counts exactly as the paper's B(Q) bandwidth analysis predicts.
 """
 
@@ -32,8 +28,7 @@ import numpy as np
 from ..core.collision import BGKCollision
 from ..core.equilibrium import equilibrium
 from ..core.fields import resolve_dtype
-from ..core.streaming import stream_padded
-from ..errors import DecompositionError, LatticeError
+from ..errors import DecompositionError
 from ..lattice import VelocitySet, get_lattice
 from ..telemetry.recorder import NullTelemetry, Telemetry, get_telemetry
 from .decomposition import Slab1D
@@ -42,10 +37,7 @@ from .mpi_sim import Request, SimMPI
 from .plan import PlannedSlabKernel
 from .schedules import ExchangeSchedule
 
-__all__ = ["DISTRIBUTED_KERNELS", "DistributedSimulation"]
-
-#: Slab stepping implementations selectable by name (``None`` = legacy).
-DISTRIBUTED_KERNELS = ("legacy", "planned")
+__all__ = ["DistributedSimulation"]
 
 
 class DistributedSimulation:
@@ -71,10 +63,6 @@ class DistributedSimulation:
         ordering and the performance model only).
     fabric:
         Optional shared :class:`SimMPI` (a fresh one is made by default).
-    kernel:
-        Slab stepping implementation: ``"legacy"`` (or ``None``, the
-        historic ``stream_padded`` + ``BGKCollision.apply`` pair) or
-        ``"planned"`` (zero-allocation windowed plans).
     dtype:
         Population dtype policy, ``"float64"`` (default) or
         ``"float32"`` (halves storage *and* halo payload bytes).
@@ -98,7 +86,6 @@ class DistributedSimulation:
         order: int | None = None,
         schedule: ExchangeSchedule = ExchangeSchedule.NONBLOCKING_GC,
         fabric: SimMPI | None = None,
-        kernel: str | None = None,
         dtype: "np.dtype | str | None" = None,
         telemetry: "Telemetry | NullTelemetry | None" = None,
     ) -> None:
@@ -106,12 +93,6 @@ class DistributedSimulation:
         self.global_shape = tuple(int(s) for s in global_shape)
         if len(self.global_shape) != 3:
             raise DecompositionError("global shape must be 3-D")
-        self.kernel_name = "legacy" if kernel is None else str(kernel).lower()
-        if self.kernel_name not in DISTRIBUTED_KERNELS:
-            raise LatticeError(
-                f"unknown distributed kernel {kernel!r}; available: "
-                f"{', '.join(DISTRIBUTED_KERNELS)}"
-            )
         self.dtype = resolve_dtype(dtype)
         self.decomp = Slab1D(self.global_shape[0], num_ranks)
         self.spec = HaloSpec.for_lattice(self.lattice, ghost_depth)
@@ -135,19 +116,18 @@ class DistributedSimulation:
         # SPMD emulation steps ranks strictly sequentially, so the
         # mutable window arenas are never used concurrently.
         self._slab_kernels: dict[int, PlannedSlabKernel] = {}
-        if self.kernel_name == "planned":
-            for slab in self.slabs:
-                if slab.local_nx not in self._slab_kernels:
-                    self._slab_kernels[slab.local_nx] = PlannedSlabKernel(
-                        self.lattice,
-                        slab.local_nx,
-                        ny,
-                        nz,
-                        self.spec,
-                        tau,
-                        order=order,
-                        dtype=self.dtype,
-                    )
+        for slab in self.slabs:
+            if slab.local_nx not in self._slab_kernels:
+                self._slab_kernels[slab.local_nx] = PlannedSlabKernel(
+                    self.lattice,
+                    slab.local_nx,
+                    ny,
+                    nz,
+                    self.spec,
+                    tau,
+                    order=order,
+                    dtype=self.dtype,
+                )
         self.time_step = 0
         self.exchange_count = 0
         self.telemetry = get_telemetry() if telemetry is None else telemetry
@@ -263,10 +243,9 @@ class DistributedSimulation:
 
     # -- stepping -----------------------------------------------------------------
 
-    def slab_kernel_for(self, slab: HaloSlab) -> PlannedSlabKernel | None:
-        """The planned kernel serving ``slab``, or ``None`` on the
-        legacy path (what :class:`PhaseProfiler` dispatches on)."""
-        return self._slab_kernels.get(slab.local_nx) if self._slab_kernels else None
+    def slab_kernel_for(self, slab: HaloSlab) -> PlannedSlabKernel:
+        """The planned kernel serving ``slab``."""
+        return self._slab_kernels[slab.local_nx]
 
     def step(self) -> None:
         """One global time step (exchanging first if halos are exhausted).
@@ -279,17 +258,8 @@ class DistributedSimulation:
             return self._step_instrumented()
         if any(slab.validity < self.spec.k for slab in self.slabs):
             self.exchange()
-        if self._slab_kernels:
-            for slab in self.slabs:
-                self._slab_kernels[slab.local_nx].step(slab)
-        else:
-            for slab in self.slabs:
-                stream_padded(self.lattice, slab.data, out=slab.scratch)
-                slab.consume_step()
-                window = slab.compute_window()
-                view = slab.scratch[:, window]
-                self.collision.apply(view, out=view)
-                slab.data, slab.scratch = slab.scratch, slab.data
+        for slab in self.slabs:
+            self._slab_kernels[slab.local_nx].step(slab)
         self.time_step += 1
 
     def _step_instrumented(self) -> None:
@@ -310,19 +280,7 @@ class DistributedSimulation:
                 "phase.exchange", clock() - t0, ranks=self.num_ranks
             )
         for rank, slab in enumerate(self.slabs):
-            kernel = self.slab_kernel_for(slab)
-            if kernel is not None:
-                streamed, collided = kernel.timed_step(slab)
-            else:
-                t0 = clock()
-                stream_padded(self.lattice, slab.data, out=slab.scratch)
-                t1 = clock()
-                slab.consume_step()
-                window = slab.compute_window()
-                view = slab.scratch[:, window]
-                self.collision.apply(view, out=view)
-                streamed, collided = t1 - t0, clock() - t1
-                slab.data, slab.scratch = slab.scratch, slab.data
+            streamed, collided = self.slab_kernel_for(slab).timed_step(slab)
             telemetry.record_span("phase.stream", streamed, rank=rank)
             telemetry.record_span("phase.collide", collided, rank=rank)
         self.time_step += 1

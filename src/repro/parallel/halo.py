@@ -10,10 +10,12 @@ ghost planes on each x side, where
 
 After an exchange the ghost data is valid for ``depth`` streaming steps;
 each step consumes ``k`` planes of validity per side.  The
-:class:`HaloSlab` tracks the remaining validity and exposes the slice
-that may legally be collided each sub-step; reading expired ghost data
-is made loud by NaN-filling in :func:`~repro.core.streaming.stream_padded`
-plus an explicit :class:`~repro.errors.HaloValidityError` guard here.
+:class:`HaloSlab` tracks the remaining validity; a step that would read
+expired ghost data raises :class:`~repro.errors.HaloValidityError`,
+here (:meth:`HaloSlab.consume_step`) and in the validity check
+:class:`~repro.parallel.plan.PlannedSlabKernel` runs before it touches
+any state.  Each of that kernel's window plans computes only the planes
+its validity level leaves exact, so stale ghost planes are never read.
 
 The exchange itself ships, per side, the outermost ``H`` *interior*
 planes to the neighbor (the same total bytes per macro-cycle as depth-1;
@@ -76,7 +78,7 @@ class HaloSlab:
     Storage shape is ``(Q, 2*width + L, ny, nz)``; the interior (owned)
     region is ``[width, width + L)`` along x.  ``dtype`` follows the
     repo's population dtype policy (``None`` = float64); it sizes the
-    storage, the scratch buffer and the exchange payload buffers alike.
+    storage and the exchange payload buffers alike.
     """
 
     def __init__(
@@ -99,10 +101,6 @@ class HaloSlab:
         self.dtype = resolve_dtype(dtype)
         shape = (lattice.q, local_nx + 2 * spec.width, ny, nz)
         self.data = np.full(shape, np.nan, dtype=self.dtype)
-        # The legacy stream_padded path double-buffers through `scratch`;
-        # the planned slab kernel writes back in place and never touches
-        # it, so it is allocated on first use.
-        self._scratch: np.ndarray | None = None
         # Exchange payload buffers, one contiguous (Q, width, ny, nz)
         # block per direction: packs copy live border planes in (so the
         # fabric may hold a stable reference instead of re-copying) and
@@ -115,17 +113,6 @@ class HaloSlab:
         self.recv_from_right = np.empty(payload_shape, dtype=self.dtype)
         #: Remaining valid ghost planes per side (0 .. width).
         self.validity = 0
-
-    @property
-    def scratch(self) -> np.ndarray:
-        """Streaming double-buffer (legacy path only), lazily allocated."""
-        if self._scratch is None:
-            self._scratch = np.empty_like(self.data)
-        return self._scratch
-
-    @scratch.setter
-    def scratch(self, value: np.ndarray) -> None:
-        self._scratch = value
 
     # -- geometry ------------------------------------------------------------
 
@@ -141,15 +128,6 @@ class HaloSlab:
     def interior_view(self) -> np.ndarray:
         """View of the owned populations, shape ``(Q, L, ny, nz)``."""
         return self.data[:, self.interior]
-
-    def compute_window(self) -> slice:
-        """x slice on which post-stream data is currently exact.
-
-        Immediately after streaming with ``validity`` remaining, the
-        exact region spans ``validity`` ghost planes on each side of the
-        interior (validity already decremented by the caller).
-        """
-        return slice(self.width - self.validity, self.width + self.local_nx + self.validity)
 
     # -- exchange payloads ------------------------------------------------------
 

@@ -1,11 +1,12 @@
 """Planned, zero-allocation stepping for halo-padded slab subdomains.
 
-PR 4's :class:`~repro.core.plan.PlannedKernel` made the single-domain
-hot loop allocation-free; this module carries the same transformation to
-the paper's actual subject, the slab-parallel deep-halo algorithm
-(§V-A/§V-E).  The deep-halo update is *windowed*: after an exchange the
-ghost planes are valid for ``depth`` streaming steps, and each sub-step
-may legally compute a window that shrinks by ``k`` planes per side.  A
+:class:`~repro.core.plan.PlannedKernel` makes the single-domain hot loop
+allocation-free; this module carries the same transformation to the
+paper's actual subject, the slab-parallel deep-halo algorithm
+(§V-A/§V-E), and is the only way a slab steps.  The deep-halo update
+is *windowed*: after an exchange the ghost planes are valid for
+``depth`` streaming steps, and each sub-step may legally compute a
+window that shrinks by ``k`` planes per side.  A
 :class:`PlannedSlabKernel` therefore precomputes one
 :meth:`~repro.core.plan.KernelPlan.for_window` plan per validity level:
 
@@ -13,21 +14,22 @@ may legally compute a window that shrinks by ``k`` planes per side.  A
   single ``np.take`` (periodic along y/z, non-wrapping along the
   decomposed x axis — every source is in-bounds by the validity
   invariant, so no fill values are ever needed),
-* a window-sized scratch arena for the fused moments + equilibrium +
-  relax update, run entirely through ``out=`` ufunc calls.
+* a window-sized buffer for the plan's collide (the compiled loop, or
+  its byte-identical numpy reference).
 
-One step is then gather -> collide-in-arena -> one strided write-back of
-the window into the slab's padded array: zero per-step heap allocations
-(tracemalloc-asserted in the tests), where the legacy pair
-(:func:`~repro.core.streaming.stream_padded` +
-:class:`~repro.core.collision.BGKCollision.apply`) allocates several
-full padded copies per step.
+One step is then gather -> collide -> one strided write-back of the
+window into the slab's padded array: zero per-step heap allocations
+(tracemalloc-asserted in the tests).  The collide is the single-domain
+planned kernel's op sequence, so the gathered slabs equal the planned
+single domain bit for bit.
 
-Planes outside the written window keep stale values instead of the
-legacy path's NaN fill; the validity ledger in
-:class:`~repro.parallel.halo.HaloSlab` guarantees they are never read
-before the next exchange overwrites them (property-tested against the
-single-domain solver across kernels, dtypes, depths and schedules).
+Planes outside the written window keep stale values; the validity check
+that runs before every step (:meth:`PlannedSlabKernel.step` raises
+:class:`~repro.errors.HaloValidityError` on an exhausted halo) and the
+ledger in :class:`~repro.parallel.halo.HaloSlab` guarantee they are
+never read before the next exchange overwrites them (property-tested
+against the planned single domain across dtypes, depths and
+schedules).
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ class PlannedSlabKernel:
 
         Consumes one step of halo validity (raising
         :class:`~repro.errors.HaloValidityError` when exhausted — the
-        caller must exchange first, exactly like the legacy path).
+        caller must exchange first).
         """
         plan = self._plan_for(slab)
         slab.consume_step()
@@ -163,8 +165,7 @@ class PlannedSlabKernel:
         """:meth:`step` with per-phase timing for :class:`PhaseProfiler`.
 
         Returns ``(stream_seconds, collide_seconds)``; the window
-        write-back is attributed to the collide phase (it is the planned
-        analogue of the legacy path's post-collision buffer swap).
+        write-back is attributed to the collide phase.
         """
         plan = self._plan_for(slab)
         slab.consume_step()

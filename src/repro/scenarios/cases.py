@@ -87,25 +87,13 @@ def _mass_rtol(result: CaseResult) -> float:
     return 1e-10 if result.spec.dtype == "float64" else 1e-4
 
 
-def _distributed_kernel(spec: CaseSpec) -> str:
-    """Map the spec's single-domain kernel onto the slab path.
-
-    The distributed solver has two implementations: the planned
-    windowed kernel (selected when the spec runs planned) and the
-    legacy pair (everything else — roll/fused-gather/naive share the
-    legacy pair's arithmetic to rounding, so it is the faithful
-    counterpart for them).
-    """
-    return "planned" if spec.kernel == "planned" else "legacy"
-
-
 def _gather_tol(spec: CaseSpec) -> float:
     """Distributed-vs-single-domain population tolerance per dtype.
 
-    The planned slab matches the planned single domain bit for bit, and
-    the legacy slab the legacy pair; the bound covers the kernels that
-    share the legacy slab's arithmetic only to rounding (``roll``,
-    ``fused-gather``, ``naive``).  float64 keeps the historic 1e-13;
+    Every slab steps through the planned slab kernel, which matches the
+    planned single domain bit for bit; the bound covers the single-domain
+    kernels that share its arithmetic only to rounding (``roll``,
+    ``naive`` and the legacy pair).  float64 keeps the historic 1e-13;
     float32 carries ~1e-7 relative rounding per step, so a short run is
     bounded by 2e-5.
     """
@@ -647,8 +635,8 @@ def _deep_halo_analysis(result: CaseResult) -> dict:
     rho, u = spec.initial(spec)
     metrics: dict = {}
     # Functional equivalence: deep halos change messages, not physics.
-    # The distributed runs ride the spec's kernel/dtype selection, so a
-    # planned/float32 case exercises the planned slab path end-to-end.
+    # The distributed runs ride the spec's dtype, so a float32 case
+    # exercises the planned slab path end-to-end at single precision.
     for depth in (1, 2):
         dist = DistributedSimulation(
             lattice,
@@ -656,7 +644,6 @@ def _deep_halo_analysis(result: CaseResult) -> dict:
             tau=spec.tau,
             num_ranks=int(spec.params["num_ranks"]),
             ghost_depth=depth,
-            kernel=_distributed_kernel(spec),
             dtype=spec.dtype,
         )
         dist.initialize(rho, u)
@@ -800,9 +787,9 @@ def _scaling_analysis(result: CaseResult) -> dict:
     efficiency = {nodes: eff for nodes, _, eff in data["scaling"]}
     best = data["hybrid_best"]
     # Measured counterpart of the model study: re-run the same workload
-    # on the in-process slab solver under the spec's kernel/dtype and
-    # verify the gathered state against the single-domain run — the
-    # end-to-end hook the CI distributed smoke job drives.
+    # on the in-process slab solver under the spec's dtype and verify
+    # the gathered state against the single-domain run — the end-to-end
+    # hook the CI distributed smoke job drives.
     spec = result.spec
     sim = result.simulation
     dist = DistributedSimulation(
@@ -811,7 +798,6 @@ def _scaling_analysis(result: CaseResult) -> dict:
         tau=spec.tau,
         num_ranks=int(spec.params.get("num_ranks", 2)),
         ghost_depth=int(spec.params.get("ghost_depth", 1)),
-        kernel=_distributed_kernel(spec),
         dtype=spec.dtype,
     )
     rho, u = spec.initial(spec)
@@ -900,7 +886,7 @@ SCALING = register_case(
             "efficiency, and the best hybrid tasks x threads placement "
             "(sweep `lattice` to compare D3Q19 vs D3Q39).  Also re-runs "
             "the workload on the in-process slab solver (`num_ranks`, "
-            "`ghost_depth` params) under the case's kernel/dtype and "
+            "`ghost_depth` params) under the case's dtype and "
             "checks the gathered state against the single-domain run."
         ),
         lattice="D3Q19",
@@ -979,8 +965,8 @@ BIFURCATION = register_case(
             "stored per fluid site, walls fused into the gather table); "
             "checks that both branches carry flow and that the fluid set "
             "stays below half the bounding box — the regime where sparse "
-            "storage wins (sweep `kernel` over legacy/planned, or "
-            "`branch_offset`/`tube_radius` for other vessel trees)."
+            "storage wins (sweep `branch_offset`/`tube_radius` for other "
+            "vessel trees, or `dtype` to halve the bytes per site)."
         ),
         lattice="D3Q19",
         shape=(32, 20, 12),

@@ -428,9 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
     case.add_argument(
         "--kernel",
         default=None,
-        help="stream/collide kernel: naive, roll, fused-gather, planned "
-        "(the case default unless a case pins the legacy pair), "
-        "or auto (an alias for planned, sparse-planned on sparse cases)",
+        help="stream/collide kernel: planned (the case default unless a "
+        "case pins the legacy pair), roll (the legacy pair's bytes), naive "
+        "(the executable spec), or auto (an alias for planned); sparse "
+        "cases run planned only",
     )
     case.add_argument(
         "--dtype",

@@ -162,7 +162,6 @@ class CaseRunner:
                 order=spec.order,
                 force=spec.forcing,
                 dtype=spec.dtype,
-                kernel=spec.kernel,
             )
             rho, u = spec.initial(spec) if spec.initial else uniform_flow(spec.shape)
             sim.initialize(rho, u)

@@ -183,10 +183,12 @@ class CaseSpec:
         Hermite equilibrium order (``None`` = lattice native).
     kernel:
         Stream/collide kernel name (``"planned"``, the default,
-        ``"roll"``, ``"fused-gather"``, ``"naive"``); ``None`` = the
-        driver's legacy stream/collide pair.  The planned kernel runs
-        forced, walled cases end to end (static walls folded into its
-        gather table, Guo forcing fused into its arena).  Mutually
+        ``"roll"``, ``"naive"``); ``None`` = the driver's legacy
+        stream/collide pair, whose bytes ``"roll"`` reproduces (the
+        spelling the CLI and HTTP API can carry).  A sparse case runs
+        ``"planned"`` only (also spelled ``"sparse-planned"``).  The
+        planned kernel runs forced, walled cases end to end (static walls
+        folded into its gather table, Guo forcing fused into its arena).  Mutually
         exclusive with a ``collision`` factory, so a case with a custom
         collision operator declares ``kernel=None``.  ``"auto"`` is
         stored as the rung it aliases (``"planned"``), so an ``auto``
@@ -308,22 +310,21 @@ class CaseSpec:
                 f"case {self.name!r}: BGK tau must exceed 0.5, got {self.tau}"
             )
         sparse = bool(self.params.get("sparse"))
+        if sparse and self.kernel not in ("planned", "sparse-planned"):
+            # A sparse domain steps one way (PlannedSparseKernel); any
+            # other name would run it under a different fingerprint.
+            raise ScenarioError(
+                f"case {self.name!r}: sparse cases run kernel 'planned' "
+                "(also spelled 'sparse-planned' or 'auto'), got "
+                f"{self.kernel!r}"
+            )
         if self.kernel is not None:
-            if sparse:
-                # Sparse cases resolve through make_sparse_kernel, which
-                # accepts short rung names alongside the registry ones.
-                allowed = ("legacy", "planned", "sparse-legacy", "sparse-planned")
-                if self.kernel not in allowed:
-                    raise ScenarioError(
-                        f"case {self.name!r}: unknown sparse kernel "
-                        f"{self.kernel!r} (available: {', '.join(allowed)})"
-                    )
-            elif self.kernel not in available_kernels():
+            if self.kernel not in available_kernels():
                 raise ScenarioError(
                     f"case {self.name!r}: unknown kernel {self.kernel!r} "
                     f"(available: {', '.join(available_kernels())})"
                 )
-            elif self.kernel.startswith("sparse-"):
+            if not sparse and self.kernel.startswith("sparse-"):
                 raise ScenarioError(
                     f"case {self.name!r}: kernel {self.kernel!r} requires a "
                     "sparse domain (set params={'sparse': True} and provide "

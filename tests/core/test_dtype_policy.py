@@ -16,7 +16,6 @@ from repro.core import (
     save_checkpoint,
 )
 from repro.errors import LatticeError
-from repro.lattice import get_lattice
 
 
 class TestResolveDtype:

@@ -1,10 +1,9 @@
-"""Tests for the space-major layout kernel."""
+"""The field layout axis: SoA and AoS storage through the planned kernel."""
 
 import numpy as np
 import pytest
 
-from repro.core import RollKernel, SpaceMajorKernel, equilibrium
-from repro.lattice import get_lattice
+from repro.core import PlannedKernel, RollKernel, equilibrium
 
 
 def _state(lattice, shape=(5, 4, 3), seed=2):
@@ -14,39 +13,6 @@ def _state(lattice, shape=(5, 4, 3), seed=2):
     return equilibrium(lattice, rho, u) + 1e-4 * rng.standard_normal(
         (lattice.q, *shape)
     )
-
-
-class TestSpaceMajorKernel:
-    @pytest.mark.parametrize("lname", ["D3Q19", "D3Q39"])
-    def test_matches_velocity_major(self, lname):
-        lat = get_lattice(lname)
-        f = _state(lat)
-        a = RollKernel(lat, tau=0.8).step(f.copy())
-        b = SpaceMajorKernel(lat, tau=0.8).step(f.copy())
-        assert np.allclose(a, b, atol=1e-13)
-
-    def test_native_layout_roundtrip(self, q19):
-        f = _state(q19)
-        kernel = SpaceMajorKernel(q19, tau=0.9)
-        f_sm = np.ascontiguousarray(np.moveaxis(f, 0, -1))
-        native = kernel.step_native(f_sm)
-        via_api = kernel.step(f.copy())
-        assert np.allclose(np.moveaxis(native, -1, 0), via_api, atol=1e-14)
-
-    def test_multi_step(self, q39):
-        lat = q39
-        f = _state(lat, shape=(4, 4, 4))
-        a, b = f.copy(), f.copy()
-        k1, k2 = RollKernel(lat, 0.7), SpaceMajorKernel(lat, 0.7)
-        for _ in range(4):
-            a = k1.step(a)
-            b = k2.step(b)
-        assert np.allclose(a, b, atol=1e-12)
-
-    def test_mass_conserved(self, q19):
-        f = _state(q19)
-        out = SpaceMajorKernel(q19, 0.8).step(f.copy())
-        assert out.sum() == pytest.approx(f.sum(), rel=1e-13)
 
 
 class TestFieldLayouts:
@@ -139,6 +105,33 @@ class TestSimulationLayoutEquivalence:
             Simulation("D3Q19", (6, 5, 4), layout="aos")
         with pytest.raises(LatticeError, match="planned"):
             Simulation("D3Q19", (6, 5, 4), kernel="roll", layout="aos")
+
+    def test_aos_multi_step_matches_roll(self, q39):
+        """The paper's §V-B layout study on the planned kernel: several
+        D3Q39 steps on cell-major storage track the velocity-major roll
+        kernel (AoS in, AoS out through the split stream/collide)."""
+        f = _state(q39, shape=(4, 4, 4))
+        roll = RollKernel(q39, 0.7)
+        planned = PlannedKernel(q39, 0.7, layout="aos")
+        a = f.copy()
+        b = np.moveaxis(np.ascontiguousarray(np.moveaxis(f, 0, -1)), -1, 0)
+        adv = np.empty_like(f)
+        for _ in range(4):
+            a = roll.step(a)
+            planned.stream(b, out=adv)
+            planned.collide(adv, out=b)
+        assert np.allclose(b, a, rtol=0, atol=1e-12)
+
+    def test_aos_run_conserves_mass(self):
+        from repro.core import Simulation, shear_wave
+
+        shape = (6, 5, 4)
+        rho, u = shear_wave(shape, amplitude=1e-3)
+        sim = Simulation("D3Q19", shape, tau=0.8, kernel="planned", layout="aos")
+        sim.initialize(rho, u)
+        m0 = sim.f.sum()
+        sim.run(6)
+        assert sim.f.sum() == pytest.approx(m0, rel=1e-13)
 
     def test_aos_auto_resolves_to_planned(self):
         from repro.core import Simulation

@@ -9,7 +9,6 @@ import pytest
 from repro.core import (
     AUTO_KERNEL,
     BounceBackWalls,
-    FusedGatherKernel,
     KernelPlan,
     NaiveKernel,
     PlannedKernel,
@@ -32,7 +31,7 @@ LATTICE_ORDERS = [
     for order in range(1, get_lattice(lname).equilibrium_order + 1)
 ]
 
-FAST_KERNELS = (RollKernel, FusedGatherKernel, PlannedKernel)
+FAST_KERNELS = (RollKernel, PlannedKernel)
 
 
 def _initial_state(lattice, shape, seed=7, dtype=np.float64):
@@ -98,7 +97,7 @@ class TestPlannedEquivalence:
         f = _initial_state(lat, shape)
         ref = NaiveKernel(lat, tau=0.8, order=order).step(f.copy())
         got = kernel_cls(lat, tau=0.8, order=order).step(f.copy())
-        assert np.allclose(got, ref, atol=1e-13)
+        assert np.allclose(got, ref, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("lname", ["D3Q19", "D3Q39"])
     def test_float32_matches_float64_within_eps(self, lname):
@@ -199,17 +198,15 @@ class TestSelection:
         assert set(available_kernels()) == {
             "naive",
             "roll",
-            "fused-gather",
             "planned",
-            "sparse-legacy",
             "sparse-planned",
         }
 
     def test_make_kernel_by_name(self, q19):
         for name in available_kernels():
             if name.startswith("sparse-"):
-                # sparse kernels stream a SparseDomain: constructible
-                # only through make_sparse_kernel / make_kernel(domain=)
+                # the sparse kernel streams a SparseDomain, which only
+                # SparseSimulation builds
                 with pytest.raises(LatticeError, match="SparseDomain"):
                     make_kernel(name, q19, tau=0.8)
                 continue
@@ -223,6 +220,15 @@ class TestSelection:
     def test_make_kernel_unknown_name(self, q19):
         with pytest.raises(LatticeError, match="unknown kernel"):
             make_kernel("simd", q19, tau=0.8)
+
+    @pytest.mark.parametrize("name", ["fused-gather", "sparse-legacy"])
+    def test_retired_kernel_names_are_unknown(self, q19, name):
+        """Names of retired rungs fail loudly and list the kernels left,
+        rather than resolving to another path."""
+        with pytest.raises(
+            LatticeError, match="available: naive, planned, roll, sparse-planned"
+        ):
+            make_kernel(name, q19, tau=0.8)
 
     def test_auto_needs_no_shape(self, q19):
         """'auto' is a fixed alias: nothing to time, so no shape needed."""
@@ -309,7 +315,7 @@ class TestSimulationPlumbing:
         u = 0.01 * rng.standard_normal((3, *sim.shape))
         sim.initialize(rho, u)
 
-    @pytest.mark.parametrize("kernel", ["roll", "fused-gather", "planned"])
+    @pytest.mark.parametrize("kernel", ["roll", "planned"])
     def test_kernel_matches_default_path(self, kernel):
         shape = (8, 8, 8)
         ref = Simulation("D3Q19", shape, tau=0.8)
@@ -332,7 +338,7 @@ class TestSimulationPlumbing:
         sim.run(2)
         assert np.allclose(sim.f, ref.f, atol=1e-13)
 
-    @pytest.mark.parametrize("kernel_cls", [NaiveKernel, FusedGatherKernel])
+    @pytest.mark.parametrize("kernel_cls", [NaiveKernel, PlannedKernel])
     def test_split_api_overridden_not_inherited(self, kernel_cls, q19):
         """Each selectable kernel must supply its own split stream()
         (otherwise Simulation would silently run the roll fallback)."""
@@ -343,16 +349,6 @@ class TestSimulationPlumbing:
         f = _initial_state(q19, shape)
         kernel = kernel_cls(q19, 0.8)
         out = kernel.stream(f.copy(), out=np.empty_like(f))
-        assert np.array_equal(out, stream_periodic(q19, f))
-
-    def test_fused_gather_stream_honours_strided_out(self, q19):
-        """A non-contiguous out must receive the streamed values (not a
-        throwaway reshape copy)."""
-        shape = (4, 3, 4)
-        f = _initial_state(q19, shape)
-        backing = np.full((q19.q, 4, 3, 8), -1.0)
-        out = backing[:, :, :, ::2]
-        FusedGatherKernel(q19, 0.8).stream(f, out=out)
         assert np.array_equal(out, stream_periodic(q19, f))
 
     def test_kernel_with_boundaries(self):

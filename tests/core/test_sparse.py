@@ -7,12 +7,10 @@ import pytest
 
 from repro.core import Simulation, shear_wave, sphere_mask
 from repro.core.sparse import (
-    LegacySparseKernel,
     PlannedSparseKernel,
     SparseDomain,
     SparseSimulation,
     build_sparse_gather_table,
-    make_sparse_kernel,
 )
 from repro.errors import LatticeError
 
@@ -52,10 +50,11 @@ class TestSparseDomain:
 
 class TestSparseSimulation:
     def test_matches_dense_on_fully_fluid_box(self):
-        """No walls: indirect addressing must equal the dense solver."""
+        """No walls: indirect addressing must equal the dense planned
+        solver's moments byte for byte."""
         shape = (12, 6, 6)
         rho, u = shear_wave(shape, amplitude=1e-3)
-        dense = Simulation("D3Q19", shape, tau=0.8)
+        dense = Simulation("D3Q19", shape, tau=0.8, kernel="planned")
         dense.initialize(rho, u)
         dense.run(10)
 
@@ -65,12 +64,12 @@ class TestSparseSimulation:
         rho_s = sparse.density_dense()
         from repro.core import density
 
-        assert np.allclose(rho_s, density(dense.f), atol=1e-13)
+        assert np.array_equal(rho_s, density(dense.f))
         u_s = sparse.velocity_dense()
         from repro.core import macroscopic
 
         _, u_d = macroscopic(dense.lattice, dense.f)
-        assert np.allclose(u_s, u_d, atol=1e-13)
+        assert np.array_equal(u_s, u_d)
 
     def test_mass_conserved_with_walls(self):
         shape = (6, 9, 6)
@@ -188,26 +187,29 @@ def _walled_sphere_mask(shape):
 
 
 class TestSparseKernelEquivalence:
-    """Planned vs legacy rung: same arithmetic, matched to the dense
-    kernel matrix's tolerances (the gather is an exact permutation)."""
+    """The sparse plan against the dense planned kernel and against the
+    neighbor lists' fancy-index gather."""
 
     @pytest.mark.parametrize("lattice", ["D3Q15", "D3Q19", "D3Q27"])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_planned_matches_legacy(self, lattice, dtype):
-        shape = (10, 9, 8)
-        mask = _walled_sphere_mask(shape)
-        runs = {}
-        for kernel in ("legacy", "planned"):
-            sim = SparseSimulation(
-                lattice, mask, tau=0.8, force=(1e-5, 0, 0),
-                dtype=dtype, kernel=kernel,
-            )
-            sim.initialize(1.0)
-            sim.run(10)
-            assert sim.kernel.name == f"sparse-{kernel}"
-            runs[kernel] = sim.f.astype(np.float64)
-        atol = 1e-13 if dtype == "float64" else 1e-5
-        assert np.allclose(runs["planned"], runs["legacy"], atol=atol)
+    def test_fully_fluid_equals_dense_planned(self, lattice, dtype):
+        """With no solid node the gather table is the dense periodic one
+        over the same flat order, and both run the plan's collide, so
+        every population matches byte for byte."""
+        shape = (6, 5, 4)
+        rng = np.random.default_rng(11)
+        rho = 1.0 + 0.01 * rng.standard_normal(shape)
+        u = 0.02 * rng.standard_normal((3, *shape))
+        dense = Simulation(lattice, shape, tau=0.8, kernel="planned", dtype=dtype)
+        dense.initialize(rho, u)
+        dense.run(10)
+        sparse = SparseSimulation(
+            lattice, np.zeros(shape, dtype=bool), tau=0.8, dtype=dtype
+        )
+        sparse.initialize(rho, u)
+        sparse.run(10)
+        assert sparse.f.dtype == np.dtype(dtype)
+        assert np.array_equal(sparse.f, dense.f.reshape(sparse.f.shape))
 
     def test_gather_table_fuses_stream_and_bounce_back(self, q19, rng):
         """One flat take must equal the two-array fancy-index gather."""
@@ -231,9 +233,7 @@ class TestPlannedSparseKernelAllocation:
         """The tentpole claim: after construction, stepping the planned
         sparse kernel (with forcing) allocates nothing on the heap."""
         mask = _walled_sphere_mask((12, 10, 8))
-        sim = SparseSimulation(
-            "D3Q19", mask, tau=0.8, force=(1e-6, 0, 0), kernel="planned"
-        )
+        sim = SparseSimulation("D3Q19", mask, tau=0.8, force=(1e-6, 0, 0))
         sim.initialize(1.0)
         sim.run(3)  # warm every code path before measuring
         tracemalloc.start()
@@ -245,22 +245,9 @@ class TestPlannedSparseKernelAllocation:
         # population row (num_fluid * 8 bytes).
         assert peak < sim.domain.num_fluid * 8 // 2
 
-    def test_legacy_step_allocates(self):
-        """Contrast: the legacy rung's fancy-index gather allocates a
-        fresh (Q, N) array every step — the cost the plan removes."""
-        mask = _walled_sphere_mask((12, 10, 8))
-        sim = SparseSimulation("D3Q19", mask, tau=0.8, kernel="legacy")
-        sim.initialize(1.0)
-        sim.run(3)
-        tracemalloc.start()
-        sim.step()
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak >= sim.f.nbytes
-
     def test_planned_step_is_in_place(self):
         mask = np.zeros((6, 5, 4), dtype=bool)
-        sim = SparseSimulation("D3Q19", mask, tau=0.8, kernel="planned")
+        sim = SparseSimulation("D3Q19", mask, tau=0.8)
         sim.initialize(1.0)
         buffer = sim.f
         sim.run(4)
@@ -268,84 +255,30 @@ class TestPlannedSparseKernelAllocation:
 
 
 class TestSparseKernelSelection:
-    def _domain(self, q19):
-        return SparseDomain(q19, _walled_sphere_mask((8, 7, 6)))
+    """A sparse domain steps one way: the planned sparse kernel."""
 
-    def test_default_is_legacy(self, q19):
-        kernel = make_sparse_kernel(None, self._domain(q19), 0.8)
-        assert isinstance(kernel, LegacySparseKernel)
+    def test_simulation_builds_the_planned_kernel(self):
+        sim = SparseSimulation("D3Q19", _walled_sphere_mask((8, 7, 6)), tau=0.9)
+        assert isinstance(sim.kernel, PlannedSparseKernel)
+        assert sim.kernel.collision.tau == 0.9
+        assert sim.collision is sim.kernel.collision
 
-    @pytest.mark.parametrize(
-        "name,cls",
-        [
-            ("legacy", LegacySparseKernel),
-            ("planned", PlannedSparseKernel),
-            ("sparse-legacy", LegacySparseKernel),
-            ("sparse-planned", PlannedSparseKernel),
-            ("auto", PlannedSparseKernel),
-        ],
-    )
-    def test_names_and_aliases(self, q19, name, cls):
-        kernel = make_sparse_kernel(name, self._domain(q19), 0.8)
-        assert isinstance(kernel, cls)
+    def test_takes_no_kernel_argument(self):
+        """A caller still naming a sparse rung fails loudly instead of
+        running another kernel."""
+        with pytest.raises(TypeError, match="kernel"):
+            SparseSimulation(
+                "D3Q19", np.zeros((4, 4, 4), dtype=bool), kernel="legacy"
+            )
 
-    def test_instance_passthrough(self, q19):
-        dom = self._domain(q19)
-        kernel = PlannedSparseKernel(dom, 0.8)
-        assert make_sparse_kernel(kernel, dom, 0.8) is kernel
-
-    def test_unknown_name_rejected(self, q19):
-        with pytest.raises(LatticeError, match="unknown sparse kernel"):
-            make_sparse_kernel("roll", self._domain(q19), 0.8)
-
-    def test_dense_make_kernel_routes_through_domain(self, q19):
-        from repro.core.plan import make_kernel
-
-        dom = self._domain(q19)
-        kernel = make_kernel("sparse-planned", q19, 0.8, domain=dom)
-        assert isinstance(kernel, PlannedSparseKernel)
-
-    def test_dense_make_kernel_without_domain_rejects_sparse_names(self, q19):
+    def test_dense_make_kernel_rejects_sparse_names(self, q19):
         from repro.core.plan import make_kernel
 
         with pytest.raises(LatticeError, match="SparseDomain"):
             make_kernel("sparse-planned", q19, 0.8, shape=(6, 5, 4))
 
-    def test_aos_layout_rejected_on_sparse_domain(self, q19):
-        from repro.core.plan import make_kernel
-
-        with pytest.raises(LatticeError, match="per fluid site"):
-            make_kernel("sparse-planned", q19, 0.8, domain=self._domain(q19),
-                        layout="aos")
-
-    def test_registry_lists_sparse_rungs(self):
+    def test_registry_lists_only_the_planned_sparse_rung(self):
         from repro.core.plan import available_kernels
 
         names = available_kernels()
-        assert "sparse-legacy" in names and "sparse-planned" in names
-
-
-class TestSparseAutoSelection:
-    def test_simulation_auto_kernel(self, q19, tmp_path):
-        mask = _walled_sphere_mask((8, 7, 6))
-        sim = SparseSimulation("D3Q19", mask, tau=0.8, kernel="auto")
-        assert isinstance(sim.kernel, PlannedSparseKernel)
-        sim.initialize(1.0)
-        sim.run(3)
-        assert np.isfinite(sim.f).all()
-
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_auto_steps_bit_identical_to_planned(self, dtype):
-        mask = _walled_sphere_mask((8, 7, 6))
-        runs = {}
-        for kernel in ("auto", "planned"):
-            sim = SparseSimulation(
-                "D3Q19", mask, tau=0.8, force=(1e-5, 0, 0),
-                dtype=dtype, kernel=kernel,
-            )
-            assert sim.kernel.name == "sparse-planned"
-            sim.initialize(1.0)
-            sim.run(5)
-            runs[kernel] = sim.f.copy()
-        assert runs["auto"].dtype == np.dtype(dtype)
-        assert np.array_equal(runs["auto"], runs["planned"])
+        assert "sparse-planned" in names and "sparse-legacy" not in names

@@ -1,9 +1,9 @@
-"""Tests for periodic and padded streaming."""
+"""Tests for periodic streaming and the pull-index tables."""
 
 import numpy as np
 import pytest
 
-from repro.core import stream_padded, stream_periodic
+from repro.core import stream_periodic
 from repro.core.streaming import pull_gather_rows
 
 
@@ -66,50 +66,6 @@ class TestPeriodicStreaming:
             stream_periodic(q19, f, out=f)
 
 
-class TestPaddedStreaming:
-    def test_matches_periodic_in_deep_interior(self, paper_lattice, rng):
-        lat = paper_lattice
-        k = lat.max_displacement
-        f = rng.random((lat.q, 8 + 2 * k, 4, 4))
-        periodic = stream_periodic(lat, f)
-        padded = stream_padded(lat, f)
-        interior = slice(k, -k)
-        # y/z wrap identically; only x differs near edges
-        assert np.allclose(padded[:, interior], periodic[:, interior])
-
-    def test_edge_fill_is_nan(self, q19, rng):
-        f = rng.random((19, 6, 3, 3))
-        out = stream_padded(q19, f)
-        i = int(np.flatnonzero((q19.velocities == [1, 0, 0]).all(axis=1))[0])
-        assert np.isnan(out[i, 0]).all()
-
-    def test_custom_fill_value(self, q19, rng):
-        f = rng.random((19, 6, 3, 3))
-        out = stream_padded(q19, f, fill_value=-7.0)
-        i = int(np.flatnonzero((q19.velocities == [1, 0, 0]).all(axis=1))[0])
-        assert (out[i, 0] == -7.0).all()
-
-    def test_yz_periodicity_preserved(self, q19):
-        """y and z axes must wrap (they are not decomposed)."""
-        f = np.zeros((19, 5, 3, 3))
-        i = int(np.flatnonzero((q19.velocities == [0, -1, 0]).all(axis=1))[0])
-        f[i, 2, 0, 1] = 1.0
-        out = stream_padded(q19, f)
-        assert out[i, 2, 2, 1] == 1.0
-
-    def test_d3q39_fills_three_planes(self, q39, rng):
-        f = rng.random((39, 10, 3, 3))
-        out = stream_padded(q39, f)
-        i = int(np.flatnonzero((q39.velocities == [3, 0, 0]).all(axis=1))[0])
-        assert np.isnan(out[i, :3]).all()
-        assert not np.isnan(out[i, 3:]).any()
-
-    def test_in_place_rejected(self, q19):
-        f = np.zeros((19, 4, 3, 3))
-        with pytest.raises(ValueError, match="in place"):
-            stream_padded(q19, f, out=f)
-
-
 def _gather_rows_by_axis(lattice, shape, scale=1, row_step=0):
     """Pull indices built from per-axis broadcast offsets: the oracle
     for :func:`pull_gather_rows`' shifted-copy construction."""
@@ -141,7 +97,6 @@ class TestPullGatherRows:
         assert np.array_equal(got, expected)
 
     def test_callers_build_the_same_tables(self, paper_lattice):
-        from repro.core.kernels import FusedGatherKernel
         from repro.core.plan import build_aos_gather_table, build_gather_table
 
         shape = (5, 2, 3)
@@ -155,8 +110,3 @@ class TestPullGatherRows:
             build_aos_gather_table(paper_lattice, shape),
             _gather_rows_by_axis(paper_lattice, shape, q, 1).reshape(-1),
         )
-        kernel = FusedGatherKernel(paper_lattice, tau=0.8)
-        f = np.random.default_rng(0).random((q, *shape))
-        streamed = kernel.stream(f, out=np.empty_like(f))
-        assert np.array_equal(kernel._gather, _gather_rows_by_axis(paper_lattice, shape))
-        assert np.array_equal(streamed, stream_periodic(paper_lattice, f))

@@ -1,4 +1,5 @@
-"""The correctness contract: distributed == single-domain, exactly."""
+"""The correctness contract: distributed == planned single domain, bit
+for bit."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from repro.parallel import DistributedSimulation, ExchangeSchedule
 
 
 def reference(lname, shape, tau, steps, init=shear_wave):
-    sim = Simulation(lname, shape, tau=tau)
+    sim = Simulation(lname, shape, tau=tau, kernel="planned")
     rho, u = init(shape)
     sim.initialize(rho, u)
     sim.run(steps)
@@ -26,7 +27,7 @@ class TestExactness:
         rho, u = shear_wave(shape)
         dist.initialize(rho, u)
         dist.run(10)
-        assert np.allclose(dist.gather(), ref, atol=1e-13)
+        assert np.array_equal(dist.gather(), ref)
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_deep_halo_invariance_d3q19(self, depth):
@@ -39,7 +40,7 @@ class TestExactness:
         rho, u = shear_wave(shape)
         dist.initialize(rho, u)
         dist.run(12)
-        assert np.allclose(dist.gather(), ref, atol=1e-13)
+        assert np.array_equal(dist.gather(), ref)
 
     @pytest.mark.parametrize("depth", [1, 2])
     def test_deep_halo_invariance_d3q39(self, depth):
@@ -51,7 +52,7 @@ class TestExactness:
         rho, u = shear_wave(shape)
         dist.initialize(rho, u)
         dist.run(9)
-        assert np.allclose(dist.gather(), ref, atol=1e-13)
+        assert np.array_equal(dist.gather(), ref)
 
     @pytest.mark.parametrize("schedule", list(ExchangeSchedule))
     def test_all_schedules_identical_physics(self, schedule):
@@ -63,7 +64,7 @@ class TestExactness:
         rho, u = shear_wave(shape)
         dist.initialize(rho, u)
         dist.run(8)
-        assert np.allclose(dist.gather(), ref, atol=1e-13)
+        assert np.array_equal(dist.gather(), ref)
 
     def test_uneven_decomposition(self):
         """23 planes over 4 ranks: 6,6,6,5."""
@@ -73,7 +74,7 @@ class TestExactness:
         rho, u = shear_wave(shape)
         dist.initialize(rho, u)
         dist.run(7)
-        assert np.allclose(dist.gather(), ref, atol=1e-13)
+        assert np.array_equal(dist.gather(), ref)
 
     def test_taylor_green_distributed(self):
         shape = (16, 16, 4)
@@ -82,7 +83,7 @@ class TestExactness:
         rho, u = taylor_green(shape)
         dist.initialize(rho, u)
         dist.run(15)
-        assert np.allclose(dist.gather(), ref, atol=1e-13)
+        assert np.array_equal(dist.gather(), ref)
 
     def test_steps_not_multiple_of_depth(self):
         """Runs need not align with the exchange period."""
@@ -92,7 +93,7 @@ class TestExactness:
         rho, u = shear_wave(shape)
         dist.initialize(rho, u)
         dist.run(7)
-        assert np.allclose(dist.gather(), ref, atol=1e-13)
+        assert np.array_equal(dist.gather(), ref)
 
 
 class TestMessageAccounting:
@@ -149,6 +150,13 @@ class TestValidation:
     def test_rejects_non_3d(self):
         with pytest.raises(DecompositionError):
             DistributedSimulation("D3Q19", (16, 16), num_ranks=2)
+
+    def test_takes_no_kernel_argument(self):
+        """Every slab steps through the planned slab kernel: a caller
+        still naming a slab kernel fails loudly instead of running
+        another path."""
+        with pytest.raises(TypeError, match="kernel"):
+            DistributedSimulation("D3Q19", (16, 4, 4), kernel="legacy")
 
     def test_gather_shape(self):
         dist = DistributedSimulation("D3Q19", (10, 3, 4), tau=0.8, num_ranks=2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import HaloValidityError
-from repro.parallel import HaloSlab, HaloSpec
+from repro.parallel import HaloSlab, HaloSpec, PlannedSlabKernel
 
 
 class TestHaloSpec:
@@ -75,13 +75,16 @@ class TestHaloSlab:
         with pytest.raises(HaloValidityError):
             slab.consume_step()
 
-    def test_compute_window_tracks_validity(self, q19):
+    def test_planned_windows_track_validity(self, q19):
+        """Each sub-step computes the planes its remaining validity
+        leaves exact: ``validity`` ghost planes beyond each side of the
+        interior once the step has consumed its ``k``."""
         slab = self._slab(q19, local=8, depth=2)
+        kernel = PlannedSlabKernel(q19, 8, 4, 4, slab.spec, tau=0.8)
         slab.mark_exchanged()
-        slab.consume_step()
-        assert slab.compute_window() == slice(1, 11)
-        slab.consume_step()
-        assert slab.compute_window() == slice(2, 10)
+        for window in (slice(1, 11), slice(2, 10)):
+            assert kernel._plan_for(slab).window == window
+            slab.consume_step()
 
     def test_d3q39_consumes_three_planes_per_step(self, q39):
         slab = HaloSlab(q39, 12, 3, 3, HaloSpec.for_lattice(q39, 2))
@@ -101,7 +104,6 @@ class TestDtypePolicy:
     def test_float32_sizes_every_buffer(self, q19):
         slab = HaloSlab(q19, 8, 4, 4, HaloSpec.for_lattice(q19, 2), dtype="float32")
         assert slab.data.dtype == np.float32
-        assert slab.scratch.dtype == np.float32
         assert slab.pack_to_left().dtype == np.float32
         assert slab.recv_from_left.dtype == np.float32
         assert slab.recv_from_right.dtype == np.float32
@@ -116,14 +118,6 @@ class TestDtypePolicy:
         slab = HaloSlab(q19, 8, 4, 4, HaloSpec.for_lattice(q19, 1), dtype="float32")
         with pytest.raises(HaloValidityError, match="dtype"):
             slab.unpack_from_left(np.zeros((19, 1, 4, 4)))  # float64
-
-    def test_scratch_is_lazy(self, q19):
-        """The planned slab path never streams through scratch; the
-        double-buffer must not cost memory until the legacy path asks."""
-        slab = HaloSlab(q19, 8, 4, 4, HaloSpec.for_lattice(q19, 1))
-        assert slab._scratch is None
-        _ = slab.scratch
-        assert slab._scratch is not None
 
 
 class TestPackBuffers:

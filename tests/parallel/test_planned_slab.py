@@ -1,6 +1,7 @@
-"""Planned distributed stepping: the kernel x dtype x depth x schedule
-equivalence matrix, the zero-allocation property, and dtype-honest
-communication byte accounting."""
+"""Planned distributed stepping: the dtype x depth x schedule x split
+equivalence matrix against the planned single domain, the
+zero-allocation property, and dtype-honest communication byte
+accounting."""
 
 import tracemalloc
 
@@ -10,9 +11,7 @@ import pytest
 from repro.core import Simulation, shear_wave
 from repro.core.plan import KernelPlan, build_slab_gather_table
 from repro.errors import HaloValidityError, LatticeError
-from repro.lattice import get_lattice
 from repro.parallel import (
-    DISTRIBUTED_KERNELS,
     DistributedSimulation,
     ExchangeSchedule,
     HaloSpec,
@@ -20,33 +19,18 @@ from repro.parallel import (
 )
 
 
-def _tol(dtype):
-    return 1e-13 if dtype == "float64" else 2e-5
-
-
-def _assert_matches(kernel, dtype, got, ref):
+def _assert_matches(dtype, got, ref):
     """Planned slabs collide by the same op sequence as the planned single
-    domain, elementwise whatever the window width: byte for byte.  The
-    legacy slab pair keeps its per-dtype rounding tolerance."""
+    domain, elementwise whatever the window width: byte for byte."""
     assert got.dtype == np.dtype(dtype)
-    if kernel == "planned":
-        assert np.array_equal(got, ref)
-    else:
-        assert np.allclose(
-            got.astype(np.float64), ref.astype(np.float64), atol=_tol(dtype)
-        )
+    assert np.array_equal(got, ref)
 
 
-def _run_pair(lname, shape, tau, steps, *, ranks, depth, schedule, kernel, dtype):
-    """(single-domain f, distributed gather) under one configuration."""
+def _run_pair(lname, shape, tau, steps, *, ranks, depth, schedule, dtype):
+    """(planned single-domain f, distributed simulation) under one
+    configuration."""
     rho, u = shear_wave(shape)
-    ref = Simulation(
-        lname,
-        shape,
-        tau=tau,
-        kernel="planned" if kernel == "planned" else None,
-        dtype=dtype,
-    )
+    ref = Simulation(lname, shape, tau=tau, kernel="planned", dtype=dtype)
     ref.initialize(rho, u)
     ref.run(steps)
     dist = DistributedSimulation(
@@ -56,7 +40,6 @@ def _run_pair(lname, shape, tau, steps, *, ranks, depth, schedule, kernel, dtype
         num_ranks=ranks,
         ghost_depth=depth,
         schedule=schedule,
-        kernel=kernel,
         dtype=dtype,
     )
     dist.initialize(rho, u)
@@ -65,15 +48,13 @@ def _run_pair(lname, shape, tau, steps, *, ranks, depth, schedule, kernel, dtype
 
 
 class TestEquivalenceMatrix:
-    """The correctness contract: gather() equals the single-domain solver
-    for every kernel x dtype x ghost-depth x schedule cell (bit for bit
-    on the planned path)."""
+    """The correctness contract: gather() equals the planned single-domain
+    solver bit for bit in every dtype x ghost-depth x schedule cell."""
 
     @pytest.mark.parametrize("schedule", list(ExchangeSchedule))
     @pytest.mark.parametrize("depth", [1, 2, 3])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    @pytest.mark.parametrize("kernel", list(DISTRIBUTED_KERNELS))
-    def test_matrix_d3q19(self, kernel, dtype, depth, schedule):
+    def test_matrix_d3q19(self, dtype, depth, schedule):
         ref, dist = _run_pair(
             "D3Q19",
             (24, 5, 5),
@@ -82,15 +63,13 @@ class TestEquivalenceMatrix:
             ranks=3,
             depth=depth,
             schedule=schedule,
-            kernel=kernel,
             dtype=dtype,
         )
-        _assert_matches(kernel, dtype, dist.gather(), ref)
+        _assert_matches(dtype, dist.gather(), ref)
 
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    @pytest.mark.parametrize("kernel", list(DISTRIBUTED_KERNELS))
-    def test_matrix_d3q39(self, kernel, dtype, depth):
+    def test_matrix_d3q39(self, dtype, depth):
         ref, dist = _run_pair(
             "D3Q39",
             (30, 4, 4),
@@ -99,37 +78,29 @@ class TestEquivalenceMatrix:
             ranks=3,
             depth=depth,
             schedule=ExchangeSchedule.NONBLOCKING_GC,
-            kernel=kernel,
             dtype=dtype,
         )
-        _assert_matches(kernel, dtype, dist.gather(), ref)
+        _assert_matches(dtype, dist.gather(), ref)
 
-    def test_planned_float64_bitwise_vs_legacy_tolerance(self):
-        """Planned and legacy slab paths agree to rounding (they are
-        different arithmetic orderings of the same update)."""
-        _, legacy = _run_pair(
-            "D3Q19",
-            (24, 4, 4),
-            0.8,
-            8,
-            ranks=2,
-            depth=2,
+    @pytest.mark.parametrize(
+        "ranks,nx,depth", [(3, 31, 2), (4, 38, 1)], ids=["3x31-d2", "4x38-d1"]
+    )
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_matrix_d3q39_uneven(self, dtype, ranks, nx, depth):
+        """Three-plane hops over uneven splits (11,10,10 and 10,10,9,9):
+        two slab geometries, two plan sets, still bit-exact."""
+        ref, dist = _run_pair(
+            "D3Q39",
+            (nx, 4, 3),
+            0.9,
+            7,
+            ranks=ranks,
+            depth=depth,
             schedule=ExchangeSchedule.NONBLOCKING_GC,
-            kernel="legacy",
-            dtype="float64",
+            dtype=dtype,
         )
-        _, planned = _run_pair(
-            "D3Q19",
-            (24, 4, 4),
-            0.8,
-            8,
-            ranks=2,
-            depth=2,
-            schedule=ExchangeSchedule.NONBLOCKING_GC,
-            kernel="planned",
-            dtype="float64",
-        )
-        assert np.allclose(planned.gather(), legacy.gather(), atol=1e-12)
+        assert len(dist._slab_kernels) == 2
+        _assert_matches(dtype, dist.gather(), ref)
 
     def test_uneven_decomposition_planned(self):
         """23 planes over 4 ranks (6,6,6,5): two slab geometries, two
@@ -142,14 +113,9 @@ class TestEquivalenceMatrix:
             ranks=4,
             depth=1,
             schedule=ExchangeSchedule.BLOCKING,
-            kernel="planned",
             dtype="float64",
         )
         assert np.array_equal(dist.gather(), ref)
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(LatticeError, match="unknown distributed kernel"):
-            DistributedSimulation("D3Q19", (16, 4, 4), kernel="simd")
 
 
 class TestZeroAllocation:
@@ -166,7 +132,6 @@ class TestZeroAllocation:
             tau=0.8,
             num_ranks=4,
             ghost_depth=2,
-            kernel="planned",
             dtype=dtype,
         )
         rho, u = shear_wave((32, 16, 16))
@@ -181,25 +146,9 @@ class TestZeroAllocation:
         tracemalloc.stop()
         assert peak < slab_bytes // 100, f"peak {peak} B vs slabs {slab_bytes} B"
 
-    def test_legacy_path_still_allocates(self):
-        """Contrast case documenting why the planned slab kernel exists."""
-        dist = DistributedSimulation(
-            "D3Q19", (32, 16, 16), tau=0.8, num_ranks=4, ghost_depth=2
-        )
-        rho, u = shear_wave((32, 16, 16))
-        dist.initialize(rho, u)
-        dist.run(4)
-        slab_bytes = sum(slab.data.nbytes for slab in dist.slabs)
-        tracemalloc.start()
-        dist.run(2)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak > slab_bytes // 4
-
 
 class TestCommBytes:
-    @pytest.mark.parametrize("kernel", list(DISTRIBUTED_KERNELS))
-    def test_float32_halves_ledger_bytes(self, kernel):
+    def test_float32_halves_ledger_bytes(self):
         """B(Q) on the wire: the ledger must reflect the real payload
         width, so float32 halves total_comm_bytes exactly."""
         totals = {}
@@ -212,7 +161,6 @@ class TestCommBytes:
                 ranks=4,
                 depth=2,
                 schedule=ExchangeSchedule.NONBLOCKING_GC,
-                kernel=kernel,
                 dtype=dtype,
             )
             totals[dtype] = dist.total_comm_bytes()
@@ -227,7 +175,6 @@ class TestCommBytes:
             num_ranks=2,
             ghost_depth=1,
             dtype="float32",
-            kernel="planned",
         )
         rho, u = shear_wave(shape)
         dist.initialize(rho, u)
@@ -236,10 +183,9 @@ class TestCommBytes:
         assert dist.message_count() == 4
         assert dist.total_comm_bytes() == 4 * 3 * 5 * 6 * 39 * 4
 
-    @pytest.mark.parametrize("kernel", list(DISTRIBUTED_KERNELS))
-    def test_deep_halo_message_ledger_invariants(self, kernel):
-        """§VI-A holds on both kernels: d-fold fewer messages, same
-        bytes per macro-cycle."""
+    def test_deep_halo_message_ledger_invariants(self):
+        """§VI-A holds on the planned slab path: d-fold fewer messages,
+        same bytes per macro-cycle."""
         counts, totals = {}, {}
         for depth in (1, 2, 3):
             _, dist = _run_pair(
@@ -250,7 +196,6 @@ class TestCommBytes:
                 ranks=4,
                 depth=depth,
                 schedule=ExchangeSchedule.NONBLOCKING_GC,
-                kernel=kernel,
                 dtype="float64",
             )
             counts[depth] = dist.message_count()
@@ -302,16 +247,18 @@ class TestPlannedSlabKernel:
 
 class TestSlabGatherTable:
     def test_matches_padded_streaming_inside_window(self, q39):
-        """The fused gather equals stream_padded restricted to a window
-        that keeps k planes of slack per side."""
-        from repro.core.streaming import stream_padded
-
+        """The fused gather equals push-streaming restricted to a window
+        that keeps k planes of slack per side: periodic along y/z (a
+        roll), non-wrapping along x (a slice of the source planes)."""
         lat = q39
         padded = (14, 4, 5)
         window = slice(3, 11)
         rng = np.random.default_rng(3)
         f = rng.standard_normal((lat.q, *padded))
-        expected = stream_padded(lat, f)[:, window]
+        expected = np.empty((lat.q, window.stop - window.start, *padded[1:]))
+        for i, (cx, cy, cz) in enumerate(lat.velocities.tolist()):
+            source = f[i, window.start - cx : window.stop - cx]
+            expected[i] = np.roll(source, (cy, cz), axis=(1, 2))
         table = build_slab_gather_table(lat, padded, window)
         got = np.take(f.reshape(-1), table).reshape(
             lat.q, window.stop - window.start, *padded[1:]
@@ -351,11 +298,10 @@ class TestProfilerAndFailureSafety:
             kernel.step(slab)
         assert slab.validity == before
 
-    @pytest.mark.parametrize("kernel", list(DISTRIBUTED_KERNELS))
-    def test_phase_profiler_drives_the_selected_kernel(self, kernel):
-        """PhaseProfiler must step through the simulation's configured
-        kernel: profiled physics equals the uninstrumented driver's,
-        bit for bit, on both paths."""
+    def test_phase_profiler_drives_the_planned_slab_kernel(self):
+        """PhaseProfiler must step through the simulation's planned slab
+        kernels: profiled physics equals the uninstrumented driver's,
+        bit for bit."""
         from repro.parallel import PhaseProfiler
 
         shape = (24, 5, 5)
@@ -363,7 +309,7 @@ class TestProfilerAndFailureSafety:
 
         def build():
             dist = DistributedSimulation(
-                "D3Q19", shape, tau=0.8, num_ranks=3, ghost_depth=2, kernel=kernel
+                "D3Q19", shape, tau=0.8, num_ranks=3, ghost_depth=2
             )
             dist.initialize(rho, u)
             return dist

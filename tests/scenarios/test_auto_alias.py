@@ -14,8 +14,6 @@ import pytest
 
 from repro import api
 from repro.core import (
-    FusedGatherKernel,
-    LegacySparseKernel,
     PlannedKernel,
     PlannedSparseKernel,
     RollKernel,
@@ -109,17 +107,9 @@ def test_auto_resolves_without_stepping_any_kernel(monkeypatch):
     def step(self, f):
         raise AssertionError("a kernel stepped while 'auto' resolved")
 
-    for cls in (
-        RollKernel,
-        FusedGatherKernel,
-        PlannedKernel,
-        LegacySparseKernel,
-        PlannedSparseKernel,
-    ):
+    for cls in (RollKernel, PlannedKernel, PlannedSparseKernel):
         monkeypatch.setattr(cls, "step", step)
     dense = Simulation("D3Q19", (6, 6, 6), tau=0.8, kernel="auto")
-    sparse = SparseSimulation(
-        "D3Q19", np.zeros((6, 5, 4), dtype=bool), tau=0.8, kernel="auto"
-    )
+    sparse = SparseSimulation("D3Q19", np.zeros((6, 5, 4), dtype=bool), tau=0.8)
     assert isinstance(dense.kernel, PlannedKernel)
     assert isinstance(sparse.kernel, PlannedSparseKernel)

@@ -177,6 +177,22 @@ class TestErrorPaths:
         assert code == 2
         assert "no published sweep" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kernel", ["fused-gather", "sparse-legacy"])
+    def test_retired_kernel_lists_the_kernels_left(self, capsys, kernel):
+        code = main(["case", "taylor-green", "--steps", "5", "--kernel", kernel])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"unknown kernel {kernel!r}" in err
+        assert "available: naive, planned, roll, sparse-planned" in err
+
+    @pytest.mark.parametrize("kernel", ["legacy", "sparse-legacy"])
+    def test_sparse_case_refuses_the_retired_rung(self, capsys, kernel):
+        code = main(
+            ["case", "bifurcating-vessel", "--steps", "5", "--kernel", kernel]
+        )
+        assert code == 2
+        assert "sparse cases run kernel 'planned'" in capsys.readouterr().err
+
     def test_adaptive_unknown_observable(self, tmp_path, capsys):
         code = main(["sweep", "taylor-green",
                      "--param", "tau=0.6,0.7,0.8", "--steps", "10",

@@ -102,16 +102,18 @@ class TestSparseCase:
 
         assert isinstance(result.simulation, SparseSimulation)
 
-    def test_kernel_is_an_override_axis(self):
-        legacy = run_case("bifurcating-vessel", steps=40, kernel="legacy")
+    def test_sparse_planned_spellings_run_the_same_kernel(self):
         planned = run_case("bifurcating-vessel", steps=40, kernel="planned")
-        assert np.allclose(
-            legacy.simulation.f, planned.simulation.f, atol=1e-13
-        )
+        spelled = run_case("bifurcating-vessel", steps=40, kernel="sparse-planned")
+        assert np.array_equal(spelled.simulation.f, planned.simulation.f)
 
-    def test_sparse_spec_rejects_unknown_kernel(self):
-        spec = get_case("bifurcating-vessel").with_overrides(kernel="roll")
-        with pytest.raises(ScenarioError, match="sparse kernel"):
+    @pytest.mark.parametrize("kernel", [None, "legacy", "sparse-legacy", "roll"])
+    def test_sparse_spec_refuses_every_other_kernel(self, kernel):
+        """A sparse domain steps through the planned sparse kernel only:
+        the retired rung's names (and the legacy pair's None) must fail
+        validation, never run that kernel under their old fingerprint."""
+        spec = get_case("bifurcating-vessel").with_overrides(kernel=kernel)
+        with pytest.raises(ScenarioError, match="sparse cases run kernel 'planned'"):
             spec.validate()
 
     def test_dense_spec_rejects_sparse_kernel(self):

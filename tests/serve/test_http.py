@@ -227,6 +227,14 @@ class TestValidation:
             request(server, "/v1/case", {"case": "nope"}), 400, "unknown case"
         )
 
+    @pytest.mark.parametrize("kernel", ["fused-gather", "sparse-legacy"])
+    def test_retired_kernel_is_a_structured_400(self, server, kernel):
+        self.assert_error(
+            request(server, "/v1/case", {**BODY, "kernel": kernel}),
+            400,
+            "available: naive, planned, roll, sparse-planned",
+        )
+
     def test_kernel_auto_is_the_planned_job(self, server):
         ids = {}
         for kernel in ("planned", "auto"):

@@ -1,29 +1,34 @@
-"""Read-side guarantees: aggregation equals the live profiler on both
-kernels, comm bytes reconcile exactly, and the disabled recorder keeps
-the hot loops zero-allocation."""
+"""Read-side guarantees: aggregation equals the live profiler, comm bytes
+reconcile exactly, dense and sparse runs report their phases, and the
+disabled recorder keeps the hot loops zero-allocation."""
 
 import math
 import tracemalloc
 
 import numpy as np
-import pytest
 
-from repro.core import Simulation, shear_wave
+from repro.core import Simulation, SparseSimulation, shear_wave, sphere_mask
 from repro.parallel import DistributedSimulation, PhaseProfiler
 from repro.parallel.instrumentation import PHASES, PhaseProfile
-from repro.telemetry import Telemetry, filter_events, format_event, load_run
+from repro.scenarios.runner import run_case
+from repro.telemetry import (
+    Telemetry,
+    filter_events,
+    format_event,
+    load_run,
+    set_telemetry,
+)
 
 SHAPE = (24, 6, 6)
 
 
-def make_dist(kernel=None, telemetry=None):
+def make_dist(telemetry=None):
     dist = DistributedSimulation(
         "D3Q19",
         SHAPE,
         tau=0.8,
         num_ranks=3,
         ghost_depth=2,
-        kernel=kernel,
         telemetry=telemetry,
     )
     rho, u = shear_wave(SHAPE)
@@ -32,13 +37,10 @@ def make_dist(kernel=None, telemetry=None):
 
 
 class TestAggregationMatchesProfiler:
-    @pytest.mark.parametrize("kernel", [None, "planned"])
-    def test_phase_profile_equals_live_profiler(self, tmp_path, kernel):
+    def test_phase_profile_equals_live_profiler(self, tmp_path):
         """load_run().phase_profile() and the live PhaseProfiler fold
         the very same span events — equal arrays, not just close."""
-        dist = make_dist(
-            kernel=kernel, telemetry=Telemetry.to_dir(tmp_path, process="driver")
-        )
+        dist = make_dist(telemetry=Telemetry.to_dir(tmp_path, process="driver"))
         profiler = PhaseProfiler(dist)
         live = profiler.run(6)
         dist.telemetry.flush()
@@ -50,13 +52,10 @@ class TestAggregationMatchesProfiler:
         for phase in PHASES:
             assert np.array_equal(replayed.seconds[phase], live.seconds[phase])
 
-    @pytest.mark.parametrize("kernel", [None, "planned"])
-    def test_comm_bytes_reconcile_exactly(self, tmp_path, kernel):
+    def test_comm_bytes_reconcile_exactly(self, tmp_path):
         """Summed comm.bytes counters equal the fabric ledger's total —
         both are emitted from the same payload.nbytes."""
-        dist = make_dist(
-            kernel=kernel, telemetry=Telemetry.to_dir(tmp_path, process="driver")
-        )
+        dist = make_dist(telemetry=Telemetry.to_dir(tmp_path, process="driver"))
         dist.run(6)
         dist.telemetry.flush()
 
@@ -110,6 +109,57 @@ class TestSingleDomainSpans:
         assert steps == [2, 3]
 
 
+def _phase_spans(events):
+    """{phase span name: [span, ...]} from a recorder's events."""
+    spans = {}
+    for event in events:
+        if event.get("type") == "span" and event["name"].startswith("phase."):
+            spans.setdefault(event["name"], []).append(event)
+    return spans
+
+
+class TestSparseSpans:
+    """The sparse driver runs the dense driver's loop, so it reports its
+    phases too; its fused step books everything as collide."""
+
+    def test_ambient_recorder_gets_per_phase_spans(self):
+        recorder = Telemetry.in_memory()
+        previous = set_telemetry(recorder)
+        try:
+            mask = sphere_mask((8, 6, 6), (4, 3, 3), 1.5)
+            sim = SparseSimulation("D3Q19", mask, tau=0.8, force=(1e-6, 0, 0))
+        finally:
+            set_telemetry(previous)
+        assert sim.telemetry is recorder
+        sim.initialize(1.0)
+        sim.run(7)
+        spans = _phase_spans(recorder.events())
+        assert sorted(spans) == ["phase.boundary", "phase.collide", "phase.stream"]
+        for name, (span,) in spans.items():
+            assert span["attrs"] == {"rank": 0, "steps": 7}, name
+        assert spans["phase.collide"][0]["seconds"] == sim.timings.collide_seconds
+        assert spans["phase.stream"][0]["seconds"] == 0.0
+        assert spans["phase.boundary"][0]["seconds"] == 0.0
+
+    def test_sparse_case_reports_its_steps(self):
+        """run_case on the sparse case emits the same three phases as a
+        dense case, covering every step it ran."""
+        recorder = Telemetry.in_memory()
+        previous = set_telemetry(recorder)
+        try:
+            result = run_case("bifurcating-vessel", steps=20, analyze=False)
+        finally:
+            set_telemetry(previous)
+        spans = _phase_spans(recorder.events())
+        assert sorted(spans) == ["phase.boundary", "phase.collide", "phase.stream"]
+        for name, (span,) in spans.items():  # one monitor chunk of 20
+            assert span["attrs"]["steps"] == 20, name
+        assert (
+            spans["phase.collide"][0]["seconds"]
+            == result.simulation.timings.collide_seconds
+        )
+
+
 class TestEventFiltering:
     def test_filter_and_format(self):
         recorder = Telemetry.in_memory(process="w1")
@@ -147,8 +197,7 @@ class TestDisabledZeroAllocation:
         # tests/parallel/test_planned_slab.py: the fixed per-step
         # bookkeeping (Request objects) must stay under 1% of slab bytes.
         dist = DistributedSimulation(
-            "D3Q19", (32, 16, 16), tau=0.8, num_ranks=4, ghost_depth=2,
-            kernel="planned",
+            "D3Q19", (32, 16, 16), tau=0.8, num_ranks=4, ghost_depth=2
         )
         rho, u = shear_wave((32, 16, 16))
         dist.initialize(rho, u)
