@@ -3,14 +3,16 @@
 CI produces a fresh BENCH_PRn.json (see export_bench.py) and compares
 it against the committed baseline of the previous PR::
 
-    python benchmarks/compare_bench.py BENCH_PR3.json BENCH_PR4.json \
-        --kernel roll --max-regression 0.30
+    python benchmarks/compare_bench.py BENCH_PR4.json BENCH_PR5.json \
+        --kernel planned+kernel_throughput --max-regression 0.30
 
-The gate is deliberately narrow: it watches one kernel (default: the
-roll kernel, present in every suite revision) per lattice, at float64,
-and fails only on a drop larger than ``--max-regression`` — wide enough
-to absorb host-to-host and run-to-run noise, tight enough to catch a
-real hot-loop regression.  Stdlib-only, like the exporter.
+The gate is deliberately narrow: it watches one kernel (default:
+``planned+kernel_throughput``, the single-domain planned rows, present
+in every record since ``BENCH_PR4.json``; a bare ``planned`` would also
+match the distributed rows) per lattice, at float64, and fails only on
+a drop larger than ``--max-regression`` — wide enough to absorb
+host-to-host and run-to-run noise, tight enough to catch a real
+hot-loop regression.  Stdlib-only, like the exporter.
 
 Every run also checks the current record against the paper's roofline
 (Eq. 5) when it carries the host's copy bandwidth ``Bm`` (the probe row
@@ -156,8 +158,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("current", type=Path, help="freshly measured record")
     parser.add_argument(
         "--kernel",
-        default="roll",
-        help="kernel to gate on (name substring; default: roll)",
+        default="planned+kernel_throughput",
+        help="+-joined name substrings to gate on (default: %(default)s)",
     )
     parser.add_argument(
         "--max-regression",

@@ -31,8 +31,8 @@ Usage::
     python -m repro events --cache-dir shared --name variant --tail 20
 
     python -m repro case taylor-green --kernel planned --dtype float32
-    python -m repro sweep taylor-green --param kernel=roll,planned \
-        --param dtype=float32,float64 --steps 50  # sweep the kernel ladder
+    python -m repro sweep taylor-green --param dtype=float32,float64 \
+        --steps 50                                # sweep the dtype policy
 
     python -m repro serve --cache-dir shared --telemetry  # HTTP front end
     python -m repro sweep-worker --cache-dir shared --follow  # drain it

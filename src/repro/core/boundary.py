@@ -3,7 +3,9 @@
 The paper's performance study uses periodic cubes exclusively ("all
 simulations in this work are of a cubic fluid system with periodic
 boundary conditions", §IV) — periodic behaviour is built into
-:func:`~repro.core.streaming.stream_periodic` and needs no operator here.
+streaming (the planned gather table wraps, as
+:func:`~repro.core.streaming.stream_periodic` does) and needs no
+operator here.
 
 The boundary operators below support the *application* side of the paper
 (artery flow, microfluidics, finite-Kn channels):

@@ -50,6 +50,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "load_checkpoint_data",
+    "retired_kernel_stamp",
     "jsonable",
     "canonical_json",
     "serialize_result_data",
@@ -476,10 +477,30 @@ class CheckpointData:
     extra: dict[str, Any] = dataclasses.field(default_factory=dict)
     series: dict[str, list[float]] = dataclasses.field(default_factory=dict)
     dtype: str = "float64"
-    #: Kernel name the writing simulation stepped with (None = the
-    #: legacy default pair).  Restores must match it: kernels agree
-    #: only to rounding, so a cross-kernel resume is not bit-exact.
+    #: Kernel name the writing simulation stepped with (``None``: no
+    #: stamp, so the retired legacy pair wrote it).  Restores must match
+    #: it: kernels agree only to rounding, so a cross-kernel resume is
+    #: not bit-exact (see :func:`retired_kernel_stamp`).
     kernel: str | None = None
+
+
+def retired_kernel_stamp(path: str | Path, stamp: str | None) -> str | None:
+    """The refusal for a file of the retired legacy stream/collide pair
+    (no kernel stamp, or ``"roll"``), else ``None``.
+
+    Its BGK collide differs from the planned one by rounding, so no
+    kernel continues its BGK files bit-exactly; its custom-collision
+    files resume under ``planned`` (callers that know the collision
+    decide that).
+    """
+    if stamp not in (None, "roll"):
+        return None
+    return (
+        f"checkpoint {path} was written by the legacy stream/collide pair "
+        f"(kernel stamp {stamp!r}), and the legacy arithmetic is retired: "
+        "no kernel continues it bit-exactly (see 'Upgrading past roll' in "
+        "the README)"
+    )
 
 
 def save_checkpoint(
@@ -518,7 +539,7 @@ def save_checkpoint(
         extra_json=json.dumps(dict(extra or {})),
         series_json=canonical_json(dict(series or {})),
         dtype=str(simulation.f.dtype),
-        kernel=getattr(getattr(simulation, "kernel", None), "name", "") or "",
+        kernel=simulation.kernel.name,
     )
     return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
@@ -548,9 +569,13 @@ def load_checkpoint(path: str | Path) -> Simulation:
     The populations are restored bit-exactly; boundary conditions and
     forcing are *not* serialised (reattach them after loading, or use
     :class:`repro.scenarios.CaseRunner` which rebuilds them from the
-    case spec).
+    case spec).  A file of the retired legacy pair is refused (see
+    :func:`retired_kernel_stamp`).
     """
     data = load_checkpoint_data(path)
+    refusal = retired_kernel_stamp(path, data.kernel)
+    if refusal is not None:
+        raise LatticeError(refusal)
     sim = Simulation(
         get_lattice(data.lattice),
         data.f.shape[1:],

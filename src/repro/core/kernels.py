@@ -2,24 +2,21 @@
 
 The paper's §V is a ladder of single-node code transformations (data
 handling, loop restructuring, branch removal, SIMD).  The analogous
-transformations available to *Python* code end in three kernels with
-identical semantics and very different machine behaviour:
+transformations available to *Python* code end in two dense kernels
+with identical semantics and very different machine behaviour:
 
 * :class:`NaiveKernel` — the paper's Fig. 3/4 pseudocode transcribed
   literally: per-cell, per-velocity Python loops.  Only usable on tiny
-  grids; serves as the executable specification the fast kernels are
+  grids; serves as the executable specification the planned kernel is
   validated against.
-* :class:`RollKernel` — velocity-major vectorization: one shifted copy
-  per velocity, then a vectorized collide.  It runs the same stream and
-  collide code as :class:`~repro.core.simulation.Simulation`'s legacy
-  default pair (``kernel=None``), so the two produce identical bytes;
-  it is that pair's name on the CLI and over HTTP.
 * :class:`~repro.core.plan.PlannedKernel` (in :mod:`repro.core.plan`) —
   the ladder's endpoint: a precomputed gather table (the paper's
   index-precomputation optimization), a compiled collide and a
   preallocated scratch arena, so a step makes zero heap allocations.
   It carries the float32/float64 dtype policy, the SoA/AoS layouts,
-  static walls and Guo forcing, and registered cases run it by default.
+  static walls and Guo forcing, and every dense
+  :class:`~repro.core.simulation.Simulation` streams through it by
+  default, custom collision operators included.
 
 Kernel selection (by name, or ``"auto"``, a fixed alias for the planned
 kernel) lives in :func:`repro.core.plan.make_kernel`.
@@ -33,18 +30,20 @@ import numpy as np
 
 from ..lattice import VelocitySet
 from .collision import BGKCollision
-from .streaming import stream_periodic
 
-__all__ = ["LBMKernel", "NaiveKernel", "RollKernel"]
+__all__ = ["LBMKernel", "NaiveKernel"]
 
 
 class LBMKernel:
-    """One time step of periodic stream+BGK-collide.
+    """Interface of one time step of periodic stream+BGK-collide.
 
-    Subclasses implement :meth:`step`, which consumes the populations
-    ``f`` of shape ``(Q, *spatial)`` and returns the post-collision
-    populations (a new array or a reused internal buffer — callers must
-    treat the input as consumed).
+    :meth:`step` consumes the populations ``f`` of shape ``(Q, *spatial)``
+    and returns the post-collision populations (a new array or a reused
+    internal buffer — callers must treat the input as consumed).
+    Drivers that apply boundary conditions between streaming and
+    collision (`Simulation`) call the split :meth:`stream` /
+    :meth:`collide` pair instead, so every kernel stays usable under
+    any boundary set.
     """
 
     name = "abstract"
@@ -56,38 +55,13 @@ class LBMKernel:
     def step(self, f: np.ndarray) -> np.ndarray:  # pragma: no cover - interface
         raise NotImplementedError
 
-    # Split API: drivers that apply boundary conditions between
-    # streaming and collision (`Simulation`) call these instead of the
-    # fused `step`, so every kernel stays usable under any boundary set.
-
     def stream(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Advect ``f`` into ``out`` (periodic); kernels may override."""
-        return stream_periodic(self.lattice, f, out=out)
+        """Advect ``f`` into ``out`` (periodic)."""
+        raise NotImplementedError  # pragma: no cover - interface
 
     def collide(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Relax ``f`` toward equilibrium; kernels may override."""
-        return self.collision.apply(f, out=out)
-
-
-class RollKernel(LBMKernel):
-    """Vectorized reference kernel: roll-stream then fused collide."""
-
-    name = "roll"
-
-    def __init__(self, lattice: VelocitySet, tau: float, order: int | None = None):
-        super().__init__(lattice, tau, order)
-        self._buffer: np.ndarray | None = None
-
-    def step(self, f: np.ndarray) -> np.ndarray:
-        if (
-            self._buffer is None
-            or self._buffer.shape != f.shape
-            or self._buffer.dtype != f.dtype
-        ):
-            self._buffer = np.empty_like(f)
-        adv = stream_periodic(self.lattice, f, out=self._buffer)
-        self.collision.apply(adv, out=f)
-        return f
+        """Relax ``f`` toward equilibrium, into ``out`` (default: in place)."""
+        raise NotImplementedError  # pragma: no cover - interface
 
 
 class NaiveKernel(LBMKernel):

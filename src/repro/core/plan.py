@@ -28,7 +28,9 @@ tests).  Both collide paths perform the op sequence written down in
 — so they write the same bytes, whatever the grid size; that is also
 why a planned slab window matches the planned single domain bit for
 bit.  :class:`~repro.core.simulation.Simulation` installs its walls
-and forcing into the plan, so forced, walled cases run here too.
+and forcing into the plan, so forced, walled cases run here too; a
+custom collision operator (regularized, MRT) streams through the plan
+and replaces only its collide.
 
 :class:`KernelPlan` is the one optimized update of every domain kind:
 dense grids step through :class:`PlannedKernel` (SoA or AoS), sparse
@@ -44,12 +46,11 @@ says roughly doubles bandwidth-bound throughput.
 
 :func:`make_kernel` is the registry every layer above selects kernels
 through (``Simulation(kernel=...)``, ``CaseSpec.kernel``, the CLI
-``--kernel`` flag): ``naive`` (the executable spec), ``roll`` (the
-legacy pair's bytes) and ``planned``.  ``kernel="auto"`` is a fixed
-alias for the production rung, :data:`AUTO_RUNG` (``planned``): it
-consults no per-host state and runs no timed step, so an ``auto``
-request is the same workload, with the same fingerprint, on every
-host.
+``--kernel`` flag): ``naive`` (the executable spec) and ``planned``.
+``kernel="auto"`` is a fixed alias for the production rung,
+:data:`AUTO_RUNG` (``planned``): it consults no per-host state and runs
+no timed step, so an ``auto`` request is the same workload, with the
+same fingerprint, on every host.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from ..lattice import VelocitySet
 from . import compiled
 from .equilibrium import equilibrium_order_for
 from .fields import LAYOUT_AOS, LAYOUT_SOA, resolve_dtype, resolve_layout
-from .kernels import LBMKernel, NaiveKernel, RollKernel
+from .kernels import LBMKernel, NaiveKernel
 from .streaming import pull_gather_rows
 
 __all__ = [
@@ -774,7 +775,6 @@ class PlannedKernel(LBMKernel):
 #: Name -> kernel class; the single registry every selection path uses.
 KERNELS: dict[str, type[LBMKernel]] = {
     "naive": NaiveKernel,
-    "roll": RollKernel,
     "planned": PlannedKernel,
 }
 
@@ -807,7 +807,7 @@ def make_kernel(
     ``kernel`` may be an :class:`LBMKernel` instance (returned as-is), a
     registry name, or ``"auto"`` (the :data:`AUTO_RUNG` alias).
     ``dtype`` and ``shape`` matter only to the planned kernel — the
-    other kernels adapt to whatever dtype the populations carry.
+    naive kernel adapts to whatever dtype the populations carry.
 
     ``layout`` selects the persistent field's physical order; only the
     planned kernel supports ``"aos"`` (its plan remaps the gather

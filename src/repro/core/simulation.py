@@ -27,14 +27,12 @@ from ..errors import LatticeError, StabilityError
 from ..lattice import VelocitySet, get_lattice
 from ..telemetry.recorder import NullTelemetry, Telemetry, get_telemetry
 from .boundary import BounceBackWalls, BoundaryCondition
-from .collision import BGKCollision
 from .equilibrium import equilibrium
 from .fields import LAYOUT_SOA, DistributionField, resolve_dtype, resolve_layout
 from .forcing import GuoForcing
 from .kernels import LBMKernel
 from .moments import density, macroscopic, momentum
 from .plan import PlannedKernel, make_kernel
-from .streaming import stream_periodic
 
 __all__ = ["Simulation", "StepTimings"]
 
@@ -148,27 +146,26 @@ class Simulation(_Driver):
     order:
         Hermite equilibrium order (``None`` = lattice native).
     collision:
-        Custom collision operator exposing ``apply(f, out=None)`` and
-        ``omega``; default :class:`BGKCollision`.
+        Custom collision operator exposing ``apply(f, out=None)``,
+        ``omega`` and ``order`` (e.g. the regularized or MRT operators);
+        default: the kernel's BGK collide.  It replaces only the
+        collide: the populations still stream through the planned
+        kernel, built with ``tau = 1 / omega`` (``tau`` goes unused).
+        Requires ``kernel="planned"`` and the SoA layout.
     boundaries:
         Boundary conditions applied after streaming, in order.
     forcing:
         Optional :class:`GuoForcing` body force (BGK collisions only).
     kernel:
         Which stream/collide implementation advances the populations: a
-        registry name (``"planned"``, ``"roll"``, ``"naive"``),
-        ``"auto"`` (an alias for ``"planned"``), an
-        :class:`~repro.core.kernels.LBMKernel` instance, or ``None`` for
-        the legacy default pair (``stream_periodic`` + the collision
-        operator), the only path for a custom collision such as the
-        regularized or MRT operators; ``"roll"`` steps the legacy
-        pair's bytes through a BGK kernel.  Kernels own a BGK collision,
-        so ``kernel`` and a custom ``collision`` are mutually exclusive.
-        A planned kernel carries the whole case: the leading run of plain
+        registry name (``"planned"``, the default, or ``"naive"``),
+        ``"auto"`` (an alias for ``"planned"``) or an
+        :class:`~repro.core.kernels.LBMKernel` instance.  A planned
+        kernel carries the whole case: the leading run of plain
         :class:`BounceBackWalls` is folded into its gather table and
         ``forcing`` is fused into its arena collide (see
         :attr:`effective_path`); later boundaries still run after
-        streaming, in their declared order.  With any other kernel,
+        streaming, in their declared order.  Under ``naive``,
         boundaries run after streaming and a forced step takes the
         generic Guo-forced collide.  A planned kernel *instance* that
         carries walls or forcing belongs to one simulation.
@@ -201,7 +198,7 @@ class Simulation(_Driver):
         collision=None,
         boundaries: Sequence[BoundaryCondition] = (),
         forcing: GuoForcing | None = None,
-        kernel: "str | LBMKernel | None" = None,
+        kernel: "str | LBMKernel" = "planned",
         dtype: "str | np.dtype | None" = None,
         layout: "str | None" = None,
         telemetry: "Telemetry | NullTelemetry | None" = None,
@@ -210,38 +207,38 @@ class Simulation(_Driver):
         self.shape = tuple(int(s) for s in shape)
         self.dtype = resolve_dtype(dtype)
         self.layout = resolve_layout(layout)
-        self.kernel: LBMKernel | None = None
-        if kernel is not None:
-            if collision is not None:
-                raise LatticeError(
-                    "kernel and collision are mutually exclusive: a kernel "
-                    "owns its own BGK collision operator"
+        #: Whether a custom operator's ``apply`` replaces the kernel's
+        #: collide (decided once: the step only reads this flag).
+        self._custom = collision is not None
+        if self._custom:
+            if forcing is not None:
+                raise NotImplementedError(
+                    "forcing is only coupled to the kernels' BGK collide, "
+                    "not to a custom collision operator"
                 )
-            self.kernel = make_kernel(
-                kernel,
-                self.lattice,
-                tau,
-                order=order,
-                dtype=self.dtype,
-                shape=self.shape,
-                layout=self.layout,
+            tau = 1.0 / collision.omega
+        self.kernel: LBMKernel = make_kernel(
+            kernel,
+            self.lattice,
+            tau,
+            order=order,
+            dtype=self.dtype,
+            shape=self.shape,
+            layout=self.layout,
+        )
+        self._planned = isinstance(self.kernel, PlannedKernel)
+        if self._custom and not (self._planned and self.layout == LAYOUT_SOA):
+            raise LatticeError(
+                "a custom collision runs on the planned kernel in the soa "
+                f"layout (got kernel={self.kernel.name!r}, "
+                f"layout={self.layout!r}); the naive kernel is BGK-only"
             )
-            self.collision = self.kernel.collision
-        else:
-            if self.layout != LAYOUT_SOA:
-                raise LatticeError(
-                    "layout='aos' requires a kernel (pass kernel='planned'); "
-                    "the legacy stream/collide pair is velocity-major only"
-                )
-            self.collision = collision or BGKCollision(self.lattice, tau, order=order)
+        self.collision = collision if self._custom else self.kernel.collision
         self.boundaries = list(boundaries)
         self.forcing = forcing
-        if forcing is not None and not isinstance(self.collision, BGKCollision):
-            raise NotImplementedError("forcing is only coupled to BGK collisions")
         #: Boundaries applied between streaming and collision (those a
         #: planned kernel did not fold into its gather table).
         self._post_stream = self.boundaries
-        self._planned = isinstance(self.kernel, PlannedKernel)
         if self._planned:
             self._install_into_plan()
         # The persistent field carries the layout; the advection scratch
@@ -337,11 +334,12 @@ class Simulation(_Driver):
         gather, ``"post-stream"`` when any runs as an operator after
         streaming, or ``"none"``; ``collide``: ``"compiled"`` (the
         plan's C loop), ``"arena"`` (its byte-identical numpy
-        reference, on a host without a C compiler) or ``"generic"``;
+        reference, on a host without a C compiler) or ``"generic"``
+        (naive, or a custom operator bypassing the plan's collide);
         ``forcing``: the collide's value on a forced run, else
         ``"none"``.  Moving and diffuse walls always run post-stream.
         """
-        if not self._planned:
+        if self._custom or not self._planned:
             fast = "generic"
         elif self.kernel.plan_for(self.shape).compiled:
             fast = "compiled"
@@ -363,11 +361,11 @@ class Simulation(_Driver):
     # -- stepping -------------------------------------------------------------
 
     def _collide(self, f: np.ndarray, out: np.ndarray) -> None:
+        if self._custom:
+            self.collision.apply(f, out=out)
+            return
         if self.forcing is None or self._planned:  # the plan carries forcing
-            if self.kernel is not None:
-                self.kernel.collide(f, out=out)
-            else:
-                self.collision.apply(f, out=out)
+            self.kernel.collide(f, out=out)
             return
         # Guo-forced BGK: correct the velocity by F/2 before building feq,
         # relax (shared fusion in BGKCollision.relax_into), then add the
@@ -385,10 +383,7 @@ class Simulation(_Driver):
         f_new = self._adv.data
 
         t0 = time.perf_counter()
-        if self.kernel is not None:
-            self.kernel.stream(f_old, out=f_new)
-        else:
-            stream_periodic(self.lattice, f_old, out=f_new)
+        self.kernel.stream(f_old, out=f_new)
         t1 = time.perf_counter()
         for bc in self._post_stream:
             bc.apply(f_new, f_old)

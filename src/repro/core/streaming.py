@@ -4,8 +4,9 @@ Propagates each population along its discrete velocity: the *push*
 scheme of the paper's Fig. 3, ``distr_adv[x + c_i] = distr[x]``, on a
 fully periodic domain (the paper's cubic periodic test systems).
 
-* :func:`stream_periodic` — one shifted slice copy per velocity (the
-  legacy pair's and ``roll``'s stream).
+* :func:`stream_periodic` — one shifted slice copy per velocity: the
+  direct transcription, which analysis hooks and tests use as the
+  streaming oracle.
 * :func:`pull_gather_rows` — the same update as precomputed pull
   indices, the index math behind every planned gather table.  Halo
   padded slabs stream through

@@ -92,10 +92,9 @@ def _gather_tol(spec: CaseSpec) -> float:
 
     Every slab steps through the planned slab kernel, which matches the
     planned single domain bit for bit; the bound covers the single-domain
-    kernels that share its arithmetic only to rounding (``roll``,
-    ``naive`` and the legacy pair).  float64 keeps the historic 1e-13;
-    float32 carries ~1e-7 relative rounding per step, so a short run is
-    bounded by 2e-5.
+    ``naive`` kernel, which shares its arithmetic only to rounding.
+    float64 keeps the historic 1e-13; float32 carries ~1e-7 relative
+    rounding per step, so a short run is bounded by 2e-5.
     """
     return 1e-13 if spec.dtype == "float64" else 2e-5
 
@@ -375,7 +374,6 @@ MICROCHANNEL = register_case(
         lattice="D3Q39",
         shape=(4, 17, 4),
         tau=0.8,  # unused: the collision factory derives tau from Kn
-        kernel=None,  # the regularized collision has no planned arena
         collision=_knudsen_collision,
         boundaries=_diffuse_walls,
         steps=1200,

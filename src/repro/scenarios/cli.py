@@ -428,10 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
     case.add_argument(
         "--kernel",
         default=None,
-        help="stream/collide kernel: planned (the case default unless a "
-        "case pins the legacy pair), roll (the legacy pair's bytes), naive "
-        "(the executable spec), or auto (an alias for planned); sparse "
-        "cases run planned only",
+        help="stream/collide kernel: planned (the case default; it also "
+        "streams cases with a custom collision), naive (the executable "
+        "spec, BGK only), or auto (an alias for planned); sparse cases run "
+        "planned only",
     )
     case.add_argument(
         "--dtype",
@@ -487,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel",
         default=None,
         help="fixed kernel for every variant (sweep *over* kernels with "
-        "--param kernel=roll,planned,...)",
+        "--param kernel=naive,planned)",
     )
     sweep.add_argument(
         "--dtype",

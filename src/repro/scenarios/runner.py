@@ -18,7 +18,7 @@ import numpy as np
 
 from ..core.forcing import GuoForcing
 from ..core.initial_conditions import uniform_flow
-from ..core.io import load_checkpoint_data, save_checkpoint
+from ..core.io import load_checkpoint_data, retired_kernel_stamp, save_checkpoint
 from ..core.observables import shared_moments
 from ..core.simulation import Simulation
 from ..errors import ScenarioError
@@ -27,12 +27,6 @@ from .registry import get_case
 from .spec import CaseSpec
 
 __all__ = ["CaseResult", "CaseRunner", "run_case"]
-
-#: The legacy stream/collide pair (stamped kernel ``None``) and the
-#: ``roll`` kernel run the same stream and collide code, so a checkpoint
-#: written by either resumes bit-exactly under the other — the migration
-#: path for checkpoints that predate ``planned`` as the case default.
-_SAME_BYTES_KERNELS = {None, "roll"}
 
 
 @dataclasses.dataclass
@@ -313,23 +307,21 @@ class CaseRunner:
                 f"{sim.f.dtype}; a cross-precision restore would not be "
                 "bit-exact (override the case dtype to match)"
             )
-        if data.kernel != self.spec.kernel and not (
-            {data.kernel, self.spec.kernel} <= _SAME_BYTES_KERNELS
-        ):
+        stamp = data.kernel
+        if stamp is None and self.spec.collision is not None:
+            # The retired legacy pair streamed the bytes the planned
+            # gather streams, then applied this same custom operator.
+            stamp = self.spec.kernel
+        refusal = retired_kernel_stamp(path, stamp)
+        if refusal is not None:
+            raise ScenarioError(refusal)
+        if stamp != self.spec.kernel:
             # Kernels agree only to rounding, so continuing under a
             # different one is not bit-exact — same latch as dtype.
-            if data.kernel is None:
-                hint = (
-                    "it was stepped by the legacy stream/collide pair, "
-                    "which --kernel roll reproduces byte for byte; "
-                    "resume with --kernel roll"
-                )
-            else:
-                hint = "override the case kernel to match"
             raise ScenarioError(
-                f"checkpoint was written with kernel {data.kernel!r}, "
-                f"case resumes with {self.spec.kernel!r}; a cross-kernel "
-                f"restore would not be bit-exact ({hint})"
+                f"checkpoint was written with kernel {stamp!r}, case "
+                f"resumes with {self.spec.kernel!r}; a cross-kernel restore "
+                "would not be bit-exact (override the case kernel to match)"
             )
         if data.time_step > self.spec.steps:
             raise ScenarioError(

@@ -182,17 +182,16 @@ class CaseSpec:
     order:
         Hermite equilibrium order (``None`` = lattice native).
     kernel:
-        Stream/collide kernel name (``"planned"``, the default,
-        ``"roll"``, ``"naive"``); ``None`` = the driver's legacy
-        stream/collide pair, whose bytes ``"roll"`` reproduces (the
-        spelling the CLI and HTTP API can carry).  A sparse case runs
+        Stream/collide kernel name (``"planned"``, the default, or
+        ``"naive"``, the executable spec).  A sparse case runs
         ``"planned"`` only (also spelled ``"sparse-planned"``).  The
-        planned kernel runs forced, walled cases end to end (static walls
-        folded into its gather table, Guo forcing fused into its arena).  Mutually
-        exclusive with a ``collision`` factory, so a case with a custom
-        collision operator declares ``kernel=None``.  ``"auto"`` is
-        stored as the rung it aliases (``"planned"``), so an ``auto``
-        spec shares the planned spec's fingerprint.
+        planned kernel runs forced, walled cases end to end (static
+        walls folded into its gather table, Guo forcing fused into its
+        arena), and it streams cases with a ``collision`` factory too,
+        whose operator replaces only its collide: such a case requires
+        ``"planned"`` and the ``"soa"`` layout (``naive`` is BGK-only).
+        ``"auto"`` is stored as the rung it aliases (``"planned"``), so
+        an ``auto`` spec shares the planned spec's fingerprint.
     dtype:
         Population dtype policy, ``"float64"`` (default) or
         ``"float32"``.  Fingerprint-sensitive, like ``kernel``: sweep
@@ -243,7 +242,7 @@ class CaseSpec:
     shape: tuple[int, ...] = (16, 16, 16)
     tau: float = 0.8
     order: int | None = None
-    kernel: str | None = "planned"
+    kernel: str = "planned"
     dtype: str = "float64"
     layout: str = "soa"
     collision: CollisionFactory | None = None
@@ -318,24 +317,25 @@ class CaseSpec:
                 "(also spelled 'sparse-planned' or 'auto'), got "
                 f"{self.kernel!r}"
             )
-        if self.kernel is not None:
-            if self.kernel not in available_kernels():
-                raise ScenarioError(
-                    f"case {self.name!r}: unknown kernel {self.kernel!r} "
-                    f"(available: {', '.join(available_kernels())})"
-                )
-            if not sparse and self.kernel.startswith("sparse-"):
-                raise ScenarioError(
-                    f"case {self.name!r}: kernel {self.kernel!r} requires a "
-                    "sparse domain (set params={'sparse': True} and provide "
-                    "a geometry mask)"
-                )
-            if self.collision is not None:
-                raise ScenarioError(
-                    f"case {self.name!r}: kernel and collision factory are "
-                    "mutually exclusive (kernels own a BGK collision); "
-                    "declare kernel=None for a custom collision"
-                )
+        if self.kernel not in available_kernels():
+            raise ScenarioError(
+                f"case {self.name!r}: unknown kernel {self.kernel!r} "
+                f"(available: {', '.join(available_kernels())})"
+            )
+        if not sparse and self.kernel.startswith("sparse-"):
+            raise ScenarioError(
+                f"case {self.name!r}: kernel {self.kernel!r} requires a "
+                "sparse domain (set params={'sparse': True} and provide "
+                "a geometry mask)"
+            )
+        if self.collision is not None and (
+            self.kernel != "planned" or self.layout != "soa"
+        ):
+            raise ScenarioError(
+                f"case {self.name!r}: a collision factory runs on kernel "
+                "'planned' in layout 'soa' (the naive kernel is BGK-only), "
+                f"got kernel={self.kernel!r}, layout={self.layout!r}"
+            )
         if self.dtype not in ("float32", "float64"):
             raise ScenarioError(
                 f"case {self.name!r}: dtype must be 'float32' or 'float64', "

@@ -82,3 +82,19 @@ def collide_path(request, monkeypatch):
     elif compiled.load("float64") is None:
         pytest.skip("no C compiler: the compiled collide did not build")
     return request.param
+
+
+@pytest.fixture
+def restamp_checkpoint():
+    """Rewrite a checkpoint's kernel stamp as older writers left it:
+    ``""`` (the retired legacy pair's empty stamp), ``None`` (no stamp
+    at all, a file older than the stamp) or a kernel name."""
+
+    def restamp(path, stamp) -> None:
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files if key != "kernel"}
+        if stamp is not None:
+            arrays["kernel"] = stamp
+        np.savez_compressed(path, **arrays)
+
+    return restamp

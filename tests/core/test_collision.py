@@ -44,8 +44,8 @@ class TestBGK:
         op = BGKCollision(lat, tau=0.8)
         out = op.apply(f.copy())
         rho1, u1 = macroscopic(lat, out)
-        assert np.allclose(rho1, rho0, atol=1e-13)
-        assert np.allclose(rho1[None] * u1, mom0, atol=1e-13)
+        assert np.allclose(rho1, rho0, rtol=0, atol=1e-13)
+        assert np.allclose(rho1[None] * u1, mom0, rtol=0, atol=1e-13)
 
     def test_equilibrium_is_fixed_point(self, paper_lattice, make_random_state, small_shape):
         lat = paper_lattice
@@ -53,7 +53,7 @@ class TestBGK:
         feq = equilibrium(lat, rho, u)
         op = BGKCollision(lat, tau=0.7)
         out = op.apply(feq.copy())
-        assert np.allclose(out, feq, atol=1e-13)
+        assert np.allclose(out, feq, rtol=0, atol=1e-13)
 
     def test_tau_one_jumps_to_equilibrium(self, q19, make_random_state, small_shape):
         rho, u = make_random_state(q19, small_shape)
@@ -63,7 +63,7 @@ class TestBGK:
         out = op.apply(f.copy())
         rho1, u1 = macroscopic(q19, out)
         feq = equilibrium(q19, rho1, u1)
-        assert np.allclose(out, feq, atol=1e-12)
+        assert np.allclose(out, feq, rtol=0, atol=1e-12)
 
     def test_relaxation_rate(self, q19):
         """Non-equilibrium part shrinks by exactly (1 - omega) per collision."""
@@ -80,7 +80,7 @@ class TestBGK:
         out = op.apply(f.copy())
         nonzero = np.abs(pert) > 0
         shrink = (out - feq)[nonzero] / pert[nonzero]
-        assert np.allclose(shrink, 1.0 - op.omega, atol=1e-6)
+        assert np.allclose(shrink, 1.0 - op.omega, rtol=0, atol=1e-6)
 
     def test_out_parameter(self, q19, make_random_state, small_shape):
         rho, u = make_random_state(q19, small_shape)
@@ -105,15 +105,15 @@ class TestRegularized:
         op = RegularizedBGKCollision(lat, tau=0.8)
         out = op.apply(f.copy())
         rho1, u1 = macroscopic(lat, out)
-        assert np.allclose(rho1, rho0, atol=1e-12)
-        assert np.allclose(rho1[None] * u1, rho0[None] * u0, atol=1e-12)
+        assert np.allclose(rho1, rho0, rtol=0, atol=1e-12)
+        assert np.allclose(rho1[None] * u1, rho0[None] * u0, rtol=0, atol=1e-12)
 
     def test_equilibrium_fixed_point(self, q39, make_random_state, small_shape):
         rho, u = make_random_state(q39, small_shape)
         feq = equilibrium(q39, rho, u)
         op = RegularizedBGKCollision(q39, tau=0.9)
         out = op.apply(feq.copy())
-        assert np.allclose(out, feq, atol=1e-12)
+        assert np.allclose(out, feq, rtol=0, atol=1e-12)
 
     def test_matches_bgk_for_pure_stress_perturbation(self, q19):
         """A perturbation living entirely in H2 relaxes identically."""
@@ -127,7 +127,7 @@ class TestRegularized:
         f = feq + 1e-5 * mode[:, None, None, None]
         bgk = BGKCollision(q19, tau=0.8).apply(f.copy())
         reg = RegularizedBGKCollision(q19, tau=0.8).apply(f.copy())
-        assert np.allclose(bgk, reg, atol=1e-12)
+        assert np.allclose(bgk, reg, rtol=0, atol=1e-12)
 
     def test_filters_ghost_modes(self, q19):
         """Perturbations outside the Hermite space are removed entirely."""
@@ -142,4 +142,4 @@ class TestRegularized:
         op = RegularizedBGKCollision(q19, tau=1e9)
         once = op.apply((feq + noise).copy())
         twice = op.apply(once.copy())
-        assert np.allclose(once, twice, atol=1e-12)
+        assert np.allclose(once, twice, rtol=0, atol=1e-12)

@@ -4,14 +4,19 @@
 remaining production path must reproduce it on a periodic BGK box,
 across lattice x equilibrium order x dtype:
 
-* the legacy pair (``Simulation(kernel=None)``);
-* ``planned`` on array-of-structs storage (``layout="aos"``);
+* ``planned`` through :class:`Simulation`, on struct-of-arrays storage
+  (the default) and on array-of-structs storage (``layout="aos"``);
 * ``SparseSimulation`` on a box with no solid node (k = 1 lattices: its
   half-way bounce-back is single-speed);
 * the planned slab's ``DistributedSimulation.gather()``.
 
-``roll`` and ``planned`` on SoA storage are checked against ``naive`` by
-``test_plan.py::TestPlannedEquivalence::test_every_kernel_matches_naive``.
+Walls and forcing, across lattice x dtype: ``planned`` (static walls
+folded into its gather table, Guo forcing fused into its collide, a
+moving lid after streaming) against ``naive`` (every wall after
+streaming, the generic Guo-forced collide).
+
+The fused planned step is checked against ``naive`` by
+``test_plan.py::TestPlannedEquivalence::test_planned_matches_naive``.
 """
 
 import functools
@@ -19,7 +24,15 @@ import functools
 import numpy as np
 import pytest
 
-from repro.core import NaiveKernel, Simulation, SparseSimulation, equilibrium
+from repro.core import (
+    BounceBackWalls,
+    GuoForcing,
+    MovingWallBounceBack,
+    NaiveKernel,
+    Simulation,
+    SparseSimulation,
+    equilibrium,
+)
 from repro.lattice import get_lattice
 from repro.parallel import DistributedSimulation
 
@@ -52,8 +65,8 @@ def _naive(lname, order):
     return f
 
 
-def _legacy_pair(lname, order, dtype):
-    sim = Simulation(lname, SHAPE, tau=TAU, order=order, dtype=dtype)
+def _planned_soa(lname, order, dtype):
+    sim = Simulation(lname, SHAPE, tau=TAU, order=order, kernel="planned", dtype=dtype)
     sim.initialize(*_initial())
     sim.run(STEPS)
     return sim.f
@@ -88,7 +101,7 @@ def _planned_slab(lname, order, dtype):
 
 
 PATHS = {
-    "legacy-pair": _legacy_pair,
+    "planned-soa": _planned_soa,
     "planned-aos": _planned_aos,
     "sparse": _sparse,
     "planned-slab": _planned_slab,
@@ -111,4 +124,71 @@ def test_path_matches_naive(path, lname, order, dtype):
     assert got.shape == _naive(lname, order).shape
     assert np.allclose(
         got.astype(np.float64), _naive(lname, order), rtol=0, atol=ATOL[dtype]
+    )
+
+
+#: A channel for the walled cells: static walls on both y faces leave
+#: four fluid planes.
+WALL_SHAPE = (4, 6, 3)
+FORCE = (1e-4, -5e-5, 2e-5)
+WALL_CELLS = ("walls-forcing", "lid")
+
+
+def _walled(lname, cell, kernel, dtype):
+    """``walls-forcing``: static walls and a Guo body force.  ``lid``:
+    static walls and a moving lid on the top z plane, unforced (so
+    naive's own per-cell collide runs)."""
+    lattice = get_lattice(lname)
+    solid = np.zeros(WALL_SHAPE, dtype=bool)
+    solid[:, 0, :] = solid[:, -1, :] = True
+    walls = [BounceBackWalls(lattice, solid)]
+    forcing = GuoForcing(lattice, FORCE)
+    if cell == "lid":
+        top = np.zeros(WALL_SHAPE, dtype=bool)
+        top[:, 1:-1, -1] = True
+        walls.append(MovingWallBounceBack(lattice, top, wall_velocity=(0.05, 0.0, 0.0)))
+        forcing = None
+    sim = Simulation(
+        lattice, WALL_SHAPE, tau=TAU, boundaries=walls, forcing=forcing,
+        kernel=kernel, dtype=dtype,
+    )
+    rng = np.random.default_rng(7)
+    rho = 1.0 + 0.02 * rng.standard_normal(WALL_SHAPE)
+    sim.initialize(rho, 0.02 * rng.standard_normal((3, *WALL_SHAPE)))
+    sim.run(STEPS)
+    return sim
+
+
+@functools.lru_cache(maxsize=None)
+def _naive_walled(lname, cell):
+    """The spec's walled populations in float64, once per lattice and
+    cell: every wall after streaming, the generic forced collide."""
+    sim = _walled(lname, cell, "naive", "float64")
+    assert sim.effective_path == {
+        "stream": "generic",
+        "walls": "post-stream",
+        "collide": "generic",
+        "forcing": "generic" if cell == "walls-forcing" else "none",
+    }
+    f = sim.f
+    f.flags.writeable = False
+    return f
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("lname", ["D3Q15", "D3Q19", "D3Q27", "D3Q39"])
+@pytest.mark.parametrize("cell", WALL_CELLS)
+def test_walled_planned_matches_naive(cell, lname, dtype, expected_collide):
+    sim = _walled(lname, cell, "planned", dtype)
+    collide = expected_collide(dtype)
+    assert sim.effective_path == {
+        "stream": "gather",
+        "walls": "folded",
+        "collide": collide,
+        "forcing": collide if cell == "walls-forcing" else "none",
+    }
+    assert sim._post_stream == sim.boundaries[1:]
+    assert sim.f.dtype == np.dtype(dtype)
+    assert np.allclose(
+        sim.f.astype(np.float64), _naive_walled(lname, cell), rtol=0, atol=ATOL[dtype]
     )

@@ -73,7 +73,7 @@ class TestFieldDtype:
         u = np.zeros((3, 4, 4, 4))
         field = DistributionField.from_equilibrium(q19, rho, u, dtype="float32")
         assert field.dtype == np.float32
-        assert np.allclose(field.data.sum(axis=0), 1.0, atol=1e-6)
+        assert np.allclose(field.data.sum(axis=0), 1.0, rtol=0, atol=1e-6)
 
     def test_astype_roundtrip(self, q19):
         field = DistributionField.zeros(q19, (4, 4, 4))
@@ -81,7 +81,7 @@ class TestFieldDtype:
         cast = field.astype("float32")
         assert cast.dtype == np.float32
         back = cast.astype("float64")
-        assert np.allclose(back.data, field.data, atol=1e-7)
+        assert np.allclose(back.data, field.data, rtol=0, atol=1e-7)
 
 
 class TestEquilibriumDtype:
@@ -112,7 +112,7 @@ class TestEquilibriumDtype:
             u.astype(np.float32),
         )
         assert f32.dtype == np.float32
-        assert np.allclose(f32, f64, atol=1e-6)
+        assert np.allclose(f32, f64, rtol=0, atol=1e-6)
 
 
 class TestMomentDtype:
@@ -148,23 +148,32 @@ class TestCheckpointDtype:
         assert str(restored.f.dtype) == dtype
         assert np.array_equal(restored.f, sim.f)
 
-    def test_roundtrip_preserves_kernel(self, tmp_path):
-        sim = Simulation("D3Q19", (4, 4, 4), tau=0.8, kernel="planned")
+    @pytest.mark.parametrize("kernel", ["planned", "naive"])
+    def test_roundtrip_preserves_kernel(self, tmp_path, kernel):
+        sim = Simulation("D3Q19", (4, 4, 4), tau=0.8, kernel=kernel)
         sim.initialize(np.ones(sim.shape), np.zeros((3, 4, 4, 4)))
         sim.run(2)
         path = tmp_path / "k.npz"
         save_checkpoint(path, sim)
-        data = load_checkpoint_data(path)
-        assert data.kernel == "planned"
+        assert load_checkpoint_data(path).kernel == kernel
         restored = load_checkpoint(path)
-        assert restored.kernel is not None
-        assert restored.kernel.name == "planned"
-        # legacy-pair checkpoints restore with no kernel
-        legacy = Simulation("D3Q19", (4, 4, 4), tau=0.8)
-        legacy.initialize(np.ones(legacy.shape), np.zeros((3, 4, 4, 4)))
-        save_checkpoint(path, legacy)
-        assert load_checkpoint_data(path).kernel is None
-        assert load_checkpoint(path).kernel is None
+        assert restored.kernel.name == kernel
+        assert np.array_equal(restored.f, sim.f)
+
+    @pytest.mark.parametrize("stamp", ["", None, "roll"], ids=["empty", "none", "roll"])
+    def test_legacy_pair_files_are_refused(self, tmp_path, restamp_checkpoint, stamp):
+        """load_checkpoint builds a BGK simulation, and no kernel continues
+        the retired legacy pair's BGK arithmetic bit-exactly."""
+        from repro.errors import LatticeError
+
+        sim = Simulation("D3Q19", (4, 4, 4), tau=0.8)
+        sim.initialize(np.ones(sim.shape), np.zeros((3, 4, 4, 4)))
+        path = tmp_path / "legacy.npz"
+        save_checkpoint(path, sim)
+        restamp_checkpoint(path, stamp)
+        assert load_checkpoint_data(path).kernel == (stamp or None)
+        with pytest.raises(LatticeError, match="Upgrading past roll"):
+            load_checkpoint(path)
 
     def test_restored_simulation_continues_bit_exactly(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -204,11 +213,11 @@ class TestRunnerDtypeGuard:
         )
         path = tmp_path / "tg.npz"
         planned.run(checkpoint=path)
-        roll = CaseRunner(
-            "taylor-green", steps=8, monitor_every=2, kernel="roll"
+        naive = CaseRunner(
+            "taylor-green", steps=8, monitor_every=2, kernel="naive"
         )
-        with pytest.raises(ScenarioError, match="kernel"):
-            roll.run(resume=path)
+        with pytest.raises(ScenarioError, match="cross-kernel"):
+            naive.run(resume=path)
         # same-kernel resume continues fine
         again = CaseRunner(
             "taylor-green", steps=8, monitor_every=2, kernel="planned"

@@ -36,7 +36,7 @@ class TestConservation:
     def test_mass_all_lattices(self, lattice, order, make_random_state, small_shape):
         rho, u = make_random_state(lattice, small_shape)
         feq = equilibrium(lattice, rho, u, order=order)
-        assert np.allclose(feq.sum(axis=0), rho, atol=1e-14)
+        assert np.allclose(feq.sum(axis=0), rho, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_momentum_all_lattices(self, lattice, order, make_random_state, small_shape):
@@ -44,15 +44,15 @@ class TestConservation:
         feq = equilibrium(lattice, rho, u, order=order)
         c = lattice.velocities.astype(float)
         mom = np.tensordot(c.T, feq, axes=([1], [0]))
-        assert np.allclose(mom, rho[None] * u, atol=1e-14)
+        assert np.allclose(mom, rho[None] * u, rtol=0, atol=1e-14)
 
     def test_third_order_conserves_on_d3q39(self, q39, make_random_state, small_shape):
         rho, u = make_random_state(q39, small_shape)
         feq = equilibrium(q39, rho, u, order=3)
         c = q39.velocities.astype(float)
-        assert np.allclose(feq.sum(axis=0), rho, atol=1e-14)
+        assert np.allclose(feq.sum(axis=0), rho, rtol=0, atol=1e-14)
         mom = np.tensordot(c.T, feq, axes=([1], [0]))
-        assert np.allclose(mom, rho[None] * u, atol=1e-14)
+        assert np.allclose(mom, rho[None] * u, rtol=0, atol=1e-14)
 
     def test_second_moment_matches_ideal_gas(self, paper_lattice, make_random_state, small_shape):
         """Pi^eq_ab = rho cs2 delta_ab + rho u_a u_b at order >= 2."""
@@ -63,7 +63,7 @@ class TestConservation:
         pi = np.einsum("qa,qb,q...->ab...", c, c, feq)
         expected = lat.cs2_float * rho * np.eye(3)[:, :, None, None, None]
         expected = expected + rho[None, None] * np.einsum("a...,b...->ab...", u, u)
-        assert np.allclose(pi, expected, atol=1e-12)
+        assert np.allclose(pi, expected, rtol=0, atol=1e-12)
 
 
 class TestPointwiseFormula:

@@ -68,7 +68,7 @@ class TestCheckpoint:
         sim.run(10)
         restored = load_checkpoint(path)
         restored.run(10)
-        assert np.allclose(restored.f, sim.f, atol=1e-15)
+        assert np.allclose(restored.f, sim.f, rtol=0, atol=1e-15)
 
     def test_extra_metadata_roundtrip(self, sim, tmp_path):
         from repro.core import load_checkpoint_data

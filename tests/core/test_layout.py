@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import PlannedKernel, RollKernel, equilibrium
+from repro.core import NaiveKernel, PlannedKernel, equilibrium
 
 
 def _state(lattice, shape=(5, 4, 3), seed=2):
@@ -101,23 +101,22 @@ class TestSimulationLayoutEquivalence:
         from repro.core import Simulation
         from repro.errors import LatticeError
 
-        with pytest.raises(LatticeError, match="requires a kernel"):
-            Simulation("D3Q19", (6, 5, 4), layout="aos")
-        with pytest.raises(LatticeError, match="planned"):
-            Simulation("D3Q19", (6, 5, 4), kernel="roll", layout="aos")
+        with pytest.raises(LatticeError, match="requires the planned kernel"):
+            Simulation("D3Q19", (6, 5, 4), kernel="naive", layout="aos")
+        assert Simulation("D3Q19", (6, 5, 4), layout="aos").kernel.name == "planned"
 
-    def test_aos_multi_step_matches_roll(self, q39):
+    def test_aos_multi_step_matches_naive(self, q39):
         """The paper's §V-B layout study on the planned kernel: several
-        D3Q39 steps on cell-major storage track the velocity-major roll
+        D3Q39 steps on cell-major storage track the velocity-major naive
         kernel (AoS in, AoS out through the split stream/collide)."""
         f = _state(q39, shape=(4, 4, 4))
-        roll = RollKernel(q39, 0.7)
+        naive = NaiveKernel(q39, 0.7)
         planned = PlannedKernel(q39, 0.7, layout="aos")
         a = f.copy()
         b = np.moveaxis(np.ascontiguousarray(np.moveaxis(f, 0, -1)), -1, 0)
         adv = np.empty_like(f)
         for _ in range(4):
-            a = roll.step(a)
+            a = naive.step(a)
             planned.stream(b, out=adv)
             planned.collide(adv, out=b)
         assert np.allclose(b, a, rtol=0, atol=1e-12)

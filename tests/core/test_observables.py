@@ -73,4 +73,4 @@ class TestVelocityProfile:
         f = equilibrium(q19, rho, u)
         profile = velocity_profile(q19, f, flow_axis=0, across_axis=1)
         assert profile.shape == (9,)
-        assert np.allclose(profile, np.linspace(0, 0.01, 9), atol=1e-12)
+        assert np.allclose(profile, np.linspace(0, 0.01, 9), rtol=0, atol=1e-12)

@@ -9,10 +9,11 @@ import pytest
 from repro.core import (
     AUTO_KERNEL,
     BounceBackWalls,
+    HermiteMRTCollision,
     KernelPlan,
     NaiveKernel,
     PlannedKernel,
-    RollKernel,
+    RegularizedBGKCollision,
     Simulation,
     available_kernels,
     equilibrium,
@@ -30,8 +31,6 @@ LATTICE_ORDERS = [
     for lname in ("D3Q15", "D3Q19", "D3Q27", "D3Q39")
     for order in range(1, get_lattice(lname).equilibrium_order + 1)
 ]
-
-FAST_KERNELS = (RollKernel, PlannedKernel)
 
 
 def _initial_state(lattice, shape, seed=7, dtype=np.float64):
@@ -88,15 +87,14 @@ class TestGatherTable:
 
 class TestPlannedEquivalence:
     @pytest.mark.parametrize("lname,order", LATTICE_ORDERS)
-    @pytest.mark.parametrize("kernel_cls", FAST_KERNELS)
-    def test_every_kernel_matches_naive(self, lname, order, kernel_cls):
-        """Each fast kernel reproduces the literal Fig. 3/4 pseudocode on
-        every lattice at every supported expansion order."""
+    def test_planned_matches_naive(self, lname, order):
+        """The planned kernel reproduces the literal Fig. 3/4 pseudocode
+        on every lattice at every supported expansion order."""
         lat = get_lattice(lname)
         shape = (4, 3, 3)
         f = _initial_state(lat, shape)
         ref = NaiveKernel(lat, tau=0.8, order=order).step(f.copy())
-        got = kernel_cls(lat, tau=0.8, order=order).step(f.copy())
+        got = PlannedKernel(lat, tau=0.8, order=order).step(f.copy())
         assert np.allclose(got, ref, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("lname", ["D3Q19", "D3Q39"])
@@ -110,17 +108,17 @@ class TestPlannedEquivalence:
             f64.astype(np.float32)
         )
         assert got.dtype == np.float32
-        assert np.allclose(got, ref, atol=1e-5)
+        assert np.allclose(got, ref, rtol=0, atol=1e-5)
 
     def test_multi_step_equivalence(self, q39):
         shape = (4, 4, 4)
         f = _initial_state(q39, shape)
         a, b = f.copy(), f.copy()
-        roll, planned = RollKernel(q39, 0.7), PlannedKernel(q39, 0.7)
+        naive, planned = NaiveKernel(q39, 0.7), PlannedKernel(q39, 0.7)
         for _ in range(5):
-            a = roll.step(a)
+            a = naive.step(a)
             b = planned.step(b)
-        assert np.allclose(a, b, atol=1e-12)
+        assert np.allclose(a, b, rtol=0, atol=1e-12)
 
     def test_plan_rebuilt_on_shape_change(self, q19):
         k = PlannedKernel(q19, 0.8)
@@ -179,28 +177,10 @@ class TestZeroAllocation:
         assert current < 64 * 1024
         assert np.isfinite(f).all()
 
-    def test_roll_kernel_still_allocates(self, q19):
-        """Contrast case documenting *why* the planned kernel exists:
-        the roll kernel's collide allocates full-lattice temporaries."""
-        shape = (16, 16, 16)
-        f = _initial_state(q19, shape)
-        kernel = RollKernel(q19, tau=0.8)
-        f = kernel.step(f)
-        tracemalloc.start()
-        f = kernel.step(f)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak > f.nbytes // 4
-
 
 class TestSelection:
     def test_registry_names(self):
-        assert set(available_kernels()) == {
-            "naive",
-            "roll",
-            "planned",
-            "sparse-planned",
-        }
+        assert available_kernels() == ("naive", "planned", "sparse-planned")
 
     def test_make_kernel_by_name(self, q19):
         for name in available_kernels():
@@ -214,19 +194,21 @@ class TestSelection:
             assert kernel.name == name
 
     def test_make_kernel_passthrough_instance(self, q19):
-        kernel = RollKernel(q19, 0.8)
+        kernel = NaiveKernel(q19, 0.8)
         assert make_kernel(kernel, q19, tau=0.9) is kernel
 
     def test_make_kernel_unknown_name(self, q19):
         with pytest.raises(LatticeError, match="unknown kernel"):
             make_kernel("simd", q19, tau=0.8)
 
-    @pytest.mark.parametrize("name", ["fused-gather", "sparse-legacy"])
+    @pytest.mark.parametrize("name", ["fused-gather", "sparse-legacy", "roll", None])
     def test_retired_kernel_names_are_unknown(self, q19, name):
-        """Names of retired rungs fail loudly and list the kernels left,
-        rather than resolving to another path."""
+        """Names of retired rungs (and ``None``, the retired legacy pair)
+        fail loudly and list the kernels left, rather than resolving to
+        another path."""
         with pytest.raises(
-            LatticeError, match="available: naive, planned, roll, sparse-planned"
+            LatticeError,
+            match=r"available: naive, planned, sparse-planned \(or 'auto'\)",
         ):
             make_kernel(name, q19, tau=0.8)
 
@@ -315,33 +297,33 @@ class TestSimulationPlumbing:
         u = 0.01 * rng.standard_normal((3, *sim.shape))
         sim.initialize(rho, u)
 
-    @pytest.mark.parametrize("kernel", ["roll", "planned"])
-    def test_kernel_matches_default_path(self, kernel):
+    def test_default_kernel_is_planned(self):
+        """With no kernel named, a simulation steps the planned kernel."""
         shape = (8, 8, 8)
-        ref = Simulation("D3Q19", shape, tau=0.8)
-        sim = Simulation("D3Q19", shape, tau=0.8, kernel=kernel)
-        self._init(ref)
-        self._init(sim)
-        ref.run(5)
-        sim.run(5)
-        assert np.allclose(sim.f, ref.f, atol=1e-13)
+        default = Simulation("D3Q19", shape, tau=0.8)
+        planned = Simulation("D3Q19", shape, tau=0.8, kernel="planned")
+        assert isinstance(default.kernel, PlannedKernel)
+        for sim in (default, planned):
+            self._init(sim)
+            sim.run(5)
+        assert default.f.tobytes() == planned.f.tobytes()
 
     def test_naive_kernel_drives_simulation(self):
         """kernel='naive' really runs the literal per-cell loops through
         the split stream/collide path (the executable spec end-to-end)."""
         shape = (4, 3, 3)
-        ref = Simulation("D3Q19", shape, tau=0.8)
+        ref = Simulation("D3Q19", shape, tau=0.8, kernel="planned")
         sim = Simulation("D3Q19", shape, tau=0.8, kernel="naive")
         self._init(ref)
         self._init(sim)
         ref.run(2)
         sim.run(2)
-        assert np.allclose(sim.f, ref.f, atol=1e-13)
+        assert np.allclose(sim.f, ref.f, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("kernel_cls", [NaiveKernel, PlannedKernel])
     def test_split_api_overridden_not_inherited(self, kernel_cls, q19):
         """Each selectable kernel must supply its own split stream()
-        (otherwise Simulation would silently run the roll fallback)."""
+        (the interface's only raises)."""
         from repro.core import LBMKernel
 
         assert kernel_cls.stream is not LBMKernel.stream
@@ -353,60 +335,70 @@ class TestSimulationPlumbing:
 
     def test_kernel_with_boundaries(self):
         """The split stream/collide path keeps kernels usable under
-        boundary conditions (the fused step alone could not be)."""
+        boundary conditions: planned (walls folded into the gather)
+        tracks naive (walls applied after streaming)."""
         shape = (6, 9, 6)
         lat = get_lattice("D3Q19")
         solid = np.zeros(shape, dtype=bool)
         solid[:, 0, :] = solid[:, -1, :] = True
 
-        def build(**kwargs):
+        def build(kernel):
             sim = Simulation(
                 lat,
                 shape,
                 tau=0.9,
                 boundaries=[BounceBackWalls(lat, solid)],
-                **kwargs,
+                kernel=kernel,
             )
             self._init(sim)
             sim.run(5)
             return sim
 
-        ref = build()
-        planned = build(kernel="planned")
-        assert np.allclose(planned.f, ref.f, atol=1e-13)
+        ref = build("naive")
+        planned = build("planned")
+        assert ref.effective_path["walls"] == "post-stream"
+        assert planned.effective_path["walls"] == "folded"
+        assert np.allclose(planned.f, ref.f, rtol=0, atol=1e-13)
 
     def test_kernel_with_forcing(self):
+        """Guo forcing fused into the planned collide tracks naive's
+        generic forced collide."""
         shape = (6, 9, 6)
         from repro.core import GuoForcing
 
         lat = get_lattice("D3Q19")
 
-        def build(**kwargs):
+        def build(kernel):
             sim = Simulation(
                 lat,
                 shape,
                 tau=0.9,
                 forcing=GuoForcing(lat, (1e-5, 0.0, 0.0)),
-                **kwargs,
+                kernel=kernel,
             )
             self._init(sim)
             sim.run(5)
             return sim
 
-        ref = build()
-        planned = build(kernel="planned")
-        assert np.allclose(planned.f, ref.f, atol=1e-13)
+        ref = build("naive")
+        planned = build("planned")
+        assert ref.effective_path["forcing"] == "generic"
+        assert np.allclose(planned.f, ref.f, rtol=0, atol=1e-13)
 
-    def test_kernel_and_collision_conflict(self):
-        from repro.core import BGKCollision
+    @pytest.mark.parametrize("kernel,layout", [("naive", "soa"), ("planned", "aos")])
+    def test_custom_collision_needs_planned_soa(self, kernel, layout):
+        """A custom operator replaces only the planned collide: naive is
+        BGK-only, and AoS storage is refused."""
+        from repro.core import RegularizedBGKCollision
 
         lat = get_lattice("D3Q19")
-        with pytest.raises(LatticeError, match="mutually exclusive"):
+        with pytest.raises(LatticeError, match="runs on the planned kernel"):
             Simulation(
                 lat,
                 (4, 4, 4),
-                kernel="planned",
-                collision=BGKCollision(lat, 0.8),
+                kernel=kernel,
+                layout=layout,
+                collision=RegularizedBGKCollision(lat, 0.8),
             )
 
     def test_auto_kernel_runs(self):
@@ -427,7 +419,73 @@ class TestSimulationPlumbing:
         assert sim.f.dtype == np.float32
         ref.run(10)
         sim.run(10)
-        assert np.allclose(sim.f, ref.f, atol=1e-4)
+        assert np.allclose(sim.f, ref.f, rtol=0, atol=1e-4)
+
+
+class TestCustomCollision:
+    """A custom operator rides the planned stream.  Streaming is a
+    permutation, so the gather writes exactly the bytes
+    ``stream_periodic`` writes, and the step equals the retired legacy
+    pair (``stream_periodic``, static walls, then the operator) byte for
+    byte."""
+
+    OPERATORS = {
+        "regularized": lambda lat: RegularizedBGKCollision(lat, tau=0.8),
+        "mrt": lambda lat: HermiteMRTCollision(lat, tau_shear=0.8, tau_bulk=0.9),
+    }
+
+    @pytest.mark.parametrize("walled", [False, True], ids=["open", "walled"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("lname", ["D3Q15", "D3Q19", "D3Q27", "D3Q39"])
+    @pytest.mark.parametrize("operator", sorted(OPERATORS))
+    def test_equals_stream_periodic_then_operator(
+        self, operator, lname, dtype, walled
+    ):
+        lat = get_lattice(lname)
+        shape = (5, 6, 3)
+        op = self.OPERATORS[operator](lat)
+        walls = []
+        if walled:
+            solid = np.zeros(shape, dtype=bool)
+            solid[:, 0, :] = solid[:, -1, :] = True
+            walls = [BounceBackWalls(lat, solid)]
+        sim = Simulation(lat, shape, collision=op, boundaries=walls, dtype=dtype)
+        rng = np.random.default_rng(4)
+        sim.initialize(1.0, 0.02 * rng.standard_normal((3, *shape)))
+        f = sim.f.copy()
+        sim.run(3)
+        for _ in range(3):
+            adv = stream_periodic(lat, f)
+            for bc in walls:
+                bc.apply(adv, f)
+            op.apply(adv, out=f)
+        assert sim.f.dtype == np.dtype(dtype)
+        assert sim.f.tobytes() == f.tobytes()
+        assert sim.collision is op
+        assert sim.effective_path == {
+            "stream": "gather",
+            "walls": "folded" if walled else "none",
+            "collide": "generic",
+            "forcing": "none",
+        }
+
+    def test_kernel_takes_the_operators_relaxation(self, q19):
+        """The plan is built with tau = 1 / op.omega; the BGK ``tau``
+        argument goes unused and is not checked."""
+        op = HermiteMRTCollision(q19, tau_shear=0.9)
+        sim = Simulation(q19, (4, 4, 4), tau=0.3, collision=op)
+        assert sim.kernel.collision.omega == pytest.approx(op.omega, rel=1e-15)
+
+    def test_forcing_with_a_custom_collision_is_not_implemented(self, q19):
+        from repro.core import GuoForcing
+
+        with pytest.raises(NotImplementedError, match="custom collision"):
+            Simulation(
+                q19,
+                (4, 4, 4),
+                collision=RegularizedBGKCollision(q19, tau=0.8),
+                forcing=GuoForcing(q19, (1e-5, 0.0, 0.0)),
+            )
 
 
 class TestKernelPlanObject:

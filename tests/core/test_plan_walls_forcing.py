@@ -2,8 +2,9 @@
 
 Static bounce-back folded into the gather table must be byte-identical
 to streaming followed by :class:`BounceBackWalls`; the Guo-forced arena
-collide must track the generic forced collide of
-:class:`~repro.core.simulation.Simulation` to rounding.
+collide must track the generic forced collide
+:class:`~repro.core.simulation.Simulation` takes under the naive kernel
+to rounding.
 """
 
 import hypothesis.strategies as st
@@ -113,9 +114,9 @@ class TestForcedArenaCollide:
     @pytest.mark.parametrize("dtype,rtol", [("float64", 1e-13), ("float32", 2e-6)])
     @pytest.mark.parametrize("lname,order", LATTICE_ORDERS)
     def test_matches_generic_forced_collide(self, lname, order, dtype, rtol):
-        """One forced collide, arena vs Simulation's generic Guo path:
-        within 1e-13 relative at float64, a few float32 ulps at float32
-        (measured <= 3.2e-7)."""
+        """One forced collide, arena vs Simulation's generic Guo path
+        (the naive kernel's): within 1e-13 relative at float64, a few
+        float32 ulps at float32 (measured <= 3.2e-7)."""
         lat = get_lattice(lname)
         shape = (5, 4, 3)
         force = (2e-4, -1e-4, 5e-5)
@@ -126,8 +127,10 @@ class TestForcedArenaCollide:
             tau=0.7,
             order=order,
             forcing=GuoForcing(lat, force),
+            kernel="naive",
             dtype=dtype,
         )
+        assert generic.effective_path["collide"] == "generic"
         expected = np.empty_like(src)
         generic._collide(src, out=expected)
         plan = KernelPlan(lat, shape, order=order, dtype=dtype)
@@ -153,7 +156,7 @@ class TestForcedArenaCollide:
     )
     def test_forced_walled_run_tracks_generic_path(self, dtype, rtol, expected_collide):
         """40 forced, walled steps: planned (folded walls, arena forcing)
-        vs the legacy pair (post-stream walls, generic forcing)."""
+        vs naive (post-stream walls, generic forcing)."""
         lat = get_lattice("D3Q19")
         shape = (8, 9, 6)
         solid = np.zeros(shape, dtype=bool)
@@ -168,13 +171,13 @@ class TestForcedArenaCollide:
                 kernel=kernel,
                 dtype=dtype,
             )
-            for kernel in ("planned", None)
+            for kernel in ("planned", "naive")
         ]
         for sim in sims:
             sim.initialize(1.0, np.zeros((3, *shape)))
             sim.run(40)
-        planned, legacy = (sim.f.astype(np.float64) for sim in sims)
-        assert np.abs(planned - legacy).max() <= rtol * np.abs(legacy).max()
+        planned, naive = (sim.f.astype(np.float64) for sim in sims)
+        assert np.abs(planned - naive).max() <= rtol * np.abs(naive).max()
         collide = expected_collide(dtype)
         assert sims[0].effective_path == {
             "stream": "gather",

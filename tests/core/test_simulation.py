@@ -47,7 +47,7 @@ class TestShearWaveViscometry:
             sim.initialize(rho, u)
             sim.run(60)
             results.append(sim.f.copy())
-        assert np.allclose(results[0], results[1], atol=1e-12)
+        assert np.allclose(results[0], results[1], rtol=0, atol=1e-12)
 
 
 class TestTaylorGreen:
@@ -86,7 +86,7 @@ class TestConservation:
         p0 = total_momentum(sim.lattice, sim.f)
         sim.run(25)
         assert total_mass(sim.f) == pytest.approx(m0, rel=1e-13)
-        assert np.allclose(total_momentum(sim.lattice, sim.f), p0, atol=1e-11)
+        assert np.allclose(total_momentum(sim.lattice, sim.f), p0, rtol=0, atol=1e-11)
 
 
 class TestSoundSpeed:
@@ -186,4 +186,4 @@ class TestDriverMechanics:
         sim.initialize(rho, u)
         f0 = sim.f.copy()
         sim.run(8)
-        assert np.allclose(sim.f, f0, atol=1e-13)
+        assert np.allclose(sim.f, f0, rtol=0, atol=1e-13)

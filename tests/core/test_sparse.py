@@ -162,7 +162,7 @@ class TestSparseDtypePolicy:
             sim.run(50)
             assert sim.f.dtype == np.dtype(dtype)
             runs[dtype] = sim.f.astype(np.float64)
-        assert np.allclose(runs["float32"], runs["float64"], atol=1e-5)
+        assert np.allclose(runs["float32"], runs["float64"], rtol=0, atol=1e-5)
 
     def test_float32_scatter_preserves_dtype(self):
         mask = np.zeros((4, 4, 4), dtype=bool)

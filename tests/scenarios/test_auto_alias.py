@@ -14,9 +14,9 @@ import pytest
 
 from repro import api
 from repro.core import (
+    NaiveKernel,
     PlannedKernel,
     PlannedSparseKernel,
-    RollKernel,
     Simulation,
     SparseSimulation,
 )
@@ -78,10 +78,10 @@ class TestAutoReadsNoHostState:
         """Sweep packing prices every rung alike (Eq. 5 has no kernel
         term), whatever an old calibration ranked first."""
         spec = get_case(DENSE)
-        auto, planned, roll = predict_spec_costs(
-            [spec.with_overrides(kernel=k) for k in ("auto", "planned", "roll")]
+        auto, planned, naive = predict_spec_costs(
+            [spec.with_overrides(kernel=k) for k in ("auto", "planned", "naive")]
         )
-        assert auto == planned == roll > 0
+        assert auto == planned == naive > 0
 
     def test_sparse_run_steps_with_planned_sparse_kernel(
         self, roll_first_calibration
@@ -107,7 +107,7 @@ def test_auto_resolves_without_stepping_any_kernel(monkeypatch):
     def step(self, f):
         raise AssertionError("a kernel stepped while 'auto' resolved")
 
-    for cls in (RollKernel, PlannedKernel, PlannedSparseKernel):
+    for cls in (NaiveKernel, PlannedKernel, PlannedSparseKernel):
         monkeypatch.setattr(cls, "step", step)
     dense = Simulation("D3Q19", (6, 6, 6), tau=0.8, kernel="auto")
     sparse = SparseSimulation("D3Q19", np.zeros((6, 5, 4), dtype=bool), tau=0.8)

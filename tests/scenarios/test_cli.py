@@ -177,13 +177,13 @@ class TestErrorPaths:
         assert code == 2
         assert "no published sweep" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kernel", ["fused-gather", "sparse-legacy"])
+    @pytest.mark.parametrize("kernel", ["fused-gather", "sparse-legacy", "roll"])
     def test_retired_kernel_lists_the_kernels_left(self, capsys, kernel):
         code = main(["case", "taylor-green", "--steps", "5", "--kernel", kernel])
         assert code == 2
         err = capsys.readouterr().err
         assert f"unknown kernel {kernel!r}" in err
-        assert "available: naive, planned, roll, sparse-planned" in err
+        assert "available: naive, planned, sparse-planned" in err
 
     @pytest.mark.parametrize("kernel", ["legacy", "sparse-legacy"])
     def test_sparse_case_refuses_the_retired_rung(self, capsys, kernel):

@@ -36,11 +36,11 @@ def test_every_registered_case_prices_at_eq5_traffic(case, dtype):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_auto_planned_and_roll_price_alike(case):
+def test_auto_planned_and_naive_price_alike(case):
     """Eq. 5 has no kernel term: every rung of one spec costs the same."""
     spec = get_case(case)
     costs = predict_spec_costs(
-        [spec.with_overrides(kernel=k) for k in ("auto", "planned", "roll")]
+        [spec.with_overrides(kernel=k) for k in ("auto", "planned", "naive")]
     )
     assert len(set(costs)) == 1
 

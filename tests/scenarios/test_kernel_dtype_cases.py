@@ -39,20 +39,31 @@ class TestSpecValidation:
         with pytest.raises(ScenarioError, match="dtype"):
             spec.validate()
 
-    def test_kernel_with_collision_factory_rejected(self):
+    def test_collision_factory_needs_planned_soa(self):
+        """A custom operator replaces only the planned collide: the naive
+        kernel is BGK-only, and AoS storage is refused."""
         base = get_case("microchannel-knudsen")  # regularized collision
         assert base.collision is not None
-        spec = base.with_overrides(kernel="planned")
-        with pytest.raises(ScenarioError, match="mutually exclusive"):
+        base.validate()
+        assert base.kernel == "planned"
+        for overrides in ({"kernel": "naive"}, {"layout": "aos"}):
+            spec = base.with_overrides(**overrides)
+            with pytest.raises(ScenarioError, match="collision factory runs on"):
+                spec.validate()
+
+    def test_kernel_none_refused(self):
+        """``None`` named the retired legacy pair."""
+        spec = CaseSpec(name="x", title="x", kernel=None)
+        with pytest.raises(ScenarioError, match="unknown kernel None"):
             spec.validate()
 
     def test_fingerprints_distinguish_kernel_and_dtype(self):
         base = get_case("taylor-green")
         prints = {
             base.fingerprint(),
-            base.with_overrides(kernel="roll").fingerprint(),
+            base.with_overrides(kernel="naive").fingerprint(),
             base.with_overrides(dtype="float32").fingerprint(),
-            base.with_overrides(kernel="roll", dtype="float32").fingerprint(),
+            base.with_overrides(kernel="naive", dtype="float32").fingerprint(),
         }
         assert len(prints) == 4
 
@@ -93,11 +104,17 @@ class TestDtypeEquivalence:
         assert result.spec.kernel == "planned"
 
 
+#: Taylor-green small enough for the naive kernel's per-cell loops, and
+#: large enough for its decay check to pass.
+NAIVE_SIZED = {"shape": (12, 12, 4)}
+
+
 class TestKernelSweeps:
     def test_sweep_over_kernels_agrees(self):
         sweep = Sweep(
-            "taylor-green", {"kernel": ["roll", "planned"]},
+            "taylor-green", {"kernel": ["naive", "planned"]},
             steps=20,
+            overrides=NAIVE_SIZED,
         )
         result = sweep.run()
         assert result.passed
@@ -117,18 +134,18 @@ class TestKernelSweeps:
         # grid values win on collision with fixed overrides
         sweep2 = Sweep(
             "taylor-green",
-            {"kernel": ["roll", "planned"]},
+            {"kernel": ["naive", "planned"]},
             steps=10,
             overrides={"kernel": "naive"},
         )
-        assert [s.kernel for s in sweep2.specs()] == ["roll", "planned"]
+        assert [s.kernel for s in sweep2.specs()] == ["naive", "planned"]
 
     def test_kernel_dtype_sweep_is_cacheable(self, tmp_path):
-        grid = {"kernel": ["roll", "planned"], "dtype": ["float32", "float64"]}
-        cold = Sweep("taylor-green", grid, steps=10).run(
+        grid = {"kernel": ["naive", "planned"], "dtype": ["float32", "float64"]}
+        cold = Sweep("taylor-green", grid, steps=10, overrides=NAIVE_SIZED).run(
             cache_dir=tmp_path / "cache"
         )
-        warm = Sweep("taylor-green", grid, steps=10).run(
+        warm = Sweep("taylor-green", grid, steps=10, overrides=NAIVE_SIZED).run(
             cache_dir=tmp_path / "cache"
         )
         assert cold.runs_executed == 4

@@ -1,10 +1,12 @@
-"""Registered cases run on the planned kernel by default.
+"""Registered cases run on the planned kernel.
 
-No silent downgrades: every dense case except the one that pins the
-legacy pair resolves to the planned collide (compiled where this host
-built the C loop) with no static wall left for after streaming, and a
-forced step stays allocation-free.  Checkpoints stamped with the legacy
-pair migrate through the byte-identical ``roll`` kernel.
+No silent downgrades: every dense case streams through the planned
+gather with no static wall left for after streaming; every BGK case
+collides in the planned collide (compiled where this host built the C
+loop), and a forced step stays allocation-free.  The one custom
+collision (microchannel-knudsen's regularized operator) replaces only
+the collide, byte-identical to the retired legacy pair.  Of that pair's
+checkpoints, only unstamped custom-collision files resume.
 """
 
 import tracemalloc
@@ -12,12 +14,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core import stream_periodic
 from repro.errors import ScenarioError
 from repro.scenarios import CaseRunner, available_cases, get_case
 
-#: Dense cases that keep ``kernel=None``: a regularized collision (no
-#: planned arena yet).
-PINNED_TO_LEGACY = {"microchannel-knudsen"}
+#: Dense cases whose collision factory replaces the plan's collide.
+CUSTOM_COLLISION = {"microchannel-knudsen"}
 
 FORCED_CASES = [
     "poiseuille-channel",
@@ -31,15 +33,17 @@ DENSE_CASES = sorted(
 )
 
 
-def test_exactly_the_pinned_cases_keep_the_legacy_pair():
-    assert {n for n in DENSE_CASES if get_case(n).kernel is None} == PINNED_TO_LEGACY
-    assert all(
-        get_case(n).kernel == "planned" for n in DENSE_CASES if n not in PINNED_TO_LEGACY
-    )
+def test_every_dense_case_runs_planned():
+    """No case pins another kernel, and exactly the expected cases bring
+    their own collision operator."""
+    assert all(get_case(n).kernel == "planned" for n in DENSE_CASES)
+    assert {
+        n for n in DENSE_CASES if get_case(n).collision is not None
+    } == CUSTOM_COLLISION
 
 
 @pytest.mark.parametrize(
-    "name", [n for n in DENSE_CASES if n not in PINNED_TO_LEGACY]
+    "name", [n for n in DENSE_CASES if n not in CUSTOM_COLLISION]
 )
 def test_default_spec_takes_the_arena_path(name, expected_collide):
     sim, _ = CaseRunner(name).build()
@@ -49,6 +53,39 @@ def test_default_spec_takes_the_arena_path(name, expected_collide):
     assert path["collide"] == collide
     assert path["walls"] in ("folded", "none")
     assert path["forcing"] == ("none" if sim.forcing is None else collide)
+
+
+@pytest.mark.parametrize("name", sorted(CUSTOM_COLLISION))
+def test_custom_collision_case_streams_through_the_plan(name):
+    """The bypass of the plan's collide is recorded, not silent."""
+    sim, _ = CaseRunner(name).build()
+    assert sim.effective_path == {
+        "stream": "gather",
+        "walls": "none",
+        "collide": "generic",
+        "forcing": "none",
+    }
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_knudsen_equals_the_legacy_pair_rebuilt_here(dtype):
+    """The oracle is the retired legacy pair, rebuilt from the spec's own
+    factories: ``stream_periodic``, the diffuse walls, then the
+    regularized operator.  Byte for byte, over 200 steps."""
+    steps = 200
+    runner = CaseRunner("microchannel-knudsen", steps=steps, dtype=dtype)
+    sim, _ = runner.build()
+    spec, lattice = runner.spec, sim.lattice
+    op = spec.collision(spec, lattice)
+    walls = spec.boundaries(spec, lattice, None)
+    f = sim.f.copy()
+    for _ in range(steps):
+        adv = stream_periodic(lattice, f)
+        for bc in walls:
+            bc.apply(adv, f)
+        op.apply(adv, out=f)
+    sim.run(steps)
+    assert sim.f.tobytes() == f.tobytes()
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -72,35 +109,49 @@ def test_forced_steps_allocate_nothing(name, dtype, collide_path):
 
 
 class TestLegacyCheckpointMigration:
-    @pytest.mark.parametrize("name", ["artery-flow", "lid-driven-cavity"])
-    def test_legacy_pair_checkpoint_resumes_under_roll(self, name, tmp_path):
+    """The retired legacy pair left checkpoints with no kernel stamp
+    (an empty one, or none at all in older files), or stamped ``roll``."""
+
+    @pytest.mark.parametrize("stamp", ["", None], ids=["empty", "none"])
+    def test_unstamped_custom_collision_checkpoint_resumes(
+        self, tmp_path, restamp_checkpoint, stamp
+    ):
+        """Its stream wrote the planned gather's bytes and the same
+        operator collided, so the continuation is bit-exact."""
+        name = "microchannel-knudsen"
         path = tmp_path / "legacy.npz"
-        CaseRunner(name, steps=6, monitor_every=3, kernel=None).run(
+        CaseRunner(name, steps=6, monitor_every=3).run(
             checkpoint=path, analyze=False
         )
-        resumed = CaseRunner(name, steps=12, monitor_every=3, kernel="roll").run(
+        restamp_checkpoint(path, stamp)
+        resumed = CaseRunner(name, steps=12, monitor_every=3).run(
             resume=path, analyze=False
         )
-        straight = CaseRunner(name, steps=12, monitor_every=3, kernel=None).run(
-            analyze=False
-        )
+        straight = CaseRunner(name, steps=12, monitor_every=3).run(analyze=False)
         assert resumed.simulation.f.tobytes() == straight.simulation.f.tobytes()
         assert resumed.series == straight.series
 
-    def test_roll_checkpoint_resumes_under_the_legacy_pair(self, tmp_path):
-        path = tmp_path / "roll.npz"
-        CaseRunner("taylor-green", steps=4, monitor_every=2, kernel="roll").run(
-            checkpoint=path, analyze=False
-        )
-        result = CaseRunner("taylor-green", steps=8, monitor_every=2, kernel=None).run(
-            resume=path, analyze=False
-        )
-        assert result.metrics["steps_run"] == 8
-
-    def test_planned_default_refusal_names_the_roll_kernel(self, tmp_path):
+    @pytest.mark.parametrize("kernel", ["planned", "naive"])
+    def test_unstamped_bgk_checkpoint_is_refused(
+        self, tmp_path, restamp_checkpoint, kernel
+    ):
         path = tmp_path / "legacy.npz"
-        CaseRunner("taylor-green", steps=4, monitor_every=2, kernel=None).run(
+        CaseRunner("taylor-green", steps=4, monitor_every=2).run(
             checkpoint=path, analyze=False
         )
-        with pytest.raises(ScenarioError, match="--kernel roll"):
-            CaseRunner("taylor-green", steps=8, monitor_every=2).run(resume=path)
+        restamp_checkpoint(path, "")
+        runner = CaseRunner("taylor-green", steps=8, monitor_every=2, kernel=kernel)
+        with pytest.raises(ScenarioError, match="Upgrading past roll"):
+            runner.run(resume=path)
+
+    @pytest.mark.parametrize("name", ["taylor-green", "microchannel-knudsen"])
+    def test_roll_checkpoint_is_refused_anywhere(
+        self, tmp_path, restamp_checkpoint, name
+    ):
+        path = tmp_path / "roll.npz"
+        CaseRunner(name, steps=4, monitor_every=2).run(
+            checkpoint=path, analyze=False
+        )
+        restamp_checkpoint(path, "roll")
+        with pytest.raises(ScenarioError, match="legacy arithmetic is retired"):
+            CaseRunner(name, steps=8, monitor_every=2).run(resume=path)

@@ -98,7 +98,7 @@ ALTERNATES = {
     "shape": (4, 4, 8),
     "tau": 0.9,
     "order": 2,
-    "kernel": "roll",
+    "kernel": "naive",
     "dtype": "float32",
     "layout": "aos",
     "collision": _collision,

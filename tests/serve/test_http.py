@@ -227,12 +227,12 @@ class TestValidation:
             request(server, "/v1/case", {"case": "nope"}), 400, "unknown case"
         )
 
-    @pytest.mark.parametrize("kernel", ["fused-gather", "sparse-legacy"])
+    @pytest.mark.parametrize("kernel", ["fused-gather", "sparse-legacy", "roll"])
     def test_retired_kernel_is_a_structured_400(self, server, kernel):
         self.assert_error(
             request(server, "/v1/case", {**BODY, "kernel": kernel}),
             400,
-            "available: naive, planned, roll, sparse-planned",
+            "available: naive, planned, sparse-planned",
         )
 
     def test_kernel_auto_is_the_planned_job(self, server):

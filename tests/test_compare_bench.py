@@ -227,9 +227,21 @@ class TestRooflineCheck:
         for mflups, code in ((13.0, 0), (27.0, 1)):
             current = tmp_path / f"current-{mflups}.json"
             current.write_text(json.dumps(probed_record(mflups)))
-            assert module.main([str(baseline), str(current)]) == code
+            args = [str(baseline), str(current), "--kernel", "roll"]
+            assert module.main(args) == code
             out = capsys.readouterr().out
             assert "Eq. 5 efficiency" in out
+
+    def test_default_gates_the_single_domain_planned_rows(self, tmp_path, capsys):
+        """The default kernel selects the planned kernel_throughput rows
+        only: neither the distributed planned rows nor float32."""
+        module = load_comparator()
+        record = tmp_path / "record.json"
+        record.write_text(json.dumps(RECORD))
+        assert module.main([str(record), str(record)]) == 0
+        out = capsys.readouterr().out
+        assert "planned+kernel_throughput D3Q19: 6.00 -> 6.00" in out
+        assert "D3Q39" not in out
 
     @pytest.mark.parametrize("flag", ["--model=c.json", "--model-slack=0.5"])
     def test_model_gate_flags_are_gone(self, flag, tmp_path, capsys):
