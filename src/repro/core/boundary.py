@@ -176,6 +176,9 @@ class DiffuseWallPair(BoundaryCondition):
         for layer in range(k):
             self._emitted.append(np.flatnonzero(c_axis > layer))
             self._absorbed.append(np.flatnonzero(-c_axis > layer))
+        # (wall plane shape, wall velocity) -> its unit-density equilibrium,
+        # a constant of the wall computed on its first step.
+        self._unit_equilibria: dict[tuple, np.ndarray] = {}
 
     def _layer_view(self, f: np.ndarray, layer: int) -> np.ndarray:
         idx: list[slice | int] = [slice(None)] * f.ndim
@@ -185,12 +188,19 @@ class DiffuseWallPair(BoundaryCondition):
     def _unit_equilibrium(
         self, wall_shape: tuple[int, ...], wall_velocity: tuple[float, ...]
     ) -> np.ndarray:
-        lat = self.lattice
-        uw = np.array(wall_velocity, dtype=np.float64)
-        uw_field = np.broadcast_to(
-            uw.reshape((lat.dim,) + (1,) * len(wall_shape)), (lat.dim,) + wall_shape
-        )
-        return equilibrium(lat, np.ones(wall_shape), uw_field, order=None)
+        key = (wall_shape, tuple(wall_velocity))
+        feq = self._unit_equilibria.get(key)
+        if feq is None:
+            lat = self.lattice
+            uw = np.array(wall_velocity, dtype=np.float64)
+            uw_field = np.broadcast_to(
+                uw.reshape((lat.dim,) + (1,) * len(wall_shape)),
+                (lat.dim,) + wall_shape,
+            )
+            feq = equilibrium(lat, np.ones(wall_shape), uw_field, order=None)
+            feq.flags.writeable = False
+            self._unit_equilibria[key] = feq
+        return feq
 
     def _apply_one_wall(
         self,

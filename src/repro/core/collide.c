@@ -1,6 +1,7 @@
 /*
  * The planned BGK collide (with fused Guo forcing) as one C loop: the
- * compiled form of repro.core.plan.KernelPlan.collide_into.
+ * compiled form of repro.core.plan.KernelPlan.collide_into, and, through
+ * the plan's gather table, of the whole planned step KernelPlan.advance.
  *
  * repro.core.compiled builds this file once per process and dtype with
  *
@@ -49,11 +50,18 @@
  *
  * Cells are processed in blocks of REPRO_BLOCK, every loop over a whole
  * block (a fixed trip count keeps the build fast).  Each block's Q
- * populations are copied into scratch before any of its outputs is
- * written, so src and out may be the same array (an in-place collide);
- * neither pointer is declared restrict for that reason.
+ * populations are loaded into scratch before any of its outputs is
+ * written.  Without a gather table the load copies the block's rows of
+ * src, so src and out may be the same array (an in-place collide);
+ * neither pointer is declared restrict for that reason.  With a gather
+ * table (the plan's int64 pull indices, static walls folded in) the load
+ * reads f_i of cell j from src[gather[i * n + j]]: streaming and the
+ * collide become one pass over memory, the paper's Fig. 2 loop with its
+ * distr_adv never written.  That load reads arbitrary cells of src, so on
+ * that path src and out must not overlap (the caller refuses it).
  */
 
+#include <stdint.h>
 #include <string.h>
 
 #ifndef REPRO_REAL
@@ -130,15 +138,17 @@ static inline real relax(real t, real fi, real wi, real rho, real keep, real ome
 }
 
 /*
- * Collide n cells of the (q, n) row-major populations src into out.
- * c and force_m are (q, d) row-major, w and force_b have q entries,
- * half_force d entries and k K_COUNT; force_m is NULL on an unforced
- * plan (half_force and force_b are then ignored).  scratch holds
- * repro_collide_scratch(q, d) elements.
+ * Collide n cells into the (q, n) row-major out.  The populations come
+ * from the (q, n) row-major src when gather is NULL, else from
+ * src[gather[i * n + j]] (gather holds q * n in-bounds indices, and src
+ * must not overlap out).  c and force_m are (q, d) row-major, w and
+ * force_b have q entries, half_force d entries and k K_COUNT; force_m is
+ * NULL on an unforced plan (half_force and force_b are then ignored).
+ * scratch holds repro_collide_scratch(q, d) elements.
  */
-void repro_collide(const real *src, real *out, long n, int q, int d, int order,
-                   const real *c, const real *w, const real *k,
-                   const real *half_force, const real *force_m,
+void repro_collide(const real *src, const int64_t *gather, real *out, long n,
+                   int q, int d, int order, const real *c, const real *w,
+                   const real *k, const real *half_force, const real *force_m,
                    const real *force_b, real *scratch)
 {
     real *restrict f = scratch;                   /* q rows: this block's src */
@@ -160,7 +170,12 @@ void repro_collide(const real *src, real *out, long n, int q, int d, int order,
         const int nb = n - j0 < REPRO_BLOCK ? (int)(n - j0) : REPRO_BLOCK;
         for (int i = 0; i < q; i++) {
             real *restrict fi = f + (long)i * REPRO_BLOCK;
-            memcpy(fi, src + (long)i * n + j0, (size_t)nb * sizeof(real));
+            if (gather) {
+                const int64_t *restrict gi = gather + (long)i * n + j0;
+                for (int b = 0; b < nb; b++) fi[b] = src[gi[b]];
+            } else {
+                memcpy(fi, src + (long)i * n + j0, (size_t)nb * sizeof(real));
+            }
             for (int b = nb; b < REPRO_BLOCK; b++) fi[b] = fi[0];
         }
 

@@ -20,17 +20,24 @@ Python analogue — at construction it builds
   ``term``, ``work``, and ``cu`` at third order), allocated on first
   use.
 
-:meth:`PlannedKernel.step` streams with one ``np.take`` into a
-preallocated buffer and collides in one call: zero per-step heap
-allocations on either collide path (tracemalloc-asserted in the
-tests).  Both collide paths perform the op sequence written down in
-``collide.c`` — elementwise IEEE operations in a fixed order, no BLAS
-— so they write the same bytes, whatever the grid size; that is also
-why a planned slab window matches the planned single domain bit for
-bit.  :class:`~repro.core.simulation.Simulation` installs its walls
-and forcing into the plan, so forced, walled cases run here too; a
-custom collision operator (regularized, MRT) streams through the plan
-and replaces only its collide.
+:meth:`KernelPlan.advance` is the whole step in one call: the
+compiled loop loads each block of cells through the gather table and
+collides it into a second buffer, one pass over memory (the paper's
+Fig. 2 loop with ``distr_adv`` never written); without a compiler
+``np.take`` into that buffer and the reference collide in place write
+the same bytes.  :meth:`PlannedKernel.step` alternates the caller's
+array with one plan-owned buffer; drivers that run boundaries between
+streaming and collision call :meth:`KernelPlan.stream_into` and
+:meth:`KernelPlan.collide_into` instead.  Either way a step makes zero
+per-step heap allocations on either collide path (tracemalloc-asserted
+in the tests).  Both collide paths perform the op sequence written
+down in ``collide.c`` — elementwise IEEE operations in a fixed order,
+no BLAS — so they write the same bytes, whatever the grid size; that
+is also why a planned slab window matches the planned single domain
+bit for bit.  :class:`~repro.core.simulation.Simulation` installs its
+walls and forcing into the plan, so forced, walled cases run here too;
+a custom collision operator (regularized, MRT) streams through the
+plan and replaces only its collide.
 
 :class:`KernelPlan` is the one optimized update of every domain kind:
 dense grids step through :class:`PlannedKernel` (SoA or AoS), sparse
@@ -316,12 +323,9 @@ class KernelPlan:
         self._k[_K_SIX_CS2] = 6.0 * cs2
         self._k[_K_CUBIC] = inv_cs2 * inv_cs2 / 6.0
         self._omega: float | None = None
-        # The post-streaming buffer `adv` serves only the fused step_into
-        # path (the split stream/collide path streams into the caller's
-        # own buffer), so it is allocated lazily on the first fused step;
-        # so is the numpy reference's arena.
-        self._adv: np.ndarray | None = None
-        self._adv_flat: np.ndarray | None = None
+        # The plan-owned population buffer (see `buffer`) and the numpy
+        # reference's arena are allocated on first use.
+        self._buffer: np.ndarray | None = None
         self._arena: _Arena | None = None
         #: How many static bounce-back masks are folded into ``gather``.
         self.folded_walls = 0
@@ -381,20 +385,26 @@ class KernelPlan:
     @property
     def nbytes(self) -> int:
         """Bytes held by the gather table and the scratch (diagnostics)."""
-        arrays = (self.gather, self._adv, self._aos_out, self._soa_index, self._scratch)
+        arrays = (
+            self.gather,
+            self._buffer,
+            self._aos_out,
+            self._soa_index,
+            self._scratch,
+        )
         total = sum(a.nbytes for a in arrays if a is not None)
         if self._arena is not None:
             total += self._arena.nbytes
         return int(total)
 
-    def _fused_buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (adv, adv_flat) pair for the fused path, allocated once."""
-        if self._adv is None:
-            self._adv = np.empty(
-                (self.lattice.q, self.num_cells), dtype=self.dtype
-            )
-            self._adv_flat = self._adv.reshape(-1)
-        return self._adv, self._adv_flat
+    @property
+    def buffer(self) -> np.ndarray:
+        """A plan-owned C-contiguous ``(Q, *shape)`` population array of
+        the plan's dtype, allocated on first use: the second array of
+        :meth:`PlannedKernel.step`'s pair, or a window's scratch."""
+        if self._buffer is None:
+            self._buffer = np.empty((self.lattice.q, *self.shape), dtype=self.dtype)
+        return self._buffer
 
     def _bind_native(self) -> None:
         """The compiled loop's fixed arguments: sizes and the addresses of
@@ -536,50 +546,97 @@ class KernelPlan:
         self._k[_K_OMEGA] = omega
         self._omega = omega
 
-    def _check_buffers(self, src: np.ndarray, out_flat: np.ndarray) -> None:
-        """Refuse buffers the collide cannot address as plain ``(Q, N)``
-        rows of the plan's dtype (checked before any pointer is passed)."""
-        shape = (self.lattice.q, self.num_cells)
-        for role, array in (("src", src), ("out", out_flat)):
+    def _check_omega(self, omega: float) -> None:
+        if self._force_omega is not None and omega != self._force_omega:
+            raise LatticeError(
+                f"plan forcing was fixed for omega={self._force_omega}, "
+                f"collide called with omega={omega}"
+            )
+
+    def _check_buffers(self, call: str, src, src_shape, out, out_shape) -> None:
+        """Refuse arrays the loop cannot address as plain rows of the
+        plan's dtype (checked before any pointer is passed)."""
+        for role, array, shape in (("src", src, src_shape), ("out", out, out_shape)):
             if (
                 array.shape != shape
                 or array.dtype != self.dtype
                 or not array.flags.c_contiguous
             ):
                 raise LatticeError(
-                    f"collide {role} must be a C-contiguous {self.dtype.name} "
+                    f"{call} {role} must be a C-contiguous {self.dtype.name} "
                     f"array of shape {shape}, got {array.dtype.name} "
                     f"{array.shape}"
                 )
-        if not out_flat.flags.writeable:
-            raise LatticeError("collide out is read-only")
+        if not out.flags.writeable:
+            raise LatticeError(f"{call} out is read-only")
+
+    def advance(self, src: np.ndarray, out: np.ndarray, omega: float) -> None:
+        """One whole step: stream ``src`` through the gather table and
+        collide the streamed populations into ``out``.
+
+        ``src`` is the ``(Q, *source_shape)`` pre-stream array and ``out``
+        a ``(Q, *shape)`` array sharing no memory with it, both
+        C-contiguous in the plan's dtype (struct-of-arrays: an AoS plan
+        steps through :meth:`stream_into` and :meth:`collide_native`).
+        The compiled loop loads each block of cells through the plan's
+        int64 table, so streaming and collision are one pass and the
+        post-stream populations are never stored.  Without a compiler,
+        ``np.take`` into ``out`` and then :meth:`_collide_reference` in
+        place write the same bytes.
+        """
+        self._check_omega(omega)
+        q = self.lattice.q
+        self._check_buffers(
+            "advance", src, (q, *self.source_shape), out, (q, *self.shape)
+        )
+        table = self.gather
+        if table.dtype != np.int64 or not table.flags.c_contiguous:
+            raise LatticeError(
+                "advance gathers through a C-contiguous int64 table, got "
+                f"{table.dtype.name} (contiguous: {table.flags.c_contiguous})"
+            )
+        # The table reads any cell of src at any point of the pass.
+        if np.may_share_memory(src, out):
+            raise LatticeError("advance src and out must not overlap")
+        if omega != self._omega:
+            self._set_omega(omega)
+        if self._native is None:
+            rows = out.reshape(q, self.num_cells)
+            np.take(src.reshape(-1), table, out=rows.reshape(-1), mode="clip")
+            self._collide_reference(rows, rows)
+        else:
+            self._native.fn(
+                src.ctypes.data,
+                table.ctypes.data,
+                out.ctypes.data,
+                *self._native_args,
+            )
 
     def collide_into(self, src: np.ndarray, out_flat: np.ndarray, omega: float) -> None:
         """Relax post-streaming populations ``src`` (shape ``(Q, N)``)
         into ``out_flat``.
 
-        ``src`` may be the plan's own ``adv`` (the fused path), any
-        ``(Q, N)`` view of a caller-owned buffer (the split path the
-        simulation driver uses so boundary conditions can run between
-        streaming and collision), or ``out_flat`` itself (an in-place
-        collide).  The result is ``(1 - omega) src + omega feq(src)``,
-        plus the Guo source when :meth:`set_forcing` installed a body
-        force, computed by the op sequence written down in
-        ``collide.c``: by the compiled loop when this process built it,
-        else by :meth:`_collide_reference` — the same bytes either way.
+        ``src`` may be any ``(Q, N)`` view of a caller-owned buffer (the
+        split path the simulation driver uses so boundary conditions can
+        run between streaming and collision), or ``out_flat`` itself (an
+        in-place collide, as the slab's window does).  The result is
+        ``(1 - omega) src + omega feq(src)``, plus the Guo source when
+        :meth:`set_forcing` installed a body force, computed by the op
+        sequence written down in ``collide.c``: by the compiled loop when
+        this process built it, else by :meth:`_collide_reference` — the
+        same bytes either way.
         """
-        if self._force_omega is not None and omega != self._force_omega:
-            raise LatticeError(
-                f"plan forcing was fixed for omega={self._force_omega}, "
-                f"collide called with omega={omega}"
-            )
-        self._check_buffers(src, out_flat)
+        self._check_omega(omega)
+        shape = (self.lattice.q, self.num_cells)
+        self._check_buffers("collide", src, shape, out_flat, shape)
         if omega != self._omega:
             self._set_omega(omega)
         if self._native is None:
             self._collide_reference(src, out_flat)
         else:
-            self._native.fn(src.ctypes.data, out_flat.ctypes.data, *self._native_args)
+            self._native.fn(
+                src.ctypes.data, None, out_flat.ctypes.data, *self._native_args
+            )
 
     def _collide_reference(self, src: np.ndarray, out_flat: np.ndarray) -> None:
         """The numpy reference: ``collide.c``'s op sequence, one ``out=``
@@ -654,13 +711,6 @@ class KernelPlan:
                     np.add(work_row, bias, out=work_row)
             np.add(out_flat, work, out=out_flat)
 
-    def step_into(self, f: np.ndarray, omega: float) -> np.ndarray:
-        """One fused stream+collide step, result written back into ``f``."""
-        adv, adv_flat = self._fused_buffers()
-        self.stream_into(f, adv_flat)
-        self.collide_native(adv, f, omega)
-        return f
-
 
 class PlannedKernel(LBMKernel):
     """Zero-allocation planned kernel (the ladder's measured endpoint).
@@ -687,6 +737,8 @@ class PlannedKernel(LBMKernel):
         self.dtype = resolve_dtype(dtype)
         self.layout = resolve_layout(layout)
         self._plan: KernelPlan | None = None
+        # The caller's array of the pair step() alternates (SoA).
+        self._partner: np.ndarray | None = None
         if shape is not None:
             self._plan = KernelPlan(
                 lattice,
@@ -741,8 +793,24 @@ class PlannedKernel(LBMKernel):
             )
 
     def step(self, f: np.ndarray) -> np.ndarray:
+        """One stream+collide step.  SoA populations take one
+        :meth:`KernelPlan.advance` into the other array of a pair, the
+        caller's first array and the plan's :attr:`~KernelPlan.buffer`,
+        which alternate; AoS populations are collided back into ``f``."""
         self._check_input(f)
-        return self.plan_for(f.shape[1:]).step_into(f, self.collision.omega)
+        plan = self.plan_for(f.shape[1:])
+        buffer = plan.buffer
+        if self.layout == LAYOUT_AOS:
+            adv = buffer.reshape(self.lattice.q, -1)
+            plan.stream_into(f, adv)
+            plan.collide_native(adv, f, self.collision.omega)
+            return f
+        if f is buffer:
+            out = self._partner
+        else:
+            self._partner, out = f, buffer
+        plan.advance(f, out, self.collision.omega)
+        return out
 
     def stream(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Gather-table streaming into SoA ``out`` (split path for drivers)."""

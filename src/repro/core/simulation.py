@@ -12,7 +12,10 @@ on one periodic domain (the distributed version lives in
 arrays (``distr`` / ``distr_adv``), applies boundary conditions between
 streaming and collision, couples an optional body force, and records
 wall-clock throughput in MFlup/s (million fluid lattice-point updates
-per second, paper Eq. 4).
+per second, paper Eq. 4).  When nothing runs between streaming and
+collision, a planned step is one pass: the plan's compiled loop gathers
+``distr`` through its stream table and writes the collided populations
+into ``distr_adv``, and the two arrays swap roles.
 """
 
 from __future__ import annotations
@@ -241,6 +244,14 @@ class Simulation(_Driver):
         self._post_stream = self.boundaries
         if self._planned:
             self._install_into_plan()
+        #: Whether a step is one KernelPlan.advance pass (decided once):
+        #: BGK on the planned SoA kernel with nothing after streaming.
+        self._fused = (
+            self._planned
+            and not self._custom
+            and not self._post_stream
+            and self.layout == LAYOUT_SOA
+        )
         # The persistent field carries the layout; the advection scratch
         # stays SoA under either layout (the kernel streams AoS -> SoA
         # and scatters back after collision), so boundary conditions see
@@ -258,7 +269,7 @@ class Simulation(_Driver):
     def _install_into_plan(self) -> None:
         """Fold the leading static walls into the planned kernel's gather
         table and fuse the forcing into its arena collide."""
-        plan = self.kernel.plan_for(self.shape)
+        plan = self._plan = self.kernel.plan_for(self.shape)
         if plan.folded_walls or plan.forced:
             raise LatticeError(
                 "this planned kernel instance already carries another "
@@ -329,14 +340,19 @@ class Simulation(_Driver):
     def effective_path(self) -> dict[str, str]:
         """The code path each phase of :meth:`step` actually takes.
 
-        ``stream``: ``"gather"`` (the planned table) or ``"generic"``;
-        ``walls`` (plain static bounce-back): ``"folded"`` into the
-        gather, ``"post-stream"`` when any runs as an operator after
-        streaming, or ``"none"``; ``collide``: ``"compiled"`` (the
-        plan's C loop), ``"arena"`` (its byte-identical numpy
-        reference, on a host without a C compiler) or ``"generic"``
-        (naive, or a custom operator bypassing the plan's collide);
-        ``forcing``: the collide's value on a forced run, else
+        ``stream``: ``"fused"`` (the plan's collide gathers through its
+        table: one :meth:`KernelPlan.advance
+        <repro.core.plan.KernelPlan.advance>` per step, whose time books
+        as collide), ``"gather"`` (the planned table, as a pass of its
+        own before post-stream boundaries, a custom collision or the AoS
+        scatter) or ``"generic"``; ``walls`` (plain static bounce-back):
+        ``"folded"`` into the gather, ``"post-stream"`` when any runs as
+        an operator after streaming, or ``"none"``; ``collide``:
+        ``"compiled"`` (the plan's C loop), ``"arena"`` (its
+        byte-identical numpy reference, on a host without a C compiler;
+        a fused step there is ``np.take`` then the reference) or
+        ``"generic"`` (naive, or a custom operator bypassing the plan's
+        collide); ``forcing``: the collide's value on a forced run, else
         ``"none"``.  Moving and diffuse walls always run post-stream.
         """
         if self._custom or not self._planned:
@@ -351,8 +367,12 @@ class Simulation(_Driver):
             walls = "folded"
         else:
             walls = "none"
+        if self._fused:
+            stream = "fused"
+        else:
+            stream = "gather" if self._planned else "generic"
         return {
-            "stream": "gather" if self._planned else "generic",
+            "stream": stream,
             "walls": walls,
             "collide": fast,
             "forcing": "none" if self.forcing is None else fast,
@@ -378,9 +398,23 @@ class Simulation(_Driver):
         out += self.forcing.source_term(u, self.collision.omega)
 
     def step(self) -> None:
-        """Advance one time step: stream, boundaries, collide."""
+        """Advance one time step: stream, boundaries, collide.
+
+        A fused step is one pass from the field into the advection
+        array, which then becomes the field (the arrays swap); its whole
+        time books as collide.
+        """
         f_old = self.field.data
         f_new = self._adv.data
+        if self._fused:
+            t0 = time.perf_counter()
+            self._plan.advance(f_old, f_new, self.collision.omega)
+            t1 = time.perf_counter()
+            self.field.data, self._adv.data = f_new, f_old
+            self.time_step += 1
+            self.timings.steps += 1
+            self.timings.collide_seconds += t1 - t0
+            return
 
         t0 = time.perf_counter()
         self.kernel.stream(f_old, out=f_new)

@@ -25,11 +25,11 @@ bounding box — and the repo's population dtype policy applies
 One kernel implements the update, :class:`PlannedSparseKernel`
 (``"sparse-planned"``; a sparse case spells it ``planned`` or ``auto``):
 the domain's per-velocity neighbor lists are flattened at plan time into
-one contiguous gather table driving a :class:`~repro.core.plan.KernelPlan`
-arena, so stream + collide (bounce-back links included — they are just
-more gather indices) runs with zero per-step heap allocations, exactly
-like the dense planned kernel.  :class:`SparseSimulation` always builds
-it.
+one contiguous gather table driving a :class:`~repro.core.plan.KernelPlan`,
+so stream + collide (bounce-back links included — they are just more
+gather indices) is one :meth:`~repro.core.plan.KernelPlan.advance` with
+zero per-step heap allocations, exactly like the dense planned kernel.
+:class:`SparseSimulation` always builds it.
 """
 
 from __future__ import annotations
@@ -156,11 +156,13 @@ class PlannedSparseKernel:
     At plan time the domain's neighbor lists become one flat gather
     table (:func:`build_sparse_gather_table`) driving a
     :class:`~repro.core.plan.KernelPlan` whose "grid" is the 1-D fluid
-    list — the arena, ``np.take(mode="clip")`` streaming and ``out=``
-    collision discipline are shared verbatim with the dense planned
-    kernel, so the sparse hot loop inherits its zero-per-step-heap
-    guarantee (tracemalloc-asserted in the tests).  The update is in
-    place: ``step`` returns the same array it was given.
+    list — the one-pass :meth:`~repro.core.plan.KernelPlan.advance` is
+    shared verbatim with the dense planned kernel, so the sparse hot
+    loop inherits its zero-per-step-heap guarantee (tracemalloc-asserted
+    in the tests).  The update is not in place: ``step`` writes the
+    other array of a pair, the caller's first array and the plan's
+    :attr:`~repro.core.plan.KernelPlan.buffer`, and returns it, so the
+    two alternate step by step.
     """
 
     name = "sparse-planned"
@@ -183,6 +185,7 @@ class PlannedSparseKernel:
             dtype=self.dtype,
             gather=build_sparse_gather_table(domain),
         )
+        self._partner: np.ndarray | None = None
 
     def _check_input(self, f: np.ndarray) -> None:
         if f.dtype != self.dtype:
@@ -204,7 +207,13 @@ class PlannedSparseKernel:
 
     def step(self, f: np.ndarray) -> np.ndarray:
         self._check_input(f)
-        return self.plan.step_into(f, self.collision.omega)
+        buffer = self.plan.buffer
+        if f is buffer:
+            out = self._partner
+        else:
+            self._partner, out = f, buffer
+        self.plan.advance(f, out, self.collision.omega)
+        return out
 
 
 class SparseSimulation(_Driver):

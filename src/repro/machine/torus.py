@@ -1,11 +1,10 @@
 """Torus interconnect model.
 
 Blue Gene machines use n-dimensional torus networks (3-D on BG/P, 5-D on
-BG/Q) for point-to-point communication.  :class:`TorusTopology` builds
-the torus as a :mod:`networkx` graph and answers the questions the
-performance analysis needs: neighbor sets, hop distances,
-dimension-ordered routes, bisection bandwidth, and transfer-time
-estimates for halo messages.
+BG/Q) for point-to-point communication.  :class:`TorusTopology` answers
+the questions the performance analysis needs from the torus coordinates
+alone: neighbor sets, hop distances, dimension-ordered routes, bisection
+bandwidth, and transfer-time estimates for halo messages.
 
 For the paper's 1-D domain decomposition, consecutive MPI ranks map to
 neighboring torus coordinates (the default ABCDET-style mapping), so
@@ -17,9 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from functools import cached_property
 
-import networkx as nx
 import numpy as np
 
 from .spec import MachineSpec
@@ -71,16 +68,6 @@ class TorusTopology:
     def num_nodes(self) -> int:
         return int(np.prod(self.shape))
 
-    @cached_property
-    def graph(self) -> nx.Graph:
-        """The torus as an undirected graph (wrap links included).
-
-        ``networkx.grid_graph`` interprets ``dim`` in reverse order
-        relative to the node tuples it produces, so passing the reversed
-        shape yields node tuples in our coordinate order.
-        """
-        return nx.grid_graph(dim=list(reversed(self.shape)), periodic=True)
-
     def coordinates(self) -> list[tuple[int, ...]]:
         """All node coordinates in lexicographic order."""
         return list(itertools.product(*(range(s) for s in self.shape)))
@@ -104,8 +91,20 @@ class TorusTopology:
         return hops
 
     def neighbors(self, coord: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """Directly linked coordinates."""
-        return list(self.graph.neighbors(coord))
+        """Directly linked coordinates: one step either way along each
+        axis, with wrap, axis by axis (+1 before -1), each listed once.
+        An axis of extent 1 links a node to itself, which is no neighbor;
+        one of extent 2 reaches the same node both ways."""
+        coord = tuple(int(x) for x in coord)
+        found: list[tuple[int, ...]] = []
+        for axis, extent in enumerate(self.shape):
+            for step in (1, -1):
+                other = list(coord)
+                other[axis] = (coord[axis] + step) % extent
+                other = tuple(other)
+                if other != coord and other not in found:
+                    found.append(other)
+        return found
 
     def ranks_are_adjacent(self, rank_a: int, rank_b: int) -> bool:
         """Whether two ranks are one hop apart under the default mapping."""

@@ -97,9 +97,9 @@ class PlannedSlabKernel:
         # macro-cycle computes x in [width - v, width + local_nx + v) with
         # v = width - s*k, down to the bare interior at v = 0.
         self._plans: dict[int, KernelPlan] = {}
-        #: (adv_2d, adv_4d) per validity level — the fused buffer plus a
-        #: prebuilt reshaped view, so the hot loop performs no per-step
-        #: reshape bookkeeping.
+        #: (adv_2d, adv_4d) per validity level — the window plan's buffer
+        #: and a prebuilt (Q, N) view of it, so the hot loop performs no
+        #: per-step reshape bookkeeping.
         self._views: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for s in range(1, spec.depth + 1):
             v = spec.width - s * spec.k
@@ -111,9 +111,8 @@ class PlannedSlabKernel:
                 order=self.collision.order,
                 dtype=self.dtype,
             )
-            adv, _ = plan._fused_buffers()
             self._plans[v] = plan
-            self._views[v] = (adv, adv.reshape(lattice.q, *plan.shape))
+            self._views[v] = (plan.buffer.reshape(lattice.q, -1), plan.buffer)
 
     @property
     def nbytes(self) -> int:

@@ -181,6 +181,35 @@ class TestDiffuseWall:
         profile = velocity_profile(q39, sim.f, flow_axis=0, across_axis=1)
         assert profile[-1] > profile[0]
 
+    @pytest.mark.parametrize("lname", ["D3Q19", "D3Q39"])
+    def test_wall_equilibrium_computed_once(self, lname, monkeypatch):
+        """The unit wall equilibrium is a constant of each wall: built on
+        the first step only, and a wall that keeps it writes the bytes a
+        fresh wall (building it anew) writes on every step."""
+        from repro.core import boundary
+        from repro.lattice import get_lattice
+
+        lat = get_lattice(lname)
+        shape = (4, 9, 4)
+        walls = dict(axis=1, wall_velocity_high=(0.01, 0.0, 0.0))
+        built = []
+        real_equilibrium = boundary.equilibrium
+
+        def counting(*args, **kwargs):
+            built.append(args[1].shape)
+            return real_equilibrium(*args, **kwargs)
+
+        monkeypatch.setattr(boundary, "equilibrium", counting)
+        kept = DiffuseWallPair(lat, **walls)
+        rng = np.random.default_rng(3)
+        f_old = rng.random((lat.q, *shape))
+        a, b = f_old.copy(), f_old.copy()
+        for _ in range(6):
+            kept.apply(a, f_old)
+            DiffuseWallPair(lat, **walls).apply(b, f_old)
+            assert a.tobytes() == b.tobytes()
+        assert len(built) == 2 + 6 * 2  # both of kept's walls, once
+
     def test_rest_state_is_stationary(self, q19):
         """No walls moving, uniform fluid: diffuse walls change nothing."""
         shape = (4, 9, 4)

@@ -2,7 +2,8 @@
 
 ``collide.c`` and ``KernelPlan._collide_reference`` perform one op
 sequence, so they must write the same bytes for every lattice, order,
-dtype, forcing, aliasing, block remainder and plan kind.  On a host
+dtype, forcing, aliasing, block remainder and plan kind, whether the C
+loop loads its blocks by copy or through the gather table.  On a host
 without a C compiler the reference carries every planned run, and case
 payloads and sweep tables must not change by a byte.
 """
@@ -26,7 +27,9 @@ import repro
 from repro import api
 from repro.core import KernelPlan, SparseDomain, compiled, equilibrium
 from repro.core.io import canonical_json
+from repro.core.plan import build_gather_table
 from repro.core.sparse import build_sparse_gather_table
+from repro.errors import LatticeError
 from repro.lattice import get_lattice
 from repro.telemetry import Telemetry, set_telemetry
 
@@ -135,6 +138,98 @@ class TestDifferential:
         assert got.tobytes() == expected.tobytes()
 
 
+class TestOnePassStep:
+    """``KernelPlan.advance``: the C loop gathering through the table
+    equals its no-``cc`` form (``np.take``, then the reference collide
+    in place) and the two-pass split, byte for byte."""
+
+    @pytest.mark.parametrize("force", list(FORCES))
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("lname,order", LATTICE_ORDERS)
+    @pytest.mark.parametrize("kind", ["soa", "sparse"])
+    def test_advance_equals_its_no_cc_form(self, kind, lname, order, dtype, force):
+        block = _loaded(dtype).block
+        lat = get_lattice(lname)
+        rng = np.random.default_rng(5)
+        # dense: 315 cells, a folded wall on one face; sparse: a fluid
+        # list of a walled box, neither a multiple of the block
+        shape = (5, 7, 9)
+        solid = np.zeros(shape, dtype=bool)
+        solid[:, 0, :] = True
+        if kind == "sparse":
+            domain = SparseDomain(lat, solid | (rng.random(shape) < 0.2))
+            gather = build_sparse_gather_table(domain)
+            n, grid = domain.num_fluid, (domain.num_fluid,)
+        else:
+            n, grid = int(np.prod(shape)), shape
+        assert n % block
+        src = _populations(lat, n, rng, dtype).reshape(lat.q, *grid)
+        results = []
+        for make in (contextlib.nullcontext, _reference):
+            with make():
+                if kind == "sparse":
+                    plan = KernelPlan(lat, grid, order, dtype, gather=gather.copy())
+                else:
+                    plan = KernelPlan(lat, grid, order, dtype)
+                    plan.fold_bounce_back(solid)
+            if FORCES[force] is not None:
+                plan.set_forcing(FORCES[force], OMEGA)
+            out = np.empty_like(src)
+            plan.advance(src, out, OMEGA)
+            split = np.empty((lat.q, n), dtype=dtype)
+            plan.stream_into(src, split)
+            plan.collide_into(split, split, OMEGA)
+            results.append((plan.compiled, out, split))
+        (built, out, split), (ref_built, ref_out, ref_split) = results
+        assert built and not ref_built
+        assert out.tobytes() == ref_out.tobytes()
+        assert out.tobytes() == split.tobytes() == ref_split.tobytes()
+
+    @pytest.mark.parametrize("path", ["compiled", "reference"])
+    def test_overlap_refused(self, q19, path):
+        if path == "compiled":
+            _loaded("float64")
+        with contextlib.nullcontext() if path == "compiled" else _reference():
+            plan = KernelPlan(q19, (4, 4, 4))
+        f = np.ones((q19.q, 4, 4, 4))
+        before = f.copy()
+        pair = np.ones((2 * q19.q, 4, 4, 4))
+        for src, out in ((f, f), (pair[: q19.q], pair[1 : q19.q + 1])):
+            with pytest.raises(LatticeError, match="overlap"):
+                plan.advance(src, out, OMEGA)
+        assert f.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("path", ["compiled", "reference"])
+    def test_table_must_be_contiguous_int64(self, q19, path):
+        if path == "compiled":
+            _loaded("float64")
+        table = build_gather_table(q19, (4, 4, 4))
+        wide = np.repeat(table, 2)
+        for bad, match in ((table.astype(np.int32), "int32"), (wide[::2], "int64")):
+            with contextlib.nullcontext() if path == "compiled" else _reference():
+                plan = KernelPlan(q19, (4, 4, 4), gather=bad)
+            f = np.ones((q19.q, 4, 4, 4))
+            with pytest.raises(LatticeError, match=match):
+                plan.advance(f, np.empty_like(f), OMEGA)
+
+    def test_bad_arrays_and_omega_refused(self, q19):
+        for make in (contextlib.nullcontext, _reference):
+            with make():
+                plan = KernelPlan(q19, (2, 2, 2))
+            f = np.ones((q19.q, 2, 2, 2))
+            cases = [
+                (f, np.ones((q19.q, 2, 2, 2), np.float32), "float64"),
+                (f, np.ones((q19.q, 8)), "shape"),
+                (np.ones((q19.q, 2, 2, 4))[..., ::2], np.ones_like(f), "C-contiguous"),
+            ]
+            for src, out, match in cases:
+                with pytest.raises(LatticeError, match=match):
+                    plan.advance(src, out, OMEGA)
+            plan.set_forcing((1e-5, 0.0, 0.0), OMEGA)
+            with pytest.raises(LatticeError, match="omega"):
+                plan.advance(f, np.empty_like(f), 1.0)
+
+
 def _plan_kind(kind, lat, shape, order, dtype, rng):
     """(plan, populations, step) for one plan kind."""
     if kind == "window":
@@ -146,7 +241,7 @@ def _plan_kind(kind, lat, shape, order, dtype, rng):
         f = f.reshape(lat.q, *padded)
 
         def step(plan, f):
-            adv, _ = plan._fused_buffers()
+            adv = plan.buffer.reshape(lat.q, -1)
             plan.stream_into(f, adv)
             plan.collide_into(adv, adv, OMEGA)  # in place, as the slab does
             return adv
@@ -169,8 +264,14 @@ def _plan_kind(kind, lat, shape, order, dtype, rng):
             f = np.moveaxis(np.ascontiguousarray(np.moveaxis(f, 0, -1)), -1, 0)
 
     def step(plan, f):
-        plan.step_into(f, OMEGA)
-        return f if kind != "aos" else np.moveaxis(f, 0, -1)
+        if kind == "aos":
+            adv = plan.buffer.reshape(lat.q, -1)
+            plan.stream_into(f, adv)
+            plan.collide_native(adv, f, OMEGA)
+            return np.moveaxis(f, 0, -1)
+        out = np.empty_like(f)
+        plan.advance(f, out, OMEGA)
+        return out
 
     return plan, f, step
 
@@ -313,7 +414,11 @@ class TestPlanSurface:
     def test_collide_has_no_blas_call(self):
         """The reference sums term by term; a BLAS product would reorder
         the sums and break the byte contract with the C loop."""
-        for fn in (KernelPlan.collide_into, KernelPlan._collide_reference):
+        for fn in (
+            KernelPlan.advance,
+            KernelPlan.collide_into,
+            KernelPlan._collide_reference,
+        ):
             body = inspect.getsource(fn)
             for banned in ("np.dot", "@", "matmul", "einsum", "tensordot"):
                 assert banned not in body, (fn.__name__, banned)
@@ -327,8 +432,6 @@ class TestPlanSurface:
         ],
     )
     def test_bad_buffers_rejected_on_both_paths(self, q19, src, out, match):
-        from repro.errors import LatticeError
-
         for make in (contextlib.nullcontext, _reference):
             with make():
                 plan = KernelPlan(q19, (2, 2, 2))

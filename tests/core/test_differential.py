@@ -15,8 +15,10 @@ folded into its gather table, Guo forcing fused into its collide, a
 moving lid after streaming) against ``naive`` (every wall after
 streaming, the generic Guo-forced collide).
 
-The fused planned step is checked against ``naive`` by
-``test_plan.py::TestPlannedEquivalence::test_planned_matches_naive``.
+The fused planned step, one ``KernelPlan.advance`` pass per step, is
+held to ``naive`` on its own across D3Q19/D3Q39 x order x dtype: on a
+periodic box, with static walls folded into its table, and forced
+(``test_fused_step_matches_naive``).
 """
 
 import functools
@@ -182,7 +184,8 @@ def test_walled_planned_matches_naive(cell, lname, dtype, expected_collide):
     sim = _walled(lname, cell, "planned", dtype)
     collide = expected_collide(dtype)
     assert sim.effective_path == {
-        "stream": "gather",
+        # the moving lid runs between streaming and collision
+        "stream": "fused" if cell == "walls-forcing" else "gather",
         "walls": "folded",
         "collide": collide,
         "forcing": collide if cell == "walls-forcing" else "none",
@@ -191,4 +194,66 @@ def test_walled_planned_matches_naive(cell, lname, dtype, expected_collide):
     assert sim.f.dtype == np.dtype(dtype)
     assert np.allclose(
         sim.f.astype(np.float64), _naive_walled(lname, cell), rtol=0, atol=ATOL[dtype]
+    )
+
+
+FUSED_CELLS = ("periodic", "walled", "forced")
+
+
+def _fused_case(lname, cell, order, kernel, dtype):
+    """A simulation whose planned step is one fused pass: no boundary
+    after streaming (``walled`` folds static walls; ``forced`` adds a
+    Guo body force to them)."""
+    lattice = get_lattice(lname)
+    walls, forcing = [], None
+    if cell != "periodic":
+        solid = np.zeros(WALL_SHAPE, dtype=bool)
+        solid[:, 0, :] = solid[:, -1, :] = True
+        walls = [BounceBackWalls(lattice, solid)]
+    if cell == "forced":
+        forcing = GuoForcing(lattice, FORCE)
+    sim = Simulation(
+        lattice, WALL_SHAPE, tau=TAU, order=order, boundaries=walls,
+        forcing=forcing, kernel=kernel, dtype=dtype,
+    )
+    rng = np.random.default_rng(11)
+    rho = 1.0 + 0.02 * rng.standard_normal(WALL_SHAPE)
+    sim.initialize(rho, 0.02 * rng.standard_normal((3, *WALL_SHAPE)))
+    sim.run(STEPS)
+    return sim
+
+
+@functools.lru_cache(maxsize=None)
+def _naive_fused(lname, cell, order):
+    f = _fused_case(lname, cell, order, "naive", "float64").f
+    f.flags.writeable = False
+    return f
+
+
+@pytest.mark.parametrize(
+    "cell,lname,order,dtype",
+    [
+        pytest.param(cell, lname, order, dtype, id=f"{cell}-{lname}-o{order}-{dtype}")
+        for cell in FUSED_CELLS
+        for lname in ("D3Q19", "D3Q39")
+        for order in range(1, get_lattice(lname).equilibrium_order + 1)
+        for dtype in ("float64", "float32")
+    ],
+)
+def test_fused_step_matches_naive(cell, lname, order, dtype, expected_collide):
+    sim = _fused_case(lname, cell, order, "planned", dtype)
+    collide = expected_collide(dtype)
+    assert sim.effective_path == {
+        "stream": "fused",
+        "walls": "none" if cell == "periodic" else "folded",
+        "collide": collide,
+        "forcing": collide if cell == "forced" else "none",
+    }
+    assert sim.timings.stream_seconds == 0 and sim.timings.collide_seconds > 0
+    assert sim.f.dtype == np.dtype(dtype)
+    assert np.allclose(
+        sim.f.astype(np.float64),
+        _naive_fused(lname, cell, order),
+        rtol=0,
+        atol=ATOL[dtype],
     )

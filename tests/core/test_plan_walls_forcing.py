@@ -180,7 +180,7 @@ class TestForcedArenaCollide:
         assert np.abs(planned - naive).max() <= rtol * np.abs(naive).max()
         collide = expected_collide(dtype)
         assert sims[0].effective_path == {
-            "stream": "gather",
+            "stream": "fused",
             "walls": "folded",
             "collide": collide,
             "forcing": collide,

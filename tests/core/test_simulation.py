@@ -1,11 +1,17 @@
 """Integration tests of the single-domain driver (physics anchors)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core import (
+    BounceBackWalls,
+    GuoForcing,
     Simulation,
     equilibrium,
+    load_checkpoint,
+    save_checkpoint,
     kinetic_energy,
     macroscopic,
     shear_wave,
@@ -15,6 +21,8 @@ from repro.core import (
     uniform_flow,
 )
 from repro.errors import StabilityError
+from repro.lattice import get_lattice
+from repro.scenarios import CaseRunner
 
 
 class TestShearWaveViscometry:
@@ -187,3 +195,98 @@ class TestDriverMechanics:
         f0 = sim.f.copy()
         sim.run(8)
         assert np.allclose(sim.f, f0, rtol=0, atol=1e-13)
+
+
+class TestFusedStepSwapsBuffers:
+    """A fused step writes the advection array, which becomes the field:
+    nothing that reads the populations between steps may notice."""
+
+    SHAPE = (6, 5, 4)
+
+    def _sim(self, layout=None, dtype=None):
+        lat = get_lattice("D3Q19")
+        solid = np.zeros(self.SHAPE, dtype=bool)
+        solid[:, 0, :] = True
+        sim = Simulation(
+            lat, self.SHAPE, tau=0.8, layout=layout, dtype=dtype,
+            boundaries=[BounceBackWalls(lat, solid)],
+            forcing=GuoForcing(lat, (1e-5, 0.0, 0.0)),
+        )
+        rho, u = uniform_flow(self.SHAPE, velocity=(0.01, 0.0, 0.005))
+        sim.initialize(rho, u)
+        return sim
+
+    def test_field_and_advection_arrays_swap(self):
+        sim = self._sim()
+        field, adv = sim.field.data, sim._adv.data
+        sim.step()
+        assert sim.field.data is adv and sim._adv.data is field
+        assert sim.f is adv
+        sim.step()
+        assert sim.field.data is field and sim._adv.data is adv
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_monitor_sees_every_step(self, dtype):
+        """Against the AoS layout, whose step is the two-pass split
+        (stream, then collide back into the field): same bytes at every
+        step a monitor reads."""
+        fused, split = self._sim(dtype=dtype), self._sim(layout="aos", dtype=dtype)
+        assert fused.effective_path["stream"] == "fused"
+        assert split.effective_path["stream"] == "gather"
+        seen = {id(fused): [], id(split): []}
+
+        def monitor(sim):
+            seen[id(sim)].append((sim.time_step, sim.f.tobytes()))
+
+        for sim in (fused, split):
+            sim.run(5, monitor=monitor)
+        assert [t for t, _ in seen[id(fused)]] == [1, 2, 3, 4, 5]
+        assert seen[id(fused)] == seen[id(split)]
+        assert len({f for _, f in seen[id(fused)]}) == 5
+
+    def test_odd_step_checkpoint_resumes_bit_exact(self, tmp_path):
+        """Saved after an odd step count, when the field is the array
+        allocated as the advection scratch."""
+        rho, u = taylor_green((8, 8, 4), u0=0.02)
+        straight = Simulation("D3Q19", (8, 8, 4), tau=0.7)
+        straight.initialize(rho, u)
+        straight.run(7)
+        first = Simulation("D3Q19", (8, 8, 4), tau=0.7)
+        first.initialize(rho, u)
+        adv = first._adv.data
+        first.run(3)
+        assert first.field.data is adv
+        path = save_checkpoint(tmp_path / "odd.npz", first)
+        resumed = load_checkpoint(path)
+        assert resumed.time_step == 3
+        resumed.run(4)
+        assert resumed.f.tobytes() == straight.f.tobytes()
+
+    @pytest.mark.parametrize("name", ["artery-flow", "taylor-green"])
+    def test_odd_step_case_checkpoint_resumes_bit_exact(self, tmp_path, name):
+        path = tmp_path / "odd.npz"
+        CaseRunner(name, steps=5, monitor_every=1).run(
+            checkpoint=path, analyze=False
+        )
+        resumed = CaseRunner(name, steps=9, monitor_every=1).run(
+            resume=path, analyze=False
+        )
+        straight = CaseRunner(name, steps=9, monitor_every=1).run(analyze=False)
+        assert resumed.simulation.effective_path["stream"] == "fused"
+        assert resumed.simulation.f.tobytes() == straight.simulation.f.tobytes()
+        assert resumed.series == straight.series
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_fused_step_allocates_nothing(self, dtype, collide_path):
+        sim = Simulation("D3Q39", (16, 16, 16), tau=0.8, dtype=dtype)
+        assert sim.effective_path["collide"] == collide_path
+        rho, u = taylor_green((16, 16, 16), u0=0.02)
+        sim.initialize(rho, u)
+        sim.run(2)
+        tracemalloc.start()
+        for _ in range(5):
+            sim.step()
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < sim.f.nbytes // 50, f"fused step allocated {peak} B"
+        assert np.isfinite(sim.f).all()

@@ -229,11 +229,13 @@ class TestSparseKernelEquivalence:
 
 
 class TestPlannedSparseKernelAllocation:
-    def test_step_is_zero_allocation(self):
+    def test_step_is_zero_allocation(self, collide_path):
         """The tentpole claim: after construction, stepping the planned
-        sparse kernel (with forcing) allocates nothing on the heap."""
+        sparse kernel (with forcing) allocates nothing on the heap, on
+        the compiled one-pass loop and on its no-``cc`` form."""
         mask = _walled_sphere_mask((12, 10, 8))
         sim = SparseSimulation("D3Q19", mask, tau=0.8, force=(1e-6, 0, 0))
+        assert sim.kernel.plan.compiled == (collide_path == "compiled")
         sim.initialize(1.0)
         sim.run(3)  # warm every code path before measuring
         tracemalloc.start()
@@ -245,13 +247,19 @@ class TestPlannedSparseKernelAllocation:
         # population row (num_fluid * 8 bytes).
         assert peak < sim.domain.num_fluid * 8 // 2
 
-    def test_planned_step_is_in_place(self):
+    def test_planned_step_alternates_two_buffers(self):
+        """The step writes the other array of a pair, the simulation's
+        own and the plan's buffer; nothing else is ever allocated."""
         mask = np.zeros((6, 5, 4), dtype=bool)
         sim = SparseSimulation("D3Q19", mask, tau=0.8)
         sim.initialize(1.0)
-        buffer = sim.f
-        sim.run(4)
-        assert sim.f is buffer
+        own = sim.f
+        seen = []
+        for _ in range(4):
+            sim.step()
+            seen.append(sim.f)
+        assert seen[0] is sim.kernel.plan.buffer and seen[1] is own
+        assert seen[2] is seen[0] and seen[3] is own
 
 
 class TestSparseKernelSelection:

@@ -1,7 +1,12 @@
 """Tests for the torus interconnect model."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.machine import BLUE_GENE_P, TorusTopology, torus_shape_for
 
 
@@ -30,6 +35,26 @@ class TestTopology:
     def test_every_node_has_six_neighbors(self):
         for coord in ((0, 0, 0), (3, 3, 7), (1, 2, 4)):
             assert len(self.torus.neighbors(coord)) == 6
+
+    def test_neighbors_axis_by_axis_with_wrap(self):
+        assert self.torus.neighbors((0, 0, 0)) == [
+            (1, 0, 0), (3, 0, 0), (0, 1, 0), (0, 3, 0), (0, 0, 1), (0, 0, 7),
+        ]
+        assert all(
+            self.torus.hop_distance((1, 2, 4), n) == 1
+            for n in self.torus.neighbors((1, 2, 4))
+        )
+
+    def test_short_axes(self):
+        """Extent 2 reaches one node both ways (listed once); extent 1
+        links a node to itself, which is no neighbor; a ring works."""
+        assert TorusTopology((2, 3), BLUE_GENE_P).neighbors((0, 0)) == [
+            (1, 0), (0, 1), (0, 2),
+        ]
+        assert TorusTopology((1, 4), BLUE_GENE_P).neighbors((0, 0)) == [
+            (0, 1), (0, 3),
+        ]
+        assert TorusTopology((3,), BLUE_GENE_P).neighbors((0,)) == [(1,), (2,)]
 
     def test_hop_distance_wraps(self):
         assert self.torus.hop_distance((0, 0, 0), (3, 0, 0)) == 1
@@ -66,3 +91,27 @@ class TestTopology:
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             TorusTopology((0, 4), BLUE_GENE_P)
+
+
+def test_import_needs_no_networkx():
+    """``pyproject.toml`` declares numpy alone: with networkx blocked,
+    ``repro`` and ``repro.api`` still import and the torus still works."""
+    code = """if True:
+        import sys
+        sys.modules["networkx"] = None  # any import of it raises
+        import repro, repro.api
+        from repro.machine import BLUE_GENE_P, TorusTopology
+        print(len(TorusTopology((4, 4, 8), BLUE_GENE_P).neighbors((0, 0, 0))))
+    """
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "6"

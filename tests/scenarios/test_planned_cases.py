@@ -3,7 +3,8 @@
 No silent downgrades: every dense case streams through the planned
 gather with no static wall left for after streaming; every BGK case
 collides in the planned collide (compiled where this host built the C
-loop), and a forced step stays allocation-free.  The one custom
+loop), in the same pass as its gather unless a moving lid runs between
+them, and a forced step stays allocation-free.  The one custom
 collision (microchannel-knudsen's regularized operator) replaces only
 the collide, byte-identical to the retired legacy pair.  Of that pair's
 checkpoints, only unstamped custom-collision files resume.
@@ -20,6 +21,10 @@ from repro.scenarios import CaseRunner, available_cases, get_case
 
 #: Dense cases whose collision factory replaces the plan's collide.
 CUSTOM_COLLISION = {"microchannel-knudsen"}
+
+#: Dense BGK cases with a boundary between streaming and collision (a
+#: moving lid), so their plan streams in a pass of its own.
+POST_STREAM = {"lid-driven-cavity"}
 
 FORCED_CASES = [
     "poiseuille-channel",
@@ -49,7 +54,7 @@ def test_default_spec_takes_the_arena_path(name, expected_collide):
     sim, _ = CaseRunner(name).build()
     path = sim.effective_path
     collide = expected_collide(sim.dtype)
-    assert path["stream"] == "gather"
+    assert path["stream"] == ("gather" if name in POST_STREAM else "fused")
     assert path["collide"] == collide
     assert path["walls"] in ("folded", "none")
     assert path["forcing"] == ("none" if sim.forcing is None else collide)
@@ -99,6 +104,7 @@ def test_forced_steps_allocate_nothing(name, dtype, collide_path):
     overrides = {"shape": (16, 15, 16)} if name == "poiseuille-channel" else {}
     sim, _ = CaseRunner(name, dtype=dtype, **overrides).build()
     assert sim.effective_path["forcing"] == collide_path
+    assert sim.effective_path["stream"] == "fused"
     sim.run(2)  # warm every lazy buffer
     tracemalloc.start()
     sim.run(5)
