@@ -5,7 +5,8 @@
  *
  * repro.core.compiled builds this file once per process and dtype with
  *
- *     cc -O3 -march=native -ffp-contract=off -shared -fPIC -DREPRO_REAL=<double|float>
+ *     cc -O2 -ftree-vectorize -march=native -ffp-contract=off -shared -fPIC
+ *        -DREPRO_REAL=<double|float>
  *
  * and never with -ffast-math.  Without contraction (no fused
  * multiply-add) and without reassociation every operation below is one

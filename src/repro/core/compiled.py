@@ -45,11 +45,19 @@ logger = logging.getLogger(__name__)
 #: The C source of the loop.
 SOURCE = Path(__file__).with_name("collide.c")
 
-#: Compiler flags.  ``-ffp-contract=off`` forbids fused multiply-adds, the
-#: one transformation ``-O3`` would otherwise make to the arithmetic.
-#: ``-O2 -ftree-vectorize`` builds ~40% faster with gcc 12 but stepped
-#: ~5% slower on float64 grids, and plain ``-O2`` ~2.5x slower.
-CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+#: Compiler flags.  ``-O2 -ftree-vectorize`` builds in about 60% of the
+#: time ``-O3`` takes and steps within 5% of it (gcc 12); plain ``-O2``
+#: vectorises little, and the loop then runs ~2.5x slower.
+#: ``-ffp-contract=off`` forbids fused multiply-adds, the one
+#: transformation the optimiser would otherwise make to the arithmetic.
+CFLAGS = (
+    "-O2",
+    "-ftree-vectorize",
+    "-march=native",
+    "-ffp-contract=off",
+    "-shared",
+    "-fPIC",
+)
 
 #: C element type per plan dtype.
 _C_REAL = {"float64": "double", "float32": "float"}
