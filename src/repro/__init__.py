@@ -9,7 +9,8 @@ Subpackages
     Discrete velocity models (D3Q15/19/27/39), Gauss-Hermite machinery.
 ``repro.core``
     The LBM solver: equilibria, BGK/regularized collision, streaming,
-    boundary conditions, forcing, units, single-domain driver.
+    boundary conditions, forcing, units, single-domain driver, sparse
+    (indirect-addressing) domains.
 ``repro.parallel``
     Simulated-MPI distributed solver with deep-halo ghost cells.
 ``repro.machine``
@@ -19,29 +20,39 @@ Subpackages
     simulator, ghost-depth tuner, hybrid-threading model.
 ``repro.experiments``
     One ``run()`` per paper table/figure + registry.
+``repro.analysis``
+    Reporting: paper reference values, table rendering, ASCII plots.
 ``repro.scenarios``
     Declarative application workloads: case registry, runner with
-    checkpoint/restart, parameter sweeps.
+    checkpoint/restart, parameter sweeps, lease workers.
+``repro.resilience``
+    The sweep fleet's failure ledger and deterministic fault injection.
+``repro.telemetry``
+    Structured spans, counters and JSONL event files, and their rollups.
+``repro.serve``
+    The ``repro serve`` HTTP front end.
+``repro.api``
+    The programmatic facade the CLI, the server and library callers
+    share.
+
+``import repro`` runs only this module and ``repro._version``: every
+subpackage, submodule and re-exported name loads on first access (see
+:mod:`repro._lazy`), and so does each package's own re-exports.
 """
 
-from . import (
-    analysis,
-    core,
-    errors,
-    experiments,
-    lattice,
-    machine,
-    parallel,
-    perf,
-    scenarios,
-)
-from . import api
+from . import _lazy
 from ._version import __version__
-from .core import Simulation
-from .experiments import run_experiment
-from .lattice import get_lattice
-from .parallel import DistributedSimulation
-from .scenarios import run_case
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "core": ["Simulation"],
+        "experiments": ["run_experiment"],
+        "lattice": ["get_lattice"],
+        "parallel": ["DistributedSimulation"],
+        "scenarios": ["run_case"],
+    },
+)
 
 __all__ = [
     "analysis",

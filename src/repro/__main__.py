@@ -46,8 +46,6 @@ from __future__ import annotations
 
 import sys
 
-from .experiments import available_experiments, run_experiment
-
 SCENARIO_COMMANDS = (
     "case",
     "cases",
@@ -66,6 +64,8 @@ def main(argv: list[str] | None = None) -> int:
         from .scenarios.cli import main as scenarios_main
 
         return scenarios_main(args)
+    from .experiments import available_experiments, run_experiment
+
     if "--list" in args:
         print("\n".join(available_experiments()))
         return 0

@@ -1,8 +1,14 @@
 """Reporting: paper reference values, table rendering, ASCII plots."""
 
-from . import paper_reference
-from .ascii_plot import bar_chart
-from .tables import append_column, diff_rows, render_csv, render_table
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "ascii_plot": ["bar_chart"],
+        "tables": ["append_column", "diff_rows", "render_csv", "render_table"],
+    },
+)
 
 __all__ = [
     "append_column",

@@ -27,11 +27,12 @@ import dataclasses
 import json
 import math
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .errors import ScenarioError
 from .scenarios.cache import ResultCache
 from .scenarios.executor import (
+    DEFAULT_LEASE_TTL,
     NONDETERMINISTIC_METRICS,
     SweepExecutor,
     SweepPlan,
@@ -41,19 +42,18 @@ from .scenarios.executor import (
 )
 from .resilience import DEFAULT_MAX_ATTEMPTS
 from .scenarios.runner import CaseResult, CaseRunner
-from .scenarios.sampling import AdaptiveSampler
-from .scenarios.scheduler import (
-    DEFAULT_LEASE_TTL,
-    SweepStatus,
-    WorkQueue,
-    sweep_status as _sweep_status,
-)
 from .scenarios.spec import CaseSpec
 from .scenarios.sweep import Sweep, SweepResult
-from .scenarios.workers import WorkerReport
-from .scenarios.workers import run_worker as _run_worker
 from .core.io import serialize_result_data
 from .telemetry.recorder import TELEMETRY_DIRNAME
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .scenarios.scheduler import SweepStatus, WorkQueue
+    from .scenarios.workers import WorkerReport
+
+# Adaptive sampling, the work queue and the lease workers are imported by
+# the functions that use them: a case solve or an inline sweep never
+# loads them.
 
 __all__ = [
     "assemble_sweep",
@@ -353,6 +353,8 @@ def run_sweep(
         name, grid, steps=steps, kernel=kernel, dtype=dtype, layout=layout
     )
     if adaptive is not None:
+        from .scenarios.sampling import AdaptiveSampler
+
         sampler = AdaptiveSampler(
             sweep,
             observable=adaptive,
@@ -549,7 +551,9 @@ def sweep_status(cache_dir: str | Path) -> SweepStatus:
     (the CLI table) or :meth:`SweepStatus.to_payload` (the
     ``/v1/fleet`` JSON body) as the surface demands.
     """
-    return _sweep_status(cache_dir)
+    from .scenarios.scheduler import sweep_status as scheduler_status
+
+    return scheduler_status(cache_dir)
 
 
 def run_worker(
@@ -576,7 +580,9 @@ def run_worker(
     ``retry_backoff`` drive the failure ledger's retry-then-quarantine
     policy; ``idle_timeout`` lets waiting/following workers drain).
     """
-    return _run_worker(
+    from .scenarios.workers import run_worker as worker_loop
+
+    return worker_loop(
         cache_dir,
         worker_id=worker_id,
         lease_ttl=lease_ttl,

@@ -1,7 +1,19 @@
 """One module per reproduced paper artifact + registry."""
 
-from .base import ExperimentResult
-from .registry import EXPERIMENTS, available_experiments, run_all, run_experiment
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "base": ["ExperimentResult"],
+        "registry": [
+            "EXPERIMENTS",
+            "available_experiments",
+            "run_all",
+            "run_experiment",
+        ],
+    },
+)
 
 __all__ = [
     "available_experiments",

@@ -9,17 +9,24 @@ Public surface:
 * Hermite helpers for equilibrium construction and verification.
 """
 
-from .hermite import (
-    double_factorial,
-    gaussian_moment,
-    gaussian_moment_1d,
-    hermite_tensor,
-    hermite_value,
-    multi_indices,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "hermite": [
+            "double_factorial",
+            "gaussian_moment",
+            "gaussian_moment_1d",
+            "hermite_tensor",
+            "hermite_value",
+            "multi_indices",
+        ],
+        "registry": ["available_lattices", "get_lattice", "register_lattice"],
+        "shells": ["expand_shells", "shell_size", "signed_permutations"],
+        "stencil": ["ShellInfo", "VelocitySet", "build_velocity_set"],
+    },
 )
-from .registry import available_lattices, get_lattice, register_lattice
-from .shells import expand_shells, shell_size, signed_permutations
-from .stencil import ShellInfo, VelocitySet, build_velocity_set
 
 __all__ = [
     "available_lattices",

@@ -1,19 +1,33 @@
 """Machine models: Blue Gene specs, torus network, memory, cache, roofline."""
 
-from .bluegene import BLUE_GENE_P, BLUE_GENE_Q, available_machines, get_machine
-from .cache import BGP_CACHE, BGQ_CACHE, CacheHierarchy, CacheLevel
-from .memory import MemoryModel
-from .roofline import (
-    FLOPS_PER_CELL,
-    Limiter,
-    RooflinePoint,
-    flops_per_cell,
-    hardware_efficiency_bound,
-    roofline,
-    torus_lower_bound,
+from .. import _lazy
+
+# Eager: the function shares its submodule's name (see repro._lazy).
+from .roofline import roofline
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "bluegene": [
+            "BLUE_GENE_P",
+            "BLUE_GENE_Q",
+            "available_machines",
+            "get_machine",
+        ],
+        "cache": ["BGP_CACHE", "BGQ_CACHE", "CacheHierarchy", "CacheLevel"],
+        "memory": ["MemoryModel"],
+        "roofline": [
+            "FLOPS_PER_CELL",
+            "Limiter",
+            "RooflinePoint",
+            "flops_per_cell",
+            "hardware_efficiency_bound",
+            "torus_lower_bound",
+        ],
+        "spec": ["MachineSpec"],
+        "torus": ["TorusTopology", "torus_shape_for"],
+    },
 )
-from .spec import MachineSpec
-from .torus import TorusTopology, torus_shape_for
 
 __all__ = [
     "available_machines",

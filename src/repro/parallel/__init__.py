@@ -1,13 +1,20 @@
 """Parallel runtime: simulated MPI, decomposition, halos, distributed LBM."""
 
-from .decomposition import Slab1D
-from .distributed import DistributedSimulation
-from .halo import HaloSlab, HaloSpec
-from .hybrid import HybridConfig
-from .instrumentation import PhaseProfile, PhaseProfiler
-from .mpi_sim import MessageLedger, MessageRecord, Request, SimMPI
-from .plan import PlannedSlabKernel
-from .schedules import ExchangeSchedule
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "decomposition": ["Slab1D"],
+        "distributed": ["DistributedSimulation"],
+        "halo": ["HaloSlab", "HaloSpec"],
+        "hybrid": ["HybridConfig"],
+        "instrumentation": ["PhaseProfile", "PhaseProfiler"],
+        "mpi_sim": ["MessageLedger", "MessageRecord", "Request", "SimMPI"],
+        "plan": ["PlannedSlabKernel"],
+        "schedules": ["ExchangeSchedule"],
+    },
+)
 
 __all__ = [
     "DistributedSimulation",

@@ -12,19 +12,26 @@ Two halves:
   are exactly reproducible.
 """
 
-from .faults import (
-    FAULT_PLAN_ENV,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-)
-from .ledger import (
-    DEFAULT_MAX_ATTEMPTS,
-    FAILURES_FILENAME,
-    FailureAttempt,
-    FailureLedger,
-    FailureRecord,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "faults": [
+            "FAULT_PLAN_ENV",
+            "FaultInjector",
+            "FaultPlan",
+            "FaultSpec",
+            "InjectedFault",
+        ],
+        "ledger": [
+            "DEFAULT_MAX_ATTEMPTS",
+            "FAILURES_FILENAME",
+            "FailureAttempt",
+            "FailureLedger",
+            "FailureRecord",
+        ],
+    },
 )
 
 __all__ = [

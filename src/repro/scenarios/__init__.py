@@ -23,20 +23,22 @@ CLI: ``python -m repro cases`` / ``case <name>`` / ``sweep <name>`` /
 ``sweep-worker --cache-dir DIR`` / ``sweep-status --cache-dir DIR``.
 """
 
-from .cache import CacheDiff, CacheLookup, ResultCache, SweepManifest
-from .executor import SweepExecutor, SweepPlan
-from .registry import available_cases, catalog_table, get_case, register_case
-from .runner import CaseResult, CaseRunner, run_case
-from .sampling import AdaptiveSampler
-from .scheduler import (
-    LeaseBoard,
-    SweepStatus,
-    WorkQueue,
-    sweep_status,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "cache": ["CacheDiff", "CacheLookup", "ResultCache", "SweepManifest"],
+        "executor": ["SweepExecutor", "SweepPlan"],
+        "registry": ["available_cases", "catalog_table", "get_case", "register_case"],
+        "runner": ["CaseResult", "CaseRunner", "run_case"],
+        "sampling": ["AdaptiveSampler"],
+        "scheduler": ["LeaseBoard", "SweepStatus", "WorkQueue", "sweep_status"],
+        "spec": ["CaseSpec", "steady_state"],
+        "sweep": ["Sweep", "SweepResult"],
+        "workers": ["WorkerReport", "run_worker"],
+    },
 )
-from .spec import CaseSpec, steady_state
-from .sweep import Sweep, SweepResult
-from .workers import WorkerReport, run_worker
 
 __all__ = [
     "AdaptiveSampler",

@@ -31,7 +31,6 @@ import contextlib
 import dataclasses
 import json
 import math
-import multiprocessing
 import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
@@ -565,6 +564,8 @@ class SweepExecutor:
         local lease workers until they exit.  ``False``, with nothing
         started, when the plan cannot be published: an unregistered
         case, or overrides JSON cannot carry."""
+        import multiprocessing
+
         from .workers import run_worker  # imports this module
 
         try:

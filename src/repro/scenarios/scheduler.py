@@ -46,7 +46,7 @@ import socket
 import time
 import uuid
 from pathlib import Path
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from ..core.io import (
     ClaimRecord,
@@ -61,10 +61,12 @@ from ..errors import ScenarioError
 from ..lattice import get_lattice
 from ..machine.roofline import bytes_per_cell
 from ..resilience import FailureLedger, FailureRecord
-from ..telemetry.aggregate import FleetRollup
 from ..telemetry.recorder import TELEMETRY_DIRNAME
 from .cache import QUEUE_DIRNAME, ResultCache, SweepManifest, warn_legacy_state
 from .executor import DEFAULT_LEASE_TTL, SweepPlan, _VariantTask
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..telemetry.aggregate import FleetRollup
 
 __all__ = [
     "DEFAULT_LEASE_TTL",

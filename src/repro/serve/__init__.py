@@ -10,7 +10,14 @@ drains.  Stdlib only (``http.server``); all substance lives in
 path and byte-identical JSON.
 """
 
-from .http import ReproServer, create_server
-from .jobs import JobRecord, JobStore
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "http": ["ReproServer", "create_server"],
+        "jobs": ["JobRecord", "JobStore"],
+    },
+)
 
 __all__ = ["JobRecord", "JobStore", "ReproServer", "create_server"]

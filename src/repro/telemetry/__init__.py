@@ -13,29 +13,36 @@ lazily inside the read-side functions), so even :mod:`repro.core` can
 depend on it without cycles.
 """
 
-from .aggregate import (
-    FleetRollup,
-    RunAggregate,
-    WorkerStats,
-    filter_events,
-    find_telemetry_dir,
-    format_event,
-    load_run,
-    read_events_file,
-    tail_events,
-)
-from .recorder import (
-    EVENT_VERSION,
-    NULL_TELEMETRY,
-    TELEMETRY_DIR_ENV,
-    TELEMETRY_DIRNAME,
-    JsonlSink,
-    MemorySink,
-    NullTelemetry,
-    Telemetry,
-    get_telemetry,
-    process_recorder,
-    set_telemetry,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "aggregate": [
+            "FleetRollup",
+            "RunAggregate",
+            "WorkerStats",
+            "filter_events",
+            "find_telemetry_dir",
+            "format_event",
+            "load_run",
+            "read_events_file",
+            "tail_events",
+        ],
+        "recorder": [
+            "EVENT_VERSION",
+            "NULL_TELEMETRY",
+            "TELEMETRY_DIR_ENV",
+            "TELEMETRY_DIRNAME",
+            "JsonlSink",
+            "MemorySink",
+            "NullTelemetry",
+            "Telemetry",
+            "get_telemetry",
+            "process_recorder",
+            "set_telemetry",
+        ],
+    },
 )
 
 __all__ = [
