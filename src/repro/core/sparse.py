@@ -45,7 +45,8 @@ from ..telemetry.recorder import get_telemetry
 from .collision import BGKCollision
 from .equilibrium import equilibrium
 from .fields import resolve_dtype
-from .moments import density, momentum
+from .forcing import GuoForcing
+from .moments import macroscopic
 from .plan import KERNELS, KernelPlan
 from .simulation import StepTimings, _Driver
 
@@ -252,25 +253,12 @@ class SparseSimulation(_Driver):
         )
         self.collision = self.kernel.collision
         self.f = np.zeros((self.lattice.q, self.domain.num_fluid), dtype=self.dtype)
-        self._force = None if force is None else np.asarray(force, dtype=np.float64)
-        if self._force is not None and len(self._force) != self.lattice.dim:
-            raise LatticeError("force must have one component per dimension")
-        if self._force is None:
-            self._force_term = None
-            self._force_scalars = None
-        else:
-            # Constant per-velocity forcing increment, computed once in
-            # float64 then cast to the population dtype (the per-step
-            # recomputation this replaces was also a hidden allocation).
-            cf = self.lattice.velocities_as(np.float64) @ self._force  # (Q,)
-            term = self.lattice.weights * cf / self.lattice.cs2_float
-            self._force_term = np.ascontiguousarray(
-                term[:, None], dtype=self.dtype
-            )
-            # Per-row dtype scalars: `row += scalar` adds the identical
-            # value the (Q, 1) broadcast did, without numpy's broadcast
-            # ufunc buffer (a hidden per-step allocation).
-            self._force_scalars = tuple(self._force_term[:, 0])
+        #: Guo body force, fused into the plan's collide as on dense grids.
+        self.forcing = (
+            None if force is None else GuoForcing(self.lattice, tuple(force))
+        )
+        if self.forcing is not None:
+            self.kernel.plan.set_forcing(self.forcing.force, self.collision.omega)
         self.time_step = 0
         self.timings = StepTimings()
         self.telemetry = get_telemetry()
@@ -302,15 +290,9 @@ class SparseSimulation(_Driver):
     # -- stepping ------------------------------------------------------------
 
     def step(self) -> None:
-        """One pull-stream + collide (+ simple forcing) update."""
+        """One pull-stream + collide (+ Guo forcing) update."""
         t0 = time.perf_counter()
-        f = self.kernel.step(self.f)
-        if self._force_scalars is not None:
-            # first-order (Shan-Chen style) force: shift populations'
-            # momentum by F per node per step
-            for row, scalar in zip(f, self._force_scalars):
-                row += scalar
-        self.f = f
+        self.f = self.kernel.step(self.f)
         self.time_step += 1
         # The sparse update is fused (no separate boundary phase — walls
         # are gather indices), so the whole step books as collide time.
@@ -328,9 +310,10 @@ class SparseSimulation(_Driver):
     # -- observables --------------------------------------------------------------
 
     def macroscopic(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-fluid-node density and velocity."""
-        rho = density(self.f)
-        u = momentum(self.lattice, self.f) / rho[None]
+        """Per-fluid-node density and (force-corrected) velocity."""
+        rho, u = macroscopic(self.lattice, self.f)
+        if self.forcing is not None:
+            u = u + self.forcing.velocity_shift(rho)
         return rho, u
 
     def density_dense(self) -> np.ndarray:

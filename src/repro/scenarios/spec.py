@@ -34,7 +34,7 @@ from ..lattice import VelocitySet, available_lattices
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runner import CaseResult
 
-__all__ = ["ARITHMETIC", "CaseSpec", "steady_state"]
+__all__ = ["ARITHMETIC", "SPARSE_FORCING", "CaseSpec", "steady_state"]
 
 #: Revision of the planned kernel's arithmetic, hashed into every
 #: fingerprint.  Fingerprints hash specs, not code, so when a change
@@ -44,6 +44,13 @@ __all__ = ["ARITHMETIC", "CaseSpec", "steady_state"]
 #: explicit op sequence of ``core/collide.c`` and its numpy reference.
 ARITHMETIC = 2
 
+#: Forcing scheme of the sparse path, hashed into the fingerprint of
+#: every forced sparse spec and of no other.  A sparse step used to add a
+#: first-order force term after the collide; it now takes the Guo forcing
+#: dense grids take, fused into the plan's collide, so entries written
+#: under the old scheme miss and re-run instead of replaying its bytes.
+SPARSE_FORCING = "guo"
+
 
 def _const_token(const: Any) -> Any:
     """Canonical token of one code constant.  ``frozenset`` literals
@@ -52,13 +59,18 @@ def _const_token(const: Any) -> Any:
     if hasattr(const, "co_code"):
         return _code_token(const)
     if isinstance(const, frozenset):
-        return ["frozenset"] + sorted(repr(c) for c in const)
+        return ("frozenset", *sorted(repr(c) for c in const))
     if isinstance(const, tuple):
-        return [_const_token(c) for c in const]
+        return tuple(_const_token(c) for c in const)
     return repr(const)
 
 
-def _code_token(code: Any) -> list:
+#: Token per code object.  A code object is immutable, so its token is
+#: built once per process; tuples keep the shared tokens immutable too.
+_CODE_TOKENS: dict[types.CodeType, tuple] = {}
+
+
+def _code_token(code: types.CodeType) -> tuple:
     """Identity of a function body: bytecode + names + consts.
 
     Line numbers are excluded, so two textually identical lambdas
@@ -66,8 +78,11 @@ def _code_token(code: Any) -> list:
     *different* bodies (the classic ``<lambda>`` collision) do not.
     Nested code objects (inner functions, comprehensions) recurse.
     """
-    consts = [_const_token(const) for const in code.co_consts]
-    return [code.co_code.hex(), list(code.co_names), consts]
+    token = _CODE_TOKENS.get(code)
+    if token is None:
+        consts = tuple(_const_token(const) for const in code.co_consts)
+        token = _CODE_TOKENS[code] = (code.co_code.hex(), code.co_names, consts)
+    return token
 
 
 def _instance_token(obj: Any, _seen: frozenset = frozenset()) -> Any:
@@ -408,12 +423,15 @@ class CaseSpec:
 
     def fingerprint_token(self) -> dict[str, Any]:
         """The canonical, process-stable token :meth:`fingerprint` hashes:
-        every field's token plus :data:`ARITHMETIC`."""
+        every field's token plus :data:`ARITHMETIC`, and
+        :data:`SPARSE_FORCING` for a forced sparse spec."""
         token = {
             field.name: _fingerprint_token(getattr(self, field.name))
             for field in dataclasses.fields(self)
         }
         token["arithmetic"] = ARITHMETIC
+        if self.forcing is not None and self.params.get("sparse"):
+            token["sparse_forcing"] = SPARSE_FORCING
         return token
 
     # -- derivation --------------------------------------------------------
