@@ -35,9 +35,10 @@ Subpackages
     The programmatic facade the CLI, the server and library callers
     share.
 
-``import repro`` runs only this module and ``repro._version``: every
-subpackage, submodule and re-exported name loads on first access (see
-:mod:`repro._lazy`), and so does each package's own re-exports.
+``import repro`` runs this module, ``repro._lazy`` and ``repro._version``
+alone: each subpackage loads on first access, and each package resolves
+its own submodules and re-exported names the same way (see
+:mod:`repro._lazy`).
 """
 
 from . import _lazy

@@ -100,19 +100,13 @@ def _central_difference(comp: np.ndarray, axis: int, out: np.ndarray) -> np.ndar
     """``(np.roll(comp, -1, axis) - np.roll(comp, 1, axis)) / 2.0`` into
     ``out``, by slicing: the same subtraction and division per element,
     without the two shifted copies."""
-    n = comp.shape[axis]
-
-    def cut(start: int | None, stop: int | None) -> tuple:
-        index = [slice(None)] * comp.ndim
-        index[axis] = slice(start, stop)
-        return tuple(index)
-
-    if n == 1:
-        np.subtract(comp, comp, out=out)
-    else:
-        np.subtract(comp[cut(2, None)], comp[cut(None, -2)], out=out[cut(1, -1)])
-        np.subtract(comp[cut(1, 2)], comp[cut(n - 1, n)], out=out[cut(0, 1)])
-        np.subtract(comp[cut(0, 1)], comp[cut(n - 2, n - 1)], out=out[cut(n - 1, n)])
+    c, o = np.moveaxis(comp, axis, 0), np.moveaxis(out, axis, 0)  # views
+    if len(c) == 1:
+        np.subtract(c, c, out=o)
+    else:  # interior, then the two periodic ends
+        np.subtract(c[2:], c[:-2], out=o[1:-1])
+        np.subtract(c[1:2], c[-1:], out=o[:1])
+        np.subtract(c[:1], c[-2:-1], out=o[-1:])
     np.divide(out, 2.0, out=out)
     return out
 
