@@ -26,7 +26,6 @@ its own; ``import repro`` stays free of compiler work.
 
 from __future__ import annotations
 
-import logging
 import shutil
 import subprocess
 import tempfile
@@ -40,7 +39,6 @@ from ..telemetry.recorder import get_telemetry
 
 __all__ = ["CFLAGS", "CompiledCollide", "Loader", "SOURCE", "load"]
 
-logger = logging.getLogger(__name__)
 
 #: The C source of the loop.
 SOURCE = Path(__file__).with_name("collide.c")
@@ -135,7 +133,9 @@ class Loader:
         )
         if loaded is None and not self._warned:
             self._warned = True
-            logger.warning(
+            import logging  # loaded by the first warning, not by every importer
+
+            logging.getLogger(__name__).warning(
                 "compiled collide unavailable (%s): planned kernels run the "
                 "numpy reference, byte-identical but slower",
                 reason,

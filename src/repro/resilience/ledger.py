@@ -23,7 +23,6 @@ import json
 import os
 import socket
 import time
-import traceback
 from pathlib import Path
 from typing import Any
 
@@ -51,6 +50,8 @@ def describe_exception(exc: BaseException) -> tuple[str, str, str]:
     ledger can show *which* failure mode repeated without shipping whole
     tracebacks into a shared JSON file.
     """
+    import traceback  # failures only: not loaded by every importer
+
     name = type(exc).__name__
     message = str(exc)
     if len(message) > _MESSAGE_LIMIT:

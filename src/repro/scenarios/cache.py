@@ -30,7 +30,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import logging
 import os
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -53,7 +52,6 @@ __all__ = [
     "warn_legacy_state",
 ]
 
-logger = logging.getLogger(__name__)
 
 _ENTRY_VERSION = 1
 
@@ -91,7 +89,9 @@ def warn_legacy_state(root: str | Path) -> None:
     found = [name for name in LEGACY_FILENAMES if (root / name).exists()]
     if found:
         _warned_legacy.add(root)
-        logger.warning(
+        import logging  # loaded by the first warning, not by every importer
+
+        logging.getLogger(__name__).warning(
             "%s holds %s from an older release; ignored — republish the "
             "sweep (README: 'Upgrading a cache directory')",
             root,
@@ -243,7 +243,9 @@ class ResultCache:
             path = self.entry_path(fingerprint)
             moved = self.quarantine_corrupt(fingerprint)
             self.unmark(fingerprint)
-            logger.warning(
+            import logging
+
+            logging.getLogger(__name__).warning(
                 "corrupt cache entry at %s (quarantined to %s; will re-run)",
                 path,
                 moved,

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import logging
 import math
 import os
 import socket
@@ -82,7 +81,6 @@ __all__ = [
 _ITEM_VERSION = 1
 LEASE_DIRNAME = "leases"
 
-logger = logging.getLogger(__name__)
 _warned_items: set[Path] = set()
 
 
@@ -287,7 +285,9 @@ class WorkQueue:
             except ScenarioError as exc:
                 if path not in _warned_items:
                     _warned_items.add(path)
-                    logger.warning("skipping %s", exc)
+                    import logging  # loaded by the first warning
+
+                    logging.getLogger(__name__).warning("skipping %s", exc)
         items.sort(key=lambda item: (item.index, item.fingerprint))
         return cls(path=queue_dir, items=items, queued=frozenset(queued))
 
