@@ -53,6 +53,6 @@ def attach(
 
     def __dir__() -> list[str]:
         module = sys.modules[package]
-        return sorted(set(vars(module)) | set(owner) | set(module.__all__))
+        return sorted(set(vars(module)) | set(module.__all__))
 
     return __getattr__, __dir__
