@@ -96,21 +96,6 @@ def mach_number_field(lattice: VelocitySet, f: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("a...,a...->...", u, u) / lattice.cs2_float)
 
 
-def _central_difference(comp: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    """``(np.roll(comp, -1, axis) - np.roll(comp, 1, axis)) / 2.0`` into
-    ``out``, by slicing: the same subtraction and division per element,
-    without the two shifted copies."""
-    c, o = np.moveaxis(comp, axis, 0), np.moveaxis(out, axis, 0)  # views
-    if len(c) == 1:
-        np.subtract(c, c, out=o)
-    else:  # interior, then the two periodic ends
-        np.subtract(c[2:], c[:-2], out=o[1:-1])
-        np.subtract(c[1:2], c[-1:], out=o[:1])
-        np.subtract(c[:1], c[-2:-1], out=o[-1:])
-    np.divide(out, 2.0, out=out)
-    return out
-
-
 def enstrophy(lattice: VelocitySet, f: np.ndarray) -> float:
     """Total enstrophy ``1/2 sum |curl u|^2`` (periodic finite differences).
 
@@ -119,20 +104,14 @@ def enstrophy(lattice: VelocitySet, f: np.ndarray) -> float:
     _, u = _moments(lattice, f)
     if u.shape[0] != 3:
         raise ValueError("enstrophy requires a 3-D velocity field")
-    total, a, b = (np.empty_like(u[0]) for _ in range(3))
 
-    def curl_squared(i: int, ai: int, j: int, aj: int, out: np.ndarray) -> None:
-        """``(d(u[i], ai) - d(u[j], aj))**2`` into ``out``."""
-        _central_difference(u[i], ai, out)
-        np.subtract(out, _central_difference(u[j], aj, b), out=out)
-        np.multiply(out, out, out=out)
+    def d(comp: np.ndarray, axis: int) -> np.ndarray:
+        return (np.roll(comp, -1, axis=axis) - np.roll(comp, 1, axis=axis)) / 2.0
 
-    curl_squared(2, 1, 1, 2, total)  # wx**2
-    curl_squared(0, 2, 2, 0, a)  # wy**2
-    np.add(total, a, out=total)
-    curl_squared(1, 0, 0, 1, a)  # wz**2
-    np.add(total, a, out=total)
-    return float(0.5 * total.sum())
+    wx = d(u[2], 1) - d(u[1], 2)
+    wy = d(u[0], 2) - d(u[2], 0)
+    wz = d(u[1], 0) - d(u[0], 1)
+    return float(0.5 * (wx**2 + wy**2 + wz**2).sum())
 
 
 def velocity_profile(

@@ -840,11 +840,19 @@ class PlannedKernel(LBMKernel):
 
 # -- kernel selection -------------------------------------------------------
 
-#: Name -> kernel class; the single registry every selection path uses.
+#: Name -> kernel class of the kernels :func:`make_kernel` builds.
 KERNELS: dict[str, type[LBMKernel]] = {
     "naive": NaiveKernel,
     "planned": PlannedKernel,
 }
+
+#: Name of :class:`~repro.core.sparse.PlannedSparseKernel`.  It streams a
+#: :class:`~repro.core.sparse.SparseDomain`, which only
+#: :class:`~repro.core.sparse.SparseSimulation` builds, so it is listed
+#: here by name: :func:`available_kernels` names it whether or not
+#: ``repro.core.sparse`` has been imported, and :func:`make_kernel`
+#: refuses it.
+SPARSE_KERNEL = "sparse-planned"
 
 #: The selector name that aliases :data:`AUTO_RUNG`.
 AUTO_KERNEL = "auto"
@@ -858,7 +866,7 @@ AUTO_RUNG = "planned"
 
 def available_kernels() -> tuple[str, ...]:
     """Names of all selectable kernels, sorted (excludes ``"auto"``)."""
-    return tuple(sorted(KERNELS))
+    return tuple(sorted((*KERNELS, SPARSE_KERNEL)))
 
 
 def make_kernel(
@@ -881,7 +889,7 @@ def make_kernel(
     planned kernel supports ``"aos"`` (its plan remaps the gather
     table).
 
-    ``sparse-planned`` is listed in the registry but streams a
+    :data:`SPARSE_KERNEL` is available but streams a
     :class:`~repro.core.sparse.SparseDomain`, which only
     :class:`~repro.core.sparse.SparseSimulation` builds; it is refused
     here.
@@ -897,15 +905,15 @@ def make_kernel(
     key = str(kernel).lower()
     if key == AUTO_KERNEL:
         key = AUTO_RUNG
+    if key == SPARSE_KERNEL:
+        raise LatticeError(
+            f"kernel {kernel!r} streams a SparseDomain; SparseSimulation "
+            "builds it"
+        )
     if key not in KERNELS:
         raise LatticeError(
             f"unknown kernel {kernel!r}; available: "
             f"{', '.join(available_kernels())} (or 'auto')"
-        )
-    if key.startswith("sparse-"):
-        raise LatticeError(
-            f"kernel {kernel!r} streams a SparseDomain; SparseSimulation "
-            "builds it"
         )
     cls = KERNELS[key]
     if cls is PlannedKernel:

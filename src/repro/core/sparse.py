@@ -46,8 +46,7 @@ from .collision import BGKCollision
 from .equilibrium import equilibrium
 from .fields import resolve_dtype
 from .forcing import GuoForcing
-from .moments import macroscopic
-from .plan import KERNELS, KernelPlan
+from .plan import SPARSE_KERNEL, KernelPlan
 from .simulation import StepTimings, _Driver
 
 __all__ = [
@@ -166,7 +165,7 @@ class PlannedSparseKernel:
     two alternate step by step.
     """
 
-    name = "sparse-planned"
+    name = SPARSE_KERNEL
 
     def __init__(
         self,
@@ -309,13 +308,6 @@ class SparseSimulation(_Driver):
 
     # -- observables --------------------------------------------------------------
 
-    def macroscopic(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-fluid-node density and (force-corrected) velocity."""
-        rho, u = macroscopic(self.lattice, self.f)
-        if self.forcing is not None:
-            u = u + self.forcing.velocity_shift(rho)
-        return rho, u
-
     def density_dense(self) -> np.ndarray:
         """Density scattered back onto the bounding box (NaN on solid)."""
         rho, _ = self.macroscopic()
@@ -344,8 +336,3 @@ class SparseSimulation(_Driver):
         """Population storage: Q x fluid nodes x itemsize (the sparse
         win; float32 halves it again, compounding with the node cut)."""
         return self.f.nbytes
-
-
-# Listed in the shared registry so `available_kernels()` names every
-# rung; make_kernel refuses it (only SparseSimulation builds a domain).
-KERNELS[PlannedSparseKernel.name] = PlannedSparseKernel

@@ -16,7 +16,6 @@ from repro.core import (
     uniform_flow,
     velocity_profile,
 )
-from repro.core import observables
 
 
 class TestGlobalQuantities:
@@ -63,30 +62,6 @@ class TestEnstrophy:
         w0 = enstrophy(sim.lattice, sim.f)
         sim.run(60)
         assert enstrophy(sim.lattice, sim.f) < w0
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize(
-        "shape", [(1, 1, 1), (2, 1, 3), (1, 2, 2), (2, 2, 2), (5, 4, 3), (9, 7, 6)]
-    )
-    def test_same_bytes_as_the_roll_formula(self, q19, rng, monkeypatch, dtype, shape):
-        """Central differences by slicing keep every value's bytes: the
-        same subtraction and division per element, the same final sum,
-        on axes of extent 1 and 2 too."""
-
-        def d(comp, axis):
-            return (np.roll(comp, -1, axis=axis) - np.roll(comp, 1, axis=axis)) / 2.0
-
-        u = rng.standard_normal((3, *shape)).astype(dtype)
-        wx = d(u[2], 1) - d(u[1], 2)
-        wy = d(u[0], 2) - d(u[2], 0)
-        wz = d(u[1], 0) - d(u[0], 1)
-        expected = float(0.5 * (wx**2 + wy**2 + wz**2).sum())
-        monkeypatch.setattr(observables, "_moments", lambda lattice, f: (None, u))
-        assert enstrophy(q19, None) == expected
-        for axis in range(3):
-            out = np.empty_like(u[0])
-            observables._central_difference(u[0], axis, out)
-            assert out.tobytes() == d(u[0], axis).tobytes()
 
 
 class TestVelocityProfile:

@@ -134,3 +134,34 @@ def test_submodules_resolve_as_attributes():
             print("ok")
     """
     assert fresh(code, ENV) == "ok"
+
+
+def test_kernel_registry_is_complete_before_sparse_loads():
+    """``available_kernels()`` names the sparse rung whatever the process
+    has imported, so a spec spelling it validates before
+    ``repro.core.sparse`` loads, and a dense build refuses it by name."""
+    code = """if True:
+        import json, sys
+        import repro.api
+        from repro.core.plan import available_kernels, make_kernel
+        from repro.errors import LatticeError
+        from repro.lattice import get_lattice
+        from repro.scenarios import CaseRunner
+
+        before = "repro.core.sparse" in sys.modules
+        names = available_kernels()
+        runner = CaseRunner("bifurcating-vessel", kernel="sparse-planned")
+        try:
+            make_kernel("sparse-planned", get_lattice("D3Q19"), 0.8)
+        except LatticeError as error:
+            refusal = str(error)
+        print(json.dumps([
+            before, names, runner.spec.kernel, refusal,
+            "repro.core.sparse" in sys.modules,
+        ]))
+    """
+    before, names, kernel, refusal, after = json.loads(fresh(code, ENV))
+    assert not before and not after
+    assert names == ["naive", "planned", "sparse-planned"]
+    assert kernel == "sparse-planned"
+    assert "streams a SparseDomain" in refusal
