@@ -65,12 +65,28 @@ class _Driver:
     :class:`~repro.core.sparse.SparseSimulation`.
 
     A subclass supplies ``step()``, which books its wall-clock time into
-    ``self.timings`` (a :class:`StepTimings`), ``_check_finite()`` and
-    the ``telemetry`` recorder.
+    ``self.timings`` (a :class:`StepTimings`), ``_check_finite()``, the
+    ``telemetry`` recorder, the ``lattice``, the populations ``f`` a step
+    leaves and its ``forcing`` (a :class:`GuoForcing`, or ``None``).
     """
 
     telemetry: "Telemetry | NullTelemetry"
     timings: StepTimings
+    lattice: VelocitySet
+    forcing: GuoForcing | None
+
+    def macroscopic(self) -> tuple[np.ndarray, np.ndarray]:
+        """Density and (force-corrected) velocity of ``f``.
+
+        A step leaves post-collision populations, and a Guo-forced
+        collision adds ``F`` to a node's momentum, so the velocity of the
+        step that made ``f`` is ``(m - F/2) / rho``: the
+        ``(m_pre + F/2) / rho`` that collision relaxed towards.
+        """
+        rho, u = macroscopic(self.lattice, self.f)
+        if self.forcing is not None:
+            u = u - self.forcing.velocity_shift(rho)
+        return rho, u
 
     def set_telemetry(self, telemetry: "Telemetry | NullTelemetry") -> None:
         """Install a structured-event recorder on this simulation."""
@@ -320,13 +336,6 @@ class Simulation(_Driver):
         if self.layout == LAYOUT_SOA:
             return self.field.data
         return self.field.as_soa()
-
-    def macroscopic(self) -> tuple[np.ndarray, np.ndarray]:
-        """Density and (force-corrected) velocity fields."""
-        rho, u = macroscopic(self.lattice, self.f)
-        if self.forcing is not None:
-            u = u + self.forcing.velocity_shift(rho)
-        return rho, u
 
     @property
     def num_cells(self) -> int:
