@@ -59,18 +59,13 @@ def _const_token(const: Any) -> Any:
     if hasattr(const, "co_code"):
         return _code_token(const)
     if isinstance(const, frozenset):
-        return ("frozenset", *sorted(repr(c) for c in const))
+        return ["frozenset"] + sorted(repr(c) for c in const)
     if isinstance(const, tuple):
-        return tuple(_const_token(c) for c in const)
+        return [_const_token(c) for c in const]
     return repr(const)
 
 
-#: Token per code object.  A code object is immutable, so its token is
-#: built once per process; tuples keep the shared tokens immutable too.
-_CODE_TOKENS: dict[types.CodeType, tuple] = {}
-
-
-def _code_token(code: types.CodeType) -> tuple:
+def _code_token(code: Any) -> list:
     """Identity of a function body: bytecode + names + consts.
 
     Line numbers are excluded, so two textually identical lambdas
@@ -78,11 +73,8 @@ def _code_token(code: types.CodeType) -> tuple:
     *different* bodies (the classic ``<lambda>`` collision) do not.
     Nested code objects (inner functions, comprehensions) recurse.
     """
-    token = _CODE_TOKENS.get(code)
-    if token is None:
-        consts = tuple(_const_token(const) for const in code.co_consts)
-        token = _CODE_TOKENS[code] = (code.co_code.hex(), code.co_names, consts)
-    return token
+    consts = [_const_token(const) for const in code.co_consts]
+    return [code.co_code.hex(), list(code.co_names), consts]
 
 
 def _instance_token(obj: Any, _seen: frozenset = frozenset()) -> Any:

@@ -323,88 +323,6 @@ class TestDirectDump:
         assert spec.fingerprint() == self._canonical_digest(spec)
 
 
-def _unmemoised_const_token(const):
-    """``_const_token`` as it was before code tokens were memoised."""
-    if hasattr(const, "co_code"):
-        return _unmemoised_code_token(const)
-    if isinstance(const, frozenset):
-        return ["frozenset"] + sorted(repr(c) for c in const)
-    if isinstance(const, tuple):
-        return [_unmemoised_const_token(c) for c in const]
-    return repr(const)
-
-
-def _unmemoised_code_token(code):
-    consts = [_unmemoised_const_token(const) for const in code.co_consts]
-    return [code.co_code.hex(), list(code.co_names), consts]
-
-
-class _Scaled:
-    def __init__(self, scale):
-        self.scale = scale
-
-    def probe(self, sim):
-        return self.scale
-
-
-class TestCodeTokenMemo:
-    """A code object's token is built once per process; everything a
-    callable's token holds beside its code is read on every call."""
-
-    def test_built_once_per_code_object(self):
-        def probe(sim):
-            return 1.0
-
-        first = spec_module._code_token(probe.__code__)
-        assert spec_module._code_token(probe.__code__) is first
-        assert spec_module._CODE_TOKENS[probe.__code__] is first
-
-    def test_registered_fingerprints_equal_unmemoised_ones(self, monkeypatch):
-        """Default and overridden, every registered case hashes the same
-        text as with tokens built afresh on every call."""
-        overrides = ({}, {"tau": 0.71}, {"steps": 13, "dtype": "float32"}, {"knob": 3})
-        specs = [
-            get_case(name).with_overrides(**o)
-            for name in available_cases()
-            for o in overrides
-        ]
-        memoised = [spec.fingerprint() for spec in specs]
-        assert [spec.fingerprint() for spec in specs] == memoised  # warm memo
-        monkeypatch.setattr(spec_module, "_code_token", _unmemoised_code_token)
-        monkeypatch.setattr(spec_module, "_const_token", _unmemoised_const_token)
-        assert [spec.fingerprint() for spec in specs] == memoised
-
-    def test_defaults_cells_and_instances_are_not_memoised(self):
-        def probe(sim, scale=1.0):
-            return scale
-
-        def closure():
-            level = 1.0
-
-            def read(sim):
-                return level
-
-            def bump():
-                nonlocal level
-                level = 2.0
-
-            return read, bump
-
-        read, bump = closure()
-        scaled = _Scaled(1.0)
-        spec = dataclasses.replace(
-            BASE, observables={"a": probe, "b": read, "c": scaled.probe}
-        )
-        seen = {spec.fingerprint()}
-        probe.__defaults__ = (2.0,)
-        seen.add(spec.fingerprint())
-        bump()
-        seen.add(spec.fingerprint())
-        scaled.scale = 2.0
-        seen.add(spec.fingerprint())
-        assert len(seen) == 4
-
-
 class TestSparseForcingScheme:
     """The sparse path's forcing scheme is hashed into forced sparse
     specs only: their fingerprints changed with it, no other's did."""
