@@ -4,11 +4,13 @@ The endpoint of the paper's §V single-node optimization ladder is a
 kernel in which *everything that can be computed once is computed once*:
 index arithmetic is precomputed (LoBr), loops are fused, and the hot
 loop touches only preallocated memory.  :class:`KernelPlan` is the
-Python analogue — at construction it builds
+Python analogue — before the first step it builds
 
 * the flat gather table for pull-streaming (one ``np.take`` per step,
-  indices computed once per shape), into which static bounce-back walls
-  can be folded (:meth:`KernelPlan.fold_bounce_back`),
+  indices computed once per shape and process: periodic plans share one
+  table per ``(lattice, shape, layout)``, resolved on first use), into
+  which static bounce-back walls can be folded
+  (:meth:`KernelPlan.fold_bounce_back`, on a private copy),
 * dtype-cast velocity/weight tables (cached per lattice, see
   :meth:`~repro.lattice.VelocitySet.velocities_as`) and scalar
   constants, plus the Guo forcing constants when a body force is fused
@@ -25,7 +27,10 @@ compiled loop loads each block of cells through the gather table and
 collides it into a second buffer, one pass over memory (the paper's
 Fig. 2 loop with ``distr_adv`` never written); without a compiler
 ``np.take`` into that buffer and the reference collide in place write
-the same bytes.  :meth:`PlannedKernel.step` alternates the caller's
+the same bytes.  An AoS plan's table addresses the cell-major buffer,
+so its step is that pass into a struct-of-arrays scratch plus one
+scatter back (:meth:`KernelPlan.advance_aos`).
+:meth:`PlannedKernel.step` alternates the caller's SoA
 array with one plan-owned buffer; drivers that run boundaries between
 streaming and collision call :meth:`KernelPlan.stream_into` and
 :meth:`KernelPlan.collide_into` instead.  Either way a step makes zero
@@ -70,7 +75,13 @@ from ..errors import LatticeError
 from ..lattice import VelocitySet
 from . import compiled
 from .equilibrium import equilibrium_order_for
-from .fields import LAYOUT_AOS, LAYOUT_SOA, resolve_dtype, resolve_layout
+from .fields import (
+    LAYOUT_AOS,
+    LAYOUT_SOA,
+    resolve_dtype,
+    resolve_layout,
+    shared_table,
+)
 from .kernels import LBMKernel, NaiveKernel
 from .streaming import pull_gather_rows
 
@@ -285,14 +296,10 @@ class KernelPlan:
         #: Spatial shape of the streaming *source* array (== shape for
         #: periodic plans; the padded shape for window plans).
         self.source_shape: tuple[int, ...] = self.shape
-        if gather is None:
-            builder = (
-                build_aos_gather_table
-                if self.layout == LAYOUT_AOS
-                else build_gather_table
-            )
-            gather = builder(lattice, self.shape)
-        self.gather = gather
+        # An explicit table (slab window, sparse domain) is the plan's
+        # own; the periodic one is resolved on first use (see `gather`).
+        self._gather = gather
+        self._shared_gather = False
         # AoS exit path: the collision writes a contiguous (Q, N) scratch
         # and one take through this transpose permutation scatters it
         # back into cell-major order.  Writing the strided AoS view
@@ -383,8 +390,32 @@ class KernelPlan:
         return self._native is not None
 
     @property
+    def gather(self) -> np.ndarray:
+        """The flat int64 pull table the plan streams through.
+
+        A periodic plan takes the process's one table for its
+        ``(lattice, shape, layout)`` (:func:`~repro.core.fields.shared_table`),
+        resolved here on first use so that a plan whose walls fold in
+        (:meth:`fold_bounce_back`) never builds or holds a shared one.
+        """
+        if self._gather is None:
+            key = ("gather", self.lattice.velocities.tobytes(), self.shape, self.layout)
+            self._gather = shared_table(key, self._periodic_table)
+            self._shared_gather = True
+        return self._gather
+
+    def _periodic_table(self) -> np.ndarray:
+        if self.layout == LAYOUT_AOS:
+            return build_aos_gather_table(self.lattice, self.shape)
+        return build_gather_table(self.lattice, self.shape)
+
+    @property
     def nbytes(self) -> int:
-        """Bytes held by the gather table and the scratch (diagnostics)."""
+        """Bytes held by the gather table and the scratch (diagnostics).
+
+        A shared periodic table counts in the ``nbytes`` of every plan
+        that streams through it.
+        """
         arrays = (
             self.gather,
             self._buffer,
@@ -436,17 +467,24 @@ class KernelPlan:
         followed by :meth:`BounceBackWalls.apply
         <repro.core.boundary.BounceBackWalls.apply>`, at no per-step
         cost.  The fold is a pure index permutation done as pairwise row
-        swaps over the solid cells, so it needs no table-sized copy.
-        Masks fold in call order, matching the order the boundary
-        operators would have run in.
+        swaps over the solid cells.  It swaps rows of the plan's own
+        table: a plan that has not resolved its periodic table builds a
+        private one, and one that streams through the shared table
+        copies it first.  Masks fold in call order, matching the order
+        the boundary operators would have run in.
         """
         mask = np.asarray(solid_mask, dtype=bool)
         if mask.shape != self.shape:
             raise LatticeError(
                 f"solid mask shape {mask.shape} != plan grid {self.shape}"
             )
+        if self._gather is None:
+            self._gather = self._periodic_table()
+        elif self._shared_gather:
+            self._gather = self._gather.copy()
+            self._shared_gather = False
         cells = np.flatnonzero(mask)
-        table = self.gather.reshape(self.lattice.q, self.num_cells)
+        table = self._gather.reshape(self.lattice.q, self.num_cells)
         for i, j in enumerate(self.lattice.opposite):
             if i < j:
                 held = table[i, cells]
@@ -496,36 +534,39 @@ class KernelPlan:
 
     # -- the planned update --------------------------------------------
 
-    def _flat_source(self, f: np.ndarray) -> np.ndarray:
-        """``f`` as the flat buffer the gather table indexes.
+    def _source(self, f: np.ndarray) -> np.ndarray:
+        """``f`` in the physical order the gather table indexes.
 
         SoA plans index the array's own C order.  AoS plans index the
         cell-major physical buffer — ``f`` arrives as the logical
         ``(Q, *shape)`` transposed view over it, and ``moveaxis`` back
         recovers the contiguous buffer without copying.
         """
-        if self.layout == LAYOUT_AOS:
-            return np.moveaxis(f, 0, -1).reshape(-1)
-        return f.reshape(-1)
+        return np.moveaxis(f, 0, -1) if self.layout == LAYOUT_AOS else f
+
+    def _scatter(self, out: np.ndarray) -> None:
+        """Copy the AoS plan's struct-of-arrays scratch into the logical
+        AoS array ``out``, through the transpose permutation in one
+        ``np.take``: an exact permutation (bytes unchanged), so both
+        layouts produce identical populations per dtype; the pass is the
+        layout's genuine, measurable scatter cost."""
+        np.take(
+            self._aos_out_flat,
+            self._soa_index,
+            out=np.moveaxis(out, 0, -1).reshape(-1),
+            mode="clip",
+        )
 
     def collide_native(self, src: np.ndarray, out: np.ndarray, omega: float) -> None:
         """Collide SoA ``src`` into the layout-native logical array ``out``.
 
         SoA writes straight through :meth:`collide_into`.  AoS collides
-        into the plan's contiguous scratch and scatters it back through
-        the transpose permutation in one ``np.take`` — an exact
-        permutation (bytes unchanged), so both layouts produce identical
-        populations per dtype; the extra pass is the layout's genuine,
-        measurable scatter cost.
+        into the plan's contiguous scratch and scatters it back
+        (:meth:`_scatter`).
         """
         if self.layout == LAYOUT_AOS:
             self.collide_into(src, self._aos_out, omega)
-            np.take(
-                self._aos_out_flat,
-                self._soa_index,
-                out=np.moveaxis(out, 0, -1).reshape(-1),
-                mode="clip",
-            )
+            self._scatter(out)
         else:
             self.collide_into(src, out.reshape(self.lattice.q, -1), omega)
 
@@ -539,7 +580,9 @@ class KernelPlan:
         is always struct-of-arrays (the scratch side), whatever the
         plan's source layout.
         """
-        np.take(self._flat_source(f), self.gather, out=out.reshape(-1), mode="clip")
+        np.take(
+            self._source(f).reshape(-1), self.gather, out=out.reshape(-1), mode="clip"
+        )
 
     def _set_omega(self, omega: float) -> None:
         self._k[_K_KEEP] = 1.0 - omega
@@ -574,21 +617,25 @@ class KernelPlan:
         """One whole step: stream ``src`` through the gather table and
         collide the streamed populations into ``out``.
 
-        ``src`` is the ``(Q, *source_shape)`` pre-stream array and ``out``
-        a ``(Q, *shape)`` array sharing no memory with it, both
-        C-contiguous in the plan's dtype (struct-of-arrays: an AoS plan
-        steps through :meth:`stream_into` and :meth:`collide_native`).
-        The compiled loop loads each block of cells through the plan's
-        int64 table, so streaming and collision are one pass and the
-        post-stream populations are never stored.  Without a compiler,
-        ``np.take`` into ``out`` and then :meth:`_collide_reference` in
-        place write the same bytes.
+        ``src`` is the layout-native ``(Q, *source_shape)`` pre-stream
+        array: C-contiguous under SoA, the logical view over a
+        C-contiguous cell-major buffer under AoS (the AoS table addresses
+        that buffer).  ``out`` is a C-contiguous struct-of-arrays
+        ``(Q, *shape)`` array sharing no memory with it; both have the
+        plan's dtype.  The compiled loop loads each block of cells
+        through the plan's int64 table, so streaming and collision are
+        one pass and the post-stream populations are never stored.
+        Without a compiler, ``np.take`` into ``out`` and then
+        :meth:`_collide_reference` in place write the same bytes.
         """
         self._check_omega(omega)
         q = self.lattice.q
-        self._check_buffers(
-            "advance", src, (q, *self.source_shape), out, (q, *self.shape)
-        )
+        source = self._source(src)
+        if self.layout == LAYOUT_AOS:
+            source_shape = (*self.source_shape, q)
+        else:
+            source_shape = (q, *self.source_shape)
+        self._check_buffers("advance", source, source_shape, out, (q, *self.shape))
         table = self.gather
         if table.dtype != np.int64 or not table.flags.c_contiguous:
             raise LatticeError(
@@ -602,15 +649,22 @@ class KernelPlan:
             self._set_omega(omega)
         if self._native is None:
             rows = out.reshape(q, self.num_cells)
-            np.take(src.reshape(-1), table, out=rows.reshape(-1), mode="clip")
+            np.take(source.reshape(-1), table, out=rows.reshape(-1), mode="clip")
             self._collide_reference(rows, rows)
         else:
             self._native.fn(
-                src.ctypes.data,
+                source.ctypes.data,
                 table.ctypes.data,
                 out.ctypes.data,
                 *self._native_args,
             )
+
+    def advance_aos(self, f: np.ndarray, omega: float) -> None:
+        """One whole step of an AoS plan, in place and in two passes:
+        :meth:`advance` from the cell-major ``f`` into the plan's
+        struct-of-arrays scratch, then :meth:`_scatter` back into ``f``."""
+        self.advance(f, self._aos_out.reshape(self.lattice.q, *self.shape), omega)
+        self._scatter(f)
 
     def collide_into(self, src: np.ndarray, out_flat: np.ndarray, omega: float) -> None:
         """Relax post-streaming populations ``src`` (shape ``(Q, N)``)
@@ -796,15 +850,14 @@ class PlannedKernel(LBMKernel):
         """One stream+collide step.  SoA populations take one
         :meth:`KernelPlan.advance` into the other array of a pair, the
         caller's first array and the plan's :attr:`~KernelPlan.buffer`,
-        which alternate; AoS populations are collided back into ``f``."""
+        which alternate; AoS populations are advanced back into ``f``
+        (:meth:`KernelPlan.advance_aos`)."""
         self._check_input(f)
         plan = self.plan_for(f.shape[1:])
-        buffer = plan.buffer
         if self.layout == LAYOUT_AOS:
-            adv = buffer.reshape(self.lattice.q, -1)
-            plan.stream_into(f, adv)
-            plan.collide_native(adv, f, self.collision.omega)
+            plan.advance_aos(f, self.collision.omega)
             return f
+        buffer = plan.buffer
         if f is buffer:
             out = self._partner
         else:

@@ -15,7 +15,10 @@ wall-clock throughput in MFlup/s (million fluid lattice-point updates
 per second, paper Eq. 4).  When nothing runs between streaming and
 collision, a planned step is one pass: the plan's compiled loop gathers
 ``distr`` through its stream table and writes the collided populations
-into ``distr_adv``, and the two arrays swap roles.
+into ``distr_adv``, and the two arrays swap roles (under AoS it writes
+the plan's scratch, which one scatter copies back into ``distr``).  Both
+arrays come from the process's :class:`~repro.core.fields.WorkingSet`,
+so a dropped simulation's arrays serve the next one of its shape.
 """
 
 from __future__ import annotations
@@ -261,17 +264,13 @@ class Simulation(_Driver):
         if self._planned:
             self._install_into_plan()
         #: Whether a step is one KernelPlan.advance pass (decided once):
-        #: BGK on the planned SoA kernel with nothing after streaming.
-        self._fused = (
-            self._planned
-            and not self._custom
-            and not self._post_stream
-            and self.layout == LAYOUT_SOA
-        )
+        #: BGK on the planned kernel with nothing after streaming.
+        self._fused = self._planned and not self._custom and not self._post_stream
         # The persistent field carries the layout; the advection scratch
         # stays SoA under either layout (the kernel streams AoS -> SoA
         # and scatters back after collision), so boundary conditions see
-        # the same contiguous post-streaming array as ever.
+        # the same contiguous post-streaming array as ever.  Both arrays
+        # come from the process's working set (DistributionField.zeros).
         self.field = DistributionField.zeros(
             self.lattice, self.shape, dtype=self.dtype, layout=self.layout
         )
@@ -351,12 +350,13 @@ class Simulation(_Driver):
 
         ``stream``: ``"fused"`` (the plan's collide gathers through its
         table: one :meth:`KernelPlan.advance
-        <repro.core.plan.KernelPlan.advance>` per step, whose time books
-        as collide), ``"gather"`` (the planned table, as a pass of its
-        own before post-stream boundaries, a custom collision or the AoS
-        scatter) or ``"generic"``; ``walls`` (plain static bounce-back):
-        ``"folded"`` into the gather, ``"post-stream"`` when any runs as
-        an operator after streaming, or ``"none"``; ``collide``:
+        <repro.core.plan.KernelPlan.advance>` per step, plus the scatter
+        back under AoS, whose time books as collide), ``"gather"`` (the
+        planned table, as a pass of its own before post-stream
+        boundaries or a custom collision) or ``"generic"``; ``walls``
+        (plain static bounce-back): ``"folded"`` into the gather,
+        ``"post-stream"`` when any runs as an operator after streaming,
+        or ``"none"``; ``collide``:
         ``"compiled"`` (the plan's C loop), ``"arena"`` (its
         byte-identical numpy reference, on a host without a C compiler;
         a fused step there is ``np.take`` then the reference) or
@@ -409,17 +409,21 @@ class Simulation(_Driver):
     def step(self) -> None:
         """Advance one time step: stream, boundaries, collide.
 
-        A fused step is one pass from the field into the advection
-        array, which then becomes the field (the arrays swap); its whole
-        time books as collide.
+        A fused SoA step is one pass from the field into the advection
+        array, which then becomes the field (the arrays swap); a fused
+        AoS step passes through the plan's scratch and scatters back
+        into the field.  Either books its whole time as collide.
         """
         f_old = self.field.data
         f_new = self._adv.data
         if self._fused:
             t0 = time.perf_counter()
-            self._plan.advance(f_old, f_new, self.collision.omega)
+            if self.layout == LAYOUT_SOA:
+                self._plan.advance(f_old, f_new, self.collision.omega)
+                self.field.data, self._adv.data = f_new, f_old
+            else:
+                self._plan.advance_aos(f_old, self.collision.omega)
             t1 = time.perf_counter()
-            self.field.data, self._adv.data = f_new, f_old
             self.time_step += 1
             self.timings.steps += 1
             self.timings.collide_seconds += t1 - t0

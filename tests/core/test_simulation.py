@@ -227,21 +227,23 @@ class TestFusedStepSwapsBuffers:
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_monitor_sees_every_step(self, dtype):
-        """Against the AoS layout, whose step is the two-pass split
-        (stream, then collide back into the field): same bytes at every
-        step a monitor reads."""
-        fused, split = self._sim(dtype=dtype), self._sim(layout="aos", dtype=dtype)
+        """Against the AoS layout, whose fused step scatters back into
+        the field instead of swapping arrays: same bytes at every step a
+        monitor reads."""
+        fused, aos = self._sim(dtype=dtype), self._sim(layout="aos", dtype=dtype)
         assert fused.effective_path["stream"] == "fused"
-        assert split.effective_path["stream"] == "gather"
-        seen = {id(fused): [], id(split): []}
+        assert aos.effective_path["stream"] == "fused"
+        aos_field = aos.field.data
+        seen = {id(fused): [], id(aos): []}
 
         def monitor(sim):
             seen[id(sim)].append((sim.time_step, sim.f.tobytes()))
 
-        for sim in (fused, split):
+        for sim in (fused, aos):
             sim.run(5, monitor=monitor)
+        assert aos.field.data is aos_field
         assert [t for t, _ in seen[id(fused)]] == [1, 2, 3, 4, 5]
-        assert seen[id(fused)] == seen[id(split)]
+        assert seen[id(fused)] == seen[id(aos)]
         assert len({f for _, f in seen[id(fused)]}) == 5
 
     def test_odd_step_checkpoint_resumes_bit_exact(self, tmp_path):
