@@ -8,11 +8,14 @@ directory, loads the library with :mod:`ctypes` and deletes the
 directory; later requests reuse the loaded function.  Nothing is stored
 between processes.
 
-The one C function serves both planned calls: given the plan's gather
+One C function serves both planned collides: given the plan's gather
 table it streams and collides in one pass
 (:meth:`KernelPlan.advance <repro.core.plan.KernelPlan.advance>`),
 without one it collides populations already streamed
 (:meth:`KernelPlan.collide_into <repro.core.plan.KernelPlan.collide_into>`).
+A second streams alone
+(:meth:`KernelPlan.stream_into <repro.core.plan.KernelPlan.stream_into>`).
+Both read int32 or int64 gather tables.
 The C loop performs the op sequence written down in ``collide.c``; the
 plan's numpy reference performs the same sequence, so both write the
 same bytes.  When there is no compiler or the build fails, :func:`load`
@@ -37,11 +40,17 @@ import numpy as np
 
 from ..telemetry.recorder import get_telemetry
 
-__all__ = ["CFLAGS", "CompiledCollide", "Loader", "SOURCE", "load"]
+__all__ = ["ALIGNMENT", "CFLAGS", "CompiledCollide", "Loader", "SOURCE", "load"]
 
 
 #: The C source of the loop.
 SOURCE = Path(__file__).with_name("collide.c")
+
+#: Byte boundary the loop's block scratch starts on: one cache line.  The
+#: build passes it to ``collide.c`` (``REPRO_ALIGN``), whose block loops
+#: assume it, and :class:`~repro.core.plan.KernelPlan` allocates every
+#: array it hands the loop on it (see ``collide.c``'s alignment contract).
+ALIGNMENT = 64
 
 #: Compiler flags.  ``-O2 -ftree-vectorize`` builds in about 60% of the
 #: time ``-O3`` takes and steps within 5% of it (gcc 12); plain ``-O2``
@@ -83,11 +92,17 @@ class CompiledCollide:
         #: Cells per block of the loop.
         self.block = int(library.repro_collide_block())
         self._scratch_size = library.repro_collide_scratch
-        #: ``repro_collide(src, gather, out, n, q, d, order, c, w, k,
-        #: half_force, force_m, force_b, scratch)``; see collide.c.
+        #: ``repro_collide(src, gather, index_size, out, n, q, d, order, c,
+        #: w, k, half_force, force_m, force_b, scratch)``; see collide.c.
         self.fn = library.repro_collide
         self.fn.restype = None
-        self.fn.argtypes = (ptr, ptr, ptr, c_long, c_int, c_int, c_int) + (ptr,) * 7
+        sizes = (c_long, c_int, c_int, c_int)  # n, q, d, order
+        self.fn.argtypes = (ptr, ptr, c_int, ptr, *sizes) + (ptr,) * 7
+        #: ``repro_gather(src, gather, index_size, out, count)``: the
+        #: stand-alone stream through a gather table.
+        self.gather = library.repro_gather
+        self.gather.restype = None
+        self.gather.argtypes = (ptr, ptr, c_int, ptr, c_long)
 
     def scratch_size(self, q: int, d: int) -> int:
         """Elements of scratch the loop needs for ``q`` velocities in ``d``-D."""
@@ -152,6 +167,7 @@ class Loader:
                 compiler,
                 *CFLAGS,
                 f"-DREPRO_REAL={_C_REAL[dtype.name]}",
+                f"-DREPRO_ALIGN={ALIGNMENT}",
                 "-o",
                 str(target),
                 str(SOURCE),

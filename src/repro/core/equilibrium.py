@@ -79,9 +79,11 @@ def equilibrium(
         policy: ``out``'s dtype when given, else float32 iff every
         floating array input is float32, else float64.
     work:
-        Optional scratch of shape ``(Q, *S)`` in the evaluated dtype,
-        overwritten: the one intermediate the series needs beside
-        ``out`` (allocated per call otherwise, at third order).
+        Optional C-contiguous scratch of shape ``(Q, *S)`` in the
+        evaluated dtype, overwritten: the one intermediate the series
+        needs beside ``out`` (allocated per call otherwise).  Below third
+        order ``c . u`` itself is computed into it, so the call allocates
+        no ``(Q, *S)`` array.
 
     Returns
     -------
@@ -104,31 +106,43 @@ def equilibrium(
     cs2 = lattice.cs2_float
     c = lattice.velocities_as(dtype)  # (Q, D)
     w = lattice.weights_as(dtype)  # (Q,)
+    spatial_shape = u.shape[1:]
+    field_shape = (lattice.q, *spatial_shape)
+    if work is not None and (
+        work.shape != field_shape
+        or work.dtype != dtype
+        or not work.flags.c_contiguous
+    ):
+        raise LatticeError(
+            f"work must be a C-contiguous {dtype} array of shape {field_shape}, "
+            f"got {work.dtype} {work.shape}"
+        )
 
-    # cu[i, ...] = c_i . u ;  u2[...] = |u|^2
-    cu = np.tensordot(c, u, axes=([1], [0]))
+    # cu[i, ...] = c_i . u, the product np.tensordot computes, written
+    # into the work buffer when the series needs no copy of it beside x;
+    # u2[...] = |u|^2
+    if work is not None and order < 3:
+        cu = work
+        np.dot(c, u.reshape(lattice.dim, -1), out=work.reshape(lattice.q, -1))
+    else:
+        cu = np.tensordot(c, u, axes=([1], [0]))
     u2 = np.einsum("a...,a...->...", u, u)
 
-    spatial_shape = cu.shape[1:]
     expand = (slice(None),) + (None,) * len(spatial_shape)
     if out is None:
-        out = np.empty((lattice.q, *spatial_shape), dtype=dtype)
+        out = np.empty(field_shape, dtype=dtype)
 
     # The series, with x = cu / cs2, is summed left to right as
     #   term = (1 + x) + (x^2/2 - u2/(2 cs2)) + cu/(6 cs2^2) (cu^2/cs2 - 3 u2)
     # by the same elementwise operations as the expression form (IEEE
     # addition and multiplication commute exactly, so operand order is
     # free and the bytes match it), but in place: ``term`` (the output
-    # unless that casts), ``cu`` (tensordot's own result) and ``x`` (the
-    # work buffer; ``cu`` itself below third order when none is given)
-    # hold every intermediate.
+    # unless that casts), ``cu`` and ``x`` hold every intermediate.  x is
+    # the work buffer when one is given (below third order it already
+    # holds cu, divided in place); without one it is cu itself below
+    # third order and a fresh array at it.
     term = out if out.dtype == dtype else np.empty_like(cu)
     if work is not None:
-        if work.shape != cu.shape or work.dtype != dtype:
-            raise LatticeError(
-                f"work must be a {dtype} array of shape {cu.shape}, "
-                f"got {work.dtype} {work.shape}"
-            )
         x = work
     else:
         x = cu if order < 3 else np.empty_like(cu)

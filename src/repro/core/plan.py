@@ -6,11 +6,14 @@ index arithmetic is precomputed (LoBr), loops are fused, and the hot
 loop touches only preallocated memory.  :class:`KernelPlan` is the
 Python analogue — before the first step it builds
 
-* the flat gather table for pull-streaming (one ``np.take`` per step,
-  indices computed once per shape and process: periodic plans share one
-  table per ``(lattice, shape, layout)``, resolved on first use), into
-  which static bounce-back walls can be folded
-  (:meth:`KernelPlan.fold_bounce_back`, on a private copy),
+* the flat gather table for pull-streaming (indices computed once per
+  shape and process: periodic plans share one table per ``(lattice,
+  shape, layout, index dtype)``, resolved on first use), into which
+  static bounce-back walls can be folded
+  (:meth:`KernelPlan.fold_bounce_back`, on a private copy); compiled
+  plans index through int32 while every index fits
+  (:func:`index_dtype`), plans without a compiler through ``np.intp``,
+  the index type ``np.take`` reads without a per-call copy,
 * dtype-cast velocity/weight tables (cached per lattice, see
   :meth:`~repro.lattice.VelocitySet.velocities_as`) and scalar
   constants, plus the Guo forcing constants when a body force is fused
@@ -20,14 +23,18 @@ Python analogue — before the first step it builds
   :mod:`repro.core.compiled`, or — on a host without a C compiler —
   the numpy reference and its arena (``rho``, ``u``, ``cell``,
   ``term``, ``work``, and ``cu`` at third order), allocated on first
-  use.
+  use.  Every array the plan allocates for the loop (the scratch, the
+  population :attr:`~KernelPlan.buffer`, the AoS collide target) starts
+  on a cache line (:func:`aligned_empty`), so a step's speed does not
+  depend on where the heap happened to place them.
 
 :meth:`KernelPlan.advance` is the whole step in one call: the
 compiled loop loads each block of cells through the gather table and
 collides it into a second buffer, one pass over memory (the paper's
 Fig. 2 loop with ``distr_adv`` never written); without a compiler
 ``np.take`` into that buffer and the reference collide in place write
-the same bytes.  An AoS plan's table addresses the cell-major buffer,
+the same bytes.  The index width changes the bytes read, never a value
+loaded.  An AoS plan's table addresses the cell-major buffer,
 so its step is that pass into a struct-of-arrays scratch plus one
 scatter back (:meth:`KernelPlan.advance_aos`).
 :meth:`PlannedKernel.step` alternates the caller's SoA
@@ -88,17 +95,60 @@ from .streaming import pull_gather_rows
 __all__ = [
     "AUTO_KERNEL",
     "AUTO_RUNG",
+    "INDEX_LIMIT",
     "KernelPlan",
     "PlannedKernel",
+    "aligned_empty",
     "available_kernels",
     "build_aos_gather_table",
     "build_gather_table",
     "build_slab_gather_table",
+    "index_dtype",
     "make_kernel",
 ]
 
 
-def build_gather_table(lattice: VelocitySet, shape: Sequence[int]) -> np.ndarray:
+def aligned_empty(shape: Sequence[int], dtype: "np.dtype | str") -> np.ndarray:
+    """An uninitialised C-contiguous array starting on a
+    :data:`~repro.core.compiled.ALIGNMENT`-byte boundary.
+
+    The one allocator of every array a :class:`KernelPlan` hands the
+    compiled loop.  ``np.empty`` guarantees 16 bytes only, and the loop's
+    speed depended on which of the four 16-byte offsets in a cache line
+    its block scratch drew (``collide.c``'s alignment contract).
+    """
+    shape = tuple(int(s) for s in shape)
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    raw = np.empty(nbytes + compiled.ALIGNMENT, dtype=np.uint8)
+    start = -raw.ctypes.data % compiled.ALIGNMENT
+    return raw[start : start + nbytes].view(dtype).reshape(shape)
+
+
+#: Source populations from which a gather table needs int64 indices:
+#: below it every index fits int32.
+INDEX_LIMIT = 2**31
+
+
+def index_dtype(populations: int, dtype: "np.dtype | str | None") -> np.dtype:
+    """The dtype of a gather table over ``populations`` source populations
+    for a plan of population ``dtype``.
+
+    int32 when this process runs the compiled loop for ``dtype`` and
+    ``populations < INDEX_LIMIT``: half the bytes of an int64 table,
+    which the one-pass step reads beside the populations.  Otherwise
+    ``np.intp``: above the limit the loop takes int64, and the numpy
+    reference streams with ``np.take``, which copies any other index
+    type on every call.
+    """
+    if populations < INDEX_LIMIT and compiled.load(resolve_dtype(dtype)) is not None:
+        return np.dtype(np.int32)
+    return np.dtype(np.intp)
+
+
+def build_gather_table(
+    lattice: VelocitySet, shape: Sequence[int], index: "np.dtype | type" = np.intp
+) -> np.ndarray:
     """Flat pull indices over the flattened ``(Q * N,)`` populations.
 
     ``table[i * N + flat(x)] = i * N + flat(x - c_i)`` (periodic), so one
@@ -107,17 +157,19 @@ def build_gather_table(lattice: VelocitySet, shape: Sequence[int]) -> np.ndarray
     limit: a single gather with no per-step index arithmetic at all.
     The index math itself is :func:`~repro.core.streaming.pull_gather_rows`,
     which fills the ``(Q, N)`` table in place with the row offsets
-    included.
+    included, in the ``index`` dtype (see :func:`index_dtype`).
     """
     shape = tuple(int(s) for s in shape)
     n = int(np.prod(shape))
     # Deliberately left writable: np.take(mode="clip") copies read-only
     # index arrays into a fresh buffer on every call, which would turn
     # each step into a hidden field-sized allocation.
-    return pull_gather_rows(lattice, shape, row_step=n).reshape(-1)
+    return pull_gather_rows(lattice, shape, row_step=n, index=index).reshape(-1)
 
 
-def build_aos_gather_table(lattice: VelocitySet, shape: Sequence[int]) -> np.ndarray:
+def build_aos_gather_table(
+    lattice: VelocitySet, shape: Sequence[int], index: "np.dtype | type" = np.intp
+) -> np.ndarray:
     """Flat pull indices from an **array-of-structs** source buffer.
 
     AoS stores the populations of one cell contiguously — the flat index
@@ -129,11 +181,15 @@ def build_aos_gather_table(lattice: VelocitySet, shape: Sequence[int]) -> np.nda
     layouts share one kernel body (paper §IV's layout study).
     """
     shape = tuple(int(s) for s in shape)
-    return pull_gather_rows(lattice, shape, scale=lattice.q, row_step=1).reshape(-1)
+    rows = pull_gather_rows(lattice, shape, scale=lattice.q, row_step=1, index=index)
+    return rows.reshape(-1)
 
 
 def build_slab_gather_table(
-    lattice: VelocitySet, padded_shape: Sequence[int], window: slice
+    lattice: VelocitySet,
+    padded_shape: Sequence[int],
+    window: slice,
+    index: "np.dtype | type" = np.intp,
 ) -> np.ndarray:
     """Flat pull indices from a halo-padded slab into an x-window of it.
 
@@ -150,6 +206,7 @@ def build_slab_gather_table(
     when the window leaves ``k = max_displacement`` planes of padding on
     each side (the deep-halo validity invariant), and is verified here
     so a mis-sized window fails at plan build, not as silent clipping.
+    The table is written row by row in the ``index`` dtype.
     """
     padded_shape = tuple(int(s) for s in padded_shape)
     px = padded_shape[0]
@@ -158,7 +215,7 @@ def build_slab_gather_table(
         raise LatticeError(f"empty compute window {window} in {padded_shape}")
     coords = np.indices((stop - start, *padded_shape[1:]))
     n_pad = int(np.prod(padded_shape))
-    rows = []
+    rows = np.empty((lattice.q, coords[0].size), dtype=index)
     for i, c in enumerate(lattice.velocities):
         sx = coords[0] + start - int(c[0])  # non-wrapping decomposed axis
         if sx.min() < 0 or sx.max() >= px:
@@ -171,8 +228,8 @@ def build_slab_gather_table(
         for axis in range(1, len(padded_shape)):
             src = (coords[axis] - int(c[axis])) % padded_shape[axis]
             flat = flat * padded_shape[axis] + src
-        rows.append((flat + i * n_pad).ravel())
-    return np.ascontiguousarray(np.concatenate(rows))
+        rows[i] = (flat + i * n_pad).ravel()
+    return rows.reshape(-1)
 
 
 #: Indices into a plan's constants array, in the order of ``collide.c``'s
@@ -296,8 +353,16 @@ class KernelPlan:
         #: Spatial shape of the streaming *source* array (== shape for
         #: periodic plans; the padded shape for window plans).
         self.source_shape: tuple[int, ...] = self.shape
+        # The compiled loop, built once per process and dtype (None: no
+        # compiler, the numpy reference runs instead).
+        self._native = compiled.load(self.dtype)
         # An explicit table (slab window, sparse domain) is the plan's
         # own; the periodic one is resolved on first use (see `gather`).
+        if gather is None:
+            #: dtype of the gather table's indices (see :func:`index_dtype`).
+            self.index_dtype = index_dtype(q * n, self.dtype)
+        else:
+            self.index_dtype = self._check_table(gather, q * n)
         self._gather = gather
         self._shared_gather = False
         # AoS exit path: the collision writes a contiguous (Q, N) scratch
@@ -307,7 +372,7 @@ class KernelPlan:
         # ufunc outputs through its buffered iterator — a per-call heap
         # allocation the planned discipline forbids.
         if self.layout == LAYOUT_AOS:
-            self._aos_out = np.empty((q, n), dtype=self.dtype)
+            self._aos_out = aligned_empty((q, n), self.dtype)
             self._aos_out_flat = self._aos_out.reshape(-1)
             self._soa_index = np.ascontiguousarray(
                 np.arange(q * n, dtype=np.int64).reshape(q, n).T.reshape(-1)
@@ -344,12 +409,10 @@ class KernelPlan:
         self._force_matrix: np.ndarray | None = None
         self._force_bias: np.ndarray | None = None
         self._force_terms: tuple = ()
-        # The compiled loop, built once per process and dtype (None: no
-        # compiler, the numpy reference runs instead).
-        self._native = compiled.load(self.dtype)
         self._scratch: np.ndarray | None = None
         if self._native is not None:
-            self._scratch = np.empty(self._native.scratch_size(q, d), dtype=self.dtype)
+            size = self._native.scratch_size(q, d)
+            self._scratch = aligned_empty((size,), self.dtype)
             self._bind_native()
 
     @classmethod
@@ -372,12 +435,13 @@ class KernelPlan:
         padded_shape = tuple(int(s) for s in padded_shape)
         start, stop, _ = window.indices(padded_shape[0])
         shape = (stop - start, *padded_shape[1:])
+        index = index_dtype(lattice.q * int(np.prod(padded_shape)), dtype)
         plan = cls(
             lattice,
             shape,
             order=order,
             dtype=dtype,
-            gather=build_slab_gather_table(lattice, padded_shape, window),
+            gather=build_slab_gather_table(lattice, padded_shape, window, index),
         )
         plan.window = slice(start, stop)
         plan.source_shape = padded_shape
@@ -391,23 +455,50 @@ class KernelPlan:
 
     @property
     def gather(self) -> np.ndarray:
-        """The flat int64 pull table the plan streams through.
+        """The flat pull table the plan streams through, of
+        :attr:`index_dtype`.
 
         A periodic plan takes the process's one table for its
-        ``(lattice, shape, layout)`` (:func:`~repro.core.fields.shared_table`),
-        resolved here on first use so that a plan whose walls fold in
-        (:meth:`fold_bounce_back`) never builds or holds a shared one.
+        ``(lattice, shape, layout, index dtype)``
+        (:func:`~repro.core.fields.shared_table`), resolved here on first
+        use so that a plan whose walls fold in (:meth:`fold_bounce_back`)
+        never builds or holds a shared one.
         """
         if self._gather is None:
-            key = ("gather", self.lattice.velocities.tobytes(), self.shape, self.layout)
+            key = (
+                "gather",
+                self.lattice.velocities.tobytes(),
+                self.shape,
+                self.layout,
+                self.index_dtype.str,
+            )
             self._gather = shared_table(key, self._periodic_table)
             self._shared_gather = True
         return self._gather
 
     def _periodic_table(self) -> np.ndarray:
         if self.layout == LAYOUT_AOS:
-            return build_aos_gather_table(self.lattice, self.shape)
-        return build_gather_table(self.lattice, self.shape)
+            return build_aos_gather_table(self.lattice, self.shape, self.index_dtype)
+        return build_gather_table(self.lattice, self.shape, self.index_dtype)
+
+    def _check_table(self, table: np.ndarray, size: int) -> np.dtype:
+        """The index dtype of an explicit gather table, refused unless
+        this plan's path streams through it as it is: a C-contiguous
+        ``(Q * N,)`` array of int32 or int64 for the compiled loop, of
+        ``np.intp`` for ``np.take``."""
+        accepted = (np.int32, np.int64) if self._native is not None else (np.intp,)
+        names = " or ".join(np.dtype(t).name for t in accepted)
+        if (
+            table.dtype not in accepted
+            or table.shape != (size,)
+            or not table.flags.c_contiguous
+        ):
+            raise LatticeError(
+                f"this plan streams through a C-contiguous {names} table of "
+                f"shape ({size},), got {table.dtype.name} {table.shape} "
+                f"(contiguous: {table.flags.c_contiguous})"
+            )
+        return np.dtype(table.dtype)
 
     @property
     def nbytes(self) -> int:
@@ -434,12 +525,23 @@ class KernelPlan:
         the plan's dtype, allocated on first use: the second array of
         :meth:`PlannedKernel.step`'s pair, or a window's scratch."""
         if self._buffer is None:
-            self._buffer = np.empty((self.lattice.q, *self.shape), dtype=self.dtype)
+            self._buffer = aligned_empty((self.lattice.q, *self.shape), self.dtype)
         return self._buffer
 
     def _bind_native(self) -> None:
         """The compiled loop's fixed arguments: sizes and the addresses of
-        the plan-owned tables (the plan keeps each array alive)."""
+        the plan-owned tables (the plan keeps each array alive).
+
+        The loop assumes its scratch starts on a cache line, so a
+        scratch that does not is refused here, before the loop can see
+        it (undefined behaviour in C, not merely a slower step).
+        """
+        if self._scratch.ctypes.data % compiled.ALIGNMENT:
+            raise LatticeError(
+                f"the compiled collide's scratch must start on a "
+                f"{compiled.ALIGNMENT}-byte boundary, got address "
+                f"{self._scratch.ctypes.data:#x}"
+            )
         lat = self.lattice
         forced = self._force_matrix is not None
         self._native_args = (
@@ -573,16 +675,44 @@ class KernelPlan:
     def stream_into(self, f: np.ndarray, out: np.ndarray) -> None:
         """Advect ``f`` into ``out`` via the precomputed gather table.
 
-        ``mode="clip"`` writes straight into ``out``; the default
-        ``mode="raise"`` routes through a full-size bounce buffer (a
+        ``f`` is the layout-native pre-stream array (as for
+        :meth:`advance`); ``out`` is any C-contiguous array of the plan's
+        dtype with ``Q * N`` elements, filled in struct-of-arrays order
+        (the scratch side), whatever the plan's source layout, and
+        sharing no memory with ``f``.  A compiled plan gathers in C
+        (``repro_gather``), which reads its int32 table as it is; the
+        reference takes ``np.take`` through its ``np.intp`` table, with
+        ``mode="clip"``, which writes straight into ``out`` (the default
+        ``mode="raise"`` routes through a full-size bounce buffer, a
         hidden field-sized allocation per step).  The table's indices
-        are in-bounds by construction, so clipping never fires.  ``out``
-        is always struct-of-arrays (the scratch side), whatever the
-        plan's source layout.
+        are in-bounds by construction, so clipping never fires.
         """
-        np.take(
-            self._source(f).reshape(-1), self.gather, out=out.reshape(-1), mode="clip"
-        )
+        q, n = self.lattice.q, self.num_cells
+        source = self._source(f)
+        # a view for any C-contiguous out; anything else fails the check
+        fits = out.flags.c_contiguous and out.size == q * n
+        rows = out.reshape(q, n) if fits else out
+        self._check_buffers("stream", source, self._source_layout, rows, (q, n))
+        if np.may_share_memory(source, out):
+            raise LatticeError("stream f and out must not overlap")
+        table = self.gather
+        if self._native is None:
+            np.take(source.reshape(-1), table, out=rows.reshape(-1), mode="clip")
+        else:
+            self._native.gather(
+                source.ctypes.data,
+                table.ctypes.data,
+                table.itemsize,
+                rows.ctypes.data,
+                table.size,
+            )
+
+    @property
+    def _source_layout(self) -> tuple[int, ...]:
+        """Shape of the layout-native source :meth:`_source` returns."""
+        if self.layout == LAYOUT_AOS:
+            return (*self.source_shape, self.lattice.q)
+        return (self.lattice.q, *self.source_shape)
 
     def _set_omega(self, omega: float) -> None:
         self._k[_K_KEEP] = 1.0 - omega
@@ -623,30 +753,24 @@ class KernelPlan:
         that buffer).  ``out`` is a C-contiguous struct-of-arrays
         ``(Q, *shape)`` array sharing no memory with it; both have the
         plan's dtype.  The compiled loop loads each block of cells
-        through the plan's int64 table, so streaming and collision are
-        one pass and the post-stream populations are never stored.
-        Without a compiler, ``np.take`` into ``out`` and then
-        :meth:`_collide_reference` in place write the same bytes.
+        through the plan's table (int32 or int64, :attr:`index_dtype`),
+        so streaming and collision are one pass and the post-stream
+        populations are never stored.  Without a compiler, ``np.take``
+        into ``out`` and then :meth:`_collide_reference` in place write
+        the same bytes.
         """
         self._check_omega(omega)
         q = self.lattice.q
         source = self._source(src)
-        if self.layout == LAYOUT_AOS:
-            source_shape = (*self.source_shape, q)
-        else:
-            source_shape = (q, *self.source_shape)
-        self._check_buffers("advance", source, source_shape, out, (q, *self.shape))
-        table = self.gather
-        if table.dtype != np.int64 or not table.flags.c_contiguous:
-            raise LatticeError(
-                "advance gathers through a C-contiguous int64 table, got "
-                f"{table.dtype.name} (contiguous: {table.flags.c_contiguous})"
-            )
+        self._check_buffers(
+            "advance", source, self._source_layout, out, (q, *self.shape)
+        )
         # The table reads any cell of src at any point of the pass.
         if np.may_share_memory(src, out):
             raise LatticeError("advance src and out must not overlap")
         if omega != self._omega:
             self._set_omega(omega)
+        table = self.gather
         if self._native is None:
             rows = out.reshape(q, self.num_cells)
             np.take(source.reshape(-1), table, out=rows.reshape(-1), mode="clip")
@@ -655,6 +779,7 @@ class KernelPlan:
             self._native.fn(
                 source.ctypes.data,
                 table.ctypes.data,
+                table.itemsize,
                 out.ctypes.data,
                 *self._native_args,
             )
@@ -689,7 +814,7 @@ class KernelPlan:
             self._collide_reference(src, out_flat)
         else:
             self._native.fn(
-                src.ctypes.data, None, out_flat.ctypes.data, *self._native_args
+                src.ctypes.data, None, 0, out_flat.ctypes.data, *self._native_args
             )
 
     def _collide_reference(self, src: np.ndarray, out_flat: np.ndarray) -> None:

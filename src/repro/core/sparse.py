@@ -46,7 +46,7 @@ from .collision import BGKCollision
 from .equilibrium import equilibrium
 from .fields import resolve_dtype
 from .forcing import GuoForcing
-from .plan import SPARSE_KERNEL, KernelPlan
+from .plan import SPARSE_KERNEL, KernelPlan, index_dtype
 from .simulation import StepTimings, _Driver
 
 __all__ = [
@@ -135,7 +135,9 @@ class SparseDomain:
         return dense.reshape(-1)[self.fluid_index]
 
 
-def build_sparse_gather_table(domain: SparseDomain) -> np.ndarray:
+def build_sparse_gather_table(
+    domain: SparseDomain, index: "np.dtype | type" = np.intp
+) -> np.ndarray:
     """The domain's neighbor lists flattened to one contiguous gather.
 
     ``table[i * N + n] = pull_velocity[i, n] * N + pull_from[i, n]``
@@ -143,11 +145,15 @@ def build_sparse_gather_table(domain: SparseDomain) -> np.ndarray:
     ``np.take(f.reshape(-1), table, out=...)`` performs streaming *and*
     half-way bounce-back in the same gather — a blocked link is simply
     an index pointing at the opposite population of the source node.
-    Writable on purpose: ``np.take(mode="clip")`` copies read-only index
-    arrays into a fresh buffer on every call.
+    Written in the ``index`` dtype (see
+    :func:`~repro.core.plan.index_dtype`).  Writable on purpose:
+    ``np.take(mode="clip")`` copies read-only index arrays into a fresh
+    buffer on every call.
     """
-    flat = domain.pull_velocity * domain.num_fluid + domain.pull_from
-    return np.ascontiguousarray(flat.reshape(-1))
+    table = np.empty(domain.pull_from.shape, dtype=index)
+    np.multiply(domain.pull_velocity, domain.num_fluid, out=table, casting="same_kind")
+    np.add(table, domain.pull_from, out=table, casting="same_kind")
+    return table.reshape(-1)
 
 
 class PlannedSparseKernel:
@@ -178,12 +184,13 @@ class PlannedSparseKernel:
         self.lattice = domain.lattice
         self.dtype = resolve_dtype(dtype)
         self.collision = BGKCollision(self.lattice, tau, order=order)
+        index = index_dtype(self.lattice.q * domain.num_fluid, self.dtype)
         self.plan = KernelPlan(
             self.lattice,
             (domain.num_fluid,),
             order=self.collision.order,
             dtype=self.dtype,
-            gather=build_sparse_gather_table(domain),
+            gather=build_sparse_gather_table(domain, index),
         )
         self._partner: np.ndarray | None = None
 

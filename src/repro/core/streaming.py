@@ -32,6 +32,7 @@ def pull_gather_rows(
     shape: tuple[int, ...],
     scale: int = 1,
     row_step: int = 0,
+    index: "np.dtype | type" = np.intp,
 ) -> np.ndarray:
     """Per-velocity flat pull indices: ``rows[i, flat(x)] = flat(x - c_i)``.
 
@@ -51,13 +52,16 @@ def pull_gather_rows(
     base grid wrapped ``k = max_displacement`` cells deep on every side
     (``ext[k + j] = base[j mod n]``, extents below ``k`` included).
     Building the table holds that small wrapped grid beside the table.
+    Both are built in the ``index`` dtype, which must hold every index
+    (the planned kernel picks int32 when it does, see
+    :func:`~repro.core.plan.index_dtype`).
     """
     shape = tuple(int(s) for s in shape)
     n = int(np.prod(shape))
     k = lattice.max_displacement
-    base = np.arange(0, n * scale, scale, dtype=np.intp).reshape(shape)
+    base = np.arange(0, n * scale, scale, dtype=index).reshape(shape)
     ext = np.pad(base, k, mode="wrap")
-    rows = np.empty((lattice.q, n), dtype=np.intp)
+    rows = np.empty((lattice.q, n), dtype=index)
     for i, c in enumerate(lattice.velocities.tolist()):
         window = tuple(slice(k - ci, k - ci + s) for ci, s in zip(c, shape))
         np.add(ext[window], i * row_step, out=rows[i].reshape(shape))

@@ -3,12 +3,15 @@
 ``collide.c`` and ``KernelPlan._collide_reference`` perform one op
 sequence, so they must write the same bytes for every lattice, order,
 dtype, forcing, aliasing, block remainder and plan kind, whether the C
-loop loads its blocks by copy or through the gather table.  On a host
-without a C compiler the reference carries every planned run, and case
-payloads and sweep tables must not change by a byte.
+loop loads its blocks by copy or through the gather table, and whatever
+the table's index width.  On a host without a C compiler the reference
+carries every planned run, and case payloads and sweep tables must not
+change by a byte.  Every array a plan hands the C loop starts on a cache
+line, wherever the heap places it.
 """
 
 import contextlib
+import functools
 import inspect
 import json
 import logging
@@ -25,9 +28,19 @@ from hypothesis import example, given, settings
 
 import repro
 from repro import api
-from repro.core import KernelPlan, SparseDomain, compiled, equilibrium
+from repro.core import (
+    BounceBackWalls,
+    GuoForcing,
+    KernelPlan,
+    PlannedSparseKernel,
+    Simulation,
+    SparseDomain,
+    compiled,
+    equilibrium,
+)
+from repro.core import plan as plan_module
 from repro.core.io import canonical_json
-from repro.core.plan import build_gather_table
+from repro.core.plan import aligned_empty, build_gather_table, index_dtype
 from repro.core.sparse import build_sparse_gather_table
 from repro.errors import LatticeError
 from repro.lattice import get_lattice
@@ -61,6 +74,23 @@ def built():
 def _reference():
     """Plans built inside this context run the numpy reference."""
     return mock.patch.object(compiled, "load", lambda dtype: None)
+
+
+@contextlib.contextmanager
+def _shifted_heap(shift):
+    """Every ``np.empty`` made inside starts ``shift`` bytes past a
+    cache line: where a plain ``np.empty`` may land (it promises 16)."""
+    real = np.empty
+
+    def empty(shape, dtype=float, order="C", **kwargs):
+        dtype = np.dtype(dtype)
+        nbytes = int(np.prod(shape)) * dtype.itemsize
+        raw = real(nbytes + 2 * compiled.ALIGNMENT, dtype=np.uint8)
+        start = (shift - raw.ctypes.data) % compiled.ALIGNMENT
+        return raw[start : start + nbytes].view(dtype).reshape(shape)
+
+    with mock.patch.object(np, "empty", empty):
+        yield
 
 
 def _populations(lattice, n, rng, dtype):
@@ -200,17 +230,97 @@ class TestOnePassStep:
         assert f.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("path", ["compiled", "reference"])
-    def test_table_must_be_contiguous_int64(self, q19, path):
+    def test_plan_index_dtype(self, q19, path):
+        """A compiled plan indexes through int32 while every index fits,
+        int64 from ``INDEX_LIMIT`` source populations on; the reference
+        through ``np.intp``, the one index type ``np.take`` reads without
+        a per-call copy.  An explicit table is refused unless the plan's
+        path reads it as it is: contiguous, ``(Q * N,)``, of those types."""
         if path == "compiled":
             _loaded("float64")
-        table = build_gather_table(q19, (4, 4, 4))
-        wide = np.repeat(table, 2)
-        for bad, match in ((table.astype(np.int32), "int32"), (wide[::2], "int64")):
-            with contextlib.nullcontext() if path == "compiled" else _reference():
-                plan = KernelPlan(q19, (4, 4, 4), gather=bad)
-            f = np.ones((q19.q, 4, 4, 4))
+        shape, populations = (4, 4, 4), q19.q * 64
+        make = contextlib.nullcontext if path == "compiled" else _reference
+        limits = {populations + 1: np.int32, populations: np.int64}
+        for limit, compiled_index in limits.items():
+            with make(), mock.patch.object(plan_module, "INDEX_LIMIT", limit):
+                plan = KernelPlan(q19, shape)
+                assert index_dtype(populations, plan.dtype) == plan.index_dtype
+            expected = compiled_index if path == "compiled" else np.intp
+            assert plan.index_dtype == expected
+            assert plan.gather.dtype == expected
+        table = build_gather_table(q19, shape, np.int32)
+        wide = np.repeat(build_gather_table(q19, shape), 2)
+        bad = [
+            (table.astype(np.int16), "int16"),
+            (table.astype(np.float64), "float64"),
+            (wide[::2], "contiguous: False"),
+            (table[:-1], r"shape \(1216,\)"),
+        ]
+        accepted = [wide[::2].copy()]  # np.intp: both paths read it
+        if path == "compiled":
+            accepted.append(table)
+        else:
+            bad.append((table, "int32"))  # np.take would copy it every call
+        for gather, match in bad:
+            with make(), pytest.raises(LatticeError, match=match):
+                KernelPlan(q19, shape, gather=gather)
+        for gather in accepted:
+            with make():
+                assert KernelPlan(q19, shape, gather=gather).index_dtype == gather.dtype
+
+    @pytest.mark.parametrize("kind", ["soa", "aos", "sparse", "window"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("lname", ["D3Q15", "D3Q19", "D3Q27", "D3Q39"])
+    def test_index_width_changes_no_byte(self, kind, lname, dtype):
+        """``advance`` and ``stream_into`` write the same bytes through
+        int32 tables, through int64 ones (the limit lowered to force
+        them) and through the reference's ``np.take``."""
+        _loaded(dtype)
+        lat = get_lattice(lname)
+        limit_one = functools.partial(mock.patch.object, plan_module, "INDEX_LIMIT", 1)
+        widths = {
+            "int32": (contextlib.nullcontext, np.int32),
+            "int64": (limit_one, np.int64),
+            "reference": (_reference, np.intp),
+        }
+        results = {}
+        for name, (make, expected) in widths.items():
+            rng = np.random.default_rng(11)  # one state for every width
+            with make():
+                plan, f, _ = _plan_kind(kind, lat, (5, 4, 3), None, dtype, rng)
+            plan.set_forcing(FORCES["oblique"], OMEGA)
+            assert plan.index_dtype == expected and plan.gather.dtype == expected
+            assert plan.compiled == (name != "reference")
+            streamed = np.empty((lat.q, plan.num_cells), dtype=dtype)
+            plan.stream_into(f, streamed)
+            stepped = np.empty((lat.q, *plan.shape), dtype=dtype)
+            plan.advance(f, stepped, OMEGA)
+            results[name] = (streamed.tobytes(), stepped.tobytes())
+        assert results["int32"] == results["int64"] == results["reference"]
+
+    @pytest.mark.parametrize("path", ["compiled", "reference"])
+    def test_stream_refuses_what_it_cannot_address(self, q19, path):
+        if path == "compiled":
+            _loaded("float64")
+        with contextlib.nullcontext() if path == "compiled" else _reference():
+            plan = KernelPlan(q19, (2, 2, 2))
+        f = np.ones((q19.q, 2, 2, 2))
+        pair = np.ones((2 * q19.q, 2, 2, 2))
+        cases = [
+            (f, np.empty((q19.q, 8), np.float32), "float64"),
+            (f, np.empty((q19.q, 9)), "shape"),
+            (f, np.empty((q19.q, 16))[:, ::2], "C-contiguous"),
+            (np.ones((q19.q, 2, 2, 4))[..., ::2], np.empty((q19.q, 8)), "C-contiguous"),
+            (f, f, "overlap"),
+            (pair[: q19.q], pair[1 : q19.q + 1], "overlap"),
+        ]
+        for src, out, match in cases:
             with pytest.raises(LatticeError, match=match):
-                plan.advance(f, np.empty_like(f), OMEGA)
+                plan.stream_into(src, out)
+        rows, grid = np.empty((q19.q, 8)), np.empty_like(f)  # both shapes stream
+        plan.stream_into(f, rows)
+        plan.stream_into(f, grid)
+        assert rows.tobytes() == grid.tobytes()
 
     def test_bad_arrays_and_omega_refused(self, q19):
         for make in (contextlib.nullcontext, _reference):
@@ -228,6 +338,79 @@ class TestOnePassStep:
             plan.set_forcing((1e-5, 0.0, 0.0), OMEGA)
             with pytest.raises(LatticeError, match="omega"):
                 plan.advance(f, np.empty_like(f), 1.0)
+
+
+class TestAlignment:
+    """The C loop assumes its scratch starts on a cache line (``collide.c``'s
+    alignment contract); every array a plan allocates for it does."""
+
+    @pytest.mark.parametrize("kind", ["soa", "aos", "sparse", "window"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("lname", ["D3Q15", "D3Q19", "D3Q27", "D3Q39"])
+    def test_plan_arrays_start_on_a_cache_line(self, kind, lname, dtype):
+        """Dense SoA and AoS plans (walled and forced), sparse plans and
+        slab windows, built after every np.empty is shifted 16, 32 and
+        48 bytes past a cache line."""
+        _loaded(dtype)
+        lat = get_lattice(lname)
+        shape = (6, 5, 4)
+        solid = np.zeros(shape, dtype=bool)
+        solid[:, 0, :] = True
+        for shift in (16, 32, 48):
+            with _shifted_heap(shift):
+                assert np.empty(3).ctypes.data % compiled.ALIGNMENT == shift
+                if kind == "sparse":
+                    domain = SparseDomain(lat, solid)
+                    plan = PlannedSparseKernel(domain, 0.8, dtype=dtype).plan
+                    plan.set_forcing((1e-5, 0.0, 0.0), OMEGA)
+                elif kind == "window":
+                    k = lat.max_displacement
+                    plan = KernelPlan.for_window(
+                        lat, (6 + 2 * k, 5, 4), slice(k, k + 6), dtype=dtype
+                    )
+                else:
+                    sim = Simulation(
+                        lat,
+                        shape,
+                        tau=0.8,
+                        boundaries=[BounceBackWalls(lat, solid)],
+                        forcing=GuoForcing(lat, (1e-5, 0.0, 0.0)),
+                        dtype=dtype,
+                        layout=kind,
+                    )
+                    plan = sim.kernel.plan_for(shape)
+                    assert plan.folded_walls and plan.forced
+                arrays = {"scratch": plan._scratch, "buffer": plan.buffer}
+                if kind == "aos":
+                    arrays["aos_out"] = plan._aos_out
+            assert plan.compiled
+            for name, array in arrays.items():
+                assert array.ctypes.data % compiled.ALIGNMENT == 0, (shift, name)
+                assert array.flags.c_contiguous and array.dtype == dtype
+
+    def test_misaligned_scratch_refused(self, q19):
+        """A scratch one element off a cache line is refused before the
+        loop, which assumes the alignment, can see it."""
+        _loaded("float64")
+        plan = KernelPlan(q19, (4, 4, 4))
+        scratch = plan._scratch
+        plan._scratch = aligned_empty((scratch.size + 1,), scratch.dtype)[1:]
+        with pytest.raises(LatticeError, match="64-byte boundary"):
+            plan._bind_native()
+        with pytest.raises(LatticeError, match="64-byte boundary"):
+            plan.set_forcing((1e-5, 0.0, 0.0), OMEGA)
+        plan._scratch = scratch
+        plan._bind_native()
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (19, 6, 5, 4)])
+    @pytest.mark.parametrize("dtype", ["float64", "float32", "int32"])
+    def test_aligned_empty(self, shape, dtype):
+        for shift in (0, 16, 32, 48):
+            with _shifted_heap(shift):
+                array = aligned_empty(shape, dtype)
+            assert array.ctypes.data % compiled.ALIGNMENT == 0
+            assert array.shape == shape and array.dtype == dtype
+            assert array.flags.c_contiguous and array.flags.writeable
 
 
 def _plan_kind(kind, lat, shape, order, dtype, rng):
@@ -251,7 +434,8 @@ def _plan_kind(kind, lat, shape, order, dtype, rng):
         solid = rng.random(shape) < 0.3
         solid.flat[0] = False
         domain = SparseDomain(lat, solid)
-        gather = build_sparse_gather_table(domain)
+        index = index_dtype(lat.q * domain.num_fluid, dtype)
+        gather = build_sparse_gather_table(domain, index)
         plan = KernelPlan(
             lat, (domain.num_fluid,), order=order, dtype=dtype, gather=gather
         )

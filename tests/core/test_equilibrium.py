@@ -1,12 +1,15 @@
 """Tests for the Hermite equilibria (paper Eqs. 2-3)."""
 
+import tracemalloc
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core import equilibrium, equilibrium_order_for
+from repro.core import Simulation, equilibrium, equilibrium_order_for
 from repro.errors import LatticeError
+from repro.lattice import get_lattice
 
 
 class TestOrderResolution:
@@ -187,6 +190,59 @@ class TestInPlaceEvaluation:
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize(
+        "lname,order",
+        [
+            (lname, order)
+            for lname in ("D3Q15", "D3Q19", "D3Q27", "D3Q39")
+            for order in range(1, get_lattice(lname).equilibrium_order + 1)
+        ],
+    )
+    def test_every_cell_matches_the_tensordot_form(self, lname, order, dtype):
+        """Every lattice x order x dtype, with and without ``out`` and
+        ``work``: below third order ``c . u`` is computed into the work
+        buffer by ``np.dot``, the product ``np.tensordot`` computes, at
+        element offsets 0-3 of that buffer, and the bytes do not move."""
+        lattice, dtype = get_lattice(lname), np.dtype(dtype)
+        rng = np.random.default_rng(17)
+        shape = (9, 5, 7)
+        rho = 1.0 + 0.05 * rng.standard_normal(shape)
+        u = 0.05 * rng.standard_normal((3, *shape))
+        expected = _expression_form(lattice, rho, u, order, dtype).tobytes()
+        size = lattice.q * int(np.prod(shape))
+        for use_out in (False, True):
+            for offset in (None, 0, 1, 2, 3):
+                work = None
+                if offset is not None:
+                    raw = np.full(size + offset, np.nan, dtype=dtype)
+                    work = raw[offset:].reshape(lattice.q, *shape)
+                out = np.full((lattice.q, *shape), np.nan, dtype) if use_out else None
+                got = equilibrium(
+                    lattice, rho, u, order=order, out=out, dtype=dtype, work=work
+                )
+                assert got.tobytes() == expected, (use_out, offset)
+
+    def test_initialize_allocates_no_population_array(self):
+        """``Simulation.initialize`` evaluates the equilibrium into the
+        field with the advection array as work: below third order it
+        allocates nothing field-sized (``c . u`` lands in the work).  A
+        ``(Q, N)`` transient alone would reach ``f.nbytes``; what is left
+        are a few ``(N,)`` and ``(D, N)`` ones."""
+        shape = (16, 16, 8)
+        rho = np.ones(shape)
+        u = 0.01 * np.ones((3, *shape))
+        for lattice in ("D3Q15", "D3Q19", "D3Q27"):
+            sim = Simulation(lattice, shape, tau=0.8)
+            sim.initialize(rho, u)
+            expected = sim.f.copy()
+            tracemalloc.start()
+            sim.initialize(rho, u)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert peak < sim.f.nbytes // 2, (lattice, peak, sim.f.nbytes)
+            assert sim.f.tobytes() == expected.tobytes()
+
     def test_mismatched_work_buffer_rejected(self, q19):
         rho = np.ones((3, 3, 3))
         u = np.zeros((3, 3, 3, 3))
@@ -194,6 +250,8 @@ class TestInPlaceEvaluation:
             equilibrium(q19, rho, u, work=np.empty((19, 3, 3, 3), dtype=np.float32))
         with pytest.raises(LatticeError, match="work must be"):
             equilibrium(q19, rho, u, work=np.empty((19, 3, 3)))
+        with pytest.raises(LatticeError, match="C-contiguous"):
+            equilibrium(q19, rho, u, work=np.empty((19, 3, 3, 6))[..., ::2])
 
     def test_inputs_left_untouched(self, q39):
         rng = np.random.default_rng(3)
